@@ -94,6 +94,13 @@ def run(config: RunConfig, stderr=None) -> int:
     except OSError as exc:
         print(f"error unreadable-input - {config.input_path}: {exc.strerror}", file=stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(
+            f"error unreadable-input - {config.input_path}: not UTF-8 text "
+            f"(byte {exc.start}: {exc.reason})",
+            file=stderr,
+        )
+        return 2
 
     try:
         recipe = parse_recipe(text, source_name=os.path.basename(config.input_path))

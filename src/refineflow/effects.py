@@ -6,8 +6,9 @@ of a step records which column ids it reads and writes, which columns it
 creates or deletes, and whether it touches the row structure of the whole
 table (``table_scoped``), in which case it reads and writes everything.
 
-Unknown operation ids fall back to a table-scoped effect: the analysis
-degrades to the sequential interpretation instead of failing.
+Each recognized operation id is described once, by an :class:`OpSpec` in
+``CATALOG``. Unknown operation ids fall back to the table-scoped rule: the
+analysis degrades to the sequential interpretation instead of failing.
 """
 
 from __future__ import annotations
@@ -20,51 +21,129 @@ from .recipe import RawOperation, Recipe
 
 DEFAULT_SPLIT_ARITY = 2
 
-# op_id -> parameter keys consumed by the effect rules / interpreter.
-# Keys outside these sets are retained verbatim but do not influence the
-# model (validate_recipe reports them).
-RECOGNIZED_PARAMS: dict[str, tuple[str, ...]] = {
-    "core/text-transform": ("columnName", "expression"),
-    "core/mass-edit": ("columnName", "expression", "edits"),
-    "core/column-rename": ("oldColumnName", "newColumnName"),
-    "core/column-removal": ("columnName",),
-    "core/column-split": (
-        "columnName",
-        "mode",
-        "separator",
-        "regex",
-        "maxColumns",
-        "fieldLengths",
-        "removeOriginalColumn",
+_ALL_LIVE = "all live columns"
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Everything the model knows about one operation id.
+
+    ``params`` are the keys the effect rule and the interpreter consume;
+    other keys are retained verbatim but do not influence the model
+    (validate_recipe reports them). ``required`` must be present.
+
+    The effect rule: ``own`` names the parameter holding the column the
+    step runs on (a list of columns when ``own_list``). The step reads it,
+    plus its expression's references when ``expression`` (every live
+    column when the expression is opaque or absent), and writes it when
+    ``writes_own``. ``new_label`` names the parameter holding a label the
+    step gives the own column (``rename``) or a new column it creates to
+    the right of the own column. A ``split`` creates "<own> 1" ... "<own> k".
+    ``deletes`` removes the own column: always when True, or when the
+    parameter it names is truthy. A ``table_scoped`` step reads and
+    writes every live column.
+
+    ``doc`` is the reads / writes / creates / deletes row of the catalog
+    reference.
+    """
+
+    params: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+    own: str | None = None
+    own_list: bool = False
+    expression: bool = False
+    writes_own: bool = False
+    new_label: str | None = None
+    rename: bool = False
+    split: bool = False
+    deletes: bool | str = False
+    table_scoped: bool = False
+    doc: tuple[str, str, str, str] = (_ALL_LIVE, _ALL_LIVE, "-", "-")
+
+
+# The conservative rule: row operations, and any op id outside the catalog.
+TABLE_SCOPED = OpSpec(table_scoped=True)
+
+
+CATALOG: dict[str, OpSpec] = {
+    "core/text-transform": OpSpec(
+        params=("columnName", "expression"), required=("columnName",),
+        own="columnName", expression=True, writes_own=True,
+        doc=(
+            "own column + expression references (all live columns when the expression is opaque)",
+            "own column", "-", "-",
+        ),
     ),
-    "core/column-addition": ("baseColumnName", "newColumnName", "expression"),
-    "core/column-move": ("columnName",),
-    "core/column-reorder": ("columnNames",),
-    "core/fill-down": ("columnName",),
-    "core/blank-down": ("columnName",),
-    "core/row-removal": (),
-    "core/row-reorder": (),
-    "core/row-star": (),
-    "core/row-flag": (),
+    "core/mass-edit": OpSpec(
+        params=("columnName", "expression", "edits"), required=("columnName",),
+        own="columnName", writes_own=True,
+        doc=("own column", "own column", "-", "-"),
+    ),
+    "core/column-rename": OpSpec(
+        params=("oldColumnName", "newColumnName"), required=("oldColumnName", "newColumnName"),
+        own="oldColumnName", writes_own=True, new_label="newColumnName", rename=True,
+        doc=("old column", "old column (relabeled)", "-", "-"),
+    ),
+    "core/column-removal": OpSpec(
+        params=("columnName",), required=("columnName",),
+        own="columnName", deletes=True,
+        doc=("removed column", "-", "-", "removed column"),
+    ),
+    "core/column-split": OpSpec(
+        params=(
+            "columnName", "mode", "separator", "regex", "maxColumns", "fieldLengths",
+            "removeOriginalColumn",
+        ),
+        required=("columnName",),
+        own="columnName", split=True, deletes="removeOriginalColumn",
+        doc=(
+            "source column", "-", '"<col> 1" ... "<col> k"',
+            "source column when removeOriginalColumn",
+        ),
+    ),
+    "core/column-addition": OpSpec(
+        params=("baseColumnName", "newColumnName", "expression"),
+        required=("baseColumnName", "newColumnName"),
+        own="baseColumnName", expression=True, new_label="newColumnName",
+        doc=(
+            "base column + expression references (all live columns when opaque)",
+            "-", "new column", "-",
+        ),
+    ),
+    "core/column-move": OpSpec(
+        params=("columnName",), required=("columnName",),
+        own="columnName", writes_own=True,
+        doc=("moved column", "moved column", "-", "-"),
+    ),
+    "core/column-reorder": OpSpec(
+        params=("columnNames",),
+        own="columnNames", own_list=True, writes_own=True,
+        doc=("listed columns", "listed columns", "-", "-"),
+    ),
+    "core/fill-down": OpSpec(
+        params=("columnName",), required=("columnName",),
+        own="columnName", writes_own=True,
+        doc=("own column", "own column", "-", "-"),
+    ),
+    "core/blank-down": OpSpec(
+        params=("columnName",), required=("columnName",),
+        own="columnName", writes_own=True,
+        doc=("own column", "own column", "-", "-"),
+    ),
+    "core/row-removal": TABLE_SCOPED,
+    "core/row-reorder": TABLE_SCOPED,
+    "core/row-star": TABLE_SCOPED,
+    "core/row-flag": TABLE_SCOPED,
 }
 
-REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
-    "core/text-transform": ("columnName",),
-    "core/mass-edit": ("columnName",),
-    "core/column-rename": ("oldColumnName", "newColumnName"),
-    "core/column-removal": ("columnName",),
-    "core/column-split": ("columnName",),
-    "core/column-addition": ("baseColumnName", "newColumnName"),
-    "core/column-move": ("columnName",),
-    "core/fill-down": ("columnName",),
-    "core/blank-down": ("columnName",),
-}
 
-KNOWN_OPS = frozenset(RECOGNIZED_PARAMS)
+def spec_of(op_id: str) -> OpSpec:
+    """Catalog entry of an op id; unknown ids get the table-scoped rule."""
+    return CATALOG.get(op_id, TABLE_SCOPED)
 
-_ROW_OPS = frozenset(
-    {"core/row-removal", "core/row-reorder", "core/row-star", "core/row-flag"}
-)
+
+def _deletes_own(spec: OpSpec, params: dict) -> bool:
+    return spec.deletes is True or bool(spec.deletes and params.get(spec.deletes))
 
 
 @dataclass(frozen=True, order=True)
@@ -218,11 +297,6 @@ def _expression_reads(
     return own | frozenset(_resolve(label, schema, op) for label in analysis.referenced_columns)
 
 
-def _table_scoped_effect(schema: SchemaState) -> ColumnEffect:
-    live = schema.live_ids()
-    return ColumnEffect(reads=live, writes=live, table_scoped=True)
-
-
 def effect_of(
     op: RawOperation,
     schema: SchemaState,
@@ -233,85 +307,45 @@ def effect_of(
     Raises :class:`EffectError` (``unresolved-column`` / ``missing-param``)
     when a referenced column is not live or a required parameter is absent.
     """
-    op_id = op.op_id
+    spec = spec_of(op.op_id)
+    if spec.table_scoped:
+        live = schema.live_ids()
+        return ColumnEffect(reads=live, writes=live, table_scoped=True)
 
-    if op_id == "core/text-transform":
-        own = _resolve(_param(op, "columnName"), schema, op)
-        return ColumnEffect(reads=_expression_reads(op, schema, frozenset({own})), writes=frozenset({own}))
+    anchor = None
+    if spec.own_list:
+        names = op.params.get(spec.own)
+        own = frozenset(_resolve(name, schema, op) for name in (names if isinstance(names, list) else ()))
+    else:
+        label = _param(op, spec.own)
+        anchor = _resolve(label, schema, op)
+        own = frozenset({anchor})
 
-    if op_id == "core/mass-edit":
-        own = _resolve(_param(op, "columnName"), schema, op)
-        return ColumnEffect(reads=frozenset({own}), writes=frozenset({own}))
-
-    if op_id == "core/column-rename":
-        old = _resolve(_param(op, "oldColumnName"), schema, op)
-        new_label = _param(op, "newColumnName")
+    new_label = None
+    if spec.new_label is not None:
+        new_label = _param(op, spec.new_label)
         if not isinstance(new_label, str):
             raise EffectError(
                 "missing-param",
-                f"step {op.index} (core/column-rename): newColumnName is not a string",
+                f"step {op.index} ({op.op_id}): {spec.new_label} is not a string",
                 step_index=op.index,
             )
-        return ColumnEffect(
-            reads=frozenset({old}),
-            writes=frozenset({old}),
-            renames=((old, new_label),),
-        )
 
-    if op_id == "core/column-removal":
-        col = _resolve(_param(op, "columnName"), schema, op)
-        return ColumnEffect(reads=frozenset({col}), deletes=frozenset({col}))
-
-    if op_id == "core/column-split":
-        label = _param(op, "columnName")
-        col = _resolve(label, schema, op)
+    creates: tuple[tuple[ColumnId, str], ...] = ()
+    if spec.split:
         parts = split_arity(op, arity_hints)
-        creates = tuple(
-            (ColumnId(schema.next_id + k), f"{label} {k + 1}") for k in range(parts)
-        )
-        deletes = frozenset({col}) if op.params.get("removeOriginalColumn") else frozenset()
-        return ColumnEffect(
-            reads=frozenset({col}),
-            creates=creates,
-            deletes=deletes,
-            anchor=col,
-        )
+        creates = tuple((ColumnId(schema.next_id + k), f"{label} {k + 1}") for k in range(parts))
+    elif new_label is not None and not spec.rename:
+        creates = ((ColumnId(schema.next_id), new_label),)
 
-    if op_id == "core/column-addition":
-        base = _resolve(_param(op, "baseColumnName"), schema, op)
-        new_label = _param(op, "newColumnName")
-        if not isinstance(new_label, str):
-            raise EffectError(
-                "missing-param",
-                f"step {op.index} (core/column-addition): newColumnName is not a string",
-                step_index=op.index,
-            )
-        return ColumnEffect(
-            reads=_expression_reads(op, schema, frozenset({base})),
-            creates=((ColumnId(schema.next_id), new_label),),
-            anchor=base,
-        )
-
-    if op_id == "core/column-move":
-        col = _resolve(_param(op, "columnName"), schema, op)
-        return ColumnEffect(reads=frozenset({col}), writes=frozenset({col}))
-
-    if op_id == "core/column-reorder":
-        names = op.params.get("columnNames")
-        if not isinstance(names, list):
-            names = []
-        cols = frozenset(_resolve(name, schema, op) for name in names)
-        return ColumnEffect(reads=cols, writes=cols)
-
-    if op_id in ("core/fill-down", "core/blank-down"):
-        col = _resolve(_param(op, "columnName"), schema, op)
-        return ColumnEffect(reads=frozenset({col}), writes=frozenset({col}))
-
-    if op_id in _ROW_OPS:
-        return _table_scoped_effect(schema)
-
-    # Conservative fallback for extension / unrecognized operations.
-    return _table_scoped_effect(schema)
+    return ColumnEffect(
+        reads=_expression_reads(op, schema, own) if spec.expression else own,
+        writes=own if spec.writes_own else frozenset(),
+        creates=creates,
+        deletes=own if _deletes_own(spec, op.params) else frozenset(),
+        renames=((anchor, new_label),) if spec.rename else (),
+        anchor=anchor if creates else None,
+    )
 
 
 def apply_effect(schema: SchemaState, effect: ColumnEffect) -> SchemaState:
@@ -398,71 +432,31 @@ def infer_initial_schema(
         consumed.add(label)
 
     for op in recipe.operations:
+        spec = spec_of(op.op_id)
         params = op.params
-        op_id = op.op_id
-        if op_id in ("core/text-transform", "core/column-addition"):
-            own_key = "columnName" if op_id == "core/text-transform" else "baseColumnName"
-            need(params.get(own_key))
-            expression = params.get("expression")
-            if expression is not None:
-                analysis = analyze_expression(str(expression))
-                if not analysis.opaque:
-                    text = str(expression)
-                    for label in sorted(analysis.referenced_columns, key=text.find):
-                        need(label)
-            if op_id == "core/column-addition":
-                new_label = params.get("newColumnName")
-                if isinstance(new_label, str):
-                    produce(new_label)
-        elif op_id in ("core/mass-edit", "core/column-move", "core/fill-down", "core/blank-down"):
-            need(params.get("columnName"))
-        elif op_id == "core/column-rename":
-            old, new = params.get("oldColumnName"), params.get("newColumnName")
-            need(old)
-            if isinstance(old, str):
-                drop(old)
-            if isinstance(new, str):
-                produce(new)
-        elif op_id == "core/column-removal":
-            label = params.get("columnName")
-            need(label)
-            if isinstance(label, str):
-                drop(label)
-        elif op_id == "core/column-split":
-            label = params.get("columnName")
-            need(label)
-            if isinstance(label, str):
+        own = params.get(spec.own)
+        if spec.own_list:
+            for name in own if isinstance(own, list) else ():
+                need(name)
+        else:
+            need(own)
+        expression = params.get("expression") if spec.expression else None
+        if expression is not None:
+            analysis = analyze_expression(str(expression))
+            if not analysis.opaque:
+                text = str(expression)
+                for label in sorted(analysis.referenced_columns, key=text.find):
+                    need(label)
+        if isinstance(own, str):
+            if spec.rename or _deletes_own(spec, params):
+                drop(own)
+            if spec.split:
                 for k in range(split_arity(op, arity_hints)):
-                    produce(f"{label} {k + 1}")
-                if params.get("removeOriginalColumn"):
-                    drop(label)
-        elif op_id == "core/column-reorder":
-            names = params.get("columnNames")
-            if isinstance(names, list):
-                for name in names:
-                    need(name)
-        # Row-scoped and unknown operations read whatever is live; they
-        # place no label requirements of their own.
+                    produce(f"{own} {k + 1}")
+        new_label = params.get(spec.new_label)
+        if isinstance(new_label, str):
+            produce(new_label)
     return SchemaState.from_labels(assumed)
-
-
-_CATALOG_ROWS = [
-    ("core/text-transform", "own column + expression references (all live columns when the expression is opaque)", "own column", "-", "-", "no"),
-    ("core/mass-edit", "own column", "own column", "-", "-", "no"),
-    ("core/column-rename", "old column", "old column (relabeled)", "-", "-", "no"),
-    ("core/column-removal", "removed column", "-", "-", "removed column", "no"),
-    ("core/column-split", "source column", "-", "\"<col> 1\" ... \"<col> k\"", "source column when removeOriginalColumn", "no"),
-    ("core/column-addition", "base column + expression references (all live columns when opaque)", "-", "new column", "-", "no"),
-    ("core/column-move", "moved column", "moved column", "-", "-", "no"),
-    ("core/column-reorder", "listed columns", "listed columns", "-", "-", "no"),
-    ("core/fill-down", "own column", "own column", "-", "-", "no"),
-    ("core/blank-down", "own column", "own column", "-", "-", "no"),
-    ("core/row-removal", "all live columns", "all live columns", "-", "-", "yes"),
-    ("core/row-reorder", "all live columns", "all live columns", "-", "-", "yes"),
-    ("core/row-star", "all live columns", "all live columns", "-", "-", "yes"),
-    ("core/row-flag", "all live columns", "all live columns", "-", "-", "yes"),
-    ("(any other op id)", "all live columns", "all live columns", "-", "-", "yes"),
-]
 
 
 def catalog_reference() -> str:
@@ -477,7 +471,9 @@ def catalog_reference() -> str:
         "| op id | reads | writes | creates | deletes | table-scoped |",
         "|---|---|---|---|---|---|",
     ]
-    for row in _CATALOG_ROWS:
-        lines.append("| " + " | ".join(row) + " |")
+    rows = [*CATALOG.items(), ("(any other op id)", TABLE_SCOPED)]
+    for op_id, spec in rows:
+        flag = "yes" if spec.table_scoped else "no"
+        lines.append("| " + " | ".join((op_id, *spec.doc, flag)) + " |")
     lines.append("")
     return "\n".join(lines)

@@ -26,7 +26,7 @@ from . import expressions as ex
 from .effects import ColumnId, SchemaState
 from . import effects as _effects
 from .errors import EngineError
-from .model import dependency_edges
+from .model import ordering_pairs
 from .recipe import RawOperation, Recipe
 
 SUPPORTED_OPS = frozenset(
@@ -195,6 +195,46 @@ def _apply_edits(cell: str, compiled) -> str:
     return cell
 
 
+def _mass_edit(op: RawOperation, cells: list[str]) -> list[str]:
+    compiled = _compile_edits(op)
+    return [_apply_edits(cell, compiled) for cell in cells]
+
+
+def _fill_down(op: RawOperation, cells: list[str]) -> list[str]:
+    carry = None
+    values = []
+    for cell in cells:
+        if cell != "":
+            carry = cell
+        elif carry is not None:
+            cell = carry
+        values.append(cell)
+    return values
+
+
+def _blank_down(op: RawOperation, cells: list[str]) -> list[str]:
+    return ["" if r and cell == cells[r - 1] else cell for r, cell in enumerate(cells)]
+
+
+# Steps that rewrite their own column from that column alone; both
+# interpreters run these on a plain list of the column's cells.
+_COLUMN_KERNELS = {
+    "core/mass-edit": _mass_edit,
+    "core/fill-down": _fill_down,
+    "core/blank-down": _blank_down,
+}
+
+
+def _split_separator(op: RawOperation) -> str:
+    if op.params.get("regex") or op.params.get("mode") == "lengths":
+        raise EngineError(
+            "unsupported-op",
+            f"step {op.index} (core/column-split) only supports plain separator splits",
+            step_index=op.index,
+        )
+    return _require_string_param(op, "separator")
+
+
 def _split_parts(cell: str, separator: str, arity: int) -> list[str]:
     parts = cell.split(separator) if separator else [cell]
     parts = parts[:arity]
@@ -229,6 +269,17 @@ class _MutableTable:
                 step_index=op.index,
             )
 
+    def set_column(self, position: int, values: list[str]):
+        for row, value in zip(self.rows, values):
+            row[position] = value
+
+    def evaluate(self, parsed: ex.ParsedExpression, position: int, op: RawOperation) -> list[str]:
+        """The expression on every row, ``value`` being the cell at ``position``."""
+        return [
+            evaluate_expression(parsed, row[position], lambda ref: row[self.position(ref.label, op)])
+            for row in self.rows
+        ]
+
     def fresh_id(self) -> ColumnId:
         cid = ColumnId(self.next_id)
         self.next_id += 1
@@ -249,6 +300,15 @@ class _MutableTable:
     def to_table(self) -> Table:
         schema = SchemaState(columns=tuple(zip(self.ids, self.labels)), next_id=self.next_id)
         return Table(schema, [list(row) for row in self.rows])
+
+
+def _require_supported(op: RawOperation):
+    if op.op_id not in SUPPORTED_OPS:
+        raise EngineError(
+            "unsupported-op",
+            f"step {op.index} ({op.op_id}) is outside the interpreter subset",
+            step_index=op.index,
+        )
 
 
 def _require_string_param(op: RawOperation, key: str) -> str:
@@ -272,38 +332,22 @@ def execute(
     """
     state = _MutableTable(table)
     for op in recipe.operations:
-        if op.op_id not in SUPPORTED_OPS:
-            raise EngineError(
-                "unsupported-op",
-                f"step {op.index} ({op.op_id}) is outside the interpreter subset",
-                step_index=op.index,
-            )
+        _require_supported(op)
         _execute_step(state, op, arity_hints)
     return state.to_table()
 
 
 def _execute_step(state: _MutableTable, op: RawOperation, arity_hints):
     op_id = op.op_id
+    kernel = _COLUMN_KERNELS.get(op_id)
 
-    if op_id == "core/text-transform":
+    if kernel is not None:
         position = state.position(_require_string_param(op, "columnName"), op)
-        parsed = _parse_expression(op)
+        state.set_column(position, kernel(op, [row[position] for row in state.rows]))
 
-        def run_row(row):
-            def lookup(ref: ex.CellRef):
-                return row[state.position(ref.label, op)]
-
-            return evaluate_expression(parsed, row[position], lookup)
-
-        new_values = [run_row(row) for row in state.rows]
-        for row, value in zip(state.rows, new_values):
-            row[position] = value
-
-    elif op_id == "core/mass-edit":
+    elif op_id == "core/text-transform":
         position = state.position(_require_string_param(op, "columnName"), op)
-        compiled = _compile_edits(op)
-        for row in state.rows:
-            row[position] = _apply_edits(row[position], compiled)
+        state.set_column(position, state.evaluate(_parse_expression(op), position, op))
 
     elif op_id == "core/column-rename":
         position = state.position(_require_string_param(op, "oldColumnName"), op)
@@ -317,13 +361,7 @@ def _execute_step(state: _MutableTable, op: RawOperation, arity_hints):
 
     elif op_id == "core/column-split":
         label = _require_string_param(op, "columnName")
-        if op.params.get("regex") or op.params.get("mode") == "lengths":
-            raise EngineError(
-                "unsupported-op",
-                f"step {op.index} (core/column-split) only supports plain separator splits",
-                step_index=op.index,
-            )
-        separator = _require_string_param(op, "separator")
+        separator = _split_separator(op)
         position = state.position(label, op)
         arity = _effects.split_arity(op, arity_hints)
         part_rows = [_split_parts(row[position], separator, arity) for row in state.rows]
@@ -339,35 +377,9 @@ def _execute_step(state: _MutableTable, op: RawOperation, arity_hints):
     elif op_id == "core/column-addition":
         base_position = state.position(_require_string_param(op, "baseColumnName"), op)
         new_label = _require_string_param(op, "newColumnName")
-        parsed = _parse_expression(op)
-
-        def run_row(row):
-            def lookup(ref: ex.CellRef):
-                return row[state.position(ref.label, op)]
-
-            return evaluate_expression(parsed, row[base_position], lookup)
-
-        values = [run_row(row) for row in state.rows]
+        values = state.evaluate(_parse_expression(op), base_position, op)
         state.require_free(new_label, op)
         state.insert_column(base_position + 1, state.fresh_id(), new_label, values)
-
-    elif op_id == "core/fill-down":
-        position = state.position(_require_string_param(op, "columnName"), op)
-        carry = None
-        for row in state.rows:
-            if row[position] != "":
-                carry = row[position]
-            elif carry is not None:
-                row[position] = carry
-
-    elif op_id == "core/blank-down":
-        position = state.position(_require_string_param(op, "columnName"), op)
-        previous = None
-        for row in state.rows:
-            current = row[position]
-            if previous is not None and current == previous:
-                row[position] = ""
-            previous = current
 
     else:  # pragma: no cover - guarded by SUPPORTED_OPS
         raise AssertionError(op_id)
@@ -408,6 +420,13 @@ class _IdTable:
             cid: list(table.column(cid)) for cid in self.ids
         }
         self.next_id = table.schema.next_id
+
+    def evaluate(self, bound, cid: ColumnId) -> list[str]:
+        """A bound expression on every row, ``value`` being the cell of ``cid``."""
+        return [
+            evaluate_expression(bound, own_value, lambda ref: self.cells[ref.cid][r])
+            for r, own_value in enumerate(self.cells[cid])
+        ]
 
     def row_count(self) -> int:
         return len(next(iter(self.cells.values()))) if self.cells else 0
@@ -454,11 +473,7 @@ def execute_order(
     if sorted(order) != list(range(n)):
         raise EngineError("invalid-order", f"order {order!r} is not a permutation of 0..{n - 1}")
     position = {step: rank for rank, step in enumerate(order)}
-    if any(effect.table_scoped for effect in effects):
-        pairs = {(i, i + 1) for i in range(n - 1)}
-    else:
-        pairs = dependency_edges(recipe, effects)
-    for i, j in pairs:
+    for i, j in ordering_pairs(recipe, effects):
         if position[i] > position[j]:
             raise EngineError(
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"
@@ -471,32 +486,17 @@ def execute_order(
 
 
 def _execute_bound_step(state: _IdTable, op: RawOperation, effect, schema: SchemaState, arity_hints):
+    _require_supported(op)
     op_id = op.op_id
-    if op_id not in SUPPORTED_OPS:
-        raise EngineError(
-            "unsupported-op",
-            f"step {op.index} ({op.op_id}) is outside the interpreter subset",
-            step_index=op.index,
-        )
+    kernel = _COLUMN_KERNELS.get(op_id)
 
-    def own_id() -> ColumnId:
-        return next(iter(effect.writes | effect.reads))
+    if kernel is not None:
+        (cid,) = effect.writes
+        state.cells[cid] = kernel(op, state.cells[cid])
 
-    if op_id == "core/text-transform":
-        cid = next(iter(effect.writes))
-        bound = _bind_expression(_parse_expression(op), schema, op)
-        values = state.cells[cid]
-        new_values = []
-        for r, own_value in enumerate(values):
-            new_values.append(
-                evaluate_expression(bound, own_value, lambda ref: state.cells[ref.cid][r])
-            )
-        state.cells[cid] = new_values
-
-    elif op_id == "core/mass-edit":
-        cid = next(iter(effect.writes))
-        compiled = _compile_edits(op)
-        state.cells[cid] = [_apply_edits(cell, compiled) for cell in state.cells[cid]]
+    elif op_id == "core/text-transform":
+        (cid,) = effect.writes
+        state.cells[cid] = state.evaluate(_bind_expression(_parse_expression(op), schema, op), cid)
 
     elif op_id == "core/column-rename":
         (cid, new_label), = effect.renames
@@ -508,13 +508,7 @@ def _execute_bound_step(state: _IdTable, op: RawOperation, effect, schema: Schem
 
     elif op_id == "core/column-split":
         source = effect.anchor
-        separator = _require_string_param(op, "separator")
-        if op.params.get("regex") or op.params.get("mode") == "lengths":
-            raise EngineError(
-                "unsupported-op",
-                f"step {op.index} (core/column-split) only supports plain separator splits",
-                step_index=op.index,
-            )
+        separator = _split_separator(op)
         arity = len(effect.creates)
         part_rows = [_split_parts(cell, separator, arity) for cell in state.cells[source]]
         anchor = source
@@ -525,38 +519,9 @@ def _execute_bound_step(state: _IdTable, op: RawOperation, effect, schema: Schem
             state.remove(source)
 
     elif op_id == "core/column-addition":
-        base = effect.anchor
         bound = _bind_expression(_parse_expression(op), schema, op)
         ((cid, label),) = effect.creates
-        values = [
-            evaluate_expression(bound, own_value, lambda ref: state.cells[ref.cid][r])
-            for r, own_value in enumerate(state.cells[base])
-        ]
-        state.insert_after(base, cid, label, values)
-
-    elif op_id == "core/fill-down":
-        cid = own_id()
-        carry = None
-        values = []
-        for cell in state.cells[cid]:
-            if cell != "":
-                carry = cell
-            elif carry is not None:
-                cell = carry
-            values.append(cell)
-        state.cells[cid] = values
-
-    elif op_id == "core/blank-down":
-        cid = own_id()
-        previous = None
-        values = []
-        for cell in state.cells[cid]:
-            current = cell
-            if previous is not None and current == previous:
-                cell = ""
-            previous = current
-            values.append(cell)
-        state.cells[cid] = values
+        state.insert_after(effect.anchor, cid, label, state.evaluate(bound, effect.anchor))
 
     else:  # pragma: no cover
         raise AssertionError(op_id)

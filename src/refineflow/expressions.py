@@ -193,12 +193,11 @@ def parse_expression(expression: str) -> ParsedExpression | None:
     return _Parser(tokens).parse_expression()
 
 
-def analyze_expression(expression: str, own_column: str | None = None) -> ExpressionAnalysis:
+def analyze_expression(expression: str) -> ExpressionAnalysis:
     """Classify an expression and collect the column labels it reads.
 
-    ``own_column`` is the column the expression runs against; it is context
-    only (the own-column read is implied by the owning operation, not by
-    this analysis).
+    The read of the column the expression runs against is implied by the
+    owning operation, not reported by this analysis.
     """
     parsed = parse_expression(expression)
     if parsed is None:

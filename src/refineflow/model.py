@@ -7,9 +7,12 @@ so independent cleaning threads become disconnected subworkflows. The
 collapsed model additionally folds long runs of near-identical steps into
 summary nodes, with the folded steps preserved in per-run detail models.
 
-Any table-scoped effect (row operations, unknown ops, opaque expressions)
-forces total serialization: the parallel step order degenerates to the
-recorded chain, which keeps every reordering conclusion sound.
+Any table-scoped effect (row operations, unknown ops) forces total
+serialization: the parallel step order degenerates to the recorded chain,
+which keeps every reordering conclusion sound. An opaque expression does
+not serialize the model: its step reads every live column, so it is
+ordered against every step that changes one, but it stays column-scoped
+and leaves the steps around it free to run in parallel with each other.
 """
 
 from __future__ import annotations
@@ -65,20 +68,8 @@ class WorkflowModel:
     edges: list[Edge] = field(default_factory=list)
     components: list[list[str]] = field(default_factory=list)
 
-    def node(self, node_id: str) -> Node:
-        found = self.node_map().get(node_id)
-        if found is None:
-            raise ModelError("unknown-node", f"no node with id {node_id!r}")
-        return found
-
     def node_map(self) -> dict[str, Node]:
         return {node.id: node for node in self.nodes}
-
-    def step_like_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind in ("step", "summary")]
-
-    def data_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind in ("data_table", "data_column")]
 
 
 @dataclass(frozen=True)
@@ -113,6 +104,17 @@ def dependency_edges(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[i
         for j in range(i + 1, n)
         if not commutes(effects[i], effects[j])
     }
+
+
+def ordering_pairs(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[int, int]]:
+    """Step pairs (i, j), i < j, that every execution order must respect.
+
+    Any table-scoped effect forces the full recorded chain, so that
+    conservative steps are never reordered across.
+    """
+    if any(effect.table_scoped for effect in effects):
+        return {(i, i + 1) for i in range(len(effects) - 1)}
+    return dependency_edges(recipe, effects)
 
 
 def _transitive_reduction(n: int, pairs: set[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -162,9 +164,8 @@ def _render_param_value(value) -> str:
 
 
 def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
-    recognized = _effects.RECOGNIZED_PARAMS.get(op.op_id, ())
     nodes = []
-    for key in recognized:
+    for key in _effects.spec_of(op.op_id).params:
         if key in op.params:
             nodes.append(
                 Node(
@@ -367,13 +368,7 @@ def _build_column_model(
         model.edges.extend(Edge(step_id, dst) for dst in out_ids)
         pos += 1
 
-    # Step ordering constraints. Any table-scoped effect forces the full
-    # recorded chain so that conservative steps are never reordered across.
-    if any(effect.table_scoped for effect in effects):
-        step_pairs = {(i, i + 1) for i in range(n - 1)}
-    else:
-        step_pairs = dependency_edges(recipe, effects)
-
+    step_pairs = ordering_pairs(recipe, effects)
     quotient_pairs: set[tuple[int, int]] = set()
     rep_index = {}
     for i in range(n):

@@ -65,6 +65,8 @@ def parse_recipe(text: str, source_name: str | None = None) -> Recipe:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RecipeError("malformed-json", f"input is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise RecipeError("malformed-json", "input nests arrays or objects too deeply") from None
 
     if isinstance(document, dict):
         document = [document]
@@ -112,8 +114,8 @@ def validate_recipe(
     diagnostics: list[Diagnostic] = []
     hints = arity_hints or {}
     for op in recipe.operations:
-        recognized = effects.RECOGNIZED_PARAMS.get(op.op_id)
-        if recognized is None:
+        spec = effects.CATALOG.get(op.op_id)
+        if spec is None:
             diagnostics.append(
                 Diagnostic(
                     "warning",
@@ -124,7 +126,7 @@ def validate_recipe(
                 )
             )
             continue
-        missing = [key for key in effects.REQUIRED_PARAMS.get(op.op_id, ()) if key not in op.params]
+        missing = [key for key in spec.required if key not in op.params]
         if missing:
             diagnostics.append(
                 Diagnostic(
@@ -134,7 +136,7 @@ def validate_recipe(
                     step_index=op.index,
                 )
             )
-        unused = sorted(key for key in op.params if key not in recognized and key != "description")
+        unused = sorted(key for key in op.params if key not in spec.params and key != "description")
         if unused:
             diagnostics.append(
                 Diagnostic(
@@ -145,7 +147,7 @@ def validate_recipe(
                     step_index=op.index,
                 )
             )
-        if op.op_id == "core/column-split" and effects.static_split_arity(op) is None:
+        if spec.split and effects.static_split_arity(op) is None:
             column = op.params.get("columnName")
             if not (isinstance(column, str) and column in hints):
                 diagnostics.append(

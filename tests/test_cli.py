@@ -78,6 +78,30 @@ def test_unresolved_column_exits_1(tmp_path, capsys):
     assert "error unresolved-column 1 " in err
 
 
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    recipe = tmp_path / "latin1.json"
+    recipe.write_bytes(b'[{"op": "core/fill-down", "columnName": "caf\xe9"}]')
+    out = tmp_path / "never.dot"
+    status = run_cli(["-i", str(recipe), "-o", str(out)])
+    assert status == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error unreadable-input - ")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    recipe = tmp_path / "deep.json"
+    recipe.write_text("[" * 100000, encoding="utf-8")
+    out = tmp_path / "never.dot"
+    status = run_cli(["-i", str(recipe), "-o", str(out)])
+    assert status == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error malformed-json - ")
+    assert err.count("\n") == 1
+
+
 def test_warnings_do_not_change_exit_status(tmp_path, capsys):
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps([{"op": "vendor/exotic"}]), encoding="utf-8")

@@ -19,14 +19,14 @@ def regex_references(expression: str) -> set[str]:
 
 
 def test_to_lowercase_is_own_column_only():
-    analysis = analyze_expression("value.toLowercase()", "event")
+    analysis = analyze_expression("value.toLowercase()")
     assert analysis.reads_own_value
     assert analysis.referenced_columns == frozenset()
     assert not analysis.opaque
 
 
 def test_bare_value():
-    analysis = analyze_expression("value", "x")
+    analysis = analyze_expression("value")
     assert analysis.reads_own_value
     assert analysis.referenced_columns == frozenset()
     assert not analysis.opaque
@@ -34,7 +34,7 @@ def test_bare_value():
 
 def test_cell_reference_concatenation():
     expr = 'cells["day"].value + "/" + cells["year"].value'
-    analysis = analyze_expression(expr, "repaired_date")
+    analysis = analyze_expression(expr)
     assert analysis.referenced_columns == frozenset({"day", "year"})
     assert not analysis.opaque
     assert analysis.referenced_columns == regex_references(expr)

@@ -17,6 +17,7 @@ from refineflow import (
     trace_effects,
     upstream_lineage,
 )
+from refineflow.model import ordering_pairs
 from conftest import make_recipe
 from recipegen import has_unique_topological_order, random_recipe
 
@@ -211,6 +212,20 @@ def test_parallel_unknown_op_serializes_everything():
         if e.src.startswith("step_") and e.dst.startswith("step_")
     }
     assert step_pairs == {("step_0", "step_1"), ("step_1", "step_2")}
+
+
+def test_opaque_expression_stays_column_scoped():
+    recipe = make_recipe(
+        [
+            {"op": "core/text-transform", "columnName": "a", "expression": "jython:return value"},
+            {"op": "core/text-transform", "columnName": "b", "expression": "value.trim()"},
+            {"op": "core/text-transform", "columnName": "c", "expression": "value.trim()"},
+        ]
+    )
+    effects, schemas = _models_for(recipe)
+    assert not any(effect.table_scoped for effect in effects)
+    assert ordering_pairs(recipe, effects) == {(0, 1), (0, 2)}
+    assert len(build_parallel(recipe, effects, schemas).components) == 1
 
 
 def test_parallel_all_table_scoped_degenerates_to_chain():

@@ -1,0 +1,152 @@
+"""Per-operation pins: one entry per recognized op id plus one unknown op.
+
+Several of these ops (column-move, column-reorder, the row ops, unknown
+ops) appear in no fixture, so this table is their only guard. Effects are
+compared in label terms over the inferred schema of a one-step recipe.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from refineflow import EffectError, infer_initial_schema, trace_effects
+from refineflow.effects import CATALOG
+from conftest import make_recipe
+
+UNKNOWN_OP = "vendor/unknown-op"
+
+# op id -> (params of a valid one-step recipe, inferred labels,
+#           (reads, writes, creates, deletes, renamed to, table-scoped))
+OPS = {
+    "core/text-transform": (
+        {"columnName": "a", "expression": 'value + cells["b"].value'},
+        ("a", "b"),
+        (("a", "b"), ("a",), (), (), (), False),
+    ),
+    "core/mass-edit": (
+        {"columnName": "a", "expression": "value", "edits": [{"from": ["x"], "to": "y"}]},
+        ("a",),
+        (("a",), ("a",), (), (), (), False),
+    ),
+    "core/column-rename": (
+        {"oldColumnName": "a", "newColumnName": "z"},
+        ("a",),
+        (("a",), ("a",), (), (), ("z",), False),
+    ),
+    "core/column-removal": (
+        {"columnName": "a"},
+        ("a",),
+        (("a",), (), (), ("a",), (), False),
+    ),
+    "core/column-split": (
+        {"columnName": "a", "separator": "/", "maxColumns": 2, "removeOriginalColumn": True},
+        ("a",),
+        (("a",), (), ("a 1", "a 2"), ("a",), (), False),
+    ),
+    "core/column-addition": (
+        {"baseColumnName": "a", "newColumnName": "z", "expression": 'value + cells["b"].value'},
+        ("a", "b"),
+        (("a", "b"), (), ("z",), (), (), False),
+    ),
+    "core/column-move": (
+        {"columnName": "a", "index": 0},
+        ("a",),
+        (("a",), ("a",), (), (), (), False),
+    ),
+    "core/column-reorder": (
+        {"columnNames": ["b", "a"]},
+        ("b", "a"),
+        (("b", "a"), ("b", "a"), (), (), (), False),
+    ),
+    "core/fill-down": ({"columnName": "a"}, ("a",), (("a",), ("a",), (), (), (), False)),
+    "core/blank-down": ({"columnName": "a"}, ("a",), (("a",), ("a",), (), (), (), False)),
+    "core/row-removal": ({}, (), ((), (), (), (), (), True)),
+    "core/row-reorder": ({}, (), ((), (), (), (), (), True)),
+    "core/row-star": ({}, (), ((), (), (), (), (), True)),
+    "core/row-flag": ({}, (), ((), (), (), (), (), True)),
+    UNKNOWN_OP: ({}, (), ((), (), (), (), (), True)),
+}
+
+_NOT_A_STRING = "step 0 ({op}): column name parameter is not a string"
+_LACKS = "step 0 ({op}) lacks required parameter {key!r}"
+
+# (op id, column or label param, value) -> (code, message), or None when
+# the step still traces.
+BAD_LABELS = [
+    (op, key, value, ("missing-param", (_LACKS if value is None else _NOT_A_STRING).format(
+        op=op, key=key
+    )))
+    for op, key in [
+        ("core/text-transform", "columnName"),
+        ("core/mass-edit", "columnName"),
+        ("core/column-rename", "oldColumnName"),
+        ("core/column-removal", "columnName"),
+        ("core/column-split", "columnName"),
+        ("core/column-addition", "baseColumnName"),
+        ("core/column-move", "columnName"),
+        ("core/fill-down", "columnName"),
+        ("core/blank-down", "columnName"),
+    ]
+    for value in (None, 7)
+] + [
+    (op, "newColumnName", None, ("missing-param", _LACKS.format(op=op, key="newColumnName")))
+    for op in ("core/column-rename", "core/column-addition")
+] + [
+    (op, "newColumnName", 7, ("missing-param", f"step 0 ({op}): newColumnName is not a string"))
+    for op in ("core/column-rename", "core/column-addition")
+] + [
+    ("core/column-reorder", "columnNames", None, None),
+    ("core/column-reorder", "columnNames", 7, None),
+    ("core/column-reorder", "columnNames", "a", None),
+] + [
+    ("core/column-reorder", "columnNames", value, (
+        "missing-param", _NOT_A_STRING.format(op="core/column-reorder")
+    ))
+    for value in ([None], [7])
+]
+
+
+def _one_step(op_id: str, params: dict):
+    recipe = make_recipe([{"op": op_id, **params}])
+    return recipe, infer_initial_schema(recipe)
+
+
+def test_pins_cover_the_catalog():
+    assert set(OPS) == set(CATALOG) | {UNKNOWN_OP}
+    assert UNKNOWN_OP not in CATALOG
+
+
+@pytest.mark.parametrize("op_id", sorted(OPS))
+def test_inferred_schema_traces_and_covers_reads(op_id):
+    params, labels, expected = OPS[op_id]
+    recipe, initial = _one_step(op_id, params)
+    assert initial.labels() == labels
+    (effect,), states = trace_effects(recipe, initial)
+    assert effect.reads <= initial.live_ids()
+
+    def named(ids):
+        return tuple(label for cid, label in initial.columns if cid in ids)
+
+    shape = (
+        named(effect.reads),
+        named(effect.writes),
+        tuple(label for _, label in effect.creates),
+        named(effect.deletes),
+        tuple(label for _, label in effect.renames),
+        effect.table_scoped,
+    )
+    assert shape == expected
+    assert len(states) == 2
+
+
+@pytest.mark.parametrize("op_id,key,value,expected", BAD_LABELS)
+def test_bad_label_params(op_id, key, value, expected):
+    params = {**OPS[op_id][0], key: value}
+    recipe, initial = _one_step(op_id, params)
+    if expected is None:
+        trace_effects(recipe, initial)
+        return
+    with pytest.raises(EffectError) as info:
+        trace_effects(recipe, initial)
+    assert (info.value.code, info.value.message) == expected
+    assert info.value.step_index == 0
