@@ -21,6 +21,11 @@ from .recipe import RawOperation, Recipe
 
 DEFAULT_SPLIT_ARITY = 2
 
+# Upper bound on the columns one split may create. Every later schema
+# snapshot holds the parts, so without a bound one recipe entry could
+# make the trace allocate without limit.
+MAX_SPLIT_PARTS = 1000
+
 _ALL_LIVE = "all live columns"
 
 
@@ -199,12 +204,6 @@ class SchemaState:
                 return label
         return None
 
-    def position(self, cid: ColumnId) -> int | None:
-        for pos, (candidate, _) in enumerate(self.columns):
-            if candidate == cid:
-                return pos
-        return None
-
 
 @dataclass(frozen=True)
 class ColumnEffect:
@@ -212,6 +211,10 @@ class ColumnEffect:
 
     ``creates`` keeps creation order; new columns are inserted immediately
     to the right of ``anchor`` (their source column) when it is live.
+    ``labels`` holds the labels the step gives or takes away: those of the
+    columns it creates, a rename's new label, and the current labels of the
+    columns it renames or deletes. A replay resolves columns by label, so
+    two steps that share one must keep their order.
     """
 
     reads: frozenset[ColumnId] = frozenset()
@@ -221,6 +224,7 @@ class ColumnEffect:
     renames: tuple[tuple[ColumnId, str], ...] = ()
     table_scoped: bool = False
     anchor: ColumnId | None = None
+    labels: frozenset[str] = frozenset()
 
     def created_ids(self) -> frozenset[ColumnId]:
         return frozenset(cid for cid, _ in self.creates)
@@ -274,14 +278,23 @@ def static_split_arity(op: RawOperation) -> int | None:
 
 
 def split_arity(op: RawOperation, arity_hints: dict[str, int] | None = None) -> int:
-    """Resolve a split's part count: static params, then hints, then default."""
-    static = static_split_arity(op)
-    if static is not None:
-        return static
-    column = op.params.get("columnName")
-    if arity_hints and isinstance(column, str) and column in arity_hints:
-        return arity_hints[column]
-    return DEFAULT_SPLIT_ARITY
+    """Resolve a split's part count: static params, then hints, then default.
+
+    Raises ``split-arity-too-large`` past :data:`MAX_SPLIT_PARTS`.
+    """
+    parts = static_split_arity(op)
+    if parts is None:
+        column = op.params.get("columnName")
+        hinted = arity_hints and isinstance(column, str) and column in arity_hints
+        parts = arity_hints[column] if hinted else DEFAULT_SPLIT_ARITY
+    if parts > MAX_SPLIT_PARTS:
+        raise EffectError(
+            "split-arity-too-large",
+            f"step {op.index} ({op.op_id}) splits into {parts} columns; "
+            f"at most {MAX_SPLIT_PARTS} are supported",
+            step_index=op.index,
+        )
+    return parts
 
 
 def _expression_reads(
@@ -338,13 +351,20 @@ def effect_of(
     elif new_label is not None and not spec.rename:
         creates = ((ColumnId(schema.next_id), new_label),)
 
+    deletes = own if _deletes_own(spec, op.params) else frozenset()
+    labels = {created for _, created in creates}
+    if spec.rename:
+        labels |= {label, new_label}
+    if deletes:
+        labels.add(label)
     return ColumnEffect(
         reads=_expression_reads(op, schema, own) if spec.expression else own,
         writes=own if spec.writes_own else frozenset(),
         creates=creates,
-        deletes=own if _deletes_own(spec, op.params) else frozenset(),
+        deletes=deletes,
         renames=((anchor, new_label),) if spec.rename else (),
         anchor=anchor if creates else None,
+        labels=frozenset(labels),
     )
 
 

@@ -1,13 +1,13 @@
 """Reference interpreter for a supported subset of operations.
 
-This is the brute-force oracle behind the parallel model: executing a
+This is the brute-force oracle behind the parallel model: replaying a
 recipe in any topological order of its dependency DAG must produce the
 same table as the recorded order. ``execute`` interprets operations the
-straightforward way (labels resolved step by step, its own schema
-bookkeeping, independent of the effect catalog), while ``execute_order``
-binds every step to column ids via the effect trace and then applies the
-steps in the requested order. Agreement between the two is exactly what
-the commutativity rule promises.
+way OpenRefine replays a history: labels resolved step by step, with its
+own schema bookkeeping, independent of the effect catalog.
+``execute_order`` checks a permutation against the ordering pairs and
+replays the permuted recipe through ``execute``, by label. Agreement
+with the recorded order is exactly what the commutativity rule promises.
 
 Cells are untyped strings; the empty string counts as blank (fill-down
 fills it, mass-edit's fromBlank matches it). ``toNumber`` yields a number
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import expressions as ex
 from .effects import ColumnId, SchemaState
@@ -66,12 +66,6 @@ class Table:
         width = len(header)
         normalized = [list(row[:width]) + [""] * (width - len(row)) for row in rows]
         return cls(SchemaState.from_labels(header), normalized)
-
-    def column(self, cid: ColumnId) -> list[str]:
-        position = self.schema.position(cid)
-        if position is None:
-            raise KeyError(cid)
-        return [row[position] for row in self.rows]
 
     def sorted_by_id(self) -> "Table":
         """Columns reordered by ascending column id (order-insensitive form)."""
@@ -216,8 +210,8 @@ def _blank_down(op: RawOperation, cells: list[str]) -> list[str]:
     return ["" if r and cell == cells[r - 1] else cell for r, cell in enumerate(cells)]
 
 
-# Steps that rewrite their own column from that column alone; both
-# interpreters run these on a plain list of the column's cells.
+# Steps that rewrite their own column from that column alone, run on a
+# plain list of the column's cells.
 _COLUMN_KERNELS = {
     "core/mass-edit": _mass_edit,
     "core/fill-down": _fill_down,
@@ -385,75 +379,6 @@ def _execute_step(state: _MutableTable, op: RawOperation, arity_hints):
         raise AssertionError(op_id)
 
 
-# --- order-permuted execution ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _BoundRef:
-    cid: ColumnId
-
-
-def _bind_expression(parsed: ex.ParsedExpression, schema: SchemaState, op: RawOperation):
-    terms = []
-    for term in parsed:
-        base = term.base
-        if isinstance(base, ex.CellRef):
-            cid = schema.id_of(base.label)
-            if cid is None:
-                raise EngineError(
-                    "unresolved-column",
-                    f"step {op.index} references column {base.label!r}",
-                    step_index=op.index,
-                )
-            base = _BoundRef(cid)
-        terms.append(ex.Term(base=base, methods=term.methods))
-    return tuple(terms)
-
-
-class _IdTable:
-    """Column-id-addressed working state for order-permuted execution."""
-
-    def __init__(self, table: Table):
-        self.ids = [cid for cid, _ in table.schema.columns]
-        self.labels = {cid: label for cid, label in table.schema.columns}
-        self.cells = {
-            cid: list(table.column(cid)) for cid in self.ids
-        }
-        self.next_id = table.schema.next_id
-
-    def evaluate(self, bound, cid: ColumnId) -> list[str]:
-        """A bound expression on every row, ``value`` being the cell of ``cid``."""
-        return [
-            evaluate_expression(bound, own_value, lambda ref: self.cells[ref.cid][r])
-            for r, own_value in enumerate(self.cells[cid])
-        ]
-
-    def row_count(self) -> int:
-        return len(next(iter(self.cells.values()))) if self.cells else 0
-
-    def insert_after(self, anchor: ColumnId | None, cid: ColumnId, label: str, values: list[str]):
-        position = self.ids.index(anchor) + 1 if anchor in self.ids else len(self.ids)
-        self.ids.insert(position, cid)
-        self.labels[cid] = label
-        self.cells[cid] = values
-        self.next_id = max(self.next_id, cid.id + 1)
-
-    def remove(self, cid: ColumnId):
-        self.ids.remove(cid)
-        del self.labels[cid]
-        del self.cells[cid]
-
-    def to_table(self) -> Table:
-        schema = SchemaState(
-            columns=tuple((cid, self.labels[cid]) for cid in self.ids),
-            next_id=self.next_id,
-        )
-        rows = [
-            [self.cells[cid][r] for cid in self.ids] for r in range(self.row_count())
-        ]
-        return Table(schema, rows)
-
-
 def execute_order(
     recipe: Recipe,
     order: list[int],
@@ -463,9 +388,11 @@ def execute_order(
     """Run a recipe in a caller-chosen topological order of its dependency DAG.
 
     The order must be a permutation of the step indices respecting every
-    dependency pair; otherwise ``invalid-order`` is raised (that signals a
-    bug in the calling harness, not a data problem). After sorting columns
-    by id the result equals ``execute(recipe, table)``.
+    ordering pair; otherwise ``invalid-order`` is raised (that signals a
+    bug in the calling harness, not a data problem). The permuted recipe
+    is replayed by label with :func:`execute`; each result column then
+    takes the id the recorded trace gives its final label, so that after
+    sorting columns by id the result equals ``execute(recipe, table)``.
     """
     n = len(recipe.operations)
     effects, states = _effects.trace_effects(recipe, table.schema, arity_hints)
@@ -479,49 +406,11 @@ def execute_order(
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"
             )
 
-    state = _IdTable(table)
-    for step in order:
-        _execute_bound_step(state, recipe.operations[step], effects[step], states[step], arity_hints)
-    return state.to_table()
-
-
-def _execute_bound_step(state: _IdTable, op: RawOperation, effect, schema: SchemaState, arity_hints):
-    _require_supported(op)
-    op_id = op.op_id
-    kernel = _COLUMN_KERNELS.get(op_id)
-
-    if kernel is not None:
-        (cid,) = effect.writes
-        state.cells[cid] = kernel(op, state.cells[cid])
-
-    elif op_id == "core/text-transform":
-        (cid,) = effect.writes
-        state.cells[cid] = state.evaluate(_bind_expression(_parse_expression(op), schema, op), cid)
-
-    elif op_id == "core/column-rename":
-        (cid, new_label), = effect.renames
-        state.labels[cid] = new_label
-
-    elif op_id == "core/column-removal":
-        (cid,) = effect.deletes
-        state.remove(cid)
-
-    elif op_id == "core/column-split":
-        source = effect.anchor
-        separator = _split_separator(op)
-        arity = len(effect.creates)
-        part_rows = [_split_parts(cell, separator, arity) for cell in state.cells[source]]
-        anchor = source
-        for k, (cid, label) in enumerate(effect.creates):
-            state.insert_after(anchor, cid, label, [parts[k] for parts in part_rows])
-            anchor = cid
-        if effect.deletes:
-            state.remove(source)
-
-    elif op_id == "core/column-addition":
-        bound = _bind_expression(_parse_expression(op), schema, op)
-        ((cid, label),) = effect.creates
-        state.insert_after(effect.anchor, cid, label, state.evaluate(bound, effect.anchor))
-
-    else:  # pragma: no cover
-        raise AssertionError(op_id)
+    permuted = replace(recipe, operations=tuple(recipe.operations[step] for step in order))
+    replayed = execute(permuted, table, arity_hints)
+    recorded = {label: cid for cid, label in states[-1].columns}
+    schema = replace(
+        replayed.schema,
+        columns=tuple((recorded.get(label, cid), label) for cid, label in replayed.schema.columns),
+    )
+    return Table(schema, replayed.rows)

@@ -13,6 +13,10 @@ which keeps every reordering conclusion sound. An opaque expression does
 not serialize the model: its step reads every live column, so it is
 ordered against every step that changes one, but it stays column-scoped
 and leaves the steps around it free to run in parallel with each other.
+Two steps that give or take away the same column label (a rename freeing
+"a" and an addition creating "a", or a removal of "d 1" and a split of
+"d") are ordered too, so every order the model allows replays by label
+as OpenRefine would replay it.
 """
 
 from __future__ import annotations
@@ -83,10 +87,15 @@ class DetailModel:
 def commutes(a: ColumnEffect, b: ColumnEffect) -> bool:
     """Whether two effects can swap without changing any result.
 
-    Holds when neither is table-scoped and neither one's output columns
-    (writes, creates, deletes) meet what the other reads or changes.
+    Holds when neither is table-scoped, neither one's output columns
+    (writes, creates, deletes) meet what the other reads or changes, and
+    the labels they give or take away are disjoint: a replay resolves
+    columns by label, so a label one step frees and the other takes (or
+    both take) fixes their order.
     """
     if a.table_scoped or b.table_scoped:
+        return False
+    if a.labels and b.labels and not a.labels.isdisjoint(b.labels):
         return False
     if a.output_ids() & (b.reads | b.writes | b.deletes):
         return False

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,12 @@ from refineflow import Recipe, Table, infer_initial_schema, parse_recipe, trace_
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+# pytest's ``pythonpath`` setting reaches this process only; child
+# interpreters (the console-script test) import the checkout's package too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

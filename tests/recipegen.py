@@ -67,8 +67,9 @@ def random_recipe_entries(
     entries: list[dict] = []
 
     def fresh_label() -> str:
-        # Occasionally resurrect a freed label: reordered execution must
-        # tolerate transiently ambiguous labels.
+        # Occasionally resurrect a freed label: the dependency analysis must
+        # order the step that frees a label before the one that takes it
+        # back, or a reordered replay by label would collide.
         nonlocal fresh
         if freed and rng.random() < 0.3:
             return freed.pop(rng.randrange(len(freed)))

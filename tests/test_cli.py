@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 from refineflow.cli import RunConfig, main, run
+from refineflow.effects import MAX_SPLIT_PARTS
 from conftest import FIXTURES
 from dotcheck import parse_dot
 
@@ -237,6 +240,69 @@ def test_split_arity_override(tmp_path, capsys):
     graph = parse_dot(out.read_text(encoding="utf-8"))
     labels = {attrs["label"] for attrs in graph.nodes.values()}
     assert {"date 1", "date 2", "date 3", "date 4"} <= labels
+
+
+@pytest.mark.parametrize(
+    "split, argv",
+    [
+        ({"maxColumns": MAX_SPLIT_PARTS + 1}, []),
+        ({"fieldLengths": [1] * (MAX_SPLIT_PARTS + 1)}, []),
+        ({}, ["--split-arity", f"date={MAX_SPLIT_PARTS + 1}"]),
+    ],
+    ids=["maxColumns", "fieldLengths", "split-arity-flag"],
+)
+def test_split_arity_over_cap_exits_1(tmp_path, capsys, split, argv):
+    recipe = tmp_path / "recipe.json"
+    entry = {"op": "core/column-split", "columnName": "date", "separator": "/", **split}
+    recipe.write_text(json.dumps([entry, {"op": "core/fill-down", "columnName": "date"}]))
+    out = tmp_path / "never.dot"
+    status = run_cli(["-i", str(recipe), "-o", str(out), *argv])
+    assert status == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error split-arity-too-large 0 ")
+    assert err.count("\n") == 1
+
+
+def _mutations(entry: dict, rng: random.Random):
+    """Seeded hostile variants of one recipe entry: odd values, dropped keys."""
+    hostile = [None, True, -1, 10**12, "", [], {}, [1, "x"], {"k": None}]
+    keys = [key for key in entry if key != "op"]
+    for _ in range(5):
+        mutated = dict(entry)
+        for key in rng.sample(keys, rng.randint(1, min(2, len(keys)))):
+            if rng.random() < 0.25:
+                del mutated[key]
+            else:
+                mutated[key] = rng.choice(hostile)
+        yield mutated
+    if entry["op"] == "core/column-split":
+        yield {**entry, "maxColumns": rng.choice([MAX_SPLIT_PARTS + 1, 10**9, 2**63])}
+
+
+_DIAGNOSTIC = re.compile(r"^(error|warning|info) \S+ (-|\d+) ")
+
+
+def test_cli_fuzz_gives_exit_code_and_one_line_diagnostics(tmp_path, capsys):
+    rng = random.Random(2024)
+    out = tmp_path / "model.dot"
+    statuses = []
+    for fixture in ("menus_recipe.json", "mass_edit_run.json"):
+        entries = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+        for position, entry in enumerate(entries):
+            for mutated in _mutations(entry, rng):
+                recipe = tmp_path / "fuzz.json"
+                recipe.write_text(json.dumps(entries[:position] + [mutated] + entries[position + 1 :]))
+                for model_kind in ("linear", "parallel", "collapsed"):
+                    status = run_cli(["-i", str(recipe), "-t", model_kind, "-o", str(out)])
+                    err = capsys.readouterr().err
+                    assert status in (0, 1, 2), (mutated, model_kind)
+                    assert "Traceback" not in err
+                    for line in err.splitlines():
+                        assert _DIAGNOSTIC.match(line), (mutated, model_kind, line)
+                    statuses.append(status)
+    assert len(statuses) >= 250
+    assert {0, 1} <= set(statuses)
 
 
 def test_console_script_entry_point(tmp_path):

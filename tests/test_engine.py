@@ -249,9 +249,9 @@ def test_random_reorderings_agree(menus_recipe, menus_table):
 
 
 def test_reorder_with_transient_label_reuse():
-    """A rename frees label "a" and an independent addition recreates it;
-    running the addition first makes the label transiently ambiguous, which
-    id-addressed execution must tolerate."""
+    """A rename frees label "a" and an addition recreates it. Replayed by
+    label, the addition cannot run first: "a" is still taken, so the two
+    steps are ordered."""
     recipe = make_recipe(
         [
             {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"},
@@ -265,12 +265,14 @@ def test_reorder_with_transient_label_reuse():
     )
     table = _table(["a", "c"], [["1", "x"], ["2", "y"]])
     effects, _ = trace_effects(recipe, table.schema)
-    assert dependency_edges(recipe, effects) == set()  # independent steps
-    forward = execute_order(recipe, [0, 1], table).sorted_by_id()
-    swapped = execute_order(recipe, [1, 0], table).sorted_by_id()
-    direct = execute(recipe, table).sorted_by_id()
-    assert forward.schema == swapped.schema == direct.schema
-    assert forward.rows == swapped.rows == direct.rows
+    assert dependency_edges(recipe, effects) == {(0, 1)}
+    with pytest.raises(EngineError) as info:
+        execute_order(recipe, [1, 0], table)
+    assert info.value.code == "invalid-order"
+    forward = execute_order(recipe, [0, 1], table)
+    direct = execute(recipe, table)
+    assert forward.schema == direct.schema
+    assert forward.rows == direct.rows
     assert direct.schema.labels() == ("b", "c", "a")
 
 

@@ -110,6 +110,28 @@ def test_read_write_interference():
     assert not commutes(effects[0], effects[1])
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [
+            {"op": "core/column-removal", "columnName": "X"},
+            {"op": "core/column-rename", "oldColumnName": "A", "newColumnName": "X"},
+        ],
+        [
+            {"op": "core/column-removal", "columnName": "d 1"},
+            {"op": "core/column-split", "columnName": "d", "separator": ",", "maxColumns": 2},
+        ],
+    ],
+    ids=["removal-frees-rename-target", "removal-frees-split-part"],
+)
+def test_label_reuse_depends(entries):
+    # Disjoint column ids, but the second step takes a label the first frees.
+    recipe = make_recipe(entries)
+    effects, _ = _models_for(recipe)
+    assert not commutes(effects[0], effects[1])
+    assert dependency_edges(recipe, effects) == {(0, 1)}
+
+
 def test_commutes_symmetry_over_random_effects():
     rng = random.Random(51)
     pool = []
