@@ -17,6 +17,12 @@ Two steps that give or take away the same column label (a rename freeing
 "a" and an addition creating "a", or a removal of "d 1" and a split of
 "d") are ordered too, so every order the model allows replays by label
 as OpenRefine would replay it.
+
+:func:`commutes` is the pairwise definition of a conflict.
+:func:`dependency_edges` sweeps the steps once and returns a generating
+set of conflicts, linear in the total effect size, whose transitive
+closure is the conflict relation. A DAG has exactly one transitive
+reduction, so the process edges are those of the full relation.
 """
 
 from __future__ import annotations
@@ -105,14 +111,51 @@ def commutes(a: ColumnEffect, b: ColumnEffect) -> bool:
 
 
 def dependency_edges(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[int, int]]:
-    """Ordered step pairs (i, j), i < j, that must not be reordered."""
-    n = len(effects)
-    return {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not commutes(effects[i], effects[j])
-    }
+    """Step pairs (i, j), i < j, whose transitive closure is the conflict relation.
+
+    :func:`commutes` is the pairwise definition. Every returned pair is a
+    conflict, but not every conflict is returned: one forward sweep keeps,
+    per column id, the last step that changed it and the steps that read it
+    since, and per label the last step that gave or took it away. A read
+    follows the last change; a change follows the last change and every
+    read since; a label follows its last holder. A table-scoped step is a
+    barrier: it follows the previous barrier and every step since, and
+    every later step follows it.
+    """
+    pairs: set[tuple[int, int]] = set()
+    changer: dict[ColumnId, int] = {}
+    readers: dict[ColumnId, list[int]] = {}
+    holder: dict[str, int] = {}
+    barrier = None
+    since_barrier: list[int] = []
+    for j, effect in enumerate(effects):
+        if effect.table_scoped:
+            pairs.update((i, j) for i in since_barrier)
+            changer.clear()
+            readers.clear()
+            holder.clear()
+            barrier = j
+            since_barrier = [j]
+            continue
+        if barrier is not None:
+            pairs.add((barrier, j))
+        since_barrier.append(j)
+        outputs = effect.output_ids()
+        for cid in effect.reads:
+            if cid in changer:
+                pairs.add((changer[cid], j))
+            if cid not in outputs:
+                readers.setdefault(cid, []).append(j)
+        for cid in outputs:
+            if cid in changer:
+                pairs.add((changer[cid], j))
+            pairs.update((i, j) for i in readers.pop(cid, ()))
+            changer[cid] = j
+        for label in effect.labels:
+            if label in holder:
+                pairs.add((holder[label], j))
+            holder[label] = j
+    return pairs
 
 
 def ordering_pairs(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[int, int]]:
@@ -127,22 +170,25 @@ def ordering_pairs(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[int
 
 
 def _transitive_reduction(n: int, pairs: set[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Minimal forward-edge set with the same reachability. Pairs are i < j."""
-    successors: dict[int, list[int]] = {i: [] for i in range(n)}
+    """Minimal forward-edge set with the same reachability. Pairs are i < j.
+
+    Reachable sets are int bit masks. Taking the successors of a step in
+    ascending order, a pair (i, j) is redundant exactly when an earlier
+    successor of i already reaches j.
+    """
+    successors: list[list[int]] = [[] for _ in range(n)]
     for i, j in pairs:
         successors[i].append(j)
-    reachable: dict[int, set[int]] = {}
-    for i in range(n - 1, -1, -1):
-        reach: set[int] = set()
-        for j in successors[i]:
-            reach.add(j)
-            reach |= reachable[j]
-        reachable[i] = reach
+    reach = [0] * n
     kept = []
-    for i, j in sorted(pairs):
-        if not any(j in reachable[k] for k in successors[i] if k != j):
-            kept.append((i, j))
-    return kept
+    for i in range(n - 1, -1, -1):
+        mask = 0
+        for j in sorted(successors[i]):
+            if not mask >> j & 1:
+                kept.append((i, j))
+            mask |= reach[j] | 1 << j
+        reach[i] = mask
+    return sorted(kept)
 
 
 def _weak_components(members: list[int], pairs: set[tuple[int, int]]) -> list[list[int]]:

@@ -185,6 +185,17 @@ def random_recipe_entries(
     return entries
 
 
+# The seeded recipe/table pairs the acceptance criteria and the dependency
+# oracle share.
+CORPUS_SEED = 20260810
+CORPUS_SIZE = 100
+
+
+def acceptance_corpus() -> list[tuple[Recipe, Table]]:
+    rng = random.Random(CORPUS_SEED)
+    return [random_recipe(rng) for _ in range(CORPUS_SIZE)]
+
+
 def random_recipe(rng: random.Random) -> tuple[Recipe, Table]:
     """A schema-valid random recipe plus a matching random input table."""
     column_count = rng.randint(3, 6)

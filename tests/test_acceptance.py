@@ -30,17 +30,20 @@ from refineflow import (
 from refineflow.cli import main as cli_main
 from conftest import FIXTURES, GOLDEN
 from dotcheck import parse_dot
-from recipegen import has_unique_topological_order, random_recipe, random_topological_order
+from recipegen import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    acceptance_corpus,
+    has_unique_topological_order,
+    random_topological_order,
+)
 
-CORPUS_SEED = 20260810
-CORPUS_SIZE = 100
 ORDERS_PER_RECIPE = 20
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    rng = random.Random(CORPUS_SEED)
-    return [random_recipe(rng) for _ in range(CORPUS_SIZE)]
+    return acceptance_corpus()
 
 
 def _step_pairs(model) -> set[tuple[int, int]]:

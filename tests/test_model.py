@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,9 +18,15 @@ from refineflow import (
     trace_effects,
     upstream_lineage,
 )
-from refineflow.model import ordering_pairs
+from refineflow.model import _transitive_reduction, ordering_pairs
 from conftest import make_recipe
-from recipegen import has_unique_topological_order, random_recipe
+from recipegen import (
+    CORPUS_SEED,
+    acceptance_corpus,
+    has_unique_topological_order,
+    random_recipe,
+    random_recipe_entries,
+)
 
 
 def _models_for(recipe):
@@ -142,6 +149,102 @@ def test_commutes_symmetry_over_random_effects():
     for _ in range(400):
         a, b = rng.choice(pool), rng.choice(pool)
         assert commutes(a, b) == commutes(b, a)
+
+
+# --- dependency sweep against the pairwise oracle -----------------------------
+
+
+def _brute_force_pairs(effects) -> set[tuple[int, int]]:
+    n = len(effects)
+    return {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not commutes(effects[i], effects[j])
+    }
+
+
+def _closure(n: int, pairs) -> list[int]:
+    """Steps reachable from each step, as bit masks."""
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        successors[i].append(j)
+    reach = [0] * n
+    for i in range(n - 1, -1, -1):
+        for j in successors[i]:
+            reach[i] |= reach[j] | 1 << j
+    return reach
+
+
+def _assert_sweep_matches_oracle(recipe, effects):
+    n = len(effects)
+    sweep = dependency_edges(recipe, effects)
+    brute = _brute_force_pairs(effects)
+    assert all(not commutes(effects[i], effects[j]) for i, j in sweep)
+    assert _closure(n, sweep) == _closure(n, brute)
+    assert _transitive_reduction(n, sweep) == _transitive_reduction(n, brute)
+
+
+def _with_table_scoped_steps(entries: list[dict], rng: random.Random, count: int) -> list[dict]:
+    entries = list(entries)
+    for _ in range(count):
+        op = rng.choice(["vendor/unknown-step", "core/row-removal"])
+        entries.insert(rng.randint(0, len(entries)), {"op": op})
+    return entries
+
+
+def test_sweep_matches_oracle_on_acceptance_corpus():
+    for recipe, table in acceptance_corpus():
+        effects, _ = trace_effects(recipe, table.schema)
+        _assert_sweep_matches_oracle(recipe, effects)
+
+
+def test_sweep_matches_oracle_with_table_scoped_steps():
+    rng = random.Random(CORPUS_SEED + 4)
+    for recipe, table in acceptance_corpus():
+        entries = [{"op": op.op_id, **op.params} for op in recipe.operations]
+        recipe = make_recipe(_with_table_scoped_steps(entries, rng, rng.randint(1, 3)))
+        effects, _ = trace_effects(recipe, table.schema)
+        assert any(effect.table_scoped for effect in effects)
+        _assert_sweep_matches_oracle(recipe, effects)
+
+
+def test_sweep_matches_oracle_on_fixtures(menus_recipe, mass_edit_recipe):
+    for recipe in (menus_recipe, mass_edit_recipe):
+        effects, _ = _models_for(recipe)
+        _assert_sweep_matches_oracle(recipe, effects)
+
+
+def test_dependency_edges_stay_linear_in_effect_size():
+    # Brute force finds 38,553 conflicting pairs here, over twice the bound.
+    rng = random.Random(97)
+    labels = [f"c{k}" for k in range(6)]
+    entries = _with_table_scoped_steps(random_recipe_entries(rng, 1990, labels), rng, 10)
+    recipe = make_recipe(entries)
+    effects, _ = _models_for(recipe)
+    n = len(effects)
+    assert n == 2000
+    size = sum(len(e.reads) + len(e.output_ids()) + len(e.labels) for e in effects)
+    assert len(dependency_edges(recipe, effects)) <= 2 * size + 2 * n
+
+
+def test_long_table_scoped_chain_builds_in_bounded_memory():
+    # One row op serializes the model; the reduction of the resulting
+    # 3,000-step chain must not hold a reachable set per step.
+    entries = [{"op": "core/row-removal"}] + [
+        {"op": "core/text-transform", "columnName": "ab"[k % 2], "expression": "value.trim()"}
+        for k in range(2999)
+    ]
+    recipe = make_recipe(entries)
+    effects, schemas = _models_for(recipe)
+    tracemalloc.start()
+    try:
+        model = build_parallel(recipe, effects, schemas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert len(model.components) == 1
 
 
 # --- linear model -------------------------------------------------------------
