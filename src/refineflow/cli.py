@@ -117,15 +117,15 @@ def run(config: RunConfig, stderr=None) -> int:
 
     try:
         initial = effects.infer_initial_schema(recipe, hints)
-        effect_list, schemas = effects.trace_effects(recipe, initial, hints)
+        effect_list, _ = effects.trace_effects(recipe, initial, hints)
         details: list[DetailModel] = []
         if config.model_kind == "linear":
-            workflow = model.build_linear(recipe, schemas)
+            workflow = model.build_linear(recipe)
         elif config.model_kind == "parallel":
-            workflow = model.build_parallel(recipe, effect_list, schemas)
+            workflow = model.build_parallel(recipe, effect_list, initial)
         else:
             workflow, details = model.build_collapsed(
-                recipe, effect_list, schemas, config.collapse_threshold
+                recipe, effect_list, initial, config.collapse_threshold
             )
 
         if config.query is not None:

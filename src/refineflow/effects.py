@@ -1,10 +1,13 @@
 """Per-operation column effects and schema simulation.
 
-Columns are tracked by synthetic stable ids so that dependency analysis
-stays well-defined across renames, splits, and derived columns. The effect
-of a step records which column ids it reads and writes, which columns it
-creates or deletes, and whether it touches the row structure of the whole
-table (``table_scoped``), in which case it reads and writes everything.
+Columns are tracked by synthetic stable integer ids so that dependency
+analysis stays well-defined across renames, splits, and derived columns.
+The effect of a step records which column ids it reads and writes, which
+columns it creates or deletes (with their labels) and which it renames, and
+whether it touches the row structure of the whole table (``table_scoped``),
+in which case it reads and writes everything. The model builders read
+the effects and the initial schema only; the schema snapshots of a trace
+serve label resolution and callers that want the live columns at a step.
 
 Each recognized operation id is described once, by an :class:`OpSpec` in
 ``CATALOG``. Unknown operation ids fall back to the table-scoped rule: the
@@ -151,11 +154,8 @@ def _deletes_own(spec: OpSpec, params: dict) -> bool:
     return spec.deletes is True or bool(spec.deletes and params.get(spec.deletes))
 
 
-@dataclass(frozen=True, order=True)
-class ColumnId:
-    """Stable identity of a column; survives renames, never reused."""
-
-    id: int
+# Stable identity of a column: survives renames, never reused.
+ColumnId = int
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ class SchemaState:
     def from_labels(cls, labels) -> "SchemaState":
         labels = list(labels)
         return cls(
-            columns=tuple((ColumnId(i), label) for i, label in enumerate(labels)),
+            columns=tuple(enumerate(labels)),
             next_id=len(labels),
         )
 
@@ -347,9 +347,9 @@ def effect_of(
     creates: tuple[tuple[ColumnId, str], ...] = ()
     if spec.split:
         parts = split_arity(op, arity_hints)
-        creates = tuple((ColumnId(schema.next_id + k), f"{label} {k + 1}") for k in range(parts))
+        creates = tuple((schema.next_id + k, f"{label} {k + 1}") for k in range(parts))
     elif new_label is not None and not spec.rename:
-        creates = ((ColumnId(schema.next_id), new_label),)
+        creates = ((schema.next_id, new_label),)
 
     deletes = own if _deletes_own(spec, op.params) else frozenset()
     labels = {created for _, created in creates}
@@ -373,10 +373,18 @@ def apply_effect(schema: SchemaState, effect: ColumnEffect) -> SchemaState:
 
     New columns land immediately right of the effect's anchor (or at the
     end when there is none). Raises ``label-collision`` if a create or
-    rename would duplicate a live label.
+    rename would duplicate a live label. An effect that creates, deletes
+    and renames nothing returns ``schema`` itself: snapshots are frozen,
+    so consecutive states share it. Other effects share the unchanged
+    ``(id, label)`` pairs.
     """
+    if not (effect.creates or effect.deletes or effect.renames):
+        return schema
     rename_map = dict(effect.renames)
-    columns = [(cid, rename_map.get(cid, label)) for cid, label in schema.columns]
+    columns = [
+        (column[0], rename_map[column[0]]) if column[0] in rename_map else column
+        for column in schema.columns
+    ]
 
     if effect.creates:
         anchor_pos = len(columns)
@@ -387,10 +395,9 @@ def apply_effect(schema: SchemaState, effect: ColumnEffect) -> SchemaState:
                     break
         columns[anchor_pos:anchor_pos] = list(effect.creates)
 
-    columns = [(cid, label) for cid, label in columns if cid not in effect.deletes]
+    columns = [column for column in columns if column[0] not in effect.deletes]
 
-    created_ids = [cid for cid, _ in effect.creates]
-    next_id = max([schema.next_id] + [cid.id + 1 for cid in created_ids])
+    next_id = max([schema.next_id] + [cid + 1 for cid, _ in effect.creates])
     return SchemaState(columns=tuple(columns), next_id=next_id)
 
 
@@ -408,7 +415,12 @@ def trace_effects(
     initial: SchemaState,
     arity_hints: dict[str, int] | None = None,
 ) -> tuple[list[ColumnEffect], list[SchemaState]]:
-    """Effects and schema snapshots together, aligned with recipe order."""
+    """Effects and schema snapshots together, aligned with recipe order.
+
+    n operations yield n effects and n+1 states. A step that leaves the
+    columns as they were (no create, delete or rename) shares its
+    predecessor's state, so the trace allocates only where columns change.
+    """
     states = [initial]
     effects: list[ColumnEffect] = []
     for op in recipe.operations:

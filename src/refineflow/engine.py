@@ -275,7 +275,7 @@ class _MutableTable:
         ]
 
     def fresh_id(self) -> ColumnId:
-        cid = ColumnId(self.next_id)
+        cid = self.next_id
         self.next_id += 1
         return cid
 
@@ -400,7 +400,7 @@ def execute_order(
     if sorted(order) != list(range(n)):
         raise EngineError("invalid-order", f"order {order!r} is not a permutation of 0..{n - 1}")
     position = {step: rank for rank, step in enumerate(order)}
-    for i, j in ordering_pairs(recipe, effects):
+    for i, j in ordering_pairs(effects):
         if position[i] > position[j]:
             raise EngineError(
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"

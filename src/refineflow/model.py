@@ -23,6 +23,10 @@ as OpenRefine would replay it.
 set of conflicts, linear in the total effect size, whose transitive
 closure is the conflict relation. A DAG has exactly one transitive
 reduction, so the process edges are those of the full relation.
+
+The builders read the recipe, the step effects and the initial schema,
+nothing else: the column-level models follow each column's current label
+from the initial columns through the effects' renames and creates.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def commutes(a: ColumnEffect, b: ColumnEffect) -> bool:
     return True
 
 
-def dependency_edges(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[int, int]]:
+def dependency_edges(effects: list[ColumnEffect]) -> set[tuple[int, int]]:
     """Step pairs (i, j), i < j, whose transitive closure is the conflict relation.
 
     :func:`commutes` is the pairwise definition. Every returned pair is a
@@ -158,7 +162,7 @@ def dependency_edges(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[i
     return pairs
 
 
-def ordering_pairs(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[int, int]]:
+def ordering_pairs(effects: list[ColumnEffect]) -> set[tuple[int, int]]:
     """Step pairs (i, j), i < j, that every execution order must respect.
 
     Any table-scoped effect forces the full recorded chain, so that
@@ -166,7 +170,7 @@ def ordering_pairs(recipe: Recipe, effects: list[ColumnEffect]) -> set[tuple[int
     """
     if any(effect.table_scoped for effect in effects):
         return {(i, i + 1) for i in range(len(effects) - 1)}
-    return dependency_edges(recipe, effects)
+    return dependency_edges(effects)
 
 
 def _transitive_reduction(n: int, pairs: set[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -234,12 +238,9 @@ def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
     return nodes
 
 
-def build_linear(recipe: Recipe, schemas: list[SchemaState]) -> WorkflowModel:
+def build_linear(recipe: Recipe) -> WorkflowModel:
     """Alternating chain of table snapshots and steps, with param nodes."""
     n = len(recipe.operations)
-    if len(schemas) != n + 1:
-        raise ValueError(f"expected {n + 1} schema states, got {len(schemas)}")
-
     model = WorkflowModel(model_kind=LINEAR)
     model.nodes.append(Node(kind="data_table", id="table_0", label="table_0"))
     for pos, op in enumerate(recipe.operations):
@@ -280,7 +281,7 @@ class _ColumnNodes:
             return existing
         node_id = f"{sanitize_identifier(label)}_v{version}"
         if node_id in self.used_ids:
-            node_id = f"{node_id}_c{cid.id}"
+            node_id = f"{node_id}_c{cid}"
         self.used_ids.add(node_id)
         self.node_id[key] = node_id
         model.nodes.append(
@@ -288,20 +289,13 @@ class _ColumnNodes:
                 kind="data_column",
                 id=node_id,
                 label=label,
-                payload={"column_id": cid.id, "version": version},
+                payload={"column_id": cid, "version": version},
             )
         )
         return node_id
 
     def current(self, cid: ColumnId) -> int:
         return self.version.get(cid, 0)
-
-
-def _label_at(schema: SchemaState, cid: ColumnId) -> str:
-    label = schema.label_of(cid)
-    if label is not None:
-        return label
-    return f"column_{cid.id}"
 
 
 def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) -> list[tuple[int, int]]:
@@ -328,102 +322,91 @@ def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) 
 def _build_column_model(
     recipe: Recipe,
     effects: list[ColumnEffect],
-    schemas: list[SchemaState],
+    initial: SchemaState,
     runs: list[tuple[int, int]] | None,
 ) -> WorkflowModel:
-    """Column-granularity model; ``runs`` folds step ranges into summaries."""
+    """Column-granularity model; ``runs`` folds step ranges into summaries.
+
+    Steps are taken in groups: a folded run, or one step. A group reads the
+    union of its steps' reads, at the labels they have before it, and every
+    one of its steps bumps the version of the columns it writes. Its outputs
+    are its first step's writes, at the labels they have after it, and its
+    creates: the steps of a run share their output columns, so none of them
+    creates a column.
+    """
     n = len(recipe.operations)
-    if len(effects) != n or len(schemas) != n + 1:
-        raise ValueError("effects/schemas misaligned with recipe")
+    if len(effects) != n:
+        raise ValueError("effects misaligned with recipe")
 
-    runs = runs or []
-    run_start: dict[int, tuple[int, int]] = {start: (start, end) for start, end in runs}
-    model_kind = COLLAPSED if runs else PARALLEL
-    model = WorkflowModel(model_kind=model_kind)
+    run_end = dict(runs or ())
+    model = WorkflowModel(model_kind=PARALLEL if runs is None else COLLAPSED)
     tracker = _ColumnNodes()
+    labels = dict(initial.columns)
 
-    for cid, label in schemas[0].columns:
-        tracker.materialize(model, cid, 0, label)
+    for cid, name in initial.columns:
+        tracker.materialize(model, cid, 0, name)
 
     # Representative node id per step index (its own node, or its run's summary).
     representative: dict[int, str] = {}
 
-    pos = 0
-    while pos < n:
-        if pos in run_start:
-            start, end = run_start[pos]
-            count = end - start + 1
-            op = recipe.operations[start]
-            summary_id = f"summary_{start}"
-            reads: set[ColumnId] = set()
-            for i in range(start, end + 1):
-                reads |= effects[i].reads
-            in_ids = [
-                tracker.materialize(model, cid, tracker.current(cid), _label_at(schemas[start], cid))
-                for cid in sorted(reads)
-            ]
-            model.nodes.append(
-                Node(
-                    kind="summary",
-                    id=summary_id,
-                    label=f"{op.op_id} × {count}",
-                    step_index=start,
-                    payload={
-                        "op_id": op.op_id,
-                        "count": count,
-                        "first_index": start,
-                        "last_index": end,
-                    },
-                )
-            )
-            for i in range(start, end + 1):
-                representative[i] = summary_id
-                for cid in sorted(effects[i].writes):
-                    tracker.version[cid] = tracker.current(cid) + 1
-            out_ids = [
-                tracker.materialize(model, cid, tracker.current(cid), _label_at(schemas[end + 1], cid))
-                for cid in sorted(effects[start].writes)
-            ]
-            model.edges.extend(Edge(src, summary_id) for src in in_ids)
-            model.edges.extend(Edge(summary_id, dst) for dst in out_ids)
-            pos = end + 1
-            continue
-
-        op = recipe.operations[pos]
-        effect = effects[pos]
-        step_id = f"step_{pos}"
+    start = 0
+    while start < n:
+        end = run_end.get(start, start)
+        op = recipe.operations[start]
+        first = effects[start]
+        group = effects[start : end + 1]
+        reads = set().union(*(effect.reads for effect in group))
         in_ids = [
-            tracker.materialize(model, cid, tracker.current(cid), _label_at(schemas[pos], cid))
-            for cid in sorted(effect.reads)
+            tracker.materialize(model, cid, tracker.current(cid), labels[cid])
+            for cid in sorted(reads)
         ]
-        payload = {"op_id": op.op_id}
-        if len(effect.creates) >= 2:
-            payload["pattern"] = "split"
-            payload["branches"] = len(effect.creates)
-        elif len(effect.reads) >= 2 and len(effect.writes | effect.created_ids()) == 1:
-            payload["pattern"] = "merge"
-        model.nodes.append(
-            Node(kind="step", id=step_id, label=_short_label(op), step_index=pos, payload=payload)
-        )
-        representative[pos] = step_id
-        params = _param_nodes(op, pos)
+        if end > start:
+            count = end - start + 1
+            payload = {"op_id": op.op_id, "count": count, "first_index": start, "last_index": end}
+            node = Node(
+                kind="summary",
+                id=f"summary_{start}",
+                label=f"{op.op_id} × {count}",
+                step_index=start,
+                payload=payload,
+            )
+            params = []
+        else:
+            payload = {"op_id": op.op_id}
+            if len(first.creates) >= 2:
+                payload["pattern"] = "split"
+                payload["branches"] = len(first.creates)
+            elif len(first.reads) >= 2 and len(first.writes | first.created_ids()) == 1:
+                payload["pattern"] = "merge"
+            node = Node(
+                kind="step",
+                id=f"step_{start}",
+                label=_short_label(op),
+                step_index=start,
+                payload=payload,
+            )
+            params = _param_nodes(op, start)
+        model.nodes.append(node)
         model.nodes.extend(params)
 
-        out_ids = []
-        for cid in sorted(effect.writes):
-            tracker.version[cid] = tracker.current(cid) + 1
-            out_ids.append(
-                tracker.materialize(model, cid, tracker.current(cid), _label_at(schemas[pos + 1], cid))
-            )
-        for cid, label in effect.creates:
-            out_ids.append(tracker.materialize(model, cid, 0, label))
+        for i, effect in enumerate(group, start):
+            representative[i] = node.id
+            for cid in effect.writes:
+                tracker.version[cid] = tracker.current(cid) + 1
+            labels.update(effect.renames)
+            labels.update(effect.creates)
+        out_ids = [
+            tracker.materialize(model, cid, tracker.current(cid), labels[cid])
+            for cid in sorted(first.writes)
+        ]
+        out_ids.extend(tracker.materialize(model, cid, 0, name) for cid, name in first.creates)
 
-        model.edges.extend(Edge(src, step_id) for src in in_ids)
-        model.edges.extend(Edge(p.id, step_id) for p in params)
-        model.edges.extend(Edge(step_id, dst) for dst in out_ids)
-        pos += 1
+        model.edges.extend(Edge(src, node.id) for src in in_ids)
+        model.edges.extend(Edge(p.id, node.id) for p in params)
+        model.edges.extend(Edge(node.id, dst) for dst in out_ids)
+        start = end + 1
 
-    step_pairs = ordering_pairs(recipe, effects)
+    step_pairs = ordering_pairs(effects)
     quotient_pairs: set[tuple[int, int]] = set()
     rep_index = {}
     for i in range(n):
@@ -445,16 +428,19 @@ def _build_column_model(
 
 
 def build_parallel(
-    recipe: Recipe, effects: list[ColumnEffect], schemas: list[SchemaState]
+    recipe: Recipe, effects: list[ColumnEffect], initial: SchemaState
 ) -> WorkflowModel:
-    """Column-granularity model exposing independent subworkflow branches."""
-    return _build_column_model(recipe, effects, schemas, runs=None)
+    """Column-granularity model exposing independent subworkflow branches.
+
+    ``effects`` are the recipe's step effects traced from ``initial``.
+    """
+    return _build_column_model(recipe, effects, initial, runs=None)
 
 
 def build_collapsed(
     recipe: Recipe,
     effects: list[ColumnEffect],
-    schemas: list[SchemaState],
+    initial: SchemaState,
     threshold: int = DEFAULT_COLLAPSE_THRESHOLD,
 ) -> tuple[WorkflowModel, list[DetailModel]]:
     """Parallel model with long same-shaped runs folded into summary nodes.
@@ -466,8 +452,7 @@ def build_collapsed(
     if threshold < 2:
         raise ValueError("collapse threshold must be >= 2")
     runs = _collapse_runs(recipe, effects, threshold)
-    model = _build_column_model(recipe, effects, schemas, runs=runs)
-    model.model_kind = COLLAPSED
+    model = _build_column_model(recipe, effects, initial, runs=runs)
     details = []
     for start, end in runs:
         sub_ops = tuple(
@@ -475,7 +460,7 @@ def build_collapsed(
             for pos, op in enumerate(recipe.operations[start : end + 1])
         )
         sub_recipe = Recipe(operations=sub_ops, source_name=recipe.source_name)
-        inner = build_linear(sub_recipe, schemas[start : end + 2])
+        inner = build_linear(sub_recipe)
         details.append(DetailModel(parent_summary_id=f"summary_{start}", inner=inner))
     return model, details
 

@@ -58,7 +58,7 @@ def test_criterion_1_linear_model_shape(menus_recipe, menus_trace):
     started = time.perf_counter()
     _, schemas = menus_trace
     assert len(menus_recipe) == 8
-    model = build_linear(menus_recipe, schemas)
+    model = build_linear(menus_recipe)
     tables = [n.id for n in model.nodes if n.kind == "data_table"]
     steps = [n.id for n in model.nodes if n.kind == "step"]
     assert len(tables) == 9
@@ -79,7 +79,7 @@ def test_criterion_1_linear_model_shape(menus_recipe, menus_trace):
 def test_criterion_2_parallel_component_count(menus_recipe, menus_trace):
     started = time.perf_counter()
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     assert len(model.components) == 3
 
     date_group = set(model.components[0])
@@ -106,7 +106,7 @@ def test_criterion_3_commutativity_soundness(corpus):
     checked_orders = 0
     for recipe, table in corpus:
         effects, _ = trace_effects(recipe, table.schema)
-        pairs = dependency_edges(recipe, effects)
+        pairs = dependency_edges(effects)
         baseline = execute(recipe, table).sorted_by_id()
         for _ in range(ORDERS_PER_RECIPE):
             order = random_topological_order(len(recipe), pairs, rng)
@@ -133,7 +133,7 @@ def test_criterion_4_conservative_fallback(corpus):
         tainted = parse_recipe(json.dumps(entries))
         initial = infer_initial_schema(tainted)
         effects, schemas = trace_effects(tainted, initial)
-        model = build_parallel(tainted, effects, schemas)
+        model = build_parallel(tainted, effects, schemas[0])
         assert len(model.components) == 1
         pairs = _step_pairs(model)
         assert has_unique_topological_order(len(tainted), pairs)
@@ -151,7 +151,7 @@ def test_criterion_4_conservative_fallback(corpus):
 def test_criterion_5_collapse_accounting(mass_edit_recipe, corpus, tmp_path):
     initial = infer_initial_schema(mass_edit_recipe)
     effects, schemas = trace_effects(mass_edit_recipe, initial)
-    model, details = build_collapsed(mass_edit_recipe, effects, schemas, threshold=3)
+    model, details = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
     summaries = [n for n in model.nodes if n.kind == "summary"]
     assert len(summaries) == 1
     assert summaries[0].payload["count"] == 10
@@ -174,7 +174,7 @@ def test_criterion_5_collapse_accounting(mass_edit_recipe, corpus, tmp_path):
         initial = infer_initial_schema(recipe)
         effects, schemas = trace_effects(recipe, initial)
         threshold = rng.choice([2, 3, 5])
-        collapsed, _ = build_collapsed(recipe, effects, schemas, threshold)
+        collapsed, _ = build_collapsed(recipe, effects, schemas[0], threshold)
         steps = [n for n in collapsed.nodes if n.kind == "step"]
         counts = [n.payload["count"] for n in collapsed.nodes if n.kind == "summary"]
         assert len(steps) + sum(counts) == len(recipe)
@@ -186,8 +186,8 @@ def test_criterion_5_collapse_accounting(mass_edit_recipe, corpus, tmp_path):
 
 def test_criterion_6_determinism_goldens(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    linear = build_linear(menus_recipe, schemas)
-    parallel = build_parallel(menus_recipe, effects, schemas)
+    linear = build_linear(menus_recipe)
+    parallel = build_parallel(menus_recipe, effects, schemas[0])
     cases = [
         (linear, "combined", "dot", "menus_linear_combined.dot"),
         (linear, "data", "dot", "menus_linear_data.dot"),

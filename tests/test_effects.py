@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -347,6 +348,34 @@ def test_ids_never_reused():
     created = schemas[-1].id_of("c")
     assert created != removed
     assert created == ColumnId(2)
+
+
+def _trim(k: int) -> dict:
+    return {"op": "core/text-transform", "columnName": f"c{k % 500}", "expression": "value.trim()"}
+
+
+def _rename(k: int) -> dict:
+    rounds, column = divmod(k, 500)
+    old = f"c{column}_{rounds}" if rounds else f"c{column}"
+    new = f"c{column}_{rounds + 1}"
+    return {"op": "core/column-rename", "oldColumnName": old, "newColumnName": new}
+
+
+@pytest.mark.parametrize("entry,bound_mb", [(_trim, 10), (_rename, 20)], ids=["trims", "renames"])
+def test_trace_memory_over_wide_schema(entry, bound_mb):
+    # 2,000 steps over 500 columns. A step that creates, deletes and renames
+    # nothing shares its predecessor's snapshot; any other step copies the
+    # column list, but not the (id, label) pairs it leaves unchanged.
+    recipe = make_recipe([entry(k) for k in range(2000)])
+    initial = _schema(*(f"c{k}" for k in range(500)))
+    tracemalloc.start()
+    try:
+        _, states = trace_effects(recipe, initial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 2001
+    assert peak < bound_mb * 2**20
 
 
 def test_catalog_reference_matches_committed_file():

@@ -25,9 +25,9 @@ VIEWS = ("combined", "process", "data")
 def _models(recipe):
     initial = infer_initial_schema(recipe)
     effects, schemas = trace_effects(recipe, initial)
-    linear = build_linear(recipe, schemas)
-    parallel = build_parallel(recipe, effects, schemas)
-    collapsed, details = build_collapsed(recipe, effects, schemas, threshold=3)
+    linear = build_linear(recipe)
+    parallel = build_parallel(recipe, effects, schemas[0])
+    collapsed, details = build_collapsed(recipe, effects, schemas[0], threshold=3)
     return [linear, parallel, collapsed] + [d.inner for d in details]
 
 
@@ -56,7 +56,7 @@ def check_yw_nesting(text: str) -> list[str]:
 
 def test_linear_data_view_is_a_labeled_path(menus_recipe, menus_trace):
     _, schemas = menus_trace
-    model = build_linear(menus_recipe, schemas)
+    model = build_linear(menus_recipe)
     graph = parse_dot(emit_dot(model, "data"))
     assert len(graph.nodes) == 9
     assert len(graph.edges) == 8
@@ -68,7 +68,7 @@ def test_linear_data_view_is_a_labeled_path(menus_recipe, menus_trace):
 
 def test_parallel_process_view_clusters(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     text = emit_dot(model, "process")
     graph = parse_dot(text)
     clusters = [name for name in graph.clusters if name.startswith("cluster_")]
@@ -83,7 +83,7 @@ def test_parallel_process_view_clusters(menus_recipe, menus_trace):
 
 def test_empty_recipe_dot_views():
     recipe = make_recipe([])
-    model = build_linear(recipe, [infer_initial_schema(recipe)])
+    model = build_linear(recipe)
     for view in VIEWS:
         graph = parse_dot(emit_dot(model, view))
         if view == "process":
@@ -105,7 +105,7 @@ def test_dot_parses_for_all_views_and_models(menus_recipe, mass_edit_recipe):
 def test_dot_view_membership_exactly_once(menus_recipe, menus_trace):
     """Each eligible node/edge appears exactly once per view."""
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     kinds = {n.id: n.kind for n in model.nodes}
 
     combined = parse_dot(emit_dot(model, "combined"))
@@ -130,7 +130,7 @@ def test_dot_view_membership_exactly_once(menus_recipe, menus_trace):
 
 def test_dot_node_colors_by_kind(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     graph = parse_dot(emit_dot(model, "combined"))
     assert graph.nodes["column_split"]["fillcolor"] == "#CCFFCC"
     assert graph.nodes["date_v0"]["fillcolor"] == "#FAFAD2"
@@ -140,7 +140,7 @@ def test_dot_node_colors_by_kind(menus_recipe, menus_trace):
 
 def test_dot_edge_statements_sorted(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     text = emit_dot(model, "combined")
     edge_lines = [line for line in text.splitlines() if " -> " in line]
     assert edge_lines == sorted(edge_lines)
@@ -165,7 +165,7 @@ def test_dot_escapes_quotes():
 def test_summary_node_rendered_with_double_border(mass_edit_recipe):
     initial = infer_initial_schema(mass_edit_recipe)
     effects, schemas = trace_effects(mass_edit_recipe, initial)
-    model, _ = build_collapsed(mass_edit_recipe, effects, schemas, threshold=3)
+    model, _ = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
     graph = parse_dot(emit_dot(model, "process"))
     (summary_name,) = list(graph.nodes)
     assert graph.nodes[summary_name]["peripheries"] == "2"
@@ -190,14 +190,14 @@ def test_yw_single_rename_block_counts():
 
 def test_yw_empty_model():
     recipe = make_recipe([])
-    model = build_linear(recipe, [infer_initial_schema(recipe)])
+    model = build_linear(recipe)
     text = emit_yw(model, "combined")
     assert text == "# @begin workflow\n# @end workflow\n"
 
 
 def test_yw_menus_merge_step(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     text = emit_yw(model, "combined", name="menus")
     names = check_yw_nesting(text)
     assert len(names) == 9  # outer + 8 steps
@@ -212,7 +212,7 @@ def test_yw_menus_merge_step(menus_recipe, menus_trace):
 
 def test_yw_params_only_in_combined(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     assert "# @param" in emit_yw(model, "combined")
     assert "# @param" not in emit_yw(model, "process")
     assert "# @param" not in emit_yw(model, "data")
@@ -244,7 +244,7 @@ def test_identifier_sanitization_collision():
 
 def test_view_kind_accepts_enum_and_string(menus_recipe, menus_trace):
     _, schemas = menus_trace
-    model = build_linear(menus_recipe, schemas)
+    model = build_linear(menus_recipe)
     assert emit_dot(model, ViewKind.DATA) == emit_dot(model, "data")
     with pytest.raises(ValueError):
         emit_dot(model, "sideways")
@@ -277,9 +277,9 @@ GOLDEN_CASES = [
 def test_emitters_match_goldens(menus_recipe, menus_trace, golden_name, kind, view, fmt):
     effects, schemas = menus_trace
     model = (
-        build_linear(menus_recipe, schemas)
+        build_linear(menus_recipe)
         if kind == "linear"
-        else build_parallel(menus_recipe, effects, schemas)
+        else build_parallel(menus_recipe, effects, schemas[0])
     )
     if fmt == "dot":
         first, second = emit_dot(model, view), emit_dot(model, view)

@@ -79,12 +79,12 @@ def test_disjoint_intra_column_ops_commute():
     )
     effects, _ = _models_for(recipe)
     assert commutes(effects[0], effects[1])
-    assert dependency_edges(recipe, effects) == set()
+    assert dependency_edges(effects) == set()
 
 
 def test_split_then_rename_depends(menus_recipe, menus_trace):
     effects, _ = menus_trace
-    deps = dependency_edges(menus_recipe, effects)
+    deps = dependency_edges(effects)
     assert (0, 1) in deps  # rename reads a column the split creates
 
 
@@ -97,7 +97,7 @@ def test_same_column_writes_depend():
     )
     effects, _ = _models_for(recipe)
     assert not commutes(effects[0], effects[1])
-    assert dependency_edges(recipe, effects) == {(0, 1)}
+    assert dependency_edges(effects) == {(0, 1)}
 
 
 def test_read_write_interference():
@@ -136,7 +136,7 @@ def test_label_reuse_depends(entries):
     recipe = make_recipe(entries)
     effects, _ = _models_for(recipe)
     assert not commutes(effects[0], effects[1])
-    assert dependency_edges(recipe, effects) == {(0, 1)}
+    assert dependency_edges(effects) == {(0, 1)}
 
 
 def test_commutes_symmetry_over_random_effects():
@@ -178,7 +178,7 @@ def _closure(n: int, pairs) -> list[int]:
 
 def _assert_sweep_matches_oracle(recipe, effects):
     n = len(effects)
-    sweep = dependency_edges(recipe, effects)
+    sweep = dependency_edges(effects)
     brute = _brute_force_pairs(effects)
     assert all(not commutes(effects[i], effects[j]) for i, j in sweep)
     assert _closure(n, sweep) == _closure(n, brute)
@@ -225,7 +225,7 @@ def test_dependency_edges_stay_linear_in_effect_size():
     n = len(effects)
     assert n == 2000
     size = sum(len(e.reads) + len(e.output_ids()) + len(e.labels) for e in effects)
-    assert len(dependency_edges(recipe, effects)) <= 2 * size + 2 * n
+    assert len(dependency_edges(effects)) <= 2 * size + 2 * n
 
 
 def test_long_table_scoped_chain_builds_in_bounded_memory():
@@ -239,7 +239,7 @@ def test_long_table_scoped_chain_builds_in_bounded_memory():
     effects, schemas = _models_for(recipe)
     tracemalloc.start()
     try:
-        model = build_parallel(recipe, effects, schemas)
+        model = build_parallel(recipe, effects, schemas[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -252,7 +252,7 @@ def test_long_table_scoped_chain_builds_in_bounded_memory():
 
 def test_linear_menus_shape(menus_recipe, menus_trace):
     _, schemas = menus_trace
-    model = build_linear(menus_recipe, schemas)
+    model = build_linear(menus_recipe)
     tables = [n for n in model.nodes if n.kind == "data_table"]
     steps = [n for n in model.nodes if n.kind == "step"]
     assert len(tables) == 9
@@ -269,7 +269,7 @@ def test_linear_menus_shape(menus_recipe, menus_trace):
 
 
 def test_linear_empty_recipe():
-    model = build_linear(make_recipe([]), [infer_initial_schema(make_recipe([]))])
+    model = build_linear(make_recipe([]))
     assert [n.id for n in model.nodes] == ["table_0"]
     assert model.edges == []
     assert model.components == []
@@ -280,7 +280,7 @@ def test_linear_single_rename_params():
         [{"op": "core/column-rename", "oldColumnName": "date 2", "newColumnName": "year"}]
     )
     effects, schemas = _models_for(recipe)
-    model = build_linear(recipe, schemas)
+    model = build_linear(recipe)
     params = [n for n in model.nodes if n.kind == "param"]
     assert len(params) == 2
     assert {p.payload["key"] for p in params} == {"oldColumnName", "newColumnName"}
@@ -294,13 +294,13 @@ def test_linear_single_rename_params():
 
 def test_parallel_menus_components(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     assert len(model.components) == 3
 
 
 def test_parallel_menus_split_and_merge(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     date_group = model.components[0]
     split_steps = [
         n for n in model.nodes
@@ -329,7 +329,7 @@ def test_parallel_unknown_op_serializes_everything():
         ]
     )
     effects, schemas = _models_for(recipe)
-    model = build_parallel(recipe, effects, schemas)
+    model = build_parallel(recipe, effects, schemas[0])
     assert len(model.components) == 1
     step_pairs = {
         (e.src, e.dst)
@@ -349,8 +349,8 @@ def test_opaque_expression_stays_column_scoped():
     )
     effects, schemas = _models_for(recipe)
     assert not any(effect.table_scoped for effect in effects)
-    assert ordering_pairs(recipe, effects) == {(0, 1), (0, 2)}
-    assert len(build_parallel(recipe, effects, schemas).components) == 1
+    assert ordering_pairs(effects) == {(0, 1), (0, 2)}
+    assert len(build_parallel(recipe, effects, schemas[0]).components) == 1
 
 
 def test_parallel_all_table_scoped_degenerates_to_chain():
@@ -363,7 +363,7 @@ def test_parallel_all_table_scoped_degenerates_to_chain():
         ]
     )
     effects, schemas = _models_for(recipe)
-    model = build_parallel(recipe, effects, schemas)
+    model = build_parallel(recipe, effects, schemas[0])
     assert len(model.components) == 1
     pairs = {
         (int(e.src.split("_")[1]), int(e.dst.split("_")[1]))
@@ -378,10 +378,10 @@ def test_parallel_models_are_dags_and_refine_linear_order():
     for _ in range(25):
         recipe, _ = random_recipe(rng)
         effects, schemas = _models_for(recipe)
-        model = build_parallel(recipe, effects, schemas)
+        model = build_parallel(recipe, effects, schemas[0])
         assert _is_acyclic(model)
         # The recorded order satisfies every dependency pair.
-        for i, j in dependency_edges(recipe, effects):
+        for i, j in dependency_edges(effects):
             assert i < j
         # Components partition all steps.
         step_ids = {n.id for n in model.nodes if n.kind == "step"}
@@ -391,7 +391,7 @@ def test_parallel_models_are_dags_and_refine_linear_order():
 
 def test_parallel_version_chains_are_consistent(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     data_nodes = [n for n in model.nodes if n.kind == "data_column"]
     by_key = {(n.payload["column_id"], n.payload["version"]): n for n in data_nodes}
     assert len(by_key) == len(data_nodes)  # no duplicate versions
@@ -411,7 +411,7 @@ def test_parallel_version_chains_are_consistent(menus_recipe, menus_trace):
 
 def test_collapse_run_of_ten(mass_edit_recipe):
     effects, schemas = _models_for(mass_edit_recipe)
-    model, details = build_collapsed(mass_edit_recipe, effects, schemas, threshold=3)
+    model, details = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
     summaries = [n for n in model.nodes if n.kind == "summary"]
     assert len(summaries) == 1
     summary = summaries[0]
@@ -422,6 +422,34 @@ def test_collapse_run_of_ten(mass_edit_recipe):
     assert details[0].parent_summary_id == summary.id
     inner_steps = [n for n in details[0].inner.nodes if n.kind == "step"]
     assert len(inner_steps) == 10
+
+
+def test_collapse_folds_a_rename_run():
+    entries = [
+        {"op": "core/column-rename", "oldColumnName": f"x{k}", "newColumnName": f"x{k + 1}"}
+        for k in range(5)
+    ] + [{"op": "core/text-transform", "columnName": "x5", "expression": "value.trim()"}]
+    recipe = make_recipe(entries)
+    effects, schemas = _models_for(recipe)
+    model, details = build_collapsed(recipe, effects, schemas[0], threshold=3)
+    kinds = {n.id: n.kind for n in model.nodes}
+
+    def columns(node_id: str, into: bool) -> list[str]:
+        ends = [(e.src, e.dst) if into else (e.dst, e.src) for e in model.edges]
+        return [other for other, end in ends if end == node_id and kinds[other] == "data_column"]
+
+    assert columns("summary_0", into=True) == ["x0_v0"]
+    assert columns("summary_0", into=False) == ["x5_v5"]
+    assert columns("step_5", into=True) == ["x5_v5"]
+    assert columns("step_5", into=False) == ["x5_v6"]
+    assert [detail.parent_summary_id for detail in details] == ["summary_0"]
+    inner = details[0].inner
+    assert inner.model_kind == "linear"
+    assert [n.label for n in inner.nodes if n.kind == "step"] == ["column-rename"] * 5
+    chain = [
+        (e.src, e.dst) for e in inner.edges if e.src.startswith("step_") and e.dst.startswith("step_")
+    ]
+    assert chain == [(f"step_{k}", f"step_{k + 1}") for k in range(4)]
 
 
 def test_collapse_below_threshold_keeps_steps():
@@ -435,7 +463,7 @@ def test_collapse_below_threshold_keeps_steps():
     ] * 2
     recipe = make_recipe(entries)
     effects, schemas = _models_for(recipe)
-    model, details = build_collapsed(recipe, effects, schemas, threshold=3)
+    model, details = build_collapsed(recipe, effects, schemas[0], threshold=3)
     assert details == []
     assert [n.kind for n in model.nodes if n.kind == "summary"] == []
     assert len([n for n in model.nodes if n.kind == "step"]) == 2
@@ -457,7 +485,7 @@ def test_alternating_ops_never_collapse():
         )
     recipe = make_recipe(entries)
     effects, schemas = _models_for(recipe)
-    model, details = build_collapsed(recipe, effects, schemas, threshold=2)
+    model, details = build_collapsed(recipe, effects, schemas[0], threshold=2)
     assert details == []
     assert all(n.kind != "summary" for n in model.nodes)
 
@@ -474,14 +502,14 @@ def test_collapse_same_op_different_columns_not_a_run():
     ]
     recipe = make_recipe(entries)
     effects, schemas = _models_for(recipe)
-    model, details = build_collapsed(recipe, effects, schemas, threshold=2)
+    model, details = build_collapsed(recipe, effects, schemas[0], threshold=2)
     assert details == []
 
 
 def test_collapse_threshold_validated(mass_edit_recipe):
     effects, schemas = _models_for(mass_edit_recipe)
     with pytest.raises(ValueError):
-        build_collapsed(mass_edit_recipe, effects, schemas, threshold=1)
+        build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=1)
 
 
 def test_collapse_conservation_over_random_recipes():
@@ -490,7 +518,7 @@ def test_collapse_conservation_over_random_recipes():
         recipe, _ = random_recipe(rng)
         effects, schemas = _models_for(recipe)
         threshold = rng.choice([2, 3, 5])
-        model, details = build_collapsed(recipe, effects, schemas, threshold)
+        model, details = build_collapsed(recipe, effects, schemas[0], threshold)
         steps = [n for n in model.nodes if n.kind == "step"]
         summaries = [n for n in model.nodes if n.kind == "summary"]
         assert len(steps) + sum(s.payload["count"] for s in summaries) == len(recipe)
@@ -514,7 +542,7 @@ def _data_node_by_label(model: WorkflowModel, label: str) -> str:
 
 def test_upstream_of_repaired_date(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     target = _data_node_by_label(model, "repaired_date")
     lineage = upstream_lineage(model, target)
     labels = {n.label for n in lineage.nodes}
@@ -528,7 +556,7 @@ def test_upstream_of_repaired_date(menus_recipe, menus_trace):
 
 def test_upstream_of_source_table_is_itself(menus_recipe, menus_trace):
     _, schemas = menus_trace
-    model = build_linear(menus_recipe, schemas)
+    model = build_linear(menus_recipe)
     lineage = upstream_lineage(model, "table_0")
     assert [n.id for n in lineage.nodes] == ["table_0"]
     assert lineage.edges == []
@@ -539,7 +567,7 @@ def test_lineage_matches_reverse_bfs_oracle():
     for _ in range(10):
         recipe, _ = random_recipe(rng)
         effects, schemas = _models_for(recipe)
-        model = build_parallel(recipe, effects, schemas)
+        model = build_parallel(recipe, effects, schemas[0])
         node = rng.choice(model.nodes)
         up = upstream_lineage(model, node.id)
         assert {n.id for n in up.nodes} == _reachable(model, node.id, reverse=True)
@@ -553,7 +581,7 @@ def test_lineage_matches_reverse_bfs_oracle():
 
 def test_unknown_node_query(menus_recipe, menus_trace):
     effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas)
+    model = build_parallel(menus_recipe, effects, schemas[0])
     with pytest.raises(ModelError) as info:
         upstream_lineage(model, "nope")
     assert info.value.code == "unknown-node"
