@@ -19,7 +19,6 @@ from .effects import (
     trace_schema,
 )
 from .emit import ViewKind, emit_dot, emit_yw
-from .engine import Table, execute, execute_order
 from .errors import (
     EffectError,
     EngineError,
@@ -44,6 +43,19 @@ from .model import (
 from .recipe import Diagnostic, RawOperation, Recipe, parse_recipe, validate_recipe
 
 __version__ = "0.1.0"
+
+# The reference interpreter (and its csv import) loads on first use: the
+# converter never runs it, so importing the CLI does not pay for it.
+_ENGINE_NAMES = ("Table", "execute", "execute_order")
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ColumnEffect",

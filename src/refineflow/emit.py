@@ -22,6 +22,16 @@ STEP_FILL = "#CCFFCC"
 DATA_FILL = "#FAFAD2"
 PARAM_FILL = "#FFFFFF"
 
+STEP_KINDS = ("step", "summary")
+DATA_KINDS = ("data_table", "data_column")
+
+_NODE_ATTRS = {
+    "summary": f'shape=box, style=filled, fillcolor="{STEP_FILL}", peripheries=2',
+    "step": f'shape=box, style=filled, fillcolor="{STEP_FILL}"',
+    "param": f'shape=box, style=filled, fillcolor="{PARAM_FILL}"',
+}
+_DATA_ATTRS = f'shape=box, style="rounded,filled", fillcolor="{DATA_FILL}"'
+
 
 class ViewKind(enum.Enum):
     COMBINED = "combined"
@@ -35,29 +45,27 @@ def _as_view(view) -> ViewKind:
     return ViewKind(view)
 
 
-def _is_data(node: Node) -> bool:
-    return node.kind in ("data_table", "data_column")
-
-
-def _is_step(node: Node) -> bool:
-    return node.kind in ("step", "summary")
-
-
 def identifier_map(model: WorkflowModel) -> dict[str, str]:
     """Stable emission identifier per node id.
 
     Step, summary, and param identifiers come from sanitized labels/keys;
     colliding ones get the step index appended. Data node ids are already
-    unique, readable identifiers.
+    unique, readable identifiers. Every identifier holds word characters
+    only, so it needs no escaping inside DOT quotes.
     """
+    sanitized: dict[str, str] = {}
     base: dict[str, str] = {}
     for node in model.nodes:
         if node.kind == "param":
-            base[node.id] = sanitize_identifier(node.payload.get("key", node.label))
-        elif _is_step(node):
-            base[node.id] = sanitize_identifier(node.label)
+            text = node.payload.get("key", node.label)
+        elif node.kind in STEP_KINDS:
+            text = node.label
         else:
-            base[node.id] = sanitize_identifier(node.id)
+            text = node.id
+        name = sanitized.get(text)
+        if name is None:
+            name = sanitized[text] = sanitize_identifier(text)
+        base[node.id] = name
     counts: dict[str, int] = {}
     for name in base.values():
         counts[name] = counts.get(name, 0) + 1
@@ -79,28 +87,17 @@ def _quote(text: str) -> str:
     return '"' + escaped.replace("\n", "\\n").replace("\r", "\\r") + '"'
 
 
-def _node_attrs(node: Node) -> str:
-    if node.kind == "summary":
-        return f'shape=box, style=filled, fillcolor="{STEP_FILL}", peripheries=2'
-    if node.kind == "step":
-        return f'shape=box, style=filled, fillcolor="{STEP_FILL}"'
-    if node.kind == "param":
-        return f'shape=box, style=filled, fillcolor="{PARAM_FILL}"'
-    return f'shape=box, style="rounded,filled", fillcolor="{DATA_FILL}"'
-
-
-def _component_of(model: WorkflowModel) -> dict[str, int]:
+def _component_of(model: WorkflowModel, kinds: dict[str, str]) -> dict[str, int]:
     """Cluster assignment: steps by their group, data/param nodes by the
     steps they touch; nodes shared between groups stay unassigned."""
     assignment: dict[str, int] = {}
     for index, group in enumerate(model.components):
         for node_id in group:
             assignment[node_id] = index
-    node_map = {n.id: n for n in model.nodes}
     candidates: dict[str, set[int]] = {}
-    for edge in model.edges:
-        for this, other in ((edge.src, edge.dst), (edge.dst, edge.src)):
-            if _is_step(node_map[this]):
+    for src, dst, _ in model.edges:
+        for this, other in ((src, dst), (dst, src)):
+            if kinds[this] in STEP_KINDS:
                 continue
             component = assignment.get(other)
             if component is not None:
@@ -115,38 +112,34 @@ def _view_nodes(model: WorkflowModel, view: ViewKind) -> list[Node]:
     if view is ViewKind.COMBINED:
         return list(model.nodes)
     if view is ViewKind.PROCESS:
-        return [n for n in model.nodes if _is_step(n)]
-    return [n for n in model.nodes if _is_data(n)]
+        return [n for n in model.nodes if n.kind in STEP_KINDS]
+    return [n for n in model.nodes if n.kind in DATA_KINDS]
 
 
-def _view_edges(model: WorkflowModel, view: ViewKind) -> list[Edge]:
-    kinds = {n.id: n.kind for n in model.nodes}
-
-    def is_step_id(node_id: str) -> bool:
-        return kinds[node_id] in ("step", "summary")
-
-    if view is ViewKind.COMBINED:
-        return [e for e in model.edges if not (is_step_id(e.src) and is_step_id(e.dst))]
-    if view is ViewKind.PROCESS:
-        return [e for e in model.edges if is_step_id(e.src) and is_step_id(e.dst)]
+def _view_edges(model: WorkflowModel, view: ViewKind, kinds: dict[str, str]) -> list[Edge]:
+    if view is not ViewKind.DATA:
+        # Step-to-step edges make the process view; the rest the combined one.
+        process = view is ViewKind.PROCESS
+        return [
+            e for e in model.edges
+            if (kinds[e.src] in STEP_KINDS and kinds[e.dst] in STEP_KINDS) == process
+        ]
     # Data view: one edge per (input, output) pair of every step, labeled
     # with the deriving step.
-    labels = {n.id: n.label for n in model.nodes}
-    data_kinds = ("data_table", "data_column")
     ins: dict[str, list[str]] = {}
     outs: dict[str, list[str]] = {}
-    for edge in model.edges:
-        if kinds[edge.src] in data_kinds and is_step_id(edge.dst):
-            ins.setdefault(edge.dst, []).append(edge.src)
-        elif is_step_id(edge.src) and kinds[edge.dst] in data_kinds:
-            outs.setdefault(edge.src, []).append(edge.dst)
+    for src, dst, _ in model.edges:
+        if kinds[src] in DATA_KINDS and kinds[dst] in STEP_KINDS:
+            ins.setdefault(dst, []).append(src)
+        elif kinds[src] in STEP_KINDS and kinds[dst] in DATA_KINDS:
+            outs.setdefault(src, []).append(dst)
     derived = []
     for node in model.nodes:
-        if not _is_step(node):
+        if node.kind not in STEP_KINDS:
             continue
         for src in ins.get(node.id, ()):
             for dst in outs.get(node.id, ()):
-                derived.append(Edge(src, dst, label=labels[node.id]))
+                derived.append(Edge(src, dst, node.label))
     return derived
 
 
@@ -157,35 +150,39 @@ def emit_dot(model: WorkflowModel, view) -> str:
     the layout keeps them visually separate.
     """
     view = _as_view(view)
+    kinds = {n.id: n.kind for n in model.nodes}
     idents = identifier_map(model)
     nodes = _view_nodes(model, view)
-    edges = _view_edges(model, view)
+    edges = _view_edges(model, view, kinds)
+
+    def statement(node: Node) -> str:
+        attrs = _NODE_ATTRS.get(node.kind, _DATA_ATTRS)
+        return f'"{idents[node.id]}" [label={_quote(node.label)}, {attrs}];'
 
     lines = ["digraph workflow {", "rankdir=TB;"]
-
-    clustered = len(model.components) > 1
-    assignment = _component_of(model) if clustered else {}
-    emitted: set[str] = set()
-    if clustered:
-        for index in range(len(model.components)):
-            members = [n for n in nodes if assignment.get(n.id) == index]
-            if not members:
-                continue
-            lines.append(f"subgraph cluster_{index} {{")
-            for node in members:
-                lines.append(f"{_quote(idents[node.id])} [label={_quote(node.label)}, {_node_attrs(node)}];")
-                emitted.add(node.id)
-            lines.append("}")
-    for node in nodes:
-        if node.id not in emitted:
-            lines.append(f"{_quote(idents[node.id])} [label={_quote(node.label)}, {_node_attrs(node)}];")
+    clusters: dict[int, list[Node]] = {}
+    loose = nodes
+    if len(model.components) > 1:
+        assignment = _component_of(model, kinds)
+        loose = []
+        for node in nodes:
+            index = assignment.get(node.id)
+            if index is None:
+                loose.append(node)
+            else:
+                clusters.setdefault(index, []).append(node)
+    for index in sorted(clusters):
+        lines.append(f"subgraph cluster_{index} {{")
+        lines.extend(statement(node) for node in clusters[index])
+        lines.append("}")
+    lines.extend(statement(node) for node in loose)
 
     rendered = []
-    for edge in edges:
-        attrs = f" [label={_quote(edge.label)}]" if edge.label else ""
-        rendered.append((idents[edge.src], idents[edge.dst], edge.label or "", attrs))
+    for src, dst, label in edges:
+        attrs = f" [label={_quote(label)}]" if label else ""
+        rendered.append((idents[src], idents[dst], label or "", attrs))
     for src, dst, _, attrs in sorted(rendered):
-        lines.append(f"{_quote(src)} -> {_quote(dst)}{attrs};")
+        lines.append(f'"{src}" -> "{dst}"{attrs};')
 
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -205,19 +202,19 @@ def emit_yw(model: WorkflowModel, view, name: str = "workflow") -> str:
     ins: dict[str, list[str]] = {}
     outs: dict[str, list[str]] = {}
     params: dict[str, list[str]] = {}
-    for edge in model.edges:
-        src_kind, dst_kind = kinds[edge.src], kinds[edge.dst]
-        if dst_kind in ("step", "summary"):
-            if src_kind in ("data_table", "data_column"):
-                ins.setdefault(edge.dst, []).append(edge.src)
+    for src, dst, _ in model.edges:
+        src_kind, dst_kind = kinds[src], kinds[dst]
+        if dst_kind in STEP_KINDS:
+            if src_kind in DATA_KINDS:
+                ins.setdefault(dst, []).append(src)
             elif src_kind == "param":
-                params.setdefault(edge.dst, []).append(edge.src)
-        elif src_kind in ("step", "summary") and dst_kind in ("data_table", "data_column"):
-            outs.setdefault(edge.src, []).append(edge.dst)
+                params.setdefault(dst, []).append(src)
+        elif src_kind in STEP_KINDS and dst_kind in DATA_KINDS:
+            outs.setdefault(src, []).append(dst)
 
     lines = [f"# @begin {sanitize_identifier(name)}"]
     steps = sorted(
-        (n for n in model.nodes if n.kind in ("step", "summary")),
+        (n for n in model.nodes if n.kind in STEP_KINDS),
         key=lambda n: (n.step_index if n.step_index is not None else 0),
     )
     for step in steps:

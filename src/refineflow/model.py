@@ -32,7 +32,11 @@ from the initial columns through the effects' renames and creates.
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, SchemaState
 from .errors import ModelError
@@ -46,22 +50,32 @@ COLLAPSED = "collapsed"
 DEFAULT_COLLAPSE_THRESHOLD = 3
 
 
+_NON_WORD = re.compile(r"[\W_]")
+
+
 def sanitize_identifier(text: str) -> str:
-    """Map arbitrary text to an identifier: non-alphanumerics become '_'."""
-    return "".join(ch if ch.isalnum() else "_" for ch in text)
+    """Map arbitrary text to an identifier: non-alphanumerics become '_'.
+
+    In a ``str`` pattern, a word character is one that ``str.isalnum()``
+    accepts, or ``_``, so the result holds word characters only.
+    """
+    return _NON_WORD.sub("_", text)
 
 
-@dataclass(frozen=True)
-class Node:
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
+
+
+class Node(NamedTuple):
+    """One model node; immutable, and cheap to build positionally."""
+
     kind: str  # "step" | "data_table" | "data_column" | "param" | "summary"
     id: str
     label: str
     step_index: int | None = None
-    payload: dict = field(default_factory=dict)
+    payload: Mapping[str, Any] = _NO_PAYLOAD  # read-only when defaulted
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     label: str | None = None
@@ -223,79 +237,39 @@ def _render_param_value(value) -> str:
 
 
 def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
-    nodes = []
-    for key in _effects.spec_of(op.op_id).params:
-        if key in op.params:
-            nodes.append(
-                Node(
-                    kind="param",
-                    id=f"param_{step_index}_{key}",
-                    label=f"{key} = {_render_param_value(op.params[key])}",
-                    step_index=step_index,
-                    payload={"key": key},
-                )
-            )
-    return nodes
+    return [
+        Node(
+            "param",
+            f"param_{step_index}_{key}",
+            f"{key} = {_render_param_value(op.params[key])}",
+            step_index,
+            {"key": key},
+        )
+        for key in _effects.spec_of(op.op_id).params
+        if key in op.params
+    ]
 
 
 def build_linear(recipe: Recipe) -> WorkflowModel:
     """Alternating chain of table snapshots and steps, with param nodes."""
     n = len(recipe.operations)
     model = WorkflowModel(model_kind=LINEAR)
-    model.nodes.append(Node(kind="data_table", id="table_0", label="table_0"))
+    nodes, edges = model.nodes, model.edges
+    nodes.append(Node("data_table", "table_0", "table_0"))
     for pos, op in enumerate(recipe.operations):
         step_id = f"step_{pos}"
-        model.nodes.append(
-            Node(
-                kind="step",
-                id=step_id,
-                label=_short_label(op),
-                step_index=pos,
-                payload={"op_id": op.op_id},
-            )
-        )
+        table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
+        nodes.append(Node("step", step_id, _short_label(op), pos, {"op_id": op.op_id}))
         params = _param_nodes(op, pos)
-        model.nodes.extend(params)
-        model.nodes.append(Node(kind="data_table", id=f"table_{pos + 1}", label=f"table_{pos + 1}"))
-        model.edges.append(Edge(f"table_{pos}", step_id))
-        model.edges.append(Edge(step_id, f"table_{pos + 1}"))
-        model.edges.extend(Edge(p.id, step_id) for p in params)
+        nodes.extend(params)
+        nodes.append(Node("data_table", table_out, table_out))
+        edges.append(Edge(table_in, step_id))
+        edges.append(Edge(step_id, table_out))
+        edges.extend(Edge(p.id, step_id) for p in params)
         if pos > 0:
-            model.edges.append(Edge(f"step_{pos - 1}", step_id))
+            edges.append(Edge(f"step_{pos - 1}", step_id))
     model.components = [[f"step_{i}" for i in range(n)]] if n else []
     return model
-
-
-@dataclass
-class _ColumnNodes:
-    """Per-column version bookkeeping while building column-level models."""
-
-    version: dict[ColumnId, int] = field(default_factory=dict)
-    node_id: dict[tuple[ColumnId, int], str] = field(default_factory=dict)
-    used_ids: set[str] = field(default_factory=set)
-
-    def materialize(self, model: WorkflowModel, cid: ColumnId, version: int, label: str) -> str:
-        key = (cid, version)
-        existing = self.node_id.get(key)
-        if existing is not None:
-            return existing
-        node_id = f"{sanitize_identifier(label)}_v{version}"
-        if node_id in self.used_ids:
-            node_id = f"{node_id}_c{cid}"
-        self.used_ids.add(node_id)
-        self.node_id[key] = node_id
-        model.nodes.append(
-            Node(
-                kind="data_column",
-                id=node_id,
-                label=label,
-                payload={"column_id": cid, "version": version},
-            )
-        )
-        return node_id
-
-    def current(self, cid: ColumnId) -> int:
-        return self.version.get(cid, 0)
 
 
 def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) -> list[tuple[int, int]]:
@@ -340,14 +314,29 @@ def _build_column_model(
 
     run_end = dict(runs or ())
     model = WorkflowModel(model_kind=PARALLEL if runs is None else COLLAPSED)
-    tracker = _ColumnNodes()
+    nodes, edges = model.nodes, model.edges
     labels = dict(initial.columns)
+    version: dict[ColumnId, int] = {}
+    node_ids: dict[tuple[ColumnId, int], str] = {}
+    used_ids: set[str] = set()
+
+    def materialize(cid: ColumnId, at: int, label: str) -> str:
+        node_id = node_ids.get((cid, at))
+        if node_id is None:
+            node_id = f"{sanitize_identifier(label)}_v{at}"
+            if node_id in used_ids:
+                node_id = f"{node_id}_c{cid}"
+            used_ids.add(node_id)
+            node_ids[cid, at] = node_id
+            nodes.append(Node("data_column", node_id, label, None, {"column_id": cid, "version": at}))
+        return node_id
 
     for cid, name in initial.columns:
-        tracker.materialize(model, cid, 0, name)
+        materialize(cid, 0, name)
 
-    # Representative node id per step index (its own node, or its run's summary).
-    representative: dict[int, str] = {}
+    # Node id of each group, by the index of its first step.
+    group_ids: dict[int, str] = {}
+    group_of = list(range(n))
 
     start = 0
     while start < n:
@@ -355,74 +344,51 @@ def _build_column_model(
         op = recipe.operations[start]
         first = effects[start]
         group = effects[start : end + 1]
-        reads = set().union(*(effect.reads for effect in group))
-        in_ids = [
-            tracker.materialize(model, cid, tracker.current(cid), labels[cid])
-            for cid in sorted(reads)
-        ]
+        reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
+        in_ids = [materialize(cid, version.get(cid, 0), labels[cid]) for cid in sorted(reads)]
         if end > start:
             count = end - start + 1
+            node_id = f"summary_{start}"
             payload = {"op_id": op.op_id, "count": count, "first_index": start, "last_index": end}
-            node = Node(
-                kind="summary",
-                id=f"summary_{start}",
-                label=f"{op.op_id} × {count}",
-                step_index=start,
-                payload=payload,
-            )
+            nodes.append(Node("summary", node_id, f"{op.op_id} × {count}", start, payload))
             params = []
+            group_of[start : end + 1] = [start] * count
         else:
+            node_id = f"step_{start}"
             payload = {"op_id": op.op_id}
             if len(first.creates) >= 2:
                 payload["pattern"] = "split"
                 payload["branches"] = len(first.creates)
             elif len(first.reads) >= 2 and len(first.writes | first.created_ids()) == 1:
                 payload["pattern"] = "merge"
-            node = Node(
-                kind="step",
-                id=f"step_{start}",
-                label=_short_label(op),
-                step_index=start,
-                payload=payload,
-            )
+            nodes.append(Node("step", node_id, _short_label(op), start, payload))
             params = _param_nodes(op, start)
-        model.nodes.append(node)
-        model.nodes.extend(params)
+            nodes.extend(params)
+        group_ids[start] = node_id
 
-        for i, effect in enumerate(group, start):
-            representative[i] = node.id
+        for effect in group:
             for cid in effect.writes:
-                tracker.version[cid] = tracker.current(cid) + 1
+                version[cid] = version.get(cid, 0) + 1
             labels.update(effect.renames)
             labels.update(effect.creates)
-        out_ids = [
-            tracker.materialize(model, cid, tracker.current(cid), labels[cid])
-            for cid in sorted(first.writes)
-        ]
-        out_ids.extend(tracker.materialize(model, cid, 0, name) for cid, name in first.creates)
 
-        model.edges.extend(Edge(src, node.id) for src in in_ids)
-        model.edges.extend(Edge(p.id, node.id) for p in params)
-        model.edges.extend(Edge(node.id, dst) for dst in out_ids)
+        for src in in_ids:
+            edges.append(Edge(src, node_id))
+        for param in params:
+            edges.append(Edge(param.id, node_id))
+        for cid in sorted(first.writes):
+            edges.append(Edge(node_id, materialize(cid, version.get(cid, 0), labels[cid])))
+        for cid, name in first.creates:
+            edges.append(Edge(node_id, materialize(cid, 0, name)))
         start = end + 1
 
-    step_pairs = ordering_pairs(effects)
-    quotient_pairs: set[tuple[int, int]] = set()
-    rep_index = {}
-    for i in range(n):
-        rep = representative[i]
-        rep_index.setdefault(rep, i)
-    for i, j in step_pairs:
-        a, b = representative[i], representative[j]
-        if a != b:
-            quotient_pairs.add((rep_index[a], rep_index[b]))
-
-    members = sorted(rep_index.values())
-    reduced = _transitive_reduction(n, quotient_pairs)
-    by_index = {index: rep for rep, index in rep_index.items()}
-    model.edges.extend(Edge(by_index[i], by_index[j]) for i, j in reduced)
+    pairs = ordering_pairs(effects)
+    if runs:
+        # Quotient by group: a run's steps share its summary node.
+        pairs = {(group_of[i], group_of[j]) for i, j in pairs if group_of[i] != group_of[j]}
+    edges.extend(Edge(group_ids[i], group_ids[j]) for i, j in _transitive_reduction(n, pairs))
     model.components = [
-        [by_index[i] for i in group] for group in _weak_components(members, quotient_pairs)
+        [group_ids[i] for i in members] for members in _weak_components(list(group_ids), pairs)
     ]
     return model
 

@@ -316,6 +316,19 @@ def test_console_script_entry_point(tmp_path):
     assert out.exists()
 
 
+def test_cli_import_does_not_load_the_interpreter():
+    # The converter never runs the reference interpreter, so a CLI launch
+    # must not pay for importing it (or csv); the package still exports it.
+    probe = (
+        "import sys, refineflow.cli; "
+        "print(sorted({'refineflow.engine', 'csv'} & set(sys.modules))); "
+        "from refineflow import Table, execute, execute_order; print(execute.__module__)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "refineflow.engine"]
+
+
 def test_run_config_defaults():
     config = RunConfig(input_path="x.json")
     assert config.model_kind == "parallel"

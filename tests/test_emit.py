@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import pytest
 
@@ -15,9 +16,10 @@ from refineflow import (
     infer_initial_schema,
     trace_effects,
 )
+from refineflow.emit import identifier_map
 from conftest import GOLDEN, make_recipe
 from dotcheck import DotSyntaxError, parse_dot
-from recipegen import random_recipe
+from recipegen import random_recipe, random_recipe_entries
 
 VIEWS = ("combined", "process", "data")
 
@@ -100,6 +102,27 @@ def test_dot_parses_for_all_views_and_models(menus_recipe, mass_edit_recipe):
         for model in _models(recipe):
             for view in VIEWS:
                 parse_dot(emit_dot(model, view))  # raises on bad syntax
+
+
+def test_cluster_emit_is_linear_in_components():
+    # One trim per column: every column is its own component, so a cluster
+    # loop that rescans the view per component is quadratic here.
+    columns = 4000
+    recipe = make_recipe(
+        [
+            {"op": "core/text-transform", "columnName": f"c{i}", "expression": "value.trim()"}
+            for i in range(columns)
+        ]
+    )
+    model = _models(recipe)[1]
+    assert len(model.components) == columns
+    started = time.perf_counter()
+    text = emit_dot(model, "combined")
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.5, f"emit_dot took {elapsed:.2f} s over {columns} components"
+    graph = parse_dot(text)
+    assert len(graph.clusters) == columns
+    assert len(graph.nodes) == len(model.nodes)
 
 
 def test_dot_view_membership_exactly_once(menus_recipe, menus_trace):
@@ -240,6 +263,31 @@ def test_identifier_sanitization_collision():
     labels = sorted(attrs["label"] for attrs in graph.nodes.values())
     assert labels == sorted(["a b", "a b", "a_b", "a_b"])
     assert len(graph.nodes) == 4  # distinct identifiers despite equal sanitization
+
+
+def test_identifiers_are_word_characters_for_awkward_labels():
+    rng = random.Random(93)
+    awkward = ['"', "\\", "\n", "²", "é", "\u3000", "_"]
+    labels = ["".join(rng.sample(awkward, len(awkward))) + str(i) for i in range(5)]
+    recipe = make_recipe(random_recipe_entries(rng, 14, labels))
+    view_kinds = {
+        "combined": None,
+        "process": ("step", "summary"),
+        "data": ("data_table", "data_column"),
+    }
+    for model in _models(recipe):
+        idents = identifier_map(model)
+        assert all(re.fullmatch(r"\w+", ident) for ident in idents.values()), idents
+        for view, kinds in view_kinds.items():
+            graph = parse_dot(emit_dot(model, view))
+            # dotcheck reads an escaped character as itself, so DOT's "\n"
+            # line break reads back as "n".
+            expected = {
+                idents[n.id]: n.label.replace("\n", "n")
+                for n in model.nodes
+                if kinds is None or n.kind in kinds
+            }
+            assert {name: attrs["label"] for name, attrs in graph.nodes.items()} == expected
 
 
 def test_view_kind_accepts_enum_and_string(menus_recipe, menus_trace):

@@ -6,7 +6,9 @@ import tracemalloc
 import pytest
 
 from refineflow import (
+    Edge,
     ModelError,
+    Node,
     WorkflowModel,
     build_collapsed,
     build_linear,
@@ -245,6 +247,49 @@ def test_long_table_scoped_chain_builds_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 50 * 2**20
     assert len(model.components) == 1
+
+
+# --- records ------------------------------------------------------------------
+
+
+def test_node_and_edge_records_are_immutable():
+    node = Node("step", "step_0", "trim", 0, {"op_id": "core/text-transform"})
+    edge = Edge("a_v0", "step_0")
+    with pytest.raises(AttributeError):
+        node.label = "other"
+    with pytest.raises(AttributeError):
+        edge.dst = "b_v0"
+    assert Node(kind="step", id="step_0", label="trim", step_index=0, payload=node.payload) == node
+    assert edge.label is None
+    assert len({edge, Edge("a_v0", "step_0"), Edge("a_v0", "step_0", "x")}) == 2
+
+
+def test_default_payload_is_empty_and_read_only():
+    first = Node("data_table", "table_0", "table_0")
+    second = Node("data_table", "table_1", "table_1")
+    assert first.step_index is None
+    assert dict(first.payload) == {} and first.payload.get("version", 0) == 0
+    for node in (first, second):
+        with pytest.raises(TypeError):
+            node.payload["version"] = 1
+    assert "version" not in second.payload
+
+
+def test_payload_get_works_on_every_node_kind(menus_recipe, menus_trace, mass_edit_recipe):
+    effects, schemas = menus_trace
+    mass_initial = infer_initial_schema(mass_edit_recipe)
+    mass_effects, _ = trace_effects(mass_edit_recipe, mass_initial)
+    models = [
+        build_linear(menus_recipe),
+        build_parallel(menus_recipe, effects, schemas[0]),
+        build_collapsed(mass_edit_recipe, mass_effects, mass_initial)[0],
+    ]
+    kinds = set()
+    for model in models:
+        for node in model.nodes:
+            assert node.payload.get("no-such-key") is None
+            kinds.add(node.kind)
+    assert kinds == {"step", "summary", "param", "data_table", "data_column"}
 
 
 # --- linear model -------------------------------------------------------------
