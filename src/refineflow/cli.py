@@ -12,29 +12,35 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 from . import effects, model
 from .emit import emit_dot, emit_yw
 from .errors import RefineflowError
 from .model import DetailModel, WorkflowModel
-from .recipe import Diagnostic, parse_recipe, validate_recipe
+from .recipe import Diagnostic, SlotRecord, parse_recipe, validate_recipe
 
 MODEL_KINDS = ("linear", "parallel", "collapsed")
 VIEWS = ("combined", "process", "data")
 FORMATS = ("dot", "yw")
 
 
-@dataclass
-class RunConfig:
-    input_path: str
-    output_path: str = "-"
-    model_kind: str = "parallel"
-    view: str = "combined"
-    format: str = "dot"
-    collapse_threshold: int = model.DEFAULT_COLLAPSE_THRESHOLD
-    split_arity_overrides: dict[str, int] = field(default_factory=dict)
-    query: tuple[str, str] | None = None  # (direction, node id)
+class RunConfig(SlotRecord):
+    __slots__ = (
+        "input_path", "output_path", "model_kind", "view", "format",
+        "collapse_threshold", "split_arity_overrides", "query",
+    )
+
+    def __init__(
+        self, input_path: str, output_path: str = "-", model_kind: str = "parallel",
+        view: str = "combined", format: str = "dot",
+        collapse_threshold: int = model.DEFAULT_COLLAPSE_THRESHOLD,
+        split_arity_overrides: dict[str, int] | None = None,
+        query: tuple[str, str] | None = None,  # (direction, node id)
+    ):
+        self._set(
+            input_path, output_path, model_kind, view, format, collapse_threshold,
+            {} if split_arity_overrides is None else split_arity_overrides, query,
+        )
 
 
 def _print_diagnostic(diag: Diagnostic, stream) -> None:

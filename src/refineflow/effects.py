@@ -16,11 +16,11 @@ analysis degrades to the sequential interpretation instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EffectError
 from .expressions import analyze_expression
-from .recipe import RawOperation, Recipe
+from .recipe import FrozenRecord, RawOperation, Recipe
 
 DEFAULT_SPLIT_ARITY = 2
 
@@ -32,8 +32,7 @@ MAX_SPLIT_PARTS = 1000
 _ALL_LIVE = "all live columns"
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(NamedTuple):
     """Everything the model knows about one operation id.
 
     ``params`` are the keys the effect rule and the interpreter consume;
@@ -158,22 +157,21 @@ def _deletes_own(spec: OpSpec, params: dict) -> bool:
 ColumnId = int
 
 
-@dataclass(frozen=True)
-class SchemaState:
+class SchemaState(FrozenRecord):
     """The live columns, in left-to-right order, at one point of a pipeline.
 
     ``next_id`` is the allocation high-water mark for the whole trace, so
     ids of deleted columns are never handed out again.
     """
 
-    columns: tuple[tuple[ColumnId, str], ...] = ()
-    next_id: int = 0
+    __slots__ = ("columns", "next_id")
 
-    def __post_init__(self):
-        labels = [label for _, label in self.columns]
+    def __init__(self, columns: tuple[tuple[ColumnId, str], ...] = (), next_id: int = 0):
+        labels = [label for _, label in columns]
         if len(set(labels)) != len(labels):
             duplicate = next(l for l in labels if labels.count(l) > 1)
             raise EffectError("label-collision", f"duplicate column label {duplicate!r}")
+        self._set(columns, next_id)
 
     @classmethod
     def from_labels(cls, labels) -> "SchemaState":
@@ -205,8 +203,7 @@ class SchemaState:
         return None
 
 
-@dataclass(frozen=True)
-class ColumnEffect:
+class ColumnEffect(NamedTuple):
     """Read/write/create/delete sets of one step, over column ids.
 
     ``creates`` keeps creation order; new columns are inserted immediately
@@ -307,7 +304,7 @@ def _expression_reads(
     analysis = analyze_expression(str(expression))
     if analysis.opaque:
         return schema.live_ids()
-    return own | frozenset(_resolve(label, schema, op) for label in analysis.referenced_columns)
+    return own | frozenset(_resolve(label, schema, op) for label in analysis.references)
 
 
 def effect_of(
@@ -440,7 +437,9 @@ def infer_initial_schema(
 ) -> SchemaState:
     """Minimal schema a recipe can run on: every label read before created.
 
-    Ids are assigned in first-mention order. Labels that were live but got
+    Ids are assigned in first-mention order: a step's own column, then its
+    expression's references in the order the expression names them, so the
+    result never depends on hash order. Labels that were live but got
     renamed or deleted earlier are not re-assumed; such reads surface as
     ``unresolved-column`` during tracing, which is the correct report for
     a recipe no schema can satisfy.
@@ -474,11 +473,8 @@ def infer_initial_schema(
             need(own)
         expression = params.get("expression") if spec.expression else None
         if expression is not None:
-            analysis = analyze_expression(str(expression))
-            if not analysis.opaque:
-                text = str(expression)
-                for label in sorted(analysis.referenced_columns, key=text.find):
-                    need(label)
+            for label in analyze_expression(str(expression)).references:
+                need(label)
         if isinstance(own, str):
             if spec.rename or _deletes_own(spec, params):
                 drop(own)

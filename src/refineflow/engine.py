@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import expressions as ex
 from .effects import ColumnId, SchemaState
@@ -406,11 +406,11 @@ def execute_order(
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"
             )
 
-    permuted = replace(recipe, operations=tuple(recipe.operations[step] for step in order))
+    permuted = Recipe(tuple(recipe.operations[step] for step in order), recipe.source_name)
     replayed = execute(permuted, table, arity_hints)
     recorded = {label: cid for cid, label in states[-1].columns}
-    schema = replace(
-        replayed.schema,
-        columns=tuple((recorded.get(label, cid), label) for cid, label in replayed.schema.columns),
+    schema = SchemaState(
+        tuple((recorded.get(label, cid), label) for cid, label in replayed.schema.columns),
+        replayed.schema.next_id,
     )
     return Table(schema, replayed.rows)

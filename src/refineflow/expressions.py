@@ -14,28 +14,26 @@ reported, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 VALUE_METHODS = frozenset({"toLowercase", "toUppercase", "trim", "toNumber", "toString"})
 
 
-@dataclass(frozen=True)
-class Literal:
+# As tuples, nodes of different kinds can compare equal (Literal("c") ==
+# CellRef("c")): tell them apart by type, as the analysis and engine do.
+class Literal(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class OwnValue:
+class OwnValue(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class CellRef:
+class CellRef(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """A primary expression with a chain of pure method calls applied to it."""
 
     base: Literal | OwnValue | CellRef
@@ -46,15 +44,16 @@ class Term:
 ParsedExpression = tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class ExpressionAnalysis:
+class ExpressionAnalysis(NamedTuple):
     """What an expression reads. ``opaque`` means: not in the subset,
     referenced_columns is empty, and callers must apply the conservative
-    fallback."""
+    fallback. ``references`` holds the same labels in the order the
+    expression first names them."""
 
     referenced_columns: frozenset[str]
     reads_own_value: bool
     opaque: bool
+    references: tuple[str, ...] = ()
 
 
 OPAQUE_ANALYSIS = ExpressionAnalysis(frozenset(), False, True)
@@ -213,4 +212,5 @@ def analyze_expression(expression: str) -> ExpressionAnalysis:
         referenced_columns=frozenset(referenced),
         reads_own_value=reads_own,
         opaque=False,
+        references=tuple(referenced),
     )

@@ -34,13 +34,11 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
-from types import MappingProxyType
 from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, SchemaState
 from .errors import ModelError
-from .recipe import RawOperation, Recipe
+from .recipe import EMPTY_MAPPING, RawOperation, Recipe, SlotRecord
 from . import effects as _effects
 
 LINEAR = "linear"
@@ -62,9 +60,6 @@ def sanitize_identifier(text: str) -> str:
     return _NON_WORD.sub("_", text)
 
 
-_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
-
-
 class Node(NamedTuple):
     """One model node; immutable, and cheap to build positionally."""
 
@@ -72,7 +67,7 @@ class Node(NamedTuple):
     id: str
     label: str
     step_index: int | None = None
-    payload: Mapping[str, Any] = _NO_PAYLOAD  # read-only when defaulted
+    payload: Mapping[str, Any] = EMPTY_MAPPING
 
 
 class Edge(NamedTuple):
@@ -81,27 +76,28 @@ class Edge(NamedTuple):
     label: str | None = None
 
 
-@dataclass
-class WorkflowModel:
+class WorkflowModel(SlotRecord):
     """A DAG of step/data/param/summary nodes.
 
     ``edges`` holds both dataflow edges (those touching a data or param
     node) and step-to-step dependency edges; an edge's role follows from
     its endpoint kinds. ``components`` partitions the step and summary
-    nodes into independent subworkflow groups.
+    nodes into independent subworkflow groups. Each model owns its lists.
     """
 
-    model_kind: str
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    components: list[list[str]] = field(default_factory=list)
+    __slots__ = ("model_kind", "nodes", "edges", "components")
+
+    def __init__(self, model_kind: str, nodes=None, edges=None, components=None):
+        self.model_kind = model_kind
+        self.nodes: list[Node] = [] if nodes is None else nodes
+        self.edges: list[Edge] = [] if edges is None else edges
+        self.components: list[list[str]] = [] if components is None else components
 
     def node_map(self) -> dict[str, Node]:
         return {node.id: node for node in self.nodes}
 
 
-@dataclass(frozen=True)
-class DetailModel:
+class DetailModel(NamedTuple):
     """Linear expansion of one collapsed run, kept for separate emission."""
 
     parent_summary_id: str
@@ -422,7 +418,7 @@ def build_collapsed(
     details = []
     for start, end in runs:
         sub_ops = tuple(
-            replace(op, index=pos)
+            op._replace(index=pos)
             for pos, op in enumerate(recipe.operations[start : end + 1])
         )
         sub_recipe = Recipe(operations=sub_ops, source_name=recipe.source_name)

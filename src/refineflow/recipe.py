@@ -3,18 +3,63 @@
 The input is the JSON document produced by OpenRefine's "Extract" dialog:
 a top-level array of operation objects, each with an "op" identifier,
 an optional "description", and operation-specific parameter keys.
+The bases of the package's slotted records live here too, at the bottom
+of the import graph.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 from .errors import RecipeError
 
 
-@dataclass(frozen=True)
-class RawOperation:
+class SlotRecord:
+    """Base of the slotted records. ``__slots__`` lists the fields in
+    constructor order; records compare, print and pickle by those fields."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenRecord(SlotRecord):
+    """A slotted record whose fields only ``__init__`` sets; it hashes by value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+# Default of the records' mapping fields: read-only, so sharing it is safe.
+EMPTY_MAPPING: Mapping[str, Any] = MappingProxyType({})
+
+
+class RawOperation(NamedTuple):
     """One entry of an operation history, with its parameters kept verbatim.
 
     ``params`` holds every key of the original JSON object except "op",
@@ -23,23 +68,23 @@ class RawOperation:
 
     op_id: str
     index: int
-    params: dict = field(default_factory=dict)
+    params: Mapping[str, Any] = EMPTY_MAPPING
     description: str | None = None
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(FrozenRecord):
     """An ordered operation history. An empty history is valid."""
 
-    operations: tuple[RawOperation, ...] = ()
-    source_name: str | None = None
+    __slots__ = ("operations", "source_name")
+
+    def __init__(self, operations: tuple[RawOperation, ...] = (), source_name: str | None = None):
+        self._set(operations, source_name)
 
     def __len__(self) -> int:
         return len(self.operations)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A non-fatal finding about a recipe.
 
     ``error`` severity is reserved for conditions that prevent model

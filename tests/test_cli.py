@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import subprocess
@@ -319,14 +320,44 @@ def test_console_script_entry_point(tmp_path):
 def test_cli_import_does_not_load_the_interpreter():
     # The converter never runs the reference interpreter, so a CLI launch
     # must not pay for importing it (or csv); the package still exports it.
+    # Its records are named tuples and slotted classes, so it does not pay
+    # for dataclasses (and the inspect module it imports) either.
     probe = (
         "import sys, refineflow.cli; "
-        "print(sorted({'refineflow.engine', 'csv'} & set(sys.modules))); "
+        "print(sorted({'refineflow.engine', 'csv', 'dataclasses', 'inspect'} & set(sys.modules))); "
         "from refineflow import Table, execute, execute_order; print(execute.__module__)"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "refineflow.engine"]
+
+
+# Expressions whose references the source text does not order: "a" is a
+# prefix of "ab", and escaped labels are spelled differently in the source.
+HASH_SEED_EXPRESSIONS = {
+    "prefix": 'grel:cells["ab"].value + cells["a"].value + cells["abc"].value',
+    "escaped": (
+        'grel:cells["q\\"1"].value + cells["q\\"2"].value'
+        ' + cells["b\\\\1"].value + cells["b\\\\2"].value'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASH_SEED_EXPRESSIONS))
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, name):
+    recipe = tmp_path / "recipe.json"
+    step = {"op": "core/text-transform", "columnName": "x", "expression": HASH_SEED_EXPRESSIONS[name]}
+    recipe.write_text(json.dumps([step]), encoding="utf-8")
+    outputs = set()
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        result = subprocess.run(
+            [sys.executable, "-m", "refineflow.cli", "-i", str(recipe)],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
 
 
 def test_run_config_defaults():

@@ -138,5 +138,19 @@ def test_parse_expression_shape():
     parsed = parse_expression('grel:"x" + value.trim() + cells["c"].value')
     assert parsed is not None
     bases = [term.base for term in parsed]
-    assert bases == [Literal("x"), OwnValue(), CellRef("c")]
+    # Nodes are tuples, so Literal("c") == CellRef("c"): compare types too.
+    assert [(type(base), base) for base in bases] == [
+        (Literal, Literal("x")), (OwnValue, OwnValue()), (CellRef, CellRef("c"))
+    ]
     assert parsed[1].methods == ("trim",)
+
+
+def test_references_keep_first_mention_order():
+    # "a" is a prefix of "ab", and the escaped label is spelled differently
+    # in the source: neither may fall back to hash order.
+    analysis = analyze_expression(
+        'cells["ab"].value + cells["a"].value + cells["q\\"x"].value + cells["ab"].value'
+    )
+    assert analysis.references == ("ab", "a", 'q"x')
+    assert analysis.referenced_columns == frozenset(analysis.references)
+    assert analyze_expression("value.replace(1)").references == ()

@@ -1,0 +1,134 @@
+"""The contract of the record types.
+
+Field-only records are named tuples; records that validate, get filled in
+or define ``__len__`` are slotted classes. Either way: keyword
+construction with defaults, immutability for the frozen ones, comparison
+by value, and no mutable default shared between instances.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from refineflow import (
+    ColumnEffect,
+    DetailModel,
+    Diagnostic,
+    EffectError,
+    ExpressionAnalysis,
+    RawOperation,
+    Recipe,
+    SchemaState,
+    WorkflowModel,
+)
+from refineflow.cli import RunConfig
+from refineflow.effects import OpSpec
+from refineflow.expressions import CellRef, Literal, OwnValue, Term
+
+# Two equal instances of every frozen record, built independently.
+FROZEN = [
+    lambda: RawOperation(op_id="core/fill-down", index=0, params={"columnName": "a"}),
+    # Parsed operations always carry a params dict. A defaulted one is the
+    # shared read-only empty mapping, which (like a defaulted Node payload)
+    # cannot be pickled or deep-copied.
+    lambda: Recipe(operations=(RawOperation("core/fill-down", 0, {}),), source_name="r.json"),
+    lambda: Diagnostic("warning", "unknown-op", "text", step_index=2),
+    lambda: Literal("c"),
+    lambda: OwnValue(),
+    lambda: CellRef("c"),
+    lambda: Term(base=CellRef("c"), methods=("trim",)),
+    lambda: ExpressionAnalysis(frozenset({"a"}), False, False, ("a",)),
+    lambda: OpSpec(params=("columnName",), own="columnName", writes_own=True),
+    lambda: SchemaState(columns=((0, "a"), (1, "b")), next_id=2),
+    lambda: ColumnEffect(reads=frozenset({0}), writes=frozenset({0}), labels=frozenset({"a"})),
+    lambda: DetailModel(parent_summary_id="summary_0", inner=WorkflowModel("linear")),
+]
+
+
+@pytest.mark.parametrize("make", FROZEN)
+def test_frozen_records_refuse_assignment(make):
+    record = make()
+    for name in getattr(record, "_fields", ()) or record.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+@pytest.mark.parametrize("make", FROZEN)
+def test_records_compare_and_copy_by_value(make):
+    first, second = make(), make()
+    assert first == second
+    assert not first != second
+    assert copy.copy(first) == first
+    assert pickle.loads(pickle.dumps(first)) == first
+    assert repr(first) == repr(second)
+    assert type(first).__name__ + "(" in repr(first)
+
+
+def test_hashable_records_hash_by_value():
+    # Records holding a dict or a list are unhashable.
+    for make in FROZEN:
+        first, second = make(), make()
+        if isinstance(first, (RawOperation, Recipe, DetailModel)):
+            with pytest.raises(TypeError):
+                hash(first)
+        else:
+            assert hash(first) == hash(second)
+            assert len({first, second}) == 1
+
+
+def test_records_of_different_values_differ():
+    assert SchemaState.from_labels(["a"]) != SchemaState.from_labels(["b"])
+    assert Recipe(source_name="x") != Recipe(source_name="y")
+    assert Recipe() != SchemaState()
+    assert WorkflowModel("linear") != WorkflowModel("parallel")
+    assert RunConfig("a.json") != RunConfig("b.json")
+
+
+def test_schema_state_rejects_duplicate_labels():
+    with pytest.raises(EffectError) as info:
+        SchemaState(columns=((0, "a"), (1, "a")), next_id=2)
+    assert info.value.code == "label-collision"
+    assert SchemaState() == SchemaState(columns=(), next_id=0)
+
+
+def test_raw_operation_default_params_are_not_a_shared_mutable_dict():
+    first, second = RawOperation("core/row-removal", 0), RawOperation("core/row-removal", 1)
+    assert first.params == {} and first.description is None
+    with pytest.raises(TypeError):
+        first.params["columnName"] = "a"
+    assert second.params == {}
+
+
+def test_mutable_records_get_fresh_defaults():
+    first, second = WorkflowModel("linear"), WorkflowModel("linear")
+    first.nodes.append("n")
+    first.edges.append("e")
+    first.components.append(["n"])
+    assert (second.nodes, second.edges, second.components) == ([], [], [])
+    assert first != second
+    first.model_kind = "parallel"
+    assert first.model_kind == "parallel"
+
+    config, other = RunConfig(input_path="x.json"), RunConfig(input_path="x.json")
+    config.split_arity_overrides["a"] = 3
+    assert other.split_arity_overrides == {}
+    config.view = "data"
+    assert config.view == "data"
+    with pytest.raises(TypeError):
+        hash(config)
+
+
+def test_recipe_length_and_keyword_construction():
+    ops = tuple(RawOperation(op_id="core/fill-down", index=i) for i in range(3))
+    assert len(Recipe(operations=ops)) == 3
+    assert len(Recipe()) == 0
+    assert Recipe(ops).source_name is None
+    with pytest.raises(TypeError):
+        Recipe(operations=ops, unknown=1)
