@@ -16,9 +16,8 @@ from .effects import (
     effect_of,
     infer_initial_schema,
     trace_effects,
-    trace_schema,
 )
-from .emit import ViewKind, emit_dot, emit_yw
+from .emit import emit_dot, emit_yw
 from .errors import (
     EffectError,
     EngineError,
@@ -74,7 +73,6 @@ __all__ = [
     "RefineflowError",
     "SchemaState",
     "Table",
-    "ViewKind",
     "WorkflowModel",
     "analyze_expression",
     "apply_effect",
@@ -93,7 +91,6 @@ __all__ = [
     "infer_initial_schema",
     "parse_recipe",
     "trace_effects",
-    "trace_schema",
     "upstream_lineage",
     "validate_recipe",
 ]

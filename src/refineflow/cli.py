@@ -1,9 +1,10 @@
 """Command-line front end: recipe file in, DOT or YW annotation text out.
 
 Exit status: 0 on success, 1 on recipe errors (diagnostics on stderr,
-one line each: ``severity code step message``), 2 on usage errors.
-Warnings never change the exit status. Output files are written via a
-temporary file and rename, so failed runs leave no partial output.
+one line each: ``severity code step message``), 2 on usage errors and on
+an input it cannot read or an output it cannot write. Warnings never
+change the exit status. Each output file is written via a temporary
+file and rename, so a failed write leaves no partial or temporary file.
 """
 
 from __future__ import annotations
@@ -11,16 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 from . import effects, model
-from .emit import emit_dot, emit_yw
+from .emit import VIEWS, emit_dot, emit_yw
 from .errors import RefineflowError
-from .model import DetailModel, WorkflowModel
+from .model import DATA_KINDS, DetailModel, WorkflowModel
 from .recipe import Diagnostic, SlotRecord, parse_recipe, validate_recipe
 
-MODEL_KINDS = ("linear", "parallel", "collapsed")
-VIEWS = ("combined", "process", "data")
 FORMATS = ("dot", "yw")
 
 
@@ -31,7 +29,7 @@ class RunConfig(SlotRecord):
     )
 
     def __init__(
-        self, input_path: str, output_path: str = "-", model_kind: str = "parallel",
+        self, input_path: str, output_path: str = "-", model_kind: str = model.PARALLEL,
         view: str = "combined", format: str = "dot",
         collapse_threshold: int = model.DEFAULT_COLLAPSE_THRESHOLD,
         split_arity_overrides: dict[str, int] | None = None,
@@ -57,25 +55,30 @@ def _resolve_query_node(workflow: WorkflowModel, node_id: str) -> str:
     nodes = workflow.node_map()
     if node_id in nodes:
         return node_id
-    matches = [
-        n for n in workflow.nodes
-        if n.kind in ("data_table", "data_column") and n.label == node_id
-    ]
+    matches = [n for n in workflow.nodes if n.kind in DATA_KINDS and n.label == node_id]
     if matches:
         return max(matches, key=lambda n: n.payload.get("version", 0)).id
     raise RefineflowError("unknown-node", f"no node with id or data label {node_id!r}")
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write a new file beside ``path``, then rename it over ``path``. The
+    file's mode follows the umask, as with ``open``; a random name already
+    taken is skipped, so an existing file is never opened or followed."""
     directory = os.path.dirname(os.path.abspath(path))
-    handle, temp_path = tempfile.mkstemp(dir=directory, prefix=".refineflow-")
+    while True:
+        temp_path = os.path.join(directory, f".refineflow-{os.urandom(6).hex()}.tmp")
+        try:
+            handle = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
             stream.write(text)
         os.replace(temp_path, path)
     except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
+        os.unlink(temp_path)
         raise
 
 
@@ -125,9 +128,9 @@ def run(config: RunConfig, stderr=None) -> int:
         initial = effects.infer_initial_schema(recipe, hints)
         effect_list, _ = effects.trace_effects(recipe, initial, hints)
         details: list[DetailModel] = []
-        if config.model_kind == "linear":
+        if config.model_kind == model.LINEAR:
             workflow = model.build_linear(recipe)
-        elif config.model_kind == "parallel":
+        elif config.model_kind == model.PARALLEL:
             workflow = model.build_parallel(recipe, effect_list, initial)
         else:
             workflow, details = model.build_collapsed(
@@ -168,9 +171,15 @@ def run(config: RunConfig, stderr=None) -> int:
             )
         return 0
 
-    _atomic_write(config.output_path, main_text)
-    for summary_id, detail_text in detail_texts:
-        _atomic_write(_detail_path(config.output_path, summary_id), detail_text)
+    path = config.output_path
+    try:
+        _atomic_write(path, main_text)
+        for summary_id, detail_text in detail_texts:
+            path = _detail_path(config.output_path, summary_id)
+            _atomic_write(path, detail_text)
+    except OSError as exc:
+        print(f"error unwritable-output - {path}: {exc.strerror or exc}", file=stderr)
+        return 2
     return 0
 
 
@@ -214,7 +223,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--output", "-o", default="-", help="output path, or '-' for standard output"
     )
     parser.add_argument(
-        "--model", "-t", choices=MODEL_KINDS, default="parallel", help="model kind to build"
+        "--model", "-t", choices=model.MODEL_KINDS, default=model.PARALLEL,
+        help="model kind to build",
     )
     parser.add_argument("--view", "-v", choices=VIEWS, default="combined", help="diagram view")
     parser.add_argument("--format", "-f", choices=FORMATS, default="dot", help="output format")

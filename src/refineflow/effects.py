@@ -37,7 +37,8 @@ class OpSpec(NamedTuple):
 
     ``params`` are the keys the effect rule and the interpreter consume;
     other keys are retained verbatim but do not influence the model
-    (validate_recipe reports them). ``required`` must be present.
+    (validate_recipe reports them). ``own`` and ``new_label`` must be
+    present, except a list-valued ``own``.
 
     The effect rule: ``own`` names the parameter holding the column the
     step runs on (a list of columns when ``own_list``). The step reads it,
@@ -55,7 +56,6 @@ class OpSpec(NamedTuple):
     """
 
     params: tuple[str, ...] = ()
-    required: tuple[str, ...] = ()
     own: str | None = None
     own_list: bool = False
     expression: bool = False
@@ -74,7 +74,7 @@ TABLE_SCOPED = OpSpec(table_scoped=True)
 
 CATALOG: dict[str, OpSpec] = {
     "core/text-transform": OpSpec(
-        params=("columnName", "expression"), required=("columnName",),
+        params=("columnName", "expression"),
         own="columnName", expression=True, writes_own=True,
         doc=(
             "own column + expression references (all live columns when the expression is opaque)",
@@ -82,17 +82,17 @@ CATALOG: dict[str, OpSpec] = {
         ),
     ),
     "core/mass-edit": OpSpec(
-        params=("columnName", "expression", "edits"), required=("columnName",),
+        params=("columnName", "expression", "edits"),
         own="columnName", writes_own=True,
         doc=("own column", "own column", "-", "-"),
     ),
     "core/column-rename": OpSpec(
-        params=("oldColumnName", "newColumnName"), required=("oldColumnName", "newColumnName"),
+        params=("oldColumnName", "newColumnName"),
         own="oldColumnName", writes_own=True, new_label="newColumnName", rename=True,
         doc=("old column", "old column (relabeled)", "-", "-"),
     ),
     "core/column-removal": OpSpec(
-        params=("columnName",), required=("columnName",),
+        params=("columnName",),
         own="columnName", deletes=True,
         doc=("removed column", "-", "-", "removed column"),
     ),
@@ -101,7 +101,6 @@ CATALOG: dict[str, OpSpec] = {
             "columnName", "mode", "separator", "regex", "maxColumns", "fieldLengths",
             "removeOriginalColumn",
         ),
-        required=("columnName",),
         own="columnName", split=True, deletes="removeOriginalColumn",
         doc=(
             "source column", "-", '"<col> 1" ... "<col> k"',
@@ -110,7 +109,6 @@ CATALOG: dict[str, OpSpec] = {
     ),
     "core/column-addition": OpSpec(
         params=("baseColumnName", "newColumnName", "expression"),
-        required=("baseColumnName", "newColumnName"),
         own="baseColumnName", expression=True, new_label="newColumnName",
         doc=(
             "base column + expression references (all live columns when opaque)",
@@ -118,7 +116,7 @@ CATALOG: dict[str, OpSpec] = {
         ),
     ),
     "core/column-move": OpSpec(
-        params=("columnName",), required=("columnName",),
+        params=("columnName",),
         own="columnName", writes_own=True,
         doc=("moved column", "moved column", "-", "-"),
     ),
@@ -128,12 +126,12 @@ CATALOG: dict[str, OpSpec] = {
         doc=("listed columns", "listed columns", "-", "-"),
     ),
     "core/fill-down": OpSpec(
-        params=("columnName",), required=("columnName",),
+        params=("columnName",),
         own="columnName", writes_own=True,
         doc=("own column", "own column", "-", "-"),
     ),
     "core/blank-down": OpSpec(
-        params=("columnName",), required=("columnName",),
+        params=("columnName",),
         own="columnName", writes_own=True,
         doc=("own column", "own column", "-", "-"),
     ),
@@ -196,12 +194,6 @@ class SchemaState(FrozenRecord):
                 return cid
         return None
 
-    def label_of(self, cid: ColumnId) -> str | None:
-        for candidate, label in self.columns:
-            if candidate == cid:
-                return label
-        return None
-
 
 class ColumnEffect(NamedTuple):
     """Read/write/create/delete sets of one step, over column ids.
@@ -229,9 +221,6 @@ class ColumnEffect(NamedTuple):
     def output_ids(self) -> frozenset[ColumnId]:
         """Columns whose content or existence this step changes."""
         return self.writes | self.created_ids() | self.deletes
-
-
-EMPTY_EFFECT = ColumnEffect()
 
 
 def _resolve(label, schema: SchemaState, op: RawOperation) -> ColumnId:
@@ -396,15 +385,6 @@ def apply_effect(schema: SchemaState, effect: ColumnEffect) -> SchemaState:
 
     next_id = max([schema.next_id] + [cid + 1 for cid, _ in effect.creates])
     return SchemaState(columns=tuple(columns), next_id=next_id)
-
-
-def trace_schema(
-    recipe: Recipe,
-    initial: SchemaState,
-    arity_hints: dict[str, int] | None = None,
-) -> list[SchemaState]:
-    """Schema snapshots along a recipe: n operations yield n+1 states."""
-    return trace_effects(recipe, initial, arity_hints)[1]
 
 
 def trace_effects(

@@ -14,16 +14,15 @@ sorted lexicographically.
 
 from __future__ import annotations
 
-import enum
+from typing import NamedTuple
 
-from .model import Edge, Node, WorkflowModel, sanitize_identifier
+from .model import DATA_KINDS, STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
+
+VIEWS = ("combined", "process", "data")
 
 STEP_FILL = "#CCFFCC"
 DATA_FILL = "#FAFAD2"
 PARAM_FILL = "#FFFFFF"
-
-STEP_KINDS = ("step", "summary")
-DATA_KINDS = ("data_table", "data_column")
 
 _NODE_ATTRS = {
     "summary": f'shape=box, style=filled, fillcolor="{STEP_FILL}", peripheries=2',
@@ -33,16 +32,40 @@ _NODE_ATTRS = {
 _DATA_ATTRS = f'shape=box, style="rounded,filled", fillcolor="{DATA_FILL}"'
 
 
-class ViewKind(enum.Enum):
-    COMBINED = "combined"
-    PROCESS = "process"
-    DATA = "data"
+class _EdgeRoles(NamedTuple):
+    """Every model edge in exactly one role, keyed by the step it touches.
+
+    ``ins`` maps a step to the data nodes it reads, ``params`` to its
+    param nodes and ``outs`` to the data nodes it writes; those edges, in
+    model order, are ``flow``. ``process`` holds the step-to-step edges.
+    """
+
+    ins: dict[str, list[str]]
+    params: dict[str, list[str]]
+    outs: dict[str, list[str]]
+    flow: list[Edge]
+    process: list[Edge]
 
 
-def _as_view(view) -> ViewKind:
-    if isinstance(view, ViewKind):
-        return view
-    return ViewKind(view)
+def _edge_roles(model: WorkflowModel, view: str) -> _EdgeRoles:
+    """One pass over the edges, by endpoint kind. Rejects a view not in VIEWS."""
+    if view not in VIEWS:
+        raise ValueError(f"unknown view {view!r}; expected one of {', '.join(VIEWS)}")
+    kinds = {n.id: n.kind for n in model.nodes}
+    roles = _EdgeRoles({}, {}, {}, [], [])
+    for edge in model.edges:
+        src, dst = edge.src, edge.dst
+        if kinds[src] in STEP_KINDS and kinds[dst] in STEP_KINDS:
+            roles.process.append(edge)
+            continue
+        roles.flow.append(edge)
+        if kinds[dst] not in STEP_KINDS:
+            roles.outs.setdefault(src, []).append(dst)
+        elif kinds[src] == "param":
+            roles.params.setdefault(dst, []).append(src)
+        else:
+            roles.ins.setdefault(dst, []).append(src)
+    return roles
 
 
 def identifier_map(model: WorkflowModel) -> dict[str, str]:
@@ -87,7 +110,7 @@ def _quote(text: str) -> str:
     return '"' + escaped.replace("\n", "\\n").replace("\r", "\\r") + '"'
 
 
-def _component_of(model: WorkflowModel, kinds: dict[str, str]) -> dict[str, int]:
+def _component_of(model: WorkflowModel, roles: _EdgeRoles) -> dict[str, int]:
     """Cluster assignment: steps by their group, data/param nodes by the
     steps they touch; nodes shared between groups stay unassigned."""
     assignment: dict[str, int] = {}
@@ -95,65 +118,44 @@ def _component_of(model: WorkflowModel, kinds: dict[str, str]) -> dict[str, int]
         for node_id in group:
             assignment[node_id] = index
     candidates: dict[str, set[int]] = {}
-    for src, dst, _ in model.edges:
-        for this, other in ((src, dst), (dst, src)):
-            if kinds[this] in STEP_KINDS:
-                continue
-            component = assignment.get(other)
+    for ports in (roles.ins, roles.params, roles.outs):
+        for step_id, others in ports.items():
+            component = assignment.get(step_id)
             if component is not None:
-                candidates.setdefault(this, set()).add(component)
+                for node_id in others:
+                    candidates.setdefault(node_id, set()).add(component)
     for node_id, components in candidates.items():
         if len(components) == 1:
             assignment[node_id] = components.pop()
     return assignment
 
 
-def _view_nodes(model: WorkflowModel, view: ViewKind) -> list[Node]:
-    if view is ViewKind.COMBINED:
-        return list(model.nodes)
-    if view is ViewKind.PROCESS:
-        return [n for n in model.nodes if n.kind in STEP_KINDS]
-    return [n for n in model.nodes if n.kind in DATA_KINDS]
+def _view(model: WorkflowModel, view: str, roles: _EdgeRoles) -> tuple[list[Node], list[Edge]]:
+    """Nodes and edges of one view. The data view has one edge per (input,
+    output) pair of every step, labeled with the deriving step."""
+    if view == "combined":
+        return model.nodes, roles.flow
+    if view == "process":
+        return [n for n in model.nodes if n.kind in STEP_KINDS], roles.process
+    derived = [
+        Edge(src, dst, node.label)
+        for node in model.nodes
+        if node.kind in STEP_KINDS
+        for src in roles.ins.get(node.id, ())
+        for dst in roles.outs.get(node.id, ())
+    ]
+    return [n for n in model.nodes if n.kind in DATA_KINDS], derived
 
 
-def _view_edges(model: WorkflowModel, view: ViewKind, kinds: dict[str, str]) -> list[Edge]:
-    if view is not ViewKind.DATA:
-        # Step-to-step edges make the process view; the rest the combined one.
-        process = view is ViewKind.PROCESS
-        return [
-            e for e in model.edges
-            if (kinds[e.src] in STEP_KINDS and kinds[e.dst] in STEP_KINDS) == process
-        ]
-    # Data view: one edge per (input, output) pair of every step, labeled
-    # with the deriving step.
-    ins: dict[str, list[str]] = {}
-    outs: dict[str, list[str]] = {}
-    for src, dst, _ in model.edges:
-        if kinds[src] in DATA_KINDS and kinds[dst] in STEP_KINDS:
-            ins.setdefault(dst, []).append(src)
-        elif kinds[src] in STEP_KINDS and kinds[dst] in DATA_KINDS:
-            outs.setdefault(src, []).append(dst)
-    derived = []
-    for node in model.nodes:
-        if node.kind not in STEP_KINDS:
-            continue
-        for src in ins.get(node.id, ()):
-            for dst in outs.get(node.id, ()):
-                derived.append(Edge(src, dst, node.label))
-    return derived
-
-
-def emit_dot(model: WorkflowModel, view) -> str:
+def emit_dot(model: WorkflowModel, view: str) -> str:
     """Serialize one view of a model as a Graphviz DOT digraph.
 
     Independent subworkflow groups are wrapped in ``cluster`` subgraphs so
     the layout keeps them visually separate.
     """
-    view = _as_view(view)
-    kinds = {n.id: n.kind for n in model.nodes}
+    roles = _edge_roles(model, view)
     idents = identifier_map(model)
-    nodes = _view_nodes(model, view)
-    edges = _view_edges(model, view, kinds)
+    nodes, edges = _view(model, view, roles)
 
     def statement(node: Node) -> str:
         attrs = _NODE_ATTRS.get(node.kind, _DATA_ATTRS)
@@ -163,7 +165,7 @@ def emit_dot(model: WorkflowModel, view) -> str:
     clusters: dict[int, list[Node]] = {}
     loose = nodes
     if len(model.components) > 1:
-        assignment = _component_of(model, kinds)
+        assignment = _component_of(model, roles)
         loose = []
         for node in nodes:
             index = assignment.get(node.id)
@@ -188,29 +190,15 @@ def emit_dot(model: WorkflowModel, view) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_yw(model: WorkflowModel, view, name: str = "workflow") -> str:
+def emit_yw(model: WorkflowModel, view: str, name: str = "workflow") -> str:
     """Serialize one view of a model as YesWorkflow comment annotations.
 
     Each step becomes a ``@begin``/``@end`` block listing its data inputs
     and outputs; parameters appear only in the combined view.
     """
-    view = _as_view(view)
+    roles = _edge_roles(model, view)
     idents = identifier_map(model)
     node_order = {node.id: position for position, node in enumerate(model.nodes)}
-    kinds = {n.id: n.kind for n in model.nodes}
-
-    ins: dict[str, list[str]] = {}
-    outs: dict[str, list[str]] = {}
-    params: dict[str, list[str]] = {}
-    for src, dst, _ in model.edges:
-        src_kind, dst_kind = kinds[src], kinds[dst]
-        if dst_kind in STEP_KINDS:
-            if src_kind in DATA_KINDS:
-                ins.setdefault(dst, []).append(src)
-            elif src_kind == "param":
-                params.setdefault(dst, []).append(src)
-        elif src_kind in STEP_KINDS and dst_kind in DATA_KINDS:
-            outs.setdefault(src, []).append(dst)
 
     lines = [f"# @begin {sanitize_identifier(name)}"]
     steps = sorted(
@@ -219,12 +207,12 @@ def emit_yw(model: WorkflowModel, view, name: str = "workflow") -> str:
     )
     for step in steps:
         lines.append(f"# @begin {idents[step.id]}")
-        for data_id in sorted(ins.get(step.id, ()), key=node_order.get):
+        for data_id in sorted(roles.ins.get(step.id, ()), key=node_order.get):
             lines.append(f"# @in {idents[data_id]}")
-        if view is ViewKind.COMBINED:
-            for param_id in sorted(params.get(step.id, ()), key=node_order.get):
+        if view == "combined":
+            for param_id in sorted(roles.params.get(step.id, ()), key=node_order.get):
                 lines.append(f"# @param {idents[param_id]}")
-        for data_id in sorted(outs.get(step.id, ()), key=node_order.get):
+        for data_id in sorted(roles.outs.get(step.id, ()), key=node_order.get):
             lines.append(f"# @out {idents[data_id]}")
         lines.append(f"# @end {idents[step.id]}")
     lines.append(f"# @end {sanitize_identifier(name)}")

@@ -29,20 +29,6 @@ from .errors import EngineError
 from .model import ordering_pairs
 from .recipe import RawOperation, Recipe
 
-SUPPORTED_OPS = frozenset(
-    {
-        "core/text-transform",
-        "core/mass-edit",
-        "core/column-rename",
-        "core/column-removal",
-        "core/column-split",
-        "core/column-addition",
-        "core/fill-down",
-        "core/blank-down",
-    }
-)
-
-
 @dataclass
 class Table:
     """An in-memory grid; every row is aligned to the schema order."""
@@ -296,15 +282,6 @@ class _MutableTable:
         return Table(schema, [list(row) for row in self.rows])
 
 
-def _require_supported(op: RawOperation):
-    if op.op_id not in SUPPORTED_OPS:
-        raise EngineError(
-            "unsupported-op",
-            f"step {op.index} ({op.op_id}) is outside the interpreter subset",
-            step_index=op.index,
-        )
-
-
 def _require_string_param(op: RawOperation, key: str) -> str:
     value = op.params.get(key)
     if not isinstance(value, str):
@@ -326,7 +303,6 @@ def execute(
     """
     state = _MutableTable(table)
     for op in recipe.operations:
-        _require_supported(op)
         _execute_step(state, op, arity_hints)
     return state.to_table()
 
@@ -375,8 +351,12 @@ def _execute_step(state: _MutableTable, op: RawOperation, arity_hints):
         state.require_free(new_label, op)
         state.insert_column(base_position + 1, state.fresh_id(), new_label, values)
 
-    else:  # pragma: no cover - guarded by SUPPORTED_OPS
-        raise AssertionError(op_id)
+    else:
+        raise EngineError(
+            "unsupported-op",
+            f"step {op.index} ({op_id}) is outside the interpreter subset",
+            step_index=op.index,
+        )
 
 
 def execute_order(

@@ -45,18 +45,16 @@ ParsedExpression = tuple[Term, ...]
 
 
 class ExpressionAnalysis(NamedTuple):
-    """What an expression reads. ``opaque`` means: not in the subset,
-    referenced_columns is empty, and callers must apply the conservative
-    fallback. ``references`` holds the same labels in the order the
-    expression first names them."""
+    """What an expression reads: ``references`` are the column labels it
+    names, in the order it first names them. ``opaque`` means: not in the
+    subset, no references, and callers must apply the conservative
+    fallback."""
 
-    referenced_columns: frozenset[str]
-    reads_own_value: bool
+    references: tuple[str, ...]
     opaque: bool
-    references: tuple[str, ...] = ()
 
 
-OPAQUE_ANALYSIS = ExpressionAnalysis(frozenset(), False, True)
+OPAQUE_ANALYSIS = ExpressionAnalysis((), True)
 
 _TOKEN_CHARS = {"+": "plus", ".": "dot", "[": "lbracket", "]": "rbracket",
                 "(": "lparen", ")": "rparen"}
@@ -202,15 +200,7 @@ def analyze_expression(expression: str) -> ExpressionAnalysis:
     if parsed is None:
         return OPAQUE_ANALYSIS
     referenced = []
-    reads_own = False
     for term in parsed:
-        if isinstance(term.base, OwnValue):
-            reads_own = True
-        elif isinstance(term.base, CellRef) and term.base.label not in referenced:
+        if isinstance(term.base, CellRef) and term.base.label not in referenced:
             referenced.append(term.base.label)
-    return ExpressionAnalysis(
-        referenced_columns=frozenset(referenced),
-        reads_own_value=reads_own,
-        opaque=False,
-        references=tuple(referenced),
-    )
+    return ExpressionAnalysis(tuple(referenced), opaque=False)

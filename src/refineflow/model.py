@@ -44,6 +44,7 @@ from . import effects as _effects
 LINEAR = "linear"
 PARALLEL = "parallel"
 COLLAPSED = "collapsed"
+MODEL_KINDS = (LINEAR, PARALLEL, COLLAPSED)
 
 DEFAULT_COLLAPSE_THRESHOLD = 3
 
@@ -60,10 +61,15 @@ def sanitize_identifier(text: str) -> str:
     return _NON_WORD.sub("_", text)
 
 
+# Node kinds: steps (a summary folds a run of steps), data, and "param".
+STEP_KINDS = ("step", "summary")
+DATA_KINDS = ("data_table", "data_column")
+
+
 class Node(NamedTuple):
     """One model node; immutable, and cheap to build positionally."""
 
-    kind: str  # "step" | "data_table" | "data_column" | "param" | "summary"
+    kind: str  # one of STEP_KINDS, DATA_KINDS or "param"
     id: str
     label: str
     step_index: int | None = None
@@ -415,15 +421,10 @@ def build_collapsed(
         raise ValueError("collapse threshold must be >= 2")
     runs = _collapse_runs(recipe, effects, threshold)
     model = _build_column_model(recipe, effects, initial, runs=runs)
-    details = []
-    for start, end in runs:
-        sub_ops = tuple(
-            op._replace(index=pos)
-            for pos, op in enumerate(recipe.operations[start : end + 1])
-        )
-        sub_recipe = Recipe(operations=sub_ops, source_name=recipe.source_name)
-        inner = build_linear(sub_recipe)
-        details.append(DetailModel(parent_summary_id=f"summary_{start}", inner=inner))
+    details = [
+        DetailModel(f"summary_{start}", build_linear(Recipe(recipe.operations[start : end + 1])))
+        for start, end in runs
+    ]
     return model, details
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from types import MappingProxyType
 from typing import Any, NamedTuple
 
 from .errors import RecipeError
@@ -55,8 +54,29 @@ class FrozenRecord(SlotRecord):
         return hash(self._values())
 
 
-# Default of the records' mapping fields: read-only, so sharing it is safe.
-EMPTY_MAPPING: Mapping[str, Any] = MappingProxyType({})
+class _EmptyMapping(Mapping):
+    """The records' empty mapping default: read-only, so one instance is
+    shared, and it pickles and copies as that instance."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "EMPTY_MAPPING"
+
+    def __reduce__(self) -> str:
+        return "EMPTY_MAPPING"
+
+
+EMPTY_MAPPING: Mapping[str, Any] = _EmptyMapping()
 
 
 class RawOperation(NamedTuple):
@@ -171,7 +191,8 @@ def validate_recipe(
                 )
             )
             continue
-        missing = [key for key in spec.required if key not in op.params]
+        required = () if spec.own_list else (spec.own, spec.new_label)
+        missing = [key for key in required if key is not None and key not in op.params]
         if missing:
             diagnostics.append(
                 Diagnostic(

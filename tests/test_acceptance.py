@@ -25,7 +25,6 @@ from refineflow import (
     infer_initial_schema,
     parse_recipe,
     trace_effects,
-    trace_schema,
 )
 from refineflow.cli import main as cli_main
 from conftest import FIXTURES, GOLDEN
@@ -214,7 +213,7 @@ def test_criterion_6_determinism_goldens(menus_recipe, menus_trace):
 def test_criterion_7_schema_trace_agreement(corpus):
     for recipe, table in corpus:
         final = execute(recipe, table).schema
-        traced = trace_schema(recipe, table.schema)[-1]
+        traced = trace_effects(recipe, table.schema)[1][-1]
         assert final == traced
     print(
         f"\nPASS criterion 7: interpreter final schema equals the traced schema "

@@ -52,6 +52,39 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "unreadable-input" in capsys.readouterr().err
 
 
+def test_output_files_follow_the_umask(tmp_path):
+    out = tmp_path / "model.dot"
+    previous = os.umask(0o022)
+    try:
+        status = run_cli(["-i", MASS_EDIT, "-t", "collapsed", "-o", str(out)])
+    finally:
+        os.umask(previous)
+    assert status == 0
+    written = sorted(tmp_path.iterdir())
+    assert [path.name for path in written] == ["model.detail.summary_0.dot", "model.dot"]
+    assert all(path.stat().st_mode & 0o777 == 0o644 for path in written)
+
+
+def test_output_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "model.dot"
+    status = run_cli(["-i", MENUS, "-o", str(out)])
+    assert status == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith(f"error unwritable-output - {out}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_directory_as_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "model.dot"
+    out.mkdir()
+    status = run_cli(["-i", MENUS, "-o", str(out)])
+    assert status == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith(f"error unwritable-output - {out}: ")
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
 def test_recipe_error_exits_1_without_output(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")

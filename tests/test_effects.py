@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from refineflow import (
+    ColumnEffect,
     ColumnId,
     EffectError,
     SchemaState,
@@ -16,9 +17,8 @@ from refineflow import (
     effect_of,
     infer_initial_schema,
     trace_effects,
-    trace_schema,
 )
-from refineflow.effects import EMPTY_EFFECT, split_arity, static_split_arity
+from refineflow.effects import split_arity, static_split_arity
 from conftest import make_recipe
 from recipegen import random_recipe
 
@@ -64,7 +64,7 @@ def test_rename_effect_preserves_schema_size():
     assert effect.reads == {old_id}
     after = apply_effect(schema, effect)
     assert len(after.columns) == len(schema.columns)
-    assert after.label_of(old_id) == "month"
+    assert dict(after.columns)[old_id] == "month"
     assert after.ids() == schema.ids()
 
 
@@ -194,7 +194,7 @@ def test_apply_addition_right_of_base():
 
 def test_apply_empty_effect_is_identity():
     schema = _schema("a")
-    assert apply_effect(schema, EMPTY_EFFECT) == schema
+    assert apply_effect(schema, ColumnEffect()) == schema
 
 
 def test_apply_rename_collision():
@@ -212,7 +212,7 @@ def test_trace_menus_has_nine_states(menus_recipe, menus_trace):
 
 def test_trace_empty_recipe():
     initial = _schema("a")
-    assert trace_schema(make_recipe([]), initial) == [initial]
+    assert trace_effects(make_recipe([]), initial)[1] == [initial]
 
 
 def test_trace_error_names_step():
@@ -224,7 +224,7 @@ def test_trace_error_names_step():
         ]
     )
     with pytest.raises(EffectError) as info:
-        trace_schema(recipe, _schema("a", "b"))
+        trace_effects(recipe, _schema("a", "b"))
     assert info.value.code == "unresolved-column"
     assert info.value.step_index == 2
 
@@ -256,7 +256,7 @@ def test_infer_skips_internally_created_columns():
     schema = infer_initial_schema(recipe)
     assert schema.labels() == ("y",)
     # Tracing over the inferred schema succeeds (minimality).
-    assert len(trace_schema(recipe, schema)) == 3
+    assert len(trace_effects(recipe, schema)[1]) == 3
 
 
 def test_infer_orders_expression_references_by_position():
@@ -314,7 +314,7 @@ def test_conservative_fallback_reads_all_live():
     for _ in range(20):
         recipe, _ = random_recipe(rng)
         initial = infer_initial_schema(recipe)
-        schemas = trace_schema(recipe, initial)
+        schemas = trace_effects(recipe, initial)[1]
         position = rng.randrange(len(recipe) + 1)
         unknown = _single({"op": "vendor/mystery"})
         effect = effect_of(unknown, schemas[position])
@@ -326,7 +326,7 @@ def test_infer_minimality_over_random_recipes():
     for _ in range(30):
         recipe, _ = random_recipe(rng)
         schema = infer_initial_schema(recipe)
-        states = trace_schema(recipe, schema)  # must not raise
+        states = trace_effects(recipe, schema)[1]  # must not raise
         assert len(states) == len(recipe) + 1
 
 
@@ -344,7 +344,7 @@ def test_ids_never_reused():
     )
     schema = _schema("a", "b")
     removed = schema.id_of("b")
-    schemas = trace_schema(recipe, schema)
+    schemas = trace_effects(recipe, schema)[1]
     created = schemas[-1].id_of("c")
     assert created != removed
     assert created == ColumnId(2)

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from refineflow import (
-    ViewKind,
     build_collapsed,
     build_linear,
     build_parallel,
@@ -16,12 +15,10 @@ from refineflow import (
     infer_initial_schema,
     trace_effects,
 )
-from refineflow.emit import identifier_map
+from refineflow.emit import VIEWS, identifier_map
 from conftest import GOLDEN, make_recipe
 from dotcheck import DotSyntaxError, parse_dot
-from recipegen import random_recipe, random_recipe_entries
-
-VIEWS = ("combined", "process", "data")
+from recipegen import acceptance_corpus, random_recipe, random_recipe_entries
 
 
 def _models(recipe):
@@ -290,12 +287,51 @@ def test_identifiers_are_word_characters_for_awkward_labels():
             assert {name: attrs["label"] for name, attrs in graph.nodes.items()} == expected
 
 
-def test_view_kind_accepts_enum_and_string(menus_recipe, menus_trace):
-    _, schemas = menus_trace
+def test_emitters_reject_unknown_view(menus_recipe):
     model = build_linear(menus_recipe)
-    assert emit_dot(model, ViewKind.DATA) == emit_dot(model, "data")
-    with pytest.raises(ValueError):
-        emit_dot(model, "sideways")
+    for emit in (emit_dot, emit_yw):
+        with pytest.raises(ValueError, match="sideways"):
+            emit(model, "sideways")
+
+
+def _yw_ports(text: str) -> dict[str, dict[str, set[str]]]:
+    """Ports of each YW block, by block name, read back from the text."""
+    ports: dict[str, dict[str, set[str]]] = {}
+    block = None
+    for line in text.splitlines():
+        tag, name = re.fullmatch(r"# @(\w+) (\S+)", line).groups()
+        if tag == "begin":
+            block = ports.setdefault(name, {"in": set(), "param": set(), "out": set()})
+        elif tag == "end":
+            block = None
+        else:
+            block[tag].add(name)
+    return ports
+
+
+def test_views_agree_on_every_edge(menus_recipe, mass_edit_recipe):
+    """Combined and process DOT split the model's edges between them, and
+    each YW block's ports are the combined DOT edges at its step."""
+    recipes = [menus_recipe, mass_edit_recipe] + [recipe for recipe, _ in acceptance_corpus()]
+    for recipe in recipes:
+        for model in _models(recipe):
+            idents = identifier_map(model)
+            graph = parse_dot(emit_dot(model, "combined"))
+            combined = [(src, dst) for src, dst, _ in graph.edges]
+            process = [(src, dst) for src, dst, _ in parse_dot(emit_dot(model, "process")).edges]
+            assert not set(combined) & set(process)
+            assert sorted(combined + process) == sorted(
+                (idents[edge.src], idents[edge.dst]) for edge in model.edges
+            )
+            ports = _yw_ports(emit_yw(model, "combined"))
+            steps = {idents[n.id] for n in model.nodes if n.kind in ("step", "summary")}
+            assert set(ports) == steps | {"workflow"}
+            for step in steps:
+                into = {src for src, dst in combined if dst == step}
+                params = {src for src in into if graph.nodes[src]["fillcolor"] == "#FFFFFF"}
+                assert ports[step]["param"] == params
+                assert ports[step]["in"] == into - params
+                assert ports[step]["out"] == {dst for src, dst in combined if src == step}
 
 
 def test_dot_checker_rejects_malformed():

@@ -20,61 +20,57 @@ def regex_references(expression: str) -> set[str]:
 
 def test_to_lowercase_is_own_column_only():
     analysis = analyze_expression("value.toLowercase()")
-    assert analysis.reads_own_value
-    assert analysis.referenced_columns == frozenset()
+    assert analysis.references == ()
     assert not analysis.opaque
 
 
 def test_bare_value():
     analysis = analyze_expression("value")
-    assert analysis.reads_own_value
-    assert analysis.referenced_columns == frozenset()
+    assert analysis.references == ()
     assert not analysis.opaque
 
 
 def test_cell_reference_concatenation():
     expr = 'cells["day"].value + "/" + cells["year"].value'
     analysis = analyze_expression(expr)
-    assert analysis.referenced_columns == frozenset({"day", "year"})
+    assert analysis.references == ("day", "year")
     assert not analysis.opaque
-    assert analysis.referenced_columns == regex_references(expr)
+    assert set(analysis.references) == regex_references(expr)
 
 
 def test_grel_tag_stripped():
     analysis = analyze_expression("grel:value.trim()")
     assert not analysis.opaque
-    assert analysis.reads_own_value
+    assert analysis.references == ()
 
 
 def test_non_grel_tags_opaque():
     for expr in ("jython:return value", "clojure:(identity value)"):
         analysis = analyze_expression(expr)
         assert analysis.opaque
-        assert analysis.referenced_columns == frozenset()
+        assert analysis.references == ()
 
 
 def test_dot_form_reference():
     analysis = analyze_expression("cells.month.value")
-    assert analysis.referenced_columns == frozenset({"month"})
-    assert not analysis.reads_own_value
+    assert analysis.references == ("month",)
 
 
 def test_methods_allowed_on_references():
     analysis = analyze_expression('cells["a"].value.trim().toUppercase()')
-    assert analysis.referenced_columns == frozenset({"a"})
+    assert analysis.references == ("a",)
     assert not analysis.opaque
 
 
 def test_literal_only():
     analysis = analyze_expression('"abc" + \'def\'')
     assert not analysis.opaque
-    assert not analysis.reads_own_value
-    assert analysis.referenced_columns == frozenset()
+    assert analysis.references == ()
 
 
 def test_escaped_quote_in_label():
     analysis = analyze_expression('cells["a\\"b"].value')
-    assert analysis.referenced_columns == frozenset({'a"b'})
+    assert analysis.references == ('a"b',)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +97,7 @@ def test_escaped_quote_in_label():
 def test_unsupported_constructs_opaque(expression):
     analysis = analyze_expression(expression)
     assert analysis.opaque
-    assert analysis.referenced_columns == frozenset()
+    assert analysis.references == ()
 
 
 CORPUS = [
@@ -121,7 +117,8 @@ def test_soundness_against_regex_oracle():
     for expression in CORPUS:
         analysis = analyze_expression(expression)
         assert not analysis.opaque, expression
-        assert analysis.referenced_columns == regex_references(expression), expression
+        assert len(set(analysis.references)) == len(analysis.references), expression
+        assert set(analysis.references) == regex_references(expression), expression
 
 
 def test_monotonic_reference_append():
@@ -130,8 +127,7 @@ def test_monotonic_reference_append():
         base = analyze_expression(expression)
         extended = analyze_expression(expression + ' + cells["zz9"].value')
         assert not extended.opaque
-        assert extended.reads_own_value == base.reads_own_value
-        assert extended.referenced_columns == base.referenced_columns | {"zz9"}
+        assert extended.references == base.references + ("zz9",)
 
 
 def test_parse_expression_shape():
@@ -152,5 +148,4 @@ def test_references_keep_first_mention_order():
         'cells["ab"].value + cells["a"].value + cells["q\\"x"].value + cells["ab"].value'
     )
     assert analysis.references == ("ab", "a", 'q"x')
-    assert analysis.referenced_columns == frozenset(analysis.references)
     assert analyze_expression("value.replace(1)").references == ()

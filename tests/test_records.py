@@ -19,6 +19,7 @@ from refineflow import (
     Diagnostic,
     EffectError,
     ExpressionAnalysis,
+    Node,
     RawOperation,
     Recipe,
     SchemaState,
@@ -31,16 +32,15 @@ from refineflow.expressions import CellRef, Literal, OwnValue, Term
 # Two equal instances of every frozen record, built independently.
 FROZEN = [
     lambda: RawOperation(op_id="core/fill-down", index=0, params={"columnName": "a"}),
-    # Parsed operations always carry a params dict. A defaulted one is the
-    # shared read-only empty mapping, which (like a defaulted Node payload)
-    # cannot be pickled or deep-copied.
-    lambda: Recipe(operations=(RawOperation("core/fill-down", 0, {}),), source_name="r.json"),
+    # Defaulted params and payloads are the shared read-only empty mapping.
+    lambda: Recipe(operations=(RawOperation("core/fill-down", 0),), source_name="r.json"),
+    lambda: Node("data_table", "table_0", "table_0"),
     lambda: Diagnostic("warning", "unknown-op", "text", step_index=2),
     lambda: Literal("c"),
     lambda: OwnValue(),
     lambda: CellRef("c"),
     lambda: Term(base=CellRef("c"), methods=("trim",)),
-    lambda: ExpressionAnalysis(frozenset({"a"}), False, False, ("a",)),
+    lambda: ExpressionAnalysis(("a",), False),
     lambda: OpSpec(params=("columnName",), own="columnName", writes_own=True),
     lambda: SchemaState(columns=((0, "a"), (1, "b")), next_id=2),
     lambda: ColumnEffect(reads=frozenset({0}), writes=frozenset({0}), labels=frozenset({"a"})),
@@ -66,16 +66,17 @@ def test_records_compare_and_copy_by_value(make):
     assert first == second
     assert not first != second
     assert copy.copy(first) == first
+    assert copy.deepcopy(first) == first
     assert pickle.loads(pickle.dumps(first)) == first
     assert repr(first) == repr(second)
     assert type(first).__name__ + "(" in repr(first)
 
 
 def test_hashable_records_hash_by_value():
-    # Records holding a dict or a list are unhashable.
+    # Records holding a mapping or a list are unhashable.
     for make in FROZEN:
         first, second = make(), make()
-        if isinstance(first, (RawOperation, Recipe, DetailModel)):
+        if isinstance(first, (RawOperation, Recipe, Node, DetailModel)):
             with pytest.raises(TypeError):
                 hash(first)
         else:
@@ -104,6 +105,9 @@ def test_raw_operation_default_params_are_not_a_shared_mutable_dict():
     with pytest.raises(TypeError):
         first.params["columnName"] = "a"
     assert second.params == {}
+    assert first.params is second.params
+    assert copy.deepcopy(first.params) is first.params
+    assert pickle.loads(pickle.dumps(first.params)) is first.params
 
 
 def test_mutable_records_get_fresh_defaults():
