@@ -3,8 +3,9 @@
 Exit status: 0 on success, 1 on recipe errors (diagnostics on stderr,
 one line each: ``severity code step message``), 2 on usage errors and on
 an input it cannot read or an output it cannot write. Warnings never
-change the exit status. Each output file is written via a temporary
-file and rename, so a failed write leaves no partial or temporary file.
+change the exit status. All output files are written to temporary files,
+then renamed into place, the main file last: a failed write leaves no
+partial or temporary file, and the previous main output in place.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def _resolve_query_node(workflow: WorkflowModel, node_id: str) -> str:
     raise RefineflowError("unknown-node", f"no node with id or data label {node_id!r}")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write a new file beside ``path``, then rename it over ``path``. The
+def _write_temp(path: str, text: str) -> str:
+    """Write ``text`` to a new file beside ``path``; returns its name. The
     file's mode follows the umask, as with ``open``; a random name already
     taken is skipped, so an existing file is never opened or followed."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -76,10 +77,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
             stream.write(text)
-        os.replace(temp_path, path)
     except BaseException:
         os.unlink(temp_path)
         raise
+    return temp_path
 
 
 def _detail_path(output_path: str, summary_id: str) -> str:
@@ -151,35 +152,40 @@ def run(config: RunConfig, stderr=None) -> int:
         return 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
-    main_text = _emit(workflow, config, name)
-    detail_texts = [
-        (detail.parent_summary_id, _emit(detail.inner, config, detail.parent_summary_id))
-        for detail in details
-    ]
+    outputs = [(config.output_path, _emit(workflow, config, name))]
+    for summary_id, inner in details:
+        outputs.append((_detail_path(config.output_path, summary_id), _emit(inner, config, summary_id)))
 
     if config.output_path == "-":
-        sys.stdout.write(main_text)
-        if detail_texts:
+        sys.stdout.write(outputs[0][1])
+        if details:
             _print_diagnostic(
                 Diagnostic(
                     "warning",
                     "details-skipped",
-                    f"{len(detail_texts)} collapsed-run detail file(s) require a file "
+                    f"{len(details)} collapsed-run detail file(s) require a file "
                     "output path; none were written",
                 ),
                 stderr,
             )
         return 0
 
-    path = config.output_path
+    pending: list[tuple[str, str]] = []  # (temporary file, final path)
     try:
-        _atomic_write(path, main_text)
-        for summary_id, detail_text in detail_texts:
-            path = _detail_path(config.output_path, summary_id)
-            _atomic_write(path, detail_text)
+        for path, text in outputs:
+            pending.append((_write_temp(path, text), path))
+        # Renamed in reverse, so the main file goes last: a failed run
+        # leaves the previous main output in place.
+        while pending:
+            temp_path, path = pending[-1]
+            os.replace(temp_path, path)
+            pending.pop()
     except OSError as exc:
         print(f"error unwritable-output - {path}: {exc.strerror or exc}", file=stderr)
         return 2
+    finally:
+        for temp_path, _ in pending:
+            os.unlink(temp_path)
     return 0
 
 

@@ -10,8 +10,10 @@ the effects and the initial schema only; the schema snapshots of a trace
 serve label resolution and callers that want the live columns at a step.
 
 Each recognized operation id is described once, by an :class:`OpSpec` in
-``CATALOG``. Unknown operation ids fall back to the table-scoped rule: the
-analysis degrades to the sequential interpretation instead of failing.
+``CATALOG``; one reader turns a step's params into labels for both
+:func:`effect_of` and :func:`infer_initial_schema`. Unknown operation ids
+fall back to the table-scoped rule: the analysis degrades to the
+sequential interpretation instead of failing.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ DEFAULT_SPLIT_ARITY = 2
 # snapshot holds the parts, so without a bound one recipe entry could
 # make the trace allocate without limit.
 MAX_SPLIT_PARTS = 1000
-
-_ALL_LIVE = "all live columns"
 
 
 class OpSpec(NamedTuple):
@@ -49,10 +49,8 @@ class OpSpec(NamedTuple):
     the right of the own column. A ``split`` creates "<own> 1" ... "<own> k".
     ``deletes`` removes the own column: always when True, or when the
     parameter it names is truthy. A ``table_scoped`` step reads and
-    writes every live column.
-
-    ``doc`` is the reads / writes / creates / deletes row of the catalog
-    reference.
+    writes every live column. :func:`catalog_reference` renders these
+    fields as the catalog reference.
     """
 
     params: tuple[str, ...] = ()
@@ -65,7 +63,6 @@ class OpSpec(NamedTuple):
     split: bool = False
     deletes: bool | str = False
     table_scoped: bool = False
-    doc: tuple[str, str, str, str] = (_ALL_LIVE, _ALL_LIVE, "-", "-")
 
 
 # The conservative rule: row operations, and any op id outside the catalog.
@@ -76,25 +73,18 @@ CATALOG: dict[str, OpSpec] = {
     "core/text-transform": OpSpec(
         params=("columnName", "expression"),
         own="columnName", expression=True, writes_own=True,
-        doc=(
-            "own column + expression references (all live columns when the expression is opaque)",
-            "own column", "-", "-",
-        ),
     ),
     "core/mass-edit": OpSpec(
         params=("columnName", "expression", "edits"),
         own="columnName", writes_own=True,
-        doc=("own column", "own column", "-", "-"),
     ),
     "core/column-rename": OpSpec(
         params=("oldColumnName", "newColumnName"),
         own="oldColumnName", writes_own=True, new_label="newColumnName", rename=True,
-        doc=("old column", "old column (relabeled)", "-", "-"),
     ),
     "core/column-removal": OpSpec(
         params=("columnName",),
         own="columnName", deletes=True,
-        doc=("removed column", "-", "-", "removed column"),
     ),
     "core/column-split": OpSpec(
         params=(
@@ -102,38 +92,26 @@ CATALOG: dict[str, OpSpec] = {
             "removeOriginalColumn",
         ),
         own="columnName", split=True, deletes="removeOriginalColumn",
-        doc=(
-            "source column", "-", '"<col> 1" ... "<col> k"',
-            "source column when removeOriginalColumn",
-        ),
     ),
     "core/column-addition": OpSpec(
         params=("baseColumnName", "newColumnName", "expression"),
         own="baseColumnName", expression=True, new_label="newColumnName",
-        doc=(
-            "base column + expression references (all live columns when opaque)",
-            "-", "new column", "-",
-        ),
     ),
     "core/column-move": OpSpec(
         params=("columnName",),
         own="columnName", writes_own=True,
-        doc=("moved column", "moved column", "-", "-"),
     ),
     "core/column-reorder": OpSpec(
         params=("columnNames",),
         own="columnNames", own_list=True, writes_own=True,
-        doc=("listed columns", "listed columns", "-", "-"),
     ),
     "core/fill-down": OpSpec(
         params=("columnName",),
         own="columnName", writes_own=True,
-        doc=("own column", "own column", "-", "-"),
     ),
     "core/blank-down": OpSpec(
         params=("columnName",),
         own="columnName", writes_own=True,
-        doc=("own column", "own column", "-", "-"),
     ),
     "core/row-removal": TABLE_SCOPED,
     "core/row-reorder": TABLE_SCOPED,
@@ -145,10 +123,6 @@ CATALOG: dict[str, OpSpec] = {
 def spec_of(op_id: str) -> OpSpec:
     """Catalog entry of an op id; unknown ids get the table-scoped rule."""
     return CATALOG.get(op_id, TABLE_SCOPED)
-
-
-def _deletes_own(spec: OpSpec, params: dict) -> bool:
-    return spec.deletes is True or bool(spec.deletes and params.get(spec.deletes))
 
 
 # Stable identity of a column: survives renames, never reused.
@@ -200,10 +174,10 @@ class ColumnEffect(NamedTuple):
 
     ``creates`` keeps creation order; new columns are inserted immediately
     to the right of ``anchor`` (their source column) when it is live.
-    ``labels`` holds the labels the step gives or takes away: those of the
-    columns it creates, a rename's new label, and the current labels of the
-    columns it renames or deletes. A replay resolves columns by label, so
-    two steps that share one must keep their order.
+    ``labels`` holds the labels the step gives (those of the columns it
+    creates, a rename's new label) and frees (the current label of a column
+    it renames or deletes). A replay resolves columns by label, so two
+    steps that share one must keep their order.
     """
 
     reads: frozenset[ColumnId] = frozenset()
@@ -241,8 +215,7 @@ def _resolve(label, schema: SchemaState, op: RawOperation) -> ColumnId:
     return cid
 
 
-def _param(op: RawOperation, key: str):
-    value = op.params.get(key)
+def _present(value, op: RawOperation, key: str):
     if value is None:
         raise EffectError(
             "missing-param",
@@ -283,17 +256,39 @@ def split_arity(op: RawOperation, arity_hints: dict[str, int] | None = None) -> 
     return parts
 
 
-def _expression_reads(
-    op: RawOperation, schema: SchemaState, own: frozenset[ColumnId]
-) -> frozenset[ColumnId]:
-    """Reads implied by the step's expression; all live columns when opaque."""
-    expression = op.params.get("expression")
-    if expression is None:
-        return schema.live_ids()
-    analysis = analyze_expression(str(expression))
-    if analysis.opaque:
-        return schema.live_ids()
-    return own | frozenset(_resolve(label, schema, op) for label in analysis.references)
+def _read_labels(spec: OpSpec, op: RawOperation, arity_hints: dict[str, int] | None):
+    """A column-scoped step's rule in label terms, read from its params.
+
+    Returns ``(owns, references, opaque, gives, frees)``: the own labels
+    (one, or the listed ones when ``own_list``); the expression's
+    references, and whether it is opaque (an absent expression is); the
+    labels the step gives (split parts, or the ``new_label`` value); the
+    labels it frees (its own, when it renames or deletes it). Values stay
+    as the recipe wrote them, so callers check their types; split parts
+    are read only when the own label is a string.
+    """
+    params = op.params
+    own = params.get(spec.own)
+    if spec.own_list:
+        owns = tuple(own) if isinstance(own, list) else ()
+    else:
+        owns = (own,)
+    references, opaque = (), False
+    if spec.expression:
+        expression = params.get("expression")
+        if expression is None:
+            opaque = True
+        else:
+            references, opaque = analyze_expression(str(expression))
+    gives = ()
+    if spec.split and isinstance(own, str):
+        gives = tuple(f"{own} {k + 1}" for k in range(split_arity(op, arity_hints)))
+    elif spec.new_label is not None:
+        gives = (params.get(spec.new_label),)
+    frees = ()
+    if spec.rename or spec.deletes is True or (spec.deletes and params.get(spec.deletes)):
+        frees = owns
+    return owns, references, opaque, gives, frees
 
 
 def effect_of(
@@ -311,18 +306,16 @@ def effect_of(
         live = schema.live_ids()
         return ColumnEffect(reads=live, writes=live, table_scoped=True)
 
+    owns, references, opaque, gives, frees = _read_labels(spec, op, arity_hints)
     anchor = None
     if spec.own_list:
-        names = op.params.get(spec.own)
-        own = frozenset(_resolve(name, schema, op) for name in (names if isinstance(names, list) else ()))
+        own = frozenset(_resolve(name, schema, op) for name in owns)
     else:
-        label = _param(op, spec.own)
-        anchor = _resolve(label, schema, op)
+        anchor = _resolve(_present(owns[0], op, spec.own), schema, op)
         own = frozenset({anchor})
 
-    new_label = None
     if spec.new_label is not None:
-        new_label = _param(op, spec.new_label)
+        new_label = _present(gives[0], op, spec.new_label)
         if not isinstance(new_label, str):
             raise EffectError(
                 "missing-param",
@@ -330,27 +323,20 @@ def effect_of(
                 step_index=op.index,
             )
 
-    creates: tuple[tuple[ColumnId, str], ...] = ()
-    if spec.split:
-        parts = split_arity(op, arity_hints)
-        creates = tuple((schema.next_id + k, f"{label} {k + 1}") for k in range(parts))
-    elif new_label is not None and not spec.rename:
-        creates = ((schema.next_id, new_label),)
-
-    deletes = own if _deletes_own(spec, op.params) else frozenset()
-    labels = {created for _, created in creates}
-    if spec.rename:
-        labels |= {label, new_label}
-    if deletes:
-        labels.add(label)
+    reads = schema.live_ids() if opaque else own  # opaque means no references
+    if references:
+        reads = own | frozenset(_resolve(name, schema, op) for name in references)
+    creates = () if spec.rename or not gives else tuple(
+        (schema.next_id + k, name) for k, name in enumerate(gives)
+    )
     return ColumnEffect(
-        reads=_expression_reads(op, schema, own) if spec.expression else own,
+        reads=reads,
         writes=own if spec.writes_own else frozenset(),
         creates=creates,
-        deletes=deletes,
+        deletes=own if frees and not spec.rename else frozenset(),
         renames=((anchor, new_label),) if spec.rename else (),
         anchor=anchor if creates else None,
-        labels=frozenset(labels),
+        labels=frozenset(gives + frees),
     )
 
 
@@ -425,63 +411,55 @@ def infer_initial_schema(
     a recipe no schema can satisfy.
     """
     assumed: list[str] = []
-    live: set[str] = set()
-    consumed: set[str] = set()
-
-    def need(label):
-        if not isinstance(label, str) or label in live or label in consumed:
-            return
-        assumed.append(label)
-        live.add(label)
-
-    def produce(label: str):
-        live.add(label)
-        consumed.discard(label)
-
-    def drop(label: str):
-        live.discard(label)
-        consumed.add(label)
-
+    known: set[str] = set()  # labels assumed, given or freed so far
     for op in recipe.operations:
         spec = spec_of(op.op_id)
-        params = op.params
-        own = params.get(spec.own)
-        if spec.own_list:
-            for name in own if isinstance(own, list) else ():
-                need(name)
-        else:
-            need(own)
-        expression = params.get("expression") if spec.expression else None
-        if expression is not None:
-            for label in analyze_expression(str(expression)).references:
-                need(label)
-        if isinstance(own, str):
-            if spec.rename or _deletes_own(spec, params):
-                drop(own)
-            if spec.split:
-                for k in range(split_arity(op, arity_hints)):
-                    produce(f"{own} {k + 1}")
-        new_label = params.get(spec.new_label)
-        if isinstance(new_label, str):
-            produce(new_label)
+        if spec.table_scoped:
+            continue
+        owns, references, _, gives, frees = _read_labels(spec, op, arity_hints)
+        for label in owns + references:
+            if isinstance(label, str) and label not in known:
+                assumed.append(label)
+                known.add(label)
+        for label in gives + frees:
+            if isinstance(label, str):
+                known.add(label)
     return SchemaState.from_labels(assumed)
 
 
 def catalog_reference() -> str:
-    """Markdown reference of the operation catalog, one row per op id."""
+    """Markdown reference of the operation catalog, one row per op id,
+    derived from each :class:`OpSpec`'s rule fields."""
     lines = [
         "# Operation effect catalog",
         "",
-        "Column effects assigned to each recognized operation id. Operations",
-        "marked table-scoped touch the row structure of every column and are",
-        "never reordered against anything.",
+        "Column effects assigned to each recognized operation id. A name in",
+        "backticks is the recipe parameter that holds the column label.",
+        "Operations marked table-scoped touch the row structure of every",
+        "column and are never reordered against anything.",
         "",
         "| op id | reads | writes | creates | deletes | table-scoped |",
         "|---|---|---|---|---|---|",
     ]
-    rows = [*CATALOG.items(), ("(any other op id)", TABLE_SCOPED)]
-    for op_id, spec in rows:
-        flag = "yes" if spec.table_scoped else "no"
-        lines.append("| " + " | ".join((op_id, *spec.doc, flag)) + " |")
+    for op_id, spec in [*CATALOG.items(), ("(any other op id)", TABLE_SCOPED)]:
+        if spec.table_scoped:
+            lines.append(f"| {op_id} | all live columns | all live columns | - | - | yes |")
+            continue
+        own = f"columns listed in `{spec.own}`" if spec.own_list else f"`{spec.own}`"
+        reads = own
+        if spec.expression:
+            reads += " + expression references (all live columns when opaque)"
+        writes = own if spec.writes_own else "-"
+        if spec.rename:
+            writes += f" (relabeled `{spec.new_label}`)"
+        creates = "-"
+        if spec.split:
+            creates = f'"<{own}> 1" ... "<{own}> k"'
+        elif spec.new_label is not None and not spec.rename:
+            creates = f"`{spec.new_label}`"
+        deletes = "-"
+        if spec.deletes:
+            deletes = own if spec.deletes is True else f"{own} when `{spec.deletes}`"
+        lines.append(f"| {op_id} | {reads} | {writes} | {creates} | {deletes} | no |")
     lines.append("")
     return "\n".join(lines)

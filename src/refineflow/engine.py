@@ -26,7 +26,7 @@ from . import expressions as ex
 from .effects import ColumnId, SchemaState
 from . import effects as _effects
 from .errors import EngineError
-from .model import ordering_pairs
+from .model import dependency_edges
 from .recipe import RawOperation, Recipe
 
 @dataclass
@@ -380,7 +380,7 @@ def execute_order(
     if sorted(order) != list(range(n)):
         raise EngineError("invalid-order", f"order {order!r} is not a permutation of 0..{n - 1}")
     position = {step: rank for rank, step in enumerate(order)}
-    for i, j in ordering_pairs(effects):
+    for i, j in dependency_edges(effects):
         if position[i] > position[j]:
             raise EngineError(
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"

@@ -19,10 +19,10 @@ Two steps that give or take away the same column label (a rename freeing
 as OpenRefine would replay it.
 
 :func:`commutes` is the pairwise definition of a conflict.
-:func:`dependency_edges` sweeps the steps once and returns a generating
-set of conflicts, linear in the total effect size, whose transitive
-closure is the conflict relation. A DAG has exactly one transitive
-reduction, so the process edges are those of the full relation.
+:func:`dependency_edges` orders the steps: the chain above, or one sweep's
+generating set of conflicts, linear in the total effect size, whose
+transitive closure is the conflict relation. A DAG has exactly one
+transitive reduction, so the process edges are those of the full relation.
 
 The builders read the recipe, the step effects and the initial schema,
 nothing else: the column-level models follow each column's current label
@@ -131,35 +131,23 @@ def commutes(a: ColumnEffect, b: ColumnEffect) -> bool:
 
 
 def dependency_edges(effects: list[ColumnEffect]) -> set[tuple[int, int]]:
-    """Step pairs (i, j), i < j, whose transitive closure is the conflict relation.
+    """Step pairs (i, j), i < j, that every execution order must respect.
 
-    :func:`commutes` is the pairwise definition. Every returned pair is a
-    conflict, but not every conflict is returned: one forward sweep keeps,
-    per column id, the last step that changed it and the steps that read it
-    since, and per label the last step that gave or took it away. A read
-    follows the last change; a change follows the last change and every
-    read since; a label follows its last holder. A table-scoped step is a
-    barrier: it follows the previous barrier and every step since, and
-    every later step follows it.
+    The recorded chain when any effect is table-scoped. Otherwise their
+    transitive closure is the conflict relation, of which :func:`commutes`
+    is the pairwise definition, but not every conflict is returned: one
+    forward sweep keeps, per column id, the last step that changed it and
+    the steps that read it since, and per label the last step that gave or
+    took it away. A read follows the last change; a change follows the last
+    change and every read since; a label follows its last holder.
     """
+    if any(effect.table_scoped for effect in effects):
+        return {(i, i + 1) for i in range(len(effects) - 1)}
     pairs: set[tuple[int, int]] = set()
     changer: dict[ColumnId, int] = {}
     readers: dict[ColumnId, list[int]] = {}
     holder: dict[str, int] = {}
-    barrier = None
-    since_barrier: list[int] = []
     for j, effect in enumerate(effects):
-        if effect.table_scoped:
-            pairs.update((i, j) for i in since_barrier)
-            changer.clear()
-            readers.clear()
-            holder.clear()
-            barrier = j
-            since_barrier = [j]
-            continue
-        if barrier is not None:
-            pairs.add((barrier, j))
-        since_barrier.append(j)
         outputs = effect.output_ids()
         for cid in effect.reads:
             if cid in changer:
@@ -176,17 +164,6 @@ def dependency_edges(effects: list[ColumnEffect]) -> set[tuple[int, int]]:
                 pairs.add((holder[label], j))
             holder[label] = j
     return pairs
-
-
-def ordering_pairs(effects: list[ColumnEffect]) -> set[tuple[int, int]]:
-    """Step pairs (i, j), i < j, that every execution order must respect.
-
-    Any table-scoped effect forces the full recorded chain, so that
-    conservative steps are never reordered across.
-    """
-    if any(effect.table_scoped for effect in effects):
-        return {(i, i + 1) for i in range(len(effects) - 1)}
-    return dependency_edges(effects)
 
 
 def _transitive_reduction(n: int, pairs: set[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -384,7 +361,7 @@ def _build_column_model(
             edges.append(Edge(node_id, materialize(cid, 0, name)))
         start = end + 1
 
-    pairs = ordering_pairs(effects)
+    pairs = dependency_edges(effects)
     if runs:
         # Quotient by group: a run's steps share its summary node.
         pairs = {(group_of[i], group_of[j]) for i, j in pairs if group_of[i] != group_of[j]}

@@ -85,6 +85,18 @@ def test_directory_as_output_exits_2(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_failed_detail_write_keeps_main_output_unwritten(tmp_path, capsys):
+    out = tmp_path / "model.dot"
+    blocker = tmp_path / "model.detail.summary_0.dot"
+    blocker.mkdir()
+    status = run_cli(["-i", MASS_EDIT, "-t", "collapsed", "-o", str(out)])
+    assert status == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith(f"error unwritable-output - {blocker}: ")
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert list(blocker.iterdir()) == []
+
+
 def test_recipe_error_exits_1_without_output(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")

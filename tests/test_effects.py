@@ -20,7 +20,7 @@ from refineflow import (
 )
 from refineflow.effects import split_arity, static_split_arity
 from conftest import make_recipe
-from recipegen import random_recipe
+from recipegen import acceptance_corpus, random_recipe
 
 
 def _schema(*labels: str) -> SchemaState:
@@ -321,13 +321,17 @@ def test_conservative_fallback_reads_all_live():
         assert effect.reads >= schemas[position].live_ids()
 
 
-def test_infer_minimality_over_random_recipes():
+def test_infer_minimality_over_random_recipes(menus_recipe, mass_edit_recipe):
+    """The inferred schema suffices (tracing succeeds) and is minimal:
+    some step reads each of its columns."""
     rng = random.Random(103)
-    for _ in range(30):
-        recipe, _ = random_recipe(rng)
+    recipes = [random_recipe(rng)[0] for _ in range(30)]
+    recipes += [recipe for recipe, _ in acceptance_corpus()]
+    for recipe in (*recipes, menus_recipe, mass_edit_recipe):
         schema = infer_initial_schema(recipe)
-        states = trace_effects(recipe, schema)[1]  # must not raise
+        effects, states = trace_effects(recipe, schema)  # must not raise
         assert len(states) == len(recipe) + 1
+        assert schema.live_ids() <= frozenset().union(*(effect.reads for effect in effects))
 
 
 def test_ids_never_reused():

@@ -116,6 +116,15 @@ def test_pins_cover_the_catalog():
     assert UNKNOWN_OP not in CATALOG
 
 
+@pytest.mark.parametrize("op_id", sorted(CATALOG))
+def test_rule_params_are_consumed_params(op_id):
+    # The catalog reference names these params; validate_recipe reports
+    # any key outside spec.params as unused.
+    spec = CATALOG[op_id]
+    named = [spec.own, spec.new_label, spec.deletes if isinstance(spec.deletes, str) else None]
+    assert {key for key in named if key is not None} <= set(spec.params)
+
+
 @pytest.mark.parametrize("op_id", sorted(OPS))
 def test_inferred_schema_traces_and_covers_reads(op_id):
     params, labels, expected = OPS[op_id]
