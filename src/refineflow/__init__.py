@@ -27,7 +27,6 @@ from .errors import (
 )
 from .expressions import ExpressionAnalysis, analyze_expression
 from .model import (
-    DetailModel,
     Edge,
     Node,
     WorkflowModel,
@@ -36,6 +35,7 @@ from .model import (
     build_parallel,
     commutes,
     dependency_edges,
+    detail_model,
     downstream_impact,
     upstream_lineage,
 )
@@ -59,7 +59,6 @@ def __getattr__(name: str):
 __all__ = [
     "ColumnEffect",
     "ColumnId",
-    "DetailModel",
     "Diagnostic",
     "Edge",
     "EffectError",
@@ -82,6 +81,7 @@ __all__ = [
     "catalog_reference",
     "commutes",
     "dependency_edges",
+    "detail_model",
     "downstream_impact",
     "effect_of",
     "emit_dot",

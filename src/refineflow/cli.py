@@ -6,6 +6,12 @@ an input it cannot read or an output it cannot write. Warnings never
 change the exit status. All output files are written to temporary files,
 then renamed into place, the main file last: a failed write leaves no
 partial or temporary file, and the previous main output in place.
+
+A collapsed model also gets one detail file per summary node it writes
+(after a query, the summaries the query kept): the linear model of the
+folded run, named ``<stem>.detail.<summary id><ext>``. Standard output
+carries the main text only; detail models are then not built, and a
+``details-skipped`` warning gives their count.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import sys
 from . import effects, model
 from .emit import VIEWS, emit_dot, emit_yw
 from .errors import RefineflowError
-from .model import DATA_KINDS, DetailModel, WorkflowModel
+from .model import DATA_KINDS, WorkflowModel
 from .recipe import Diagnostic, SlotRecord, parse_recipe, validate_recipe
 
 FORMATS = ("dot", "yw")
@@ -113,30 +119,22 @@ def run(config: RunConfig, stderr=None) -> int:
         return 2
 
     try:
-        recipe = parse_recipe(text, source_name=os.path.basename(config.input_path))
-    except RefineflowError as exc:
-        _error_line(exc, stderr)
-        return 1
+        recipe = parse_recipe(text)
+        hints = config.split_arity_overrides
+        diagnostics = validate_recipe(recipe, hints)
+        for diag in diagnostics:
+            _print_diagnostic(diag, stderr)
+        if any(d.severity == "error" for d in diagnostics):
+            return 1
 
-    hints = config.split_arity_overrides
-    diagnostics = validate_recipe(recipe, hints)
-    for diag in diagnostics:
-        _print_diagnostic(diag, stderr)
-    if any(d.severity == "error" for d in diagnostics):
-        return 1
-
-    try:
         initial = effects.infer_initial_schema(recipe, hints)
         effect_list, _ = effects.trace_effects(recipe, initial, hints)
-        details: list[DetailModel] = []
         if config.model_kind == model.LINEAR:
             workflow = model.build_linear(recipe)
         elif config.model_kind == model.PARALLEL:
             workflow = model.build_parallel(recipe, effect_list, initial)
         else:
-            workflow, details = model.build_collapsed(
-                recipe, effect_list, initial, config.collapse_threshold
-            )
+            workflow = model.build_collapsed(recipe, effect_list, initial, config.collapse_threshold)
 
         if config.query is not None:
             direction, raw_node = config.query
@@ -145,31 +143,30 @@ def run(config: RunConfig, stderr=None) -> int:
                 workflow = model.upstream_lineage(workflow, node_id)
             else:
                 workflow = model.downstream_impact(workflow, node_id)
-            kept = set(workflow.node_map())
-            details = [d for d in details if d.parent_summary_id in kept]
     except RefineflowError as exc:
         _error_line(exc, stderr)
         return 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
-    outputs = [(config.output_path, _emit(workflow, config, name))]
-    for summary_id, inner in details:
-        outputs.append((_detail_path(config.output_path, summary_id), _emit(inner, config, summary_id)))
-
+    main_text = _emit(workflow, config, name)
+    summaries = [node for node in workflow.nodes if node.kind == "summary"]
     if config.output_path == "-":
-        sys.stdout.write(outputs[0][1])
-        if details:
-            _print_diagnostic(
-                Diagnostic(
-                    "warning",
-                    "details-skipped",
-                    f"{len(details)} collapsed-run detail file(s) require a file "
-                    "output path; none were written",
-                ),
-                stderr,
+        sys.stdout.write(main_text)
+        if summaries:
+            print(
+                f"warning details-skipped - {len(summaries)} collapsed-run detail file(s) "
+                "require a file output path; none were written",
+                file=stderr,
             )
         return 0
 
+    outputs = [(config.output_path, main_text)] + [
+        (
+            _detail_path(config.output_path, summary.id),
+            _emit(model.detail_model(recipe, summary), config, summary.id),
+        )
+        for summary in summaries
+    ]
     pending: list[tuple[str, str]] = []  # (temporary file, final path)
     try:
         for path, text in outputs:

@@ -386,7 +386,7 @@ def execute_order(
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"
             )
 
-    permuted = Recipe(tuple(recipe.operations[step] for step in order), recipe.source_name)
+    permuted = Recipe(tuple(recipe.operations[step] for step in order))
     replayed = execute(permuted, table, arity_hints)
     recorded = {label: cid for cid, label in states[-1].columns}
     schema = SchemaState(

@@ -5,7 +5,9 @@ chain of table snapshots and steps. The parallel model works at column
 granularity: two steps stay unordered exactly when their effects commute,
 so independent cleaning threads become disconnected subworkflows. The
 collapsed model additionally folds long runs of near-identical steps into
-summary nodes, with the folded steps preserved in per-run detail models.
+summary nodes. Each builder returns one :class:`WorkflowModel`: a summary
+node's payload names the steps it folds, and :func:`detail_model` expands
+it into their linear model.
 
 Any table-scoped effect (row operations, unknown ops) forces total
 serialization: the parallel step order degenerates to the recorded chain,
@@ -101,13 +103,6 @@ class WorkflowModel(SlotRecord):
 
     def node_map(self) -> dict[str, Node]:
         return {node.id: node for node in self.nodes}
-
-
-class DetailModel(NamedTuple):
-    """Linear expansion of one collapsed run, kept for separate emission."""
-
-    parent_summary_id: str
-    inner: WorkflowModel
 
 
 def commutes(a: ColumnEffect, b: ColumnEffect) -> bool:
@@ -387,22 +382,22 @@ def build_collapsed(
     effects: list[ColumnEffect],
     initial: SchemaState,
     threshold: int = DEFAULT_COLLAPSE_THRESHOLD,
-) -> tuple[WorkflowModel, list[DetailModel]]:
+) -> WorkflowModel:
     """Parallel model with long same-shaped runs folded into summary nodes.
 
     A run is a maximal group of >= threshold consecutive steps sharing the
-    same op id and the same output column set. Each folded run is returned
-    as a linear :class:`DetailModel` for separate emission.
+    same op id and the same output column set. :func:`detail_model` expands
+    a summary node into the linear model of its run.
     """
     if threshold < 2:
         raise ValueError("collapse threshold must be >= 2")
-    runs = _collapse_runs(recipe, effects, threshold)
-    model = _build_column_model(recipe, effects, initial, runs=runs)
-    details = [
-        DetailModel(f"summary_{start}", build_linear(Recipe(recipe.operations[start : end + 1])))
-        for start, end in runs
-    ]
-    return model, details
+    return _build_column_model(recipe, effects, initial, _collapse_runs(recipe, effects, threshold))
+
+
+def detail_model(recipe: Recipe, summary: Node) -> WorkflowModel:
+    """Linear model of the steps a collapsed model's summary node folds."""
+    first, last = summary.payload["first_index"], summary.payload["last_index"]
+    return build_linear(Recipe(recipe.operations[first : last + 1]))
 
 
 def _induced_subgraph(model: WorkflowModel, keep: set[str]) -> WorkflowModel:

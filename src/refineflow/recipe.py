@@ -95,10 +95,10 @@ class RawOperation(NamedTuple):
 class Recipe(FrozenRecord):
     """An ordered operation history. An empty history is valid."""
 
-    __slots__ = ("operations", "source_name")
+    __slots__ = ("operations",)
 
-    def __init__(self, operations: tuple[RawOperation, ...] = (), source_name: str | None = None):
-        self._set(operations, source_name)
+    def __init__(self, operations: tuple[RawOperation, ...] = ()):
+        self._set(operations)
 
     def __len__(self) -> int:
         return len(self.operations)
@@ -117,7 +117,7 @@ class Diagnostic(NamedTuple):
     step_index: int | None = None
 
 
-def parse_recipe(text: str, source_name: str | None = None) -> Recipe:
+def parse_recipe(text: str) -> Recipe:
     """Parse an exported operation history into a :class:`Recipe`.
 
     Accepts the usual top-level array, or a single operation object which
@@ -163,7 +163,7 @@ def parse_recipe(text: str, source_name: str | None = None) -> Recipe:
         operations.append(
             RawOperation(op_id=op_id, index=index, params=params, description=description)
         )
-    return Recipe(operations=tuple(operations), source_name=source_name)
+    return Recipe(operations=tuple(operations))
 
 
 def validate_recipe(

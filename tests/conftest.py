@@ -25,7 +25,7 @@ def menus_text() -> str:
 
 @pytest.fixture(scope="session")
 def menus_recipe(menus_text) -> Recipe:
-    return parse_recipe(menus_text, source_name="menus_recipe.json")
+    return parse_recipe(menus_text)
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +43,7 @@ def menus_table() -> Table:
 @pytest.fixture(scope="session")
 def mass_edit_recipe() -> Recipe:
     text = (FIXTURES / "mass_edit_run.json").read_text(encoding="utf-8")
-    return parse_recipe(text, source_name="mass_edit_run.json")
+    return parse_recipe(text)
 
 
 def make_recipe(entries: list[dict]) -> Recipe:

@@ -202,7 +202,7 @@ def random_recipe(rng: random.Random) -> tuple[Recipe, Table]:
     labels = [f"c{k}" for k in range(column_count)]
     op_count = rng.randint(5, 15)
     entries = random_recipe_entries(rng, op_count, labels)
-    recipe = parse_recipe(json.dumps(entries), source_name="generated")
+    recipe = parse_recipe(json.dumps(entries))
     table = random_table(rng, labels, rows=20)
     return recipe, table
 

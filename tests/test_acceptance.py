@@ -18,6 +18,7 @@ from refineflow import (
     build_linear,
     build_parallel,
     dependency_edges,
+    detail_model,
     emit_dot,
     emit_yw,
     execute,
@@ -150,12 +151,12 @@ def test_criterion_4_conservative_fallback(corpus):
 def test_criterion_5_collapse_accounting(mass_edit_recipe, corpus, tmp_path):
     initial = infer_initial_schema(mass_edit_recipe)
     effects, schemas = trace_effects(mass_edit_recipe, initial)
-    model, details = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
     summaries = [n for n in model.nodes if n.kind == "summary"]
     assert len(summaries) == 1
     assert summaries[0].payload["count"] == 10
-    assert len(details) == 1
-    assert len([n for n in details[0].inner.nodes if n.kind == "step"]) == 10
+    detail = detail_model(mass_edit_recipe, summaries[0])
+    assert len([n for n in detail.nodes if n.kind == "step"]) == 10
 
     out = tmp_path / "collapsed.dot"
     status = cli_main(
@@ -173,7 +174,7 @@ def test_criterion_5_collapse_accounting(mass_edit_recipe, corpus, tmp_path):
         initial = infer_initial_schema(recipe)
         effects, schemas = trace_effects(recipe, initial)
         threshold = rng.choice([2, 3, 5])
-        collapsed, _ = build_collapsed(recipe, effects, schemas[0], threshold)
+        collapsed = build_collapsed(recipe, effects, schemas[0], threshold)
         steps = [n for n in collapsed.nodes if n.kind == "step"]
         counts = [n.payload["count"] for n in collapsed.nodes if n.kind == "summary"]
         assert len(steps) + sum(counts) == len(recipe)

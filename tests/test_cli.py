@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from refineflow import cli, model
 from refineflow.cli import RunConfig, main, run
 from refineflow.effects import MAX_SPLIT_PARTS
 from conftest import FIXTURES
@@ -127,6 +128,30 @@ def test_unresolved_column_exits_1(tmp_path, capsys):
     assert "error unresolved-column 1 " in err
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"},
+        {
+            "op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b",
+            "expression": "value",
+        },
+    ],
+    ids=["rename", "addition"],
+)
+def test_label_collision_names_its_step(tmp_path, capsys, step):
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(
+        json.dumps([{"op": "core/text-transform", "columnName": "b", "expression": "value"}, step]),
+        encoding="utf-8",
+    )
+    out = tmp_path / "never.dot"
+    assert run_cli(["-i", str(recipe), "-o", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error label-collision 1 duplicate column label 'b'"
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     recipe = tmp_path / "latin1.json"
     recipe.write_bytes(b'[{"op": "core/fill-down", "columnName": "caf\xe9"}]')
@@ -201,6 +226,28 @@ def test_stdout_collapsed_warns_about_details(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("digraph workflow {")
     assert "details-skipped" in captured.err
+
+
+def test_stdout_collapsed_builds_no_detail_model(monkeypatch, capsys):
+    emitted, built = [], []
+    emit_dot, build_linear = cli.emit_dot, model.build_linear
+
+    def counting_emit(*args, **kwargs):
+        emitted.append(args)
+        return emit_dot(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return build_linear(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "emit_dot", counting_emit)
+    monkeypatch.setattr(model, "build_linear", counting_build)
+    assert run_cli(["-i", MASS_EDIT, "-t", "collapsed", "-o", "-"]) == 0
+    assert (len(emitted), len(built)) == (1, 0)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "warning details-skipped - 1 collapsed-run detail file(s) require a file "
+        "output path; none were written"
+    )
 
 
 def test_query_upstream_restricts_output(tmp_path):

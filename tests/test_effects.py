@@ -205,6 +205,28 @@ def test_apply_rename_collision():
     assert info.value.code == "label-collision"
 
 
+# Each step gives the label "b" while the column "b" is live.
+GIVES_LIVE_LABEL = {
+    "rename": {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"},
+    "addition": {
+        "op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b",
+        "expression": "value",
+    },
+}
+
+
+@pytest.mark.parametrize("step", GIVES_LIVE_LABEL.values(), ids=GIVES_LIVE_LABEL.keys())
+def test_trace_label_collision_names_its_step(step):
+    recipe = make_recipe(
+        [{"op": "core/text-transform", "columnName": "b", "expression": "value.trim()"}, step]
+    )
+    with pytest.raises(EffectError) as info:
+        trace_effects(recipe, infer_initial_schema(recipe))
+    assert info.value.code == "label-collision"
+    assert info.value.step_index == 1
+    assert info.value.message == "duplicate column label 'b'"
+
+
 def test_trace_menus_has_nine_states(menus_recipe, menus_trace):
     _, schemas = menus_trace
     assert len(schemas) == len(menus_recipe) + 1 == 9

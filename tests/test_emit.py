@@ -10,6 +10,7 @@ from refineflow import (
     build_collapsed,
     build_linear,
     build_parallel,
+    detail_model,
     emit_dot,
     emit_yw,
     infer_initial_schema,
@@ -26,8 +27,9 @@ def _models(recipe):
     effects, schemas = trace_effects(recipe, initial)
     linear = build_linear(recipe)
     parallel = build_parallel(recipe, effects, schemas[0])
-    collapsed, details = build_collapsed(recipe, effects, schemas[0], threshold=3)
-    return [linear, parallel, collapsed] + [d.inner for d in details]
+    collapsed = build_collapsed(recipe, effects, schemas[0], threshold=3)
+    details = [detail_model(recipe, n) for n in collapsed.nodes if n.kind == "summary"]
+    return [linear, parallel, collapsed] + details
 
 
 def check_yw_nesting(text: str) -> list[str]:
@@ -185,7 +187,7 @@ def test_dot_escapes_quotes():
 def test_summary_node_rendered_with_double_border(mass_edit_recipe):
     initial = infer_initial_schema(mass_edit_recipe)
     effects, schemas = trace_effects(mass_edit_recipe, initial)
-    model, _ = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
     graph = parse_dot(emit_dot(model, "process"))
     (summary_name,) = list(graph.nodes)
     assert graph.nodes[summary_name]["peripheries"] == "2"
@@ -260,6 +262,19 @@ def test_identifier_sanitization_collision():
     labels = sorted(attrs["label"] for attrs in graph.nodes.values())
     assert labels == sorted(["a b", "a b", "a_b", "a_b"])
     assert len(graph.nodes) == 4  # distinct identifiers despite equal sanitization
+
+
+def test_suffixed_step_name_colliding_with_a_label_stays_unique():
+    # The two "a" steps become a_0 and a_1; the step labelled "a_1" then
+    # takes one more underscore.
+    recipe = make_recipe([{"op": "x/a"}, {"op": "x/a"}, {"op": "x/a_1"}])
+    linear, parallel = _models(recipe)[:2]
+    graph = parse_dot(emit_dot(parallel, "process"))
+    assert {name: attrs["label"] for name, attrs in graph.nodes.items()} == {
+        "a_0": "a", "a_1": "a", "a_1_": "a_1",
+    }
+    assert graph.edges == [("a_0", "a_1", {}), ("a_1", "a_1_", {})]
+    assert check_yw_nesting(emit_yw(linear, "process", name="w")) == ["w", "a_0", "a_1", "a_1_"]
 
 
 def test_identifiers_are_word_characters_for_awkward_labels():

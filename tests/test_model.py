@@ -15,6 +15,7 @@ from refineflow import (
     build_parallel,
     commutes,
     dependency_edges,
+    detail_model,
     downstream_impact,
     infer_initial_schema,
     trace_effects,
@@ -285,7 +286,7 @@ def test_payload_get_works_on_every_node_kind(menus_recipe, menus_trace, mass_ed
     models = [
         build_linear(menus_recipe),
         build_parallel(menus_recipe, effects, schemas[0]),
-        build_collapsed(mass_edit_recipe, mass_effects, mass_initial)[0],
+        build_collapsed(mass_edit_recipe, mass_effects, mass_initial),
     ]
     kinds = set()
     for model in models:
@@ -459,17 +460,15 @@ def test_parallel_version_chains_are_consistent(menus_recipe, menus_trace):
 
 def test_collapse_run_of_ten(mass_edit_recipe):
     effects, schemas = _models_for(mass_edit_recipe)
-    model, details = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
     summaries = [n for n in model.nodes if n.kind == "summary"]
     assert len(summaries) == 1
     summary = summaries[0]
     assert summary.payload["count"] == 10
     assert summary.label == "core/mass-edit × 10"
     assert [n.kind for n in model.nodes if n.kind == "step"] == []
-    assert len(details) == 1
-    assert details[0].parent_summary_id == summary.id
-    inner_steps = [n for n in details[0].inner.nodes if n.kind == "step"]
-    assert len(inner_steps) == 10
+    inner_steps = [n for n in detail_model(mass_edit_recipe, summary).nodes if n.kind == "step"]
+    assert [n.payload["op_id"] for n in inner_steps] == ["core/mass-edit"] * 10
 
 
 def test_collapse_folds_a_rename_run():
@@ -479,7 +478,7 @@ def test_collapse_folds_a_rename_run():
     ] + [{"op": "core/text-transform", "columnName": "x5", "expression": "value.trim()"}]
     recipe = make_recipe(entries)
     effects, schemas = _models_for(recipe)
-    model, details = build_collapsed(recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(recipe, effects, schemas[0], threshold=3)
     kinds = {n.id: n.kind for n in model.nodes}
 
     def columns(node_id: str, into: bool) -> list[str]:
@@ -490,8 +489,8 @@ def test_collapse_folds_a_rename_run():
     assert columns("summary_0", into=False) == ["x5_v5"]
     assert columns("step_5", into=True) == ["x5_v5"]
     assert columns("step_5", into=False) == ["x5_v6"]
-    assert [detail.parent_summary_id for detail in details] == ["summary_0"]
-    inner = details[0].inner
+    assert [n.id for n in model.nodes if n.kind == "summary"] == ["summary_0"]
+    inner = detail_model(recipe, model.node_map()["summary_0"])
     assert inner.model_kind == "linear"
     assert [n.label for n in inner.nodes if n.kind == "step"] == ["column-rename"] * 5
     chain = [
@@ -511,8 +510,7 @@ def test_collapse_below_threshold_keeps_steps():
     ] * 2
     recipe = make_recipe(entries)
     effects, schemas = _models_for(recipe)
-    model, details = build_collapsed(recipe, effects, schemas[0], threshold=3)
-    assert details == []
+    model = build_collapsed(recipe, effects, schemas[0], threshold=3)
     assert [n.kind for n in model.nodes if n.kind == "summary"] == []
     assert len([n for n in model.nodes if n.kind == "step"]) == 2
 
@@ -533,8 +531,7 @@ def test_alternating_ops_never_collapse():
         )
     recipe = make_recipe(entries)
     effects, schemas = _models_for(recipe)
-    model, details = build_collapsed(recipe, effects, schemas[0], threshold=2)
-    assert details == []
+    model = build_collapsed(recipe, effects, schemas[0], threshold=2)
     assert all(n.kind != "summary" for n in model.nodes)
 
 
@@ -550,8 +547,8 @@ def test_collapse_same_op_different_columns_not_a_run():
     ]
     recipe = make_recipe(entries)
     effects, schemas = _models_for(recipe)
-    model, details = build_collapsed(recipe, effects, schemas[0], threshold=2)
-    assert details == []
+    model = build_collapsed(recipe, effects, schemas[0], threshold=2)
+    assert all(n.kind != "summary" for n in model.nodes)
 
 
 def test_collapse_threshold_validated(mass_edit_recipe):
@@ -566,16 +563,15 @@ def test_collapse_conservation_over_random_recipes():
         recipe, _ = random_recipe(rng)
         effects, schemas = _models_for(recipe)
         threshold = rng.choice([2, 3, 5])
-        model, details = build_collapsed(recipe, effects, schemas[0], threshold)
+        model = build_collapsed(recipe, effects, schemas[0], threshold)
         steps = [n for n in model.nodes if n.kind == "step"]
         summaries = [n for n in model.nodes if n.kind == "summary"]
         assert len(steps) + sum(s.payload["count"] for s in summaries) == len(recipe)
-        for summary, detail in zip(
-            sorted(summaries, key=lambda s: s.payload["first_index"]), details
-        ):
-            inner_steps = [n for n in detail.inner.nodes if n.kind == "step"]
+        for summary in summaries:
+            first = summary.payload["first_index"]
+            inner_steps = [n for n in detail_model(recipe, summary).nodes if n.kind == "step"]
             assert len(inner_steps) == summary.payload["count"]
-            assert detail.parent_summary_id == summary.id
+            assert {n.payload["op_id"] for n in inner_steps} == {recipe.operations[first].op_id}
         assert _is_acyclic(model)
 
 

@@ -80,11 +80,6 @@ def test_parse_keeps_description():
     assert recipe.operations[0].params["description"] == "Fill down"
 
 
-def test_parse_source_name_retained():
-    recipe = parse_recipe("[]", source_name="menus.json")
-    assert recipe.source_name == "menus.json"
-
-
 def _random_json_value(rng: random.Random, depth: int = 0):
     choices = ["str", "int", "float", "bool", "null"]
     if depth < 2:

@@ -15,8 +15,8 @@ import pytest
 
 from refineflow import (
     ColumnEffect,
-    DetailModel,
     Diagnostic,
+    Edge,
     EffectError,
     ExpressionAnalysis,
     Node,
@@ -33,7 +33,7 @@ from refineflow.expressions import CellRef, Literal, OwnValue, Term
 FROZEN = [
     lambda: RawOperation(op_id="core/fill-down", index=0, params={"columnName": "a"}),
     # Defaulted params and payloads are the shared read-only empty mapping.
-    lambda: Recipe(operations=(RawOperation("core/fill-down", 0),), source_name="r.json"),
+    lambda: Recipe(operations=(RawOperation("core/fill-down", 0),)),
     lambda: Node("data_table", "table_0", "table_0"),
     lambda: Diagnostic("warning", "unknown-op", "text", step_index=2),
     lambda: Literal("c"),
@@ -44,7 +44,7 @@ FROZEN = [
     lambda: OpSpec(params=("columnName",), own="columnName", writes_own=True),
     lambda: SchemaState(columns=((0, "a"), (1, "b")), next_id=2),
     lambda: ColumnEffect(reads=frozenset({0}), writes=frozenset({0}), labels=frozenset({"a"})),
-    lambda: DetailModel(parent_summary_id="summary_0", inner=WorkflowModel("linear")),
+    lambda: Edge(src="step_0", dst="step_1", label="a"),
 ]
 
 
@@ -76,7 +76,7 @@ def test_hashable_records_hash_by_value():
     # Records holding a mapping or a list are unhashable.
     for make in FROZEN:
         first, second = make(), make()
-        if isinstance(first, (RawOperation, Recipe, Node, DetailModel)):
+        if isinstance(first, (RawOperation, Recipe, Node)):
             with pytest.raises(TypeError):
                 hash(first)
         else:
@@ -86,7 +86,7 @@ def test_hashable_records_hash_by_value():
 
 def test_records_of_different_values_differ():
     assert SchemaState.from_labels(["a"]) != SchemaState.from_labels(["b"])
-    assert Recipe(source_name="x") != Recipe(source_name="y")
+    assert Recipe((RawOperation("core/fill-down", 0),)) != Recipe()
     assert Recipe() != SchemaState()
     assert WorkflowModel("linear") != WorkflowModel("parallel")
     assert RunConfig("a.json") != RunConfig("b.json")
@@ -133,6 +133,6 @@ def test_recipe_length_and_keyword_construction():
     ops = tuple(RawOperation(op_id="core/fill-down", index=i) for i in range(3))
     assert len(Recipe(operations=ops)) == 3
     assert len(Recipe()) == 0
-    assert Recipe(ops).source_name is None
+    assert Recipe(ops).operations == ops
     with pytest.raises(TypeError):
         Recipe(operations=ops, unknown=1)
