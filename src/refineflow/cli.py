@@ -10,8 +10,9 @@ partial or temporary file, and the previous main output in place.
 A collapsed model also gets one detail file per summary node it writes
 (after a query, the summaries the query kept): the linear model of the
 folded run, named ``<stem>.detail.<summary id><ext>``. Standard output
-carries the main text only; detail models are then not built, and a
-``details-skipped`` warning gives their count.
+carries the main text only, as the same UTF-8 bytes a file would hold;
+detail models are then not built, and a ``details-skipped`` warning gives
+their count.
 """
 
 from __future__ import annotations
@@ -89,6 +90,18 @@ def _write_temp(path: str, text: str) -> str:
     return temp_path
 
 
+def _write_stdout(text: str) -> None:
+    """Write the UTF-8 bytes an output file would hold, whatever encoding
+    standard output declares; a stream without a byte layer gets text."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    buffer.write(text.encode("utf-8"))
+    buffer.flush()
+
+
 def _detail_path(output_path: str, summary_id: str) -> str:
     stem, ext = os.path.splitext(output_path)
     return f"{stem}.detail.{summary_id}{ext}"
@@ -151,7 +164,7 @@ def run(config: RunConfig, stderr=None) -> int:
     main_text = _emit(workflow, config, name)
     summaries = [node for node in workflow.nodes if node.kind == "summary"]
     if config.output_path == "-":
-        sys.stdout.write(main_text)
+        _write_stdout(main_text)
         if summaries:
             print(
                 f"warning details-skipped - {len(summaries)} collapsed-run detail file(s) "

@@ -14,6 +14,12 @@ Each recognized operation id is described once, by an :class:`OpSpec` in
 :func:`effect_of` and :func:`infer_initial_schema`. Unknown operation ids
 fall back to the table-scoped rule: the analysis degrades to the
 sequential interpretation instead of failing.
+
+Recipes repeat expression texts step after step (one ``value.trim()`` per
+column), so each pass (one :func:`infer_initial_schema`, one
+:func:`trace_effects` or one direct :func:`effect_of` call) analyzes each
+distinct text once. The memo holds analyses, never resolved ids, and
+lives for that call only: nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import EffectError
-from .expressions import analyze_expression
+from .expressions import ExpressionAnalysis, analyze_expression
 from .recipe import FrozenRecord, RawOperation, Recipe
 
 DEFAULT_SPLIT_ARITY = 2
@@ -256,7 +262,13 @@ def split_arity(op: RawOperation, arity_hints: dict[str, int] | None = None) -> 
     return parts
 
 
-def _read_labels(spec: OpSpec, op: RawOperation, arity_hints: dict[str, int] | None):
+# One pass's expression analyses, keyed by expression text.
+Analyses = dict[str, ExpressionAnalysis]
+
+
+def _read_labels(
+    spec: OpSpec, op: RawOperation, arity_hints: dict[str, int] | None, analyses: Analyses
+):
     """A column-scoped step's rule in label terms, read from its params.
 
     Returns ``(owns, references, opaque, gives, frees)``: the own labels
@@ -265,7 +277,8 @@ def _read_labels(spec: OpSpec, op: RawOperation, arity_hints: dict[str, int] | N
     labels the step gives (split parts, or the ``new_label`` value); the
     labels it frees (its own, when it renames or deletes it). Values stay
     as the recipe wrote them, so callers check their types; split parts
-    are read only when the own label is a string.
+    are read only when the own label is a string. An expression text
+    missing from the pass's ``analyses`` is analyzed and added.
     """
     params = op.params
     own = params.get(spec.own)
@@ -279,7 +292,11 @@ def _read_labels(spec: OpSpec, op: RawOperation, arity_hints: dict[str, int] | N
         if expression is None:
             opaque = True
         else:
-            references, opaque = analyze_expression(str(expression))
+            text = str(expression)
+            analysis = analyses.get(text)
+            if analysis is None:
+                analysis = analyses[text] = analyze_expression(text)
+            references, opaque = analysis
     gives = ()
     if spec.split and isinstance(own, str):
         gives = tuple(f"{own} {k + 1}" for k in range(split_arity(op, arity_hints)))
@@ -301,12 +318,21 @@ def effect_of(
     Raises :class:`EffectError` (``unresolved-column`` / ``missing-param``)
     when a referenced column is not live or a required parameter is absent.
     """
+    return _effect_of(op, schema, arity_hints, {})
+
+
+def _effect_of(
+    op: RawOperation,
+    schema: SchemaState,
+    arity_hints: dict[str, int] | None,
+    analyses: Analyses,
+) -> ColumnEffect:
     spec = spec_of(op.op_id)
     if spec.table_scoped:
         live = schema.live_ids()
         return ColumnEffect(reads=live, writes=live, table_scoped=True)
 
-    owns, references, opaque, gives, frees = _read_labels(spec, op, arity_hints)
+    owns, references, opaque, gives, frees = _read_labels(spec, op, arity_hints, analyses)
     anchor = None
     if spec.own_list:
         own = frozenset(_resolve(name, schema, op) for name in owns)
@@ -386,9 +412,10 @@ def trace_effects(
     """
     states = [initial]
     effects: list[ColumnEffect] = []
+    analyses: Analyses = {}
     for op in recipe.operations:
         try:
-            effect = effect_of(op, states[-1], arity_hints)
+            effect = _effect_of(op, states[-1], arity_hints, analyses)
             states.append(apply_effect(states[-1], effect))
         except EffectError as exc:
             if exc.step_index is None:
@@ -412,11 +439,12 @@ def infer_initial_schema(
     """
     assumed: list[str] = []
     known: set[str] = set()  # labels assumed, given or freed so far
+    analyses: Analyses = {}
     for op in recipe.operations:
         spec = spec_of(op.op_id)
         if spec.table_scoped:
             continue
-        owns, references, _, gives, frees = _read_labels(spec, op, arity_hints)
+        owns, references, _, gives, frees = _read_labels(spec, op, arity_hints, analyses)
         for label in owns + references:
             if isinstance(label, str) and label not in known:
                 assumed.append(label)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -407,6 +408,32 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert out.exists()
+
+
+def test_stdout_of_any_encoding_gets_the_file_bytes(tmp_path):
+    # Output files are UTF-8; standard output gets the same bytes even when
+    # it declares an encoding that cannot spell the labels.
+    recipe = tmp_path / "recipe.json"
+    step = {"op": "core/text-transform", "columnName": "café 日", "expression": "value.trim()"}
+    recipe.write_text(json.dumps([step], ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "model.dot"
+    assert run_cli(["-i", str(recipe), "-o", str(out)]) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "refineflow.cli", "-i", str(recipe), "-o", "-"],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert b"Traceback" not in result.stderr
+    if os.name == "posix":
+        assert result.stdout == out.read_bytes()
+
+
+def test_stdout_without_a_byte_layer_gets_text(monkeypatch):
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert run_cli(["-i", MENUS, "-o", "-"]) == 0
+    assert stream.getvalue().startswith("digraph workflow {")
 
 
 def test_cli_import_does_not_load_the_interpreter():

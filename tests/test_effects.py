@@ -12,6 +12,7 @@ from refineflow import (
     ColumnId,
     EffectError,
     SchemaState,
+    analyze_expression,
     apply_effect,
     catalog_reference,
     effect_of,
@@ -249,6 +250,65 @@ def test_trace_error_names_step():
         trace_effects(recipe, _schema("a", "b"))
     assert info.value.code == "unresolved-column"
     assert info.value.step_index == 2
+
+
+@pytest.fixture
+def analyzed(monkeypatch) -> list[str]:
+    """Every expression text the effect rules analyze, in call order."""
+    texts: list[str] = []
+
+    def counting(text: str):
+        texts.append(text)
+        return analyze_expression(text)
+
+    monkeypatch.setattr("refineflow.effects.analyze_expression", counting)
+    return texts
+
+
+def test_each_pass_analyzes_each_distinct_text_once(analyzed):
+    entries = [
+        {"op": "core/text-transform", "columnName": f"c{j}", "expression": "value.trim()"}
+        for j in range(5)
+    ]
+    entries.append(
+        {"op": "core/column-addition", "baseColumnName": "c0", "newColumnName": "d",
+         "expression": 'grel:cells["c1"].value + value'}
+    )
+    recipe = make_recipe(entries)
+    initial = infer_initial_schema(recipe)
+    assert len(analyzed) == 2
+    trace_effects(recipe, initial)
+    assert len(analyzed) == 4
+    # No memo outlives its call: a second trace analyzes again.
+    trace_effects(recipe, initial)
+    assert sorted(analyzed[4:]) == sorted(analyzed[:2])
+
+
+def test_repeated_text_resolves_against_its_own_schema():
+    # Step 2 repeats step 0's text after the column it names was renamed:
+    # the memo keeps the analysis, not the resolved id.
+    recipe = make_recipe(
+        [
+            {"op": "core/text-transform", "columnName": "a", "expression": 'grel:cells["x"].value'},
+            {"op": "core/column-rename", "oldColumnName": "x", "newColumnName": "y"},
+            {"op": "core/text-transform", "columnName": "b", "expression": 'grel:cells["x"].value'},
+        ]
+    )
+    initial = infer_initial_schema(recipe)
+    assert initial.labels() == ("a", "x", "b")
+    with pytest.raises(EffectError) as info:
+        trace_effects(recipe, initial)
+    assert info.value.code == "unresolved-column"
+    assert info.value.step_index == 2
+    assert "'x'" in info.value.message
+
+
+def test_traced_effects_equal_single_step_effects(menus_recipe, mass_edit_recipe):
+    recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
+    for recipe in recipes:
+        traced, states = trace_effects(recipe, infer_initial_schema(recipe))
+        for op, effect, state in zip(recipe.operations, traced, states):
+            assert effect == effect_of(op, state)
 
 
 def test_infer_single_transform():
