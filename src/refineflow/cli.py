@@ -54,10 +54,6 @@ def _print_diagnostic(diag: Diagnostic, stream) -> None:
     print(f"{diag.severity} {diag.code} {step} {diag.message}", file=stream)
 
 
-def _error_line(exc: RefineflowError, stream) -> None:
-    _print_diagnostic(Diagnostic("error", exc.code, exc.message, exc.step_index), stream)
-
-
 def _resolve_query_node(workflow: WorkflowModel, node_id: str) -> str:
     """Exact node id, else the newest data node with that label."""
     nodes = workflow.node_map()
@@ -120,15 +116,13 @@ def run(config: RunConfig, stderr=None) -> int:
     try:
         with open(config.input_path, encoding="utf-8") as stream:
             text = stream.read()
-    except OSError as exc:
-        print(f"error unreadable-input - {config.input_path}: {exc.strerror}", file=stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(
-            f"error unreadable-input - {config.input_path}: not UTF-8 text "
-            f"(byte {exc.start}: {exc.reason})",
-            file=stderr,
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = (
+            exc.strerror if isinstance(exc, OSError)
+            else f"not UTF-8 text (byte {exc.start}: {exc.reason})"
         )
+        message = f"{config.input_path}: {reason}"
+        _print_diagnostic(Diagnostic("error", "unreadable-input", message), stderr)
         return 2
 
     try:
@@ -157,7 +151,7 @@ def run(config: RunConfig, stderr=None) -> int:
             else:
                 workflow = model.downstream_impact(workflow, node_id)
     except RefineflowError as exc:
-        _error_line(exc, stderr)
+        _print_diagnostic(Diagnostic("error", exc.code, exc.message, exc.step_index), stderr)
         return 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
@@ -166,11 +160,11 @@ def run(config: RunConfig, stderr=None) -> int:
     if config.output_path == "-":
         _write_stdout(main_text)
         if summaries:
-            print(
-                f"warning details-skipped - {len(summaries)} collapsed-run detail file(s) "
-                "require a file output path; none were written",
-                file=stderr,
+            message = (
+                f"{len(summaries)} collapsed-run detail file(s) "
+                "require a file output path; none were written"
             )
+            _print_diagnostic(Diagnostic("warning", "details-skipped", message), stderr)
         return 0
 
     outputs = [(config.output_path, main_text)] + [
@@ -191,7 +185,8 @@ def run(config: RunConfig, stderr=None) -> int:
             os.replace(temp_path, path)
             pending.pop()
     except OSError as exc:
-        print(f"error unwritable-output - {path}: {exc.strerror or exc}", file=stderr)
+        message = f"{path}: {exc.strerror or exc}"
+        _print_diagnostic(Diagnostic("error", "unwritable-output", message), stderr)
         return 2
     finally:
         for temp_path, _ in pending:

@@ -3,11 +3,12 @@
 This is the brute-force oracle behind the parallel model: replaying a
 recipe in any topological order of its dependency DAG must produce the
 same table as the recorded order. ``execute`` interprets operations the
-way OpenRefine replays a history: labels resolved step by step, with its
-own schema bookkeeping, independent of the effect catalog.
-``execute_order`` checks a permutation against the ordering pairs and
-replays the permuted recipe through ``execute``, by label. Agreement
-with the recorded order is exactly what the commutativity rule promises.
+way OpenRefine replays a history: columns are addressed by label only,
+resolved step by step, independent of the effect catalog and its column
+ids. ``execute_order`` checks a permutation against the ordering pairs
+and replays the permuted recipe through ``execute``. Agreement with the
+recorded order (``by_label()`` equal) is exactly what the commutativity
+rule promises.
 
 Cells are untyped strings; the empty string counts as blank (fill-down
 fills it, mass-edit's fromBlank matches it). ``toNumber`` yields a number
@@ -20,47 +21,84 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
 from . import expressions as ex
-from .effects import ColumnId, SchemaState
-from . import effects as _effects
+from .effects import SchemaState, split_arity, trace_effects
 from .errors import EngineError
 from .model import dependency_edges
-from .recipe import RawOperation, Recipe
+from .recipe import RawOperation, Recipe, SlotRecord
 
-@dataclass
-class Table:
-    """An in-memory grid; every row is aligned to the schema order."""
 
-    schema: SchemaState
-    rows: list[list[str]]
+class Table(SlotRecord):
+    """An in-memory grid: unique column labels, left to right, and rows
+    aligned to them. ``execute`` works on a copy; its label operations
+    raise :class:`EngineError` naming the step."""
 
-    def __post_init__(self):
-        width = len(self.schema.columns)
-        for row in self.rows:
-            if len(row) != width:
-                raise ValueError(f"row width {len(row)} does not match schema width {width}")
+    __slots__ = ("labels", "rows")
+
+    def __init__(self, labels, rows):
+        labels = list(labels)
+        if len(set(labels)) != len(labels):
+            duplicate = next(l for l in labels if labels.count(l) > 1)
+            raise EngineError("label-collision", f"duplicate column label {duplicate!r}")
+        rows = [list(row) for row in rows]
+        for row in rows:
+            if len(row) != len(labels):
+                raise ValueError(f"row width {len(row)} does not match schema width {len(labels)}")
+        self._set(labels, rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "Table":
-        reader = csv.reader(io.StringIO(text))
-        records = list(reader)
+        records = list(csv.reader(io.StringIO(text)))
         if not records:
-            return cls(SchemaState(), [])
+            return cls([], [])
         header, *rows = records
         width = len(header)
-        normalized = [list(row[:width]) + [""] * (width - len(row)) for row in rows]
-        return cls(SchemaState.from_labels(header), normalized)
+        return cls(header, [row[:width] + [""] * (width - len(row)) for row in rows])
 
-    def sorted_by_id(self) -> "Table":
-        """Columns reordered by ascending column id (order-insensitive form)."""
-        order = sorted(range(len(self.schema.columns)), key=lambda i: self.schema.columns[i][0])
-        schema = SchemaState(
-            columns=tuple(self.schema.columns[i] for i in order),
-            next_id=self.schema.next_id,
-        )
-        return Table(schema, [[row[i] for i in order] for row in self.rows])
+    def by_label(self) -> dict[str, list[str]]:
+        """Label -> cells: equal for tables holding the same columns in any order."""
+        return {label: [row[i] for row in self.rows] for i, label in enumerate(self.labels)}
+
+    def position(self, label: str, op: RawOperation) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise EngineError(
+                "unresolved-column",
+                f"step {op.index} ({op.op_id}) references column {label!r} "
+                "which is not live at that point",
+                step_index=op.index,
+            ) from None
+
+    def require_free(self, label: str, op: RawOperation):
+        if label in self.labels:
+            raise EngineError(
+                "label-collision",
+                f"step {op.index} ({op.op_id}) would duplicate column label {label!r}",
+                step_index=op.index,
+            )
+
+    def set_column(self, position: int, values: list[str]):
+        for row, value in zip(self.rows, values):
+            row[position] = value
+
+    def evaluate(self, parsed: ex.ParsedExpression, position: int, op: RawOperation) -> list[str]:
+        """The expression on every row, ``value`` being the cell at ``position``."""
+        return [
+            evaluate_expression(parsed, row[position], lambda ref: row[self.position(ref.label, op)])
+            for row in self.rows
+        ]
+
+    def insert_column(self, position: int, label: str, values: list[str]):
+        self.labels.insert(position, label)
+        for row, value in zip(self.rows, values):
+            row.insert(position, value)
+
+    def remove_column(self, position: int):
+        del self.labels[position]
+        for row in self.rows:
+            del row[position]
 
 
 def format_value(value) -> str:
@@ -221,67 +259,6 @@ def _split_parts(cell: str, separator: str, arity: int) -> list[str]:
     return parts + [""] * (arity - len(parts))
 
 
-class _MutableTable:
-    """Label-addressed working state for the straightforward interpreter."""
-
-    def __init__(self, table: Table):
-        self.ids = [cid for cid, _ in table.schema.columns]
-        self.labels = [label for _, label in table.schema.columns]
-        self.rows = [list(row) for row in table.rows]
-        self.next_id = table.schema.next_id
-
-    def position(self, label: str, op: RawOperation) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise EngineError(
-                "unresolved-column",
-                f"step {op.index} ({op.op_id}) references column {label!r} "
-                "which is not live at that point",
-                step_index=op.index,
-            ) from None
-
-    def require_free(self, label: str, op: RawOperation):
-        if label in self.labels:
-            raise EngineError(
-                "label-collision",
-                f"step {op.index} ({op.op_id}) would duplicate column label {label!r}",
-                step_index=op.index,
-            )
-
-    def set_column(self, position: int, values: list[str]):
-        for row, value in zip(self.rows, values):
-            row[position] = value
-
-    def evaluate(self, parsed: ex.ParsedExpression, position: int, op: RawOperation) -> list[str]:
-        """The expression on every row, ``value`` being the cell at ``position``."""
-        return [
-            evaluate_expression(parsed, row[position], lambda ref: row[self.position(ref.label, op)])
-            for row in self.rows
-        ]
-
-    def fresh_id(self) -> ColumnId:
-        cid = self.next_id
-        self.next_id += 1
-        return cid
-
-    def insert_column(self, position: int, cid: ColumnId, label: str, values: list[str]):
-        self.ids.insert(position, cid)
-        self.labels.insert(position, label)
-        for row, value in zip(self.rows, values):
-            row.insert(position, value)
-
-    def remove_column(self, position: int):
-        del self.ids[position]
-        del self.labels[position]
-        for row in self.rows:
-            del row[position]
-
-    def to_table(self) -> Table:
-        schema = SchemaState(columns=tuple(zip(self.ids, self.labels)), next_id=self.next_id)
-        return Table(schema, [list(row) for row in self.rows])
-
-
 def _require_string_param(op: RawOperation, key: str) -> str:
     value = op.params.get(key)
     if not isinstance(value, str):
@@ -301,13 +278,13 @@ def execute(
     Raises :class:`EngineError` with ``unsupported-op`` for steps outside
     the subset and ``expression-error`` for opaque expressions.
     """
-    state = _MutableTable(table)
+    state = Table(table.labels, table.rows)
     for op in recipe.operations:
         _execute_step(state, op, arity_hints)
-    return state.to_table()
+    return state
 
 
-def _execute_step(state: _MutableTable, op: RawOperation, arity_hints):
+def _execute_step(state: Table, op: RawOperation, arity_hints):
     op_id = op.op_id
     kernel = _COLUMN_KERNELS.get(op_id)
 
@@ -333,14 +310,12 @@ def _execute_step(state: _MutableTable, op: RawOperation, arity_hints):
         label = _require_string_param(op, "columnName")
         separator = _split_separator(op)
         position = state.position(label, op)
-        arity = _effects.split_arity(op, arity_hints)
+        arity = split_arity(op, arity_hints)
         part_rows = [_split_parts(row[position], separator, arity) for row in state.rows]
         for k in range(arity):
             new_label = f"{label} {k + 1}"
             state.require_free(new_label, op)
-            state.insert_column(
-                position + 1 + k, state.fresh_id(), new_label, [parts[k] for parts in part_rows]
-            )
+            state.insert_column(position + 1 + k, new_label, [parts[k] for parts in part_rows])
         if op.params.get("removeOriginalColumn"):
             state.remove_column(position)
 
@@ -349,7 +324,7 @@ def _execute_step(state: _MutableTable, op: RawOperation, arity_hints):
         new_label = _require_string_param(op, "newColumnName")
         values = state.evaluate(_parse_expression(op), base_position, op)
         state.require_free(new_label, op)
-        state.insert_column(base_position + 1, state.fresh_id(), new_label, values)
+        state.insert_column(base_position + 1, new_label, values)
 
     else:
         raise EngineError(
@@ -370,12 +345,11 @@ def execute_order(
     The order must be a permutation of the step indices respecting every
     ordering pair; otherwise ``invalid-order`` is raised (that signals a
     bug in the calling harness, not a data problem). The permuted recipe
-    is replayed by label with :func:`execute`; each result column then
-    takes the id the recorded trace gives its final label, so that after
-    sorting columns by id the result equals ``execute(recipe, table)``.
+    is replayed by label with :func:`execute`; for a valid order its
+    ``by_label()`` equals that of ``execute(recipe, table)``.
     """
     n = len(recipe.operations)
-    effects, states = _effects.trace_effects(recipe, table.schema, arity_hints)
+    effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels), arity_hints)
 
     if sorted(order) != list(range(n)):
         raise EngineError("invalid-order", f"order {order!r} is not a permutation of 0..{n - 1}")
@@ -387,10 +361,4 @@ def execute_order(
             )
 
     permuted = Recipe(tuple(recipe.operations[step] for step in order))
-    replayed = execute(permuted, table, arity_hints)
-    recorded = {label: cid for cid, label in states[-1].columns}
-    schema = SchemaState(
-        tuple((recorded.get(label, cid), label) for cid, label in replayed.schema.columns),
-        replayed.schema.next_id,
-    )
-    return Table(schema, replayed.rows)
+    return execute(permuted, table, arity_hints)

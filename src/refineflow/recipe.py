@@ -89,7 +89,6 @@ class RawOperation(NamedTuple):
     op_id: str
     index: int
     params: Mapping[str, Any] = EMPTY_MAPPING
-    description: str | None = None
 
 
 class Recipe(FrozenRecord):
@@ -157,12 +156,7 @@ def parse_recipe(text: str) -> Recipe:
                 step_index=index,
             )
         params = {key: value for key, value in entry.items() if key != "op"}
-        description = params.get("description")
-        if not isinstance(description, str):
-            description = None
-        operations.append(
-            RawOperation(op_id=op_id, index=index, params=params, description=description)
-        )
+        operations.append(RawOperation(op_id=op_id, index=index, params=params))
     return Recipe(operations=tuple(operations))
 
 

@@ -208,10 +208,8 @@ def random_recipe(rng: random.Random) -> tuple[Recipe, Table]:
 
 
 def random_table(rng: random.Random, labels: list[str], rows: int = 20) -> Table:
-    from refineflow import SchemaState
-
     grid = [[rng.choice(CELL_POOL) for _ in labels] for _ in range(rows)]
-    return Table(SchemaState.from_labels(labels), grid)
+    return Table(labels, grid)
 
 
 def random_topological_order(

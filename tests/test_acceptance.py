@@ -14,6 +14,7 @@ import time
 import pytest
 
 from refineflow import (
+    SchemaState,
     build_collapsed,
     build_linear,
     build_parallel,
@@ -105,14 +106,13 @@ def test_criterion_3_commutativity_soundness(corpus):
     rng = random.Random(CORPUS_SEED + 1)
     checked_orders = 0
     for recipe, table in corpus:
-        effects, _ = trace_effects(recipe, table.schema)
+        effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels))
         pairs = dependency_edges(effects)
-        baseline = execute(recipe, table).sorted_by_id()
+        baseline = execute(recipe, table).by_label()
         for _ in range(ORDERS_PER_RECIPE):
             order = random_topological_order(len(recipe), pairs, rng)
-            result = execute_order(recipe, order, table).sorted_by_id()
-            assert result.schema == baseline.schema, (recipe, order)
-            assert result.rows == baseline.rows, (recipe, order)
+            result = execute_order(recipe, order, table).by_label()
+            assert result == baseline, (recipe, order)
             checked_orders += 1
     elapsed = time.perf_counter() - started
     assert checked_orders == CORPUS_SIZE * ORDERS_PER_RECIPE
@@ -213,10 +213,10 @@ def test_criterion_6_determinism_goldens(menus_recipe, menus_trace):
 
 def test_criterion_7_schema_trace_agreement(corpus):
     for recipe, table in corpus:
-        final = execute(recipe, table).schema
-        traced = trace_effects(recipe, table.schema)[1][-1]
-        assert final == traced
+        final = execute(recipe, table).labels
+        traced = trace_effects(recipe, SchemaState.from_labels(table.labels))[1][-1]
+        assert final == list(traced.labels())
     print(
-        f"\nPASS criterion 7: interpreter final schema equals the traced schema "
+        f"\nPASS criterion 7: interpreter final labels equal the traced schema's, left to right, "
         f"on all {CORPUS_SIZE} corpus recipes"
     )

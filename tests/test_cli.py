@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -97,6 +98,37 @@ def test_failed_detail_write_keeps_main_output_unwritten(tmp_path, capsys):
     assert len(errors) == 1 and errors[0].startswith(f"error unwritable-output - {blocker}: ")
     assert list(tmp_path.iterdir()) == [blocker]
     assert list(blocker.iterdir()) == []
+
+
+class _FullDisk:
+    """A file stream that writes half of its text, then reports a full disk."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stream.close()
+
+    def write(self, text: str):
+        self.stream.write(text[: len(text) // 2])
+        self.stream.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_write_failing_mid_file_keeps_previous_output(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "model.dot"
+    out.write_text("previous\n", encoding="utf-8")
+    fdopen = os.fdopen
+    monkeypatch.setattr(cli.os, "fdopen", lambda *args, **kw: _FullDisk(fdopen(*args, **kw)))
+    status = run_cli(["-i", MENUS, "-o", str(out)])
+    assert status == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == [f"error unwritable-output - {out}: {os.strerror(errno.ENOSPC)}"]
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text(encoding="utf-8") == "previous\n"
 
 
 def test_recipe_error_exits_1_without_output(tmp_path, capsys):
@@ -197,6 +229,25 @@ def test_bad_split_arity_value_exits_2():
     with pytest.raises(SystemExit) as info:
         run_cli(["-i", MENUS, "--split-arity", "datefour"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--split-arity", "a=x"], "split arity 'x' is not an integer"),
+        (["--split-arity", "a=0"], "split arity must be >= 1"),
+        (["--split-arity", "a3"], "--split-arity expects <column>=<parts>, got 'a3'"),
+        (["--query", "sideways:x"], "--query expects upstream:<node> or downstream:<node>"),
+    ],
+)
+def test_bad_option_value_exits_2_with_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        run_cli(["-i", MENUS, *argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: refineflow ")
+    assert message in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 def test_low_collapse_threshold_exits_2():

@@ -17,15 +17,23 @@ from conftest import make_recipe
 from recipegen import random_recipe, random_topological_order
 
 
-def _table(header: list[str], rows: list[list[str]]) -> Table:
-    return Table(SchemaState.from_labels(header), rows)
+def _traced_labels(recipe, table: Table) -> list[str]:
+    _, schemas = trace_effects(recipe, SchemaState.from_labels(table.labels))
+    return list(schemas[-1].labels())
 
 
-def test_from_csv_assigns_ids_in_column_order():
-    table = Table.from_csv("a,b\n1,2\n3,4\n")
-    assert table.schema.labels() == ("a", "b")
-    assert list(table.schema.ids()) == [0, 1]
-    assert table.rows == [["1", "2"], ["3", "4"]]
+def test_from_csv_keeps_header_order_and_pads_rows():
+    table = Table.from_csv("a,b\n1,2\n3\n")
+    assert table.labels == ["a", "b"]
+    assert table.rows == [["1", "2"], ["3", ""]]
+
+
+def test_table_rejects_duplicate_labels_and_ragged_rows():
+    with pytest.raises(EngineError) as info:
+        Table(["a", "a"], [])
+    assert info.value.code == "label-collision"
+    with pytest.raises(ValueError):
+        Table(["a", "b"], [["1"]])
 
 
 def test_split_separator_semantics():
@@ -40,9 +48,9 @@ def test_split_separator_semantics():
             }
         ]
     )
-    table = _table(["date"], [["1/2/1900"], ["solo"], ["a/b/c/d"]])
+    table = Table(["date"], [["1/2/1900"], ["solo"], ["a/b/c/d"]])
     out = execute(recipe, table)
-    assert out.schema.labels() == ("date 1", "date 2", "date 3")
+    assert out.labels == ["date 1", "date 2", "date 3"]
     assert out.rows[0] == ["1", "2", "1900"]
     assert out.rows[1] == ["solo", "", ""]  # padded with empty strings
     assert out.rows[2] == ["a", "b", "c"]  # extras truncated
@@ -52,21 +60,19 @@ def test_identity_transform_leaves_table_unchanged():
     recipe = make_recipe(
         [{"op": "core/text-transform", "columnName": "a", "expression": "value"}]
     )
-    table = _table(["a"], [["x"], [""], [" y "]])
+    table = Table(["a"], [["x"], [""], [" y "]])
     out = execute(recipe, table)
-    assert out.rows == table.rows
-    assert out.schema == table.schema
+    assert out == table
 
 
 def test_rename_only_recipe_relabels():
     recipe = make_recipe(
         [{"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "z"}]
     )
-    table = _table(["a", "b"], [["1", "2"]])
+    table = Table(["a", "b"], [["1", "2"]])
     out = execute(recipe, table)
     assert out.rows == table.rows
-    assert out.schema.labels() == ("z", "b")
-    assert out.schema.ids() == table.schema.ids()
+    assert out.labels == ["z", "b"]
 
 
 def test_transform_methods_and_concatenation():
@@ -79,7 +85,7 @@ def test_transform_methods_and_concatenation():
             }
         ]
     )
-    table = _table(["a", "b"], [[" x ", "YY"]])
+    table = Table(["a", "b"], [[" x ", "YY"]])
     out = execute(recipe, table)
     assert out.rows == [["X-yy", "YY"]]
 
@@ -88,7 +94,7 @@ def test_to_number_formatting():
     recipe = make_recipe(
         [{"op": "core/text-transform", "columnName": "a", "expression": "value.toNumber()"}]
     )
-    table = _table(["a"], [["007"], ["1.50"], ["abc"], ["2e2"], [""]])
+    table = Table(["a"], [["007"], ["1.50"], ["abc"], ["2e2"], [""]])
     out = execute(recipe, table)
     assert [row[0] for row in out.rows] == ["7", "1.5", "abc", "200", ""]
 
@@ -110,12 +116,11 @@ def test_numeric_addition_vs_concatenation():
             },
         ]
     )
-    table = _table(["a", "b"], [["2", "3"], ["x", "4"]])
+    table = Table(["a", "b"], [["2", "3"], ["x", "4"]])
     out = execute(recipe, table)
-    assert out.schema.labels() == ("a", "glue", "sum", "b")
-    by_label = {label: i for i, (_, label) in enumerate(out.schema.columns)}
-    assert [row[by_label["sum"]] for row in out.rows] == ["5", "x4"]
-    assert [row[by_label["glue"]] for row in out.rows] == ["23", "x4"]
+    assert out.labels == ["a", "glue", "sum", "b"]
+    assert out.by_label()["sum"] == ["5", "x4"]
+    assert out.by_label()["glue"] == ["23", "x4"]
 
 
 def test_mass_edit_from_to_and_blank():
@@ -132,21 +137,21 @@ def test_mass_edit_from_to_and_blank():
             }
         ]
     )
-    table = _table(["a"], [["old"], ["older"], [""], ["other"]])
+    table = Table(["a"], [["old"], ["older"], [""], ["other"]])
     out = execute(recipe, table)
     assert [row[0] for row in out.rows] == ["new", "new", "filled", "other"]
 
 
 def test_fill_down():
     recipe = make_recipe([{"op": "core/fill-down", "columnName": "a"}])
-    table = _table(["a"], [[""], ["x"], [""], [""], ["y"], [""]])
+    table = Table(["a"], [[""], ["x"], [""], [""], ["y"], [""]])
     out = execute(recipe, table)
     assert [row[0] for row in out.rows] == ["", "x", "x", "x", "y", "y"]
 
 
 def test_blank_down():
     recipe = make_recipe([{"op": "core/blank-down", "columnName": "a"}])
-    table = _table(["a"], [["x"], ["x"], ["x"], ["y"], ["x"]])
+    table = Table(["a"], [["x"], ["x"], ["x"], ["y"], ["x"]])
     out = execute(recipe, table)
     assert [row[0] for row in out.rows] == ["x", "", "", "y", "x"]
 
@@ -154,7 +159,7 @@ def test_blank_down():
 def test_unsupported_op_raises():
     recipe = make_recipe([{"op": "core/row-removal"}])
     with pytest.raises(EngineError) as info:
-        execute(recipe, _table(["a"], [["1"]]))
+        execute(recipe, Table(["a"], [["1"]]))
     assert info.value.code == "unsupported-op"
     assert info.value.step_index == 0
 
@@ -164,8 +169,44 @@ def test_opaque_expression_raises():
         [{"op": "core/text-transform", "columnName": "a", "expression": "jython:1"}]
     )
     with pytest.raises(EngineError) as info:
-        execute(recipe, _table(["a"], [["1"]]))
+        execute(recipe, Table(["a"], [["1"]]))
     assert info.value.code == "expression-error"
+
+
+@pytest.mark.parametrize(
+    "entry, code",
+    [
+        ({"op": "core/text-transform", "columnName": "a"}, "expression-error"),
+        ({"op": "core/mass-edit", "columnName": "a", "expression": "value"}, "unsupported-op"),
+        (
+            {"op": "core/mass-edit", "columnName": "a", "expression": "value.trim()", "edits": []},
+            "unsupported-op",
+        ),
+        (
+            {"op": "core/column-split", "columnName": "a", "separator": ",", "regex": True},
+            "unsupported-op",
+        ),
+        (
+            {"op": "core/column-split", "columnName": "a", "mode": "lengths", "fieldLengths": [1]},
+            "unsupported-op",
+        ),
+        (
+            {"op": "core/text-transform", "columnName": "a", "expression": 'cells["gone"].value'},
+            "unresolved-column",
+        ),
+        ({"op": "core/fill-down", "columnName": 7}, "unsupported-op"),
+    ],
+    ids=[
+        "no-expression", "no-edits", "mass-edit-expression", "regex-split", "lengths-split",
+        "gone-reference", "non-string-column",
+    ],
+)
+def test_step_errors_name_their_step(entry, code):
+    recipe = make_recipe([{"op": "core/blank-down", "columnName": "a"}, entry])
+    with pytest.raises(EngineError) as info:
+        execute(recipe, Table(["a"], [["1"]]))
+    assert info.value.code == code
+    assert info.value.step_index == 1
 
 
 def test_rename_collision_rejected():
@@ -173,7 +214,7 @@ def test_rename_collision_rejected():
         [{"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"}]
     )
     with pytest.raises(EngineError) as info:
-        execute(recipe, _table(["a", "b"], [["1", "2"]]))
+        execute(recipe, Table(["a", "b"], [["1", "2"]]))
     assert info.value.code == "label-collision"
 
 
@@ -184,19 +225,17 @@ def test_disjoint_transforms_commute_both_orders():
             {"op": "core/text-transform", "columnName": "b", "expression": "value.trim()"},
         ]
     )
-    table = _table(["a", "b"], [["x", " p "], ["y", "q"]])
+    table = Table(["a", "b"], [["x", " p "], ["y", "q"]])
     forward = execute_order(recipe, [0, 1], table)
     swapped = execute_order(recipe, [1, 0], table)
-    assert forward.schema == swapped.schema
-    assert forward.rows == swapped.rows
+    assert forward == swapped
     assert forward.rows == [["X", "p"], ["Y", "q"]]
 
 
 def test_identity_order_equals_execute(menus_recipe, menus_table):
     direct = execute(menus_recipe, menus_table)
     ordered = execute_order(menus_recipe, list(range(len(menus_recipe))), menus_table)
-    assert ordered.schema == direct.schema
-    assert ordered.rows == direct.rows
+    assert ordered == direct
 
 
 def test_invalid_order_not_a_permutation(menus_recipe, menus_table):
@@ -215,11 +254,18 @@ def test_invalid_order_violates_dependency(menus_recipe, menus_table):
 
 def test_final_schema_matches_trace(menus_recipe, menus_table):
     out = execute(menus_recipe, menus_table)
-    _, schemas = trace_effects(menus_recipe, menus_table.schema)
-    assert out.schema == schemas[-1]
+    assert out.labels == _traced_labels(menus_recipe, menus_table)
 
 
-def test_sorted_by_id_normalizes_column_order():
+def test_execute_leaves_its_input_table_unchanged(menus_recipe, menus_table):
+    before = Table(menus_table.labels, menus_table.rows)
+    out = execute(menus_recipe, menus_table)
+    assert menus_table == before
+    assert out != before
+    assert out.rows[0] is not menus_table.rows[0]
+
+
+def test_by_label_ignores_column_order():
     recipe = make_recipe(
         [
             {
@@ -230,22 +276,21 @@ def test_sorted_by_id_normalizes_column_order():
             }
         ]
     )
-    base = _table(["a", "b"], [["1", "2"]])
-    out = execute(recipe, base).sorted_by_id()
-    assert out.schema.labels() == ("a", "b", "n")
-    assert out.rows == [["1", "2", "1"]]
+    base = Table(["a", "b"], [["1", "2"]])
+    out = execute(recipe, base)
+    assert out.labels == ["a", "n", "b"]
+    assert out.by_label() == Table(["b", "n", "a"], [["2", "1", "1"]]).by_label()
+    assert out.by_label() != Table(["b", "n", "a"], [["1", "1", "2"]]).by_label()
 
 
 def test_random_reorderings_agree(menus_recipe, menus_table):
     rng = random.Random(7)
-    effects, _ = trace_effects(menus_recipe, menus_table.schema)
+    effects, _ = trace_effects(menus_recipe, SchemaState.from_labels(menus_table.labels))
     pairs = dependency_edges(effects)
-    baseline = execute(menus_recipe, menus_table).sorted_by_id()
+    baseline = execute(menus_recipe, menus_table).by_label()
     for _ in range(10):
         order = random_topological_order(len(menus_recipe), pairs, rng)
-        result = execute_order(menus_recipe, order, menus_table).sorted_by_id()
-        assert result.schema == baseline.schema
-        assert result.rows == baseline.rows
+        assert execute_order(menus_recipe, order, menus_table).by_label() == baseline
 
 
 def test_reorder_with_transient_label_reuse():
@@ -263,17 +308,16 @@ def test_reorder_with_transient_label_reuse():
             },
         ]
     )
-    table = _table(["a", "c"], [["1", "x"], ["2", "y"]])
-    effects, _ = trace_effects(recipe, table.schema)
+    table = Table(["a", "c"], [["1", "x"], ["2", "y"]])
+    effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels))
     assert dependency_edges(effects) == {(0, 1)}
     with pytest.raises(EngineError) as info:
         execute_order(recipe, [1, 0], table)
     assert info.value.code == "invalid-order"
     forward = execute_order(recipe, [0, 1], table)
     direct = execute(recipe, table)
-    assert forward.schema == direct.schema
-    assert forward.rows == direct.rows
-    assert direct.schema.labels() == ("b", "c", "a")
+    assert forward == direct
+    assert direct.labels == ["b", "c", "a"]
 
 
 def test_random_recipes_execute_and_match_trace():
@@ -281,6 +325,5 @@ def test_random_recipes_execute_and_match_trace():
     for _ in range(15):
         recipe, table = random_recipe(rng)
         out = execute(recipe, table)
-        _, schemas = trace_effects(recipe, table.schema)
-        assert out.schema == schemas[-1]
-        assert all(len(row) == len(out.schema.columns) for row in out.rows)
+        assert out.labels == _traced_labels(recipe, table)
+        assert all(len(row) == len(out.labels) for row in out.rows)

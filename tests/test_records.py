@@ -101,7 +101,7 @@ def test_schema_state_rejects_duplicate_labels():
 
 def test_raw_operation_default_params_are_not_a_shared_mutable_dict():
     first, second = RawOperation("core/row-removal", 0), RawOperation("core/row-removal", 1)
-    assert first.params == {} and first.description is None
+    assert first.params == {}
     with pytest.raises(TypeError):
         first.params["columnName"] = "a"
     assert second.params == {}
