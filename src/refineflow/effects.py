@@ -199,7 +199,10 @@ class ColumnEffect(NamedTuple):
         return frozenset(cid for cid, _ in self.creates)
 
     def output_ids(self) -> frozenset[ColumnId]:
-        """Columns whose content or existence this step changes."""
+        """Columns whose content or existence this step changes: its writes,
+        creates and deletes. Most steps only write, and get ``writes`` itself."""
+        if not (self.creates or self.deletes):
+            return self.writes
         return self.writes | self.created_ids() | self.deletes
 
 

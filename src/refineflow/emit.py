@@ -14,6 +14,7 @@ sorted lexicographically.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .model import DATA_KINDS, STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
@@ -77,7 +78,7 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
     only, so it needs no escaping inside DOT quotes.
     """
     sanitized: dict[str, str] = {}
-    base: dict[str, str] = {}
+    base: list[str] = []
     for node in model.nodes:
         if node.kind == "param":
             text = node.payload.get("key", node.label)
@@ -88,14 +89,11 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
         name = sanitized.get(text)
         if name is None:
             name = sanitized[text] = sanitize_identifier(text)
-        base[node.id] = name
-    counts: dict[str, int] = {}
-    for name in base.values():
-        counts[name] = counts.get(name, 0) + 1
+        base.append(name)
+    counts = Counter(base)
     result: dict[str, str] = {}
     used: set[str] = set()
-    for node in model.nodes:
-        name = base[node.id]
+    for node, name in zip(model.nodes, base):
         if counts[name] > 1 and node.step_index is not None:
             name = f"{name}_{node.step_index}"
         while name in used:
@@ -106,20 +104,26 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
 
 
 def _quote(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return '"' + escaped.replace("\n", "\\n").replace("\r", "\\r") + '"'
+    if '"' in text or "\\" in text or "\n" in text or "\r" in text:
+        escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+        return '"' + escaped.replace("\n", "\\n").replace("\r", "\\r") + '"'
+    return f'"{text}"'
 
 
-def _component_of(model: WorkflowModel, roles: _EdgeRoles) -> dict[str, int]:
-    """Cluster assignment: steps by their group, data/param nodes by the
-    steps they touch; nodes shared between groups stay unassigned."""
+def _component_of(model: WorkflowModel, roles: _EdgeRoles, view: str) -> dict[str, int]:
+    """Cluster assignment: steps by their group, and the data/param nodes
+    the view draws by the steps they touch; nodes shared between groups
+    stay unassigned."""
     assignment: dict[str, int] = {}
     for index, group in enumerate(model.components):
         for node_id in group:
             assignment[node_id] = index
+    if view == "process":
+        return assignment
+    ports = (roles.ins, roles.outs) if view == "data" else (roles.ins, roles.params, roles.outs)
     candidates: dict[str, set[int]] = {}
-    for ports in (roles.ins, roles.params, roles.outs):
-        for step_id, others in ports.items():
+    for port in ports:
+        for step_id, others in port.items():
             component = assignment.get(step_id)
             if component is not None:
                 for node_id in others:
@@ -165,7 +169,7 @@ def emit_dot(model: WorkflowModel, view: str) -> str:
     clusters: dict[int, list[Node]] = {}
     loose = nodes
     if len(model.components) > 1:
-        assignment = _component_of(model, roles)
+        assignment = _component_of(model, roles, view)
         loose = []
         for node in nodes:
             index = assignment.get(node.id)

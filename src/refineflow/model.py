@@ -28,7 +28,9 @@ transitive reduction, so the process edges are those of the full relation.
 
 The builders read the recipe, the step effects and the initial schema,
 nothing else: the column-level models follow each column's current label
-from the initial columns through the effects' renames and creates.
+from the initial columns through the effects' renames and creates. A data
+node is made exactly when its column version is born (an initial column,
+a write or a create), and a read looks up its column's current node.
 """
 
 from __future__ import annotations
@@ -58,8 +60,11 @@ def sanitize_identifier(text: str) -> str:
     """Map arbitrary text to an identifier: non-alphanumerics become '_'.
 
     In a ``str`` pattern, a word character is one that ``str.isalnum()``
-    accepts, or ``_``, so the result holds word characters only.
+    accepts, or ``_``, so the result holds word characters only, and a
+    text that holds only those is returned as it is, without the regex.
     """
+    if text.replace("_", "").isalnum():
+        return text
     return _NON_WORD.sub("_", text)
 
 
@@ -183,7 +188,7 @@ def _transitive_reduction(n: int, pairs: set[tuple[int, int]]) -> list[tuple[int
     return sorted(kept)
 
 
-def _weak_components(members: list[int], pairs: set[tuple[int, int]]) -> list[list[int]]:
+def _weak_components(members: list[int], pairs: list[tuple[int, int]]) -> list[list[int]]:
     parent = {m: m for m in members}
 
     def find(x: int) -> int:
@@ -204,10 +209,14 @@ def _short_label(op: RawOperation) -> str:
     return op.op_id.rsplit("/", 1)[-1]
 
 
+# One encoder for every param value: json.dumps with options builds a new one.
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _render_param_value(value) -> str:
     if isinstance(value, str):
         return value
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _encode_json(value)
 
 
 def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
@@ -276,11 +285,12 @@ def _build_column_model(
     """Column-granularity model; ``runs`` folds step ranges into summaries.
 
     Steps are taken in groups: a folded run, or one step. A group reads the
-    union of its steps' reads, at the labels they have before it, and every
-    one of its steps bumps the version of the columns it writes. Its outputs
-    are its first step's writes, at the labels they have after it, and its
-    creates: the steps of a run share their output columns, so none of them
-    creates a column.
+    current data node of each column its steps read, and every one of its
+    steps bumps the version of the columns it writes. Its outputs are its
+    first step's writes, at the labels they have after it, and its creates:
+    the steps of a run share their output columns, so none of them creates
+    a column. Each output is a new data node, which becomes its column's
+    current one.
     """
     n = len(recipe.operations)
     if len(effects) != n:
@@ -291,22 +301,25 @@ def _build_column_model(
     nodes, edges = model.nodes, model.edges
     labels = dict(initial.columns)
     version: dict[ColumnId, int] = {}
-    node_ids: dict[tuple[ColumnId, int], str] = {}
+    # Node id of each column's current version, and the id stem of each label.
+    current: dict[ColumnId, str] = {}
+    stems: dict[str, str] = {}
     used_ids: set[str] = set()
 
-    def materialize(cid: ColumnId, at: int, label: str) -> str:
-        node_id = node_ids.get((cid, at))
-        if node_id is None:
-            node_id = f"{sanitize_identifier(label)}_v{at}"
-            if node_id in used_ids:
-                node_id = f"{node_id}_c{cid}"
-            used_ids.add(node_id)
-            node_ids[cid, at] = node_id
-            nodes.append(Node("data_column", node_id, label, None, {"column_id": cid, "version": at}))
+    def born(cid: ColumnId, at: int, label: str) -> str:
+        stem = stems.get(label)
+        if stem is None:
+            stem = stems[label] = sanitize_identifier(label)
+        node_id = f"{stem}_v{at}"
+        if node_id in used_ids:
+            node_id = f"{node_id}_c{cid}"
+        used_ids.add(node_id)
+        current[cid] = node_id
+        nodes.append(Node("data_column", node_id, label, None, {"column_id": cid, "version": at}))
         return node_id
 
     for cid, name in initial.columns:
-        materialize(cid, 0, name)
+        born(cid, 0, name)
 
     # Node id of each group, by the index of its first step.
     group_ids: dict[int, str] = {}
@@ -319,7 +332,7 @@ def _build_column_model(
         first = effects[start]
         group = effects[start : end + 1]
         reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
-        in_ids = [materialize(cid, version.get(cid, 0), labels[cid]) for cid in sorted(reads)]
+        in_ids = [current[cid] for cid in sorted(reads)]
         if end > start:
             count = end - start + 1
             node_id = f"summary_{start}"
@@ -351,18 +364,20 @@ def _build_column_model(
         for param in params:
             edges.append(Edge(param.id, node_id))
         for cid in sorted(first.writes):
-            edges.append(Edge(node_id, materialize(cid, version.get(cid, 0), labels[cid])))
+            edges.append(Edge(node_id, born(cid, version[cid], labels[cid])))
         for cid, name in first.creates:
-            edges.append(Edge(node_id, materialize(cid, 0, name)))
+            edges.append(Edge(node_id, born(cid, 0, name)))
         start = end + 1
 
     pairs = dependency_edges(effects)
     if runs:
         # Quotient by group: a run's steps share its summary node.
         pairs = {(group_of[i], group_of[j]) for i, j in pairs if group_of[i] != group_of[j]}
-    edges.extend(Edge(group_ids[i], group_ids[j]) for i, j in _transitive_reduction(n, pairs))
+    # A transitive reduction keeps reachability, so also the weak components.
+    kept = _transitive_reduction(n, pairs)
+    edges.extend(Edge(group_ids[i], group_ids[j]) for i, j in kept)
     model.components = [
-        [group_ids[i] for i in members] for members in _weak_components(list(group_ids), pairs)
+        [group_ids[i] for i in members] for members in _weak_components(list(group_ids), kept)
     ]
     return model
 

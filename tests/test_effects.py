@@ -311,6 +311,16 @@ def test_traced_effects_equal_single_step_effects(menus_recipe, mass_edit_recipe
             assert effect == effect_of(op, state)
 
 
+def test_output_ids_are_writes_creates_and_deletes(menus_recipe, mass_edit_recipe):
+    recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
+    shapes = Counter()
+    for recipe in recipes:
+        for effect in trace_effects(recipe, infer_initial_schema(recipe))[0]:
+            assert effect.output_ids() == effect.writes | effect.created_ids() | effect.deletes
+            shapes[bool(effect.creates or effect.deletes)] += 1
+    assert shapes[True] and shapes[False]  # both kinds of effect are checked
+
+
 def test_infer_single_transform():
     recipe = make_recipe(
         [{"op": "core/text-transform", "columnName": "event", "expression": "value"}]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -16,7 +17,8 @@ from refineflow import (
     infer_initial_schema,
     trace_effects,
 )
-from refineflow.emit import VIEWS, identifier_map
+from refineflow.emit import VIEWS, _quote, identifier_map
+from refineflow.model import sanitize_identifier
 from conftest import GOLDEN, make_recipe
 from dotcheck import DotSyntaxError, parse_dot
 from recipegen import acceptance_corpus, random_recipe, random_recipe_entries
@@ -168,6 +170,34 @@ def test_dot_edge_statements_sorted(menus_recipe, menus_trace):
     assert edge_lines == sorted(edge_lines)
 
 
+def test_process_clusters_are_the_step_members_of_combined_clusters(menus_recipe, mass_edit_recipe):
+    recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
+    checked = 0
+    for recipe in recipes:
+        for model in _models(recipe)[1:3]:
+            if len(model.components) < 2:
+                continue
+            idents = identifier_map(model)
+            steps = {idents[n.id] for n in model.nodes if n.kind in ("step", "summary")}
+            process = parse_dot(emit_dot(model, "process")).clusters
+            combined = parse_dot(emit_dot(model, "combined")).clusters
+            assert process == {
+                name: [member for member in members if member in steps]
+                for name, members in combined.items()
+            }
+            checked += 1
+    assert checked > 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "plain", "café 日付", 'a"b', "a\\b", "a\nb", "a\rb", '\\"\n\r', 'x\\\\"\r\n"y'],
+)
+def test_quote_escapes_as_before(text):
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    assert _quote(text) == '"' + escaped.replace("\n", "\\n").replace("\r", "\\r") + '"'
+
+
 def test_dot_escapes_quotes():
     recipe = make_recipe(
         [
@@ -262,6 +292,17 @@ def test_identifier_sanitization_collision():
     labels = sorted(attrs["label"] for attrs in graph.nodes.values())
     assert labels == sorted(["a b", "a b", "a_b", "a_b"])
     assert len(graph.nodes) == 4  # distinct identifiers despite equal sanitization
+
+
+def test_sanitize_keeps_exactly_the_word_characters():
+    # sanitize_identifier returns a text without running its regex when
+    # str.isalnum() accepts every character but "_": that must be the
+    # regex's word characters, on every code point.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\w", every)) == {char for char in every if char.isalnum()} | {"_"}
+    assert sanitize_identifier("café_日付2") == "café_日付2"
+    assert sanitize_identifier("a b-c") == "a_b_c"
+    assert sanitize_identifier("") == ""
 
 
 def test_suffixed_step_name_colliding_with_a_label_stays_unique():

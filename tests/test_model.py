@@ -459,6 +459,37 @@ def test_parallel_version_chains_are_consistent(menus_recipe, menus_trace):
         assert producers.get(node.id, 0) == expected
 
 
+def test_every_read_comes_from_the_version_just_before_its_step(menus_recipe, mass_edit_recipe):
+    recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
+    for recipe in recipes:
+        effects, schemas = _models_for(recipe)
+        # Each column's version before each step, counted from the effects.
+        before: list[dict[int, int]] = []
+        version: dict[int, int] = {}
+        for effect in effects:
+            before.append(dict(version))
+            for cid in effect.writes:
+                version[cid] = version.get(cid, 0) + 1
+        parallel = build_parallel(recipe, effects, schemas[0])
+        collapsed = build_collapsed(recipe, effects, schemas[0], threshold=2)
+        for model in (parallel, collapsed):
+            nodes = model.node_map()
+            read: dict[str, set[int]] = {}
+            for edge in model.edges:
+                src, dst = nodes[edge.src], nodes[edge.dst]
+                if src.kind == "data_column" and dst.kind in ("step", "summary"):
+                    cid = src.payload["column_id"]
+                    assert src.payload["version"] == before[dst.step_index].get(cid, 0)
+                    read.setdefault(dst.id, set()).add(cid)
+            for node in model.nodes:
+                if node.kind == "step":
+                    assert read.get(node.id, set()) == effects[node.step_index].reads
+                elif node.kind == "summary":
+                    first, last = node.payload["first_index"], node.payload["last_index"]
+                    group = effects[first : last + 1]
+                    assert read.get(node.id, set()) == set().union(*(e.reads for e in group))
+
+
 # --- collapsed model ----------------------------------------------------------
 
 
