@@ -122,13 +122,17 @@ def parse_recipe(text: str) -> Recipe:
     Accepts the usual top-level array, or a single operation object which
     is treated as a one-element history (tolerates hand-edited fixtures).
 
-    Raises :class:`RecipeError` with code ``malformed-json``,
-    ``not-an-array`` or ``missing-op-field``.
+    Raises :class:`RecipeError` with code ``malformed-json`` (also for an
+    integer too long for Python to convert), ``not-an-array`` or
+    ``missing-op-field``.
     """
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RecipeError("malformed-json", f"input is not valid JSON: {exc}") from exc
+    except ValueError:
+        # Python's limit on integer string conversion (4,300 digits by default).
+        raise RecipeError("malformed-json", "input holds an integer with too many digits to read") from None
     except RecursionError:
         raise RecipeError("malformed-json", "input nests arrays or objects too deeply") from None
 

@@ -209,6 +209,30 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+    reason="no integer string conversion limit below 5,001 digits",
+)
+def test_integer_past_the_digit_limit_exits_1(tmp_path):
+    recipe = tmp_path / "long_int.json"
+    recipe.write_text(
+        '[{"op": "core/text-transform", "columnName": "a", "expression": "value.trim()", '
+        '"repeatCount": ' + "9" * 5001 + "}]",
+        encoding="utf-8",
+    )
+    out = tmp_path / "never.dot"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    result = subprocess.run(
+        [sys.executable, "-m", "refineflow.cli", "-i", str(recipe), "-o", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 1
+    assert not out.exists()
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error malformed-json - ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_warnings_do_not_change_exit_status(tmp_path, capsys):
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps([{"op": "vendor/exotic"}]), encoding="utf-8")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -55,6 +56,23 @@ def test_parse_malformed_json():
     with pytest.raises(RecipeError) as info:
         parse_recipe("{not json")
     assert info.value.code == "malformed-json"
+
+
+# Python 3.11 (and 3.10.7) limits integer string conversion to 4,300 digits.
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not 0 < _INT_DIGIT_LIMIT < 5001, reason="no integer string conversion limit below 5,001 digits"
+)
+
+
+@needs_int_digit_limit
+def test_parse_integer_past_the_digit_limit_is_malformed_json():
+    text = '[{"op":"core/text-transform","columnName":"a","repeatCount":' + "9" * 5001 + "}]"
+    with pytest.raises(RecipeError) as info:
+        parse_recipe(text)
+    assert info.value.code == "malformed-json"
+    assert "\n" not in str(info.value)
+    assert "Traceback" not in str(info.value)
 
 
 def test_parse_not_an_array():
