@@ -55,13 +55,16 @@ def _print_diagnostic(diag: Diagnostic, stream) -> None:
 
 
 def _resolve_query_node(workflow: WorkflowModel, node_id: str) -> str:
-    """Exact node id, else the newest data node with that label."""
-    nodes = workflow.node_map()
-    if node_id in nodes:
+    """Exact node id, else the last-born data node with that label.
+
+    Data nodes are appended as their versions are born, so when a label was
+    freed and taken again, the last match is the column that holds it last.
+    """
+    if node_id in workflow.node_map():
         return node_id
-    matches = [n for n in workflow.nodes if n.kind in DATA_KINDS and n.label == node_id]
-    if matches:
-        return max(matches, key=lambda n: n.payload.get("version", 0)).id
+    for node in reversed(workflow.nodes):
+        if node.kind in DATA_KINDS and node.label == node_id:
+            return node.id
     raise RefineflowError("unknown-node", f"no node with id or data label {node_id!r}")
 
 

@@ -351,6 +351,26 @@ def test_query_downstream(tmp_path):
     assert "dish_count" not in labels
 
 
+def test_query_label_resolves_to_the_column_that_holds_it_last(tmp_path):
+    # "a" is removed, then a new column takes the label: a query by label
+    # names the new column, not the removed one.
+    recipe = tmp_path / "reused.json"
+    recipe.write_text(
+        json.dumps(
+            [
+                {"op": "core/column-removal", "columnName": "a"},
+                {"op": "core/column-addition", "baseColumnName": "b", "newColumnName": "a", "expression": "value"},
+            ]
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "lineage.dot"
+    for direction, expected in (("upstream", {"a_v0", "b_v0", "a_v0_c2"}), ("downstream", {"a_v0_c2"})):
+        status = run_cli(["-i", str(recipe), "-v", "data", "--query", f"{direction}:a", "-o", str(out)])
+        assert status == 0
+        assert set(parse_dot(out.read_text(encoding="utf-8")).nodes) == expected
+
+
 def test_query_unknown_node_exits_1(tmp_path, capsys):
     status = run_cli(["-i", MENUS, "--query", "upstream:ghost", "-o", str(tmp_path / "x.dot")])
     assert status == 1
