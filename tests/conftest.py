@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,14 @@ GOLDEN = Path(__file__).parent / "golden"
 # interpreters (the console-script test) import the checkout's package too.
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
+
+# Python 3.11 (and 3.10.7) converts integer strings of at most 4,300 digits
+# by default; the tests of a longer JSON integer need such a limit.
+LONG_INT = "9" * 5001
+needs_int_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_INT),
+    reason="no integer string conversion limit below 5,001 digits",
 )
 
 

@@ -14,7 +14,7 @@ import pytest
 from refineflow import cli, model
 from refineflow.cli import RunConfig, main, run
 from refineflow.effects import MAX_SPLIT_PARTS
-from conftest import FIXTURES
+from conftest import FIXTURES, LONG_INT, needs_int_digit_limit
 from dotcheck import parse_dot
 
 MENUS = str(FIXTURES / "menus_recipe.json")
@@ -209,15 +209,12 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.skipif(
-    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
-    reason="no integer string conversion limit below 5,001 digits",
-)
+@needs_int_digit_limit
 def test_integer_past_the_digit_limit_exits_1(tmp_path):
     recipe = tmp_path / "long_int.json"
     recipe.write_text(
         '[{"op": "core/text-transform", "columnName": "a", "expression": "value.trim()", '
-        '"repeatCount": ' + "9" * 5001 + "}]",
+        '"repeatCount": ' + LONG_INT + "}]",
         encoding="utf-8",
     )
     out = tmp_path / "never.dot"

@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 
 import pytest
 
 from refineflow import RecipeError, parse_recipe, validate_recipe
-from conftest import make_recipe
+from conftest import LONG_INT, make_recipe, needs_int_digit_limit
 
 
 def test_parse_single_rename():
@@ -58,16 +57,9 @@ def test_parse_malformed_json():
     assert info.value.code == "malformed-json"
 
 
-# Python 3.11 (and 3.10.7) limits integer string conversion to 4,300 digits.
-_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-needs_int_digit_limit = pytest.mark.skipif(
-    not 0 < _INT_DIGIT_LIMIT < 5001, reason="no integer string conversion limit below 5,001 digits"
-)
-
-
 @needs_int_digit_limit
 def test_parse_integer_past_the_digit_limit_is_malformed_json():
-    text = '[{"op":"core/text-transform","columnName":"a","repeatCount":' + "9" * 5001 + "}]"
+    text = '[{"op":"core/text-transform","columnName":"a","repeatCount":' + LONG_INT + "}]"
     with pytest.raises(RecipeError) as info:
         parse_recipe(text)
     assert info.value.code == "malformed-json"
