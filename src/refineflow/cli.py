@@ -20,33 +20,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Mapping
+from typing import NamedTuple
 
 from . import effects, model
 from .emit import VIEWS, emit_dot, emit_yw
 from .errors import RefineflowError
 from .model import DATA_KINDS, WorkflowModel
-from .recipe import Diagnostic, SlotRecord, parse_recipe, validate_recipe
+from .recipe import EMPTY_MAPPING, Diagnostic, parse_recipe, validate_recipe
 
 FORMATS = ("dot", "yw")
 
 
-class RunConfig(SlotRecord):
-    __slots__ = (
-        "input_path", "output_path", "model_kind", "view", "format",
-        "collapse_threshold", "split_arity_overrides", "query",
-    )
-
-    def __init__(
-        self, input_path: str, output_path: str = "-", model_kind: str = model.PARALLEL,
-        view: str = "combined", format: str = "dot",
-        collapse_threshold: int = model.DEFAULT_COLLAPSE_THRESHOLD,
-        split_arity_overrides: dict[str, int] | None = None,
-        query: tuple[str, str] | None = None,  # (direction, node id)
-    ):
-        self._set(
-            input_path, output_path, model_kind, view, format, collapse_threshold,
-            {} if split_arity_overrides is None else split_arity_overrides, query,
-        )
+class RunConfig(NamedTuple):
+    input_path: str
+    output_path: str = "-"
+    model_kind: str = model.PARALLEL
+    view: str = "combined"
+    format: str = "dot"
+    collapse_threshold: int = model.DEFAULT_COLLAPSE_THRESHOLD
+    split_arity_overrides: Mapping[str, int] = EMPTY_MAPPING
+    query: tuple[str, str] | None = None  # (direction, node id)
 
 
 def _print_diagnostic(diag: Diagnostic, stream) -> None:

@@ -77,7 +77,6 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
     unique, readable identifiers. Every identifier holds word characters
     only, so it needs no escaping inside DOT quotes.
     """
-    sanitized: dict[str, str] = {}
     base: list[str] = []
     for node in model.nodes:
         if node.kind == "param":
@@ -86,10 +85,7 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
             text = node.label
         else:
             text = node.id
-        name = sanitized.get(text)
-        if name is None:
-            name = sanitized[text] = sanitize_identifier(text)
-        base.append(name)
+        base.append(sanitize_identifier(text))
     counts = Counter(base)
     result: dict[str, str] = {}
     used: set[str] = set()

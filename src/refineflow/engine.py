@@ -26,10 +26,10 @@ from . import expressions as ex
 from .effects import SchemaState, split_arity, trace_effects
 from .errors import EngineError
 from .model import dependency_edges
-from .recipe import RawOperation, Recipe, SlotRecord
+from .recipe import FrozenRecord, RawOperation, Recipe
 
 
-class Table(SlotRecord):
+class Table(FrozenRecord):
     """An in-memory grid: unique column labels, left to right, and rows
     aligned to them. ``execute`` works on a copy; its label operations
     raise :class:`EngineError` naming the step."""

@@ -42,7 +42,7 @@ from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, SchemaState
 from .errors import ModelError
-from .recipe import EMPTY_MAPPING, RawOperation, Recipe, SlotRecord
+from .recipe import EMPTY_MAPPING, FrozenRecord, RawOperation, Recipe
 from . import effects as _effects
 
 LINEAR = "linear"
@@ -89,8 +89,8 @@ class Edge(NamedTuple):
     label: str | None = None
 
 
-class WorkflowModel(SlotRecord):
-    """A DAG of step/data/param/summary nodes.
+class WorkflowModel(FrozenRecord):
+    """A DAG of step/data/param/summary nodes, built once.
 
     ``edges`` holds both dataflow edges (those touching a data or param
     node) and step-to-step dependency edges; an edge's role follows from
@@ -100,11 +100,10 @@ class WorkflowModel(SlotRecord):
 
     __slots__ = ("model_kind", "nodes", "edges", "components")
 
-    def __init__(self, model_kind: str, nodes=None, edges=None, components=None):
-        self.model_kind = model_kind
-        self.nodes: list[Node] = [] if nodes is None else nodes
-        self.edges: list[Edge] = [] if edges is None else edges
-        self.components: list[list[str]] = [] if components is None else components
+    def __init__(
+        self, model_kind: str, nodes: list[Node], edges: list[Edge], components: list[list[str]]
+    ):
+        self._set(model_kind, nodes, edges, components)
 
     def node_map(self) -> dict[str, Node]:
         return {node.id: node for node in self.nodes}
@@ -236,9 +235,7 @@ def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
 def build_linear(recipe: Recipe) -> WorkflowModel:
     """Alternating chain of table snapshots and steps, with param nodes."""
     n = len(recipe.operations)
-    model = WorkflowModel(model_kind=LINEAR)
-    nodes, edges = model.nodes, model.edges
-    nodes.append(Node("data_table", "table_0", "table_0"))
+    nodes, edges = [Node("data_table", "table_0", "table_0")], []
     for pos, op in enumerate(recipe.operations):
         step_id = f"step_{pos}"
         table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
@@ -251,8 +248,8 @@ def build_linear(recipe: Recipe) -> WorkflowModel:
         edges.extend(Edge(p.id, step_id) for p in params)
         if pos > 0:
             edges.append(Edge(f"step_{pos - 1}", step_id))
-    model.components = [[f"step_{i}" for i in range(n)]] if n else []
-    return model
+    components = [[f"step_{i}" for i in range(n)]] if n else []
+    return WorkflowModel(LINEAR, nodes, edges, components)
 
 
 def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) -> list[tuple[int, int]]:
@@ -297,20 +294,16 @@ def _build_column_model(
         raise ValueError("effects misaligned with recipe")
 
     run_end = dict(runs or ())
-    model = WorkflowModel(model_kind=PARALLEL if runs is None else COLLAPSED)
-    nodes, edges = model.nodes, model.edges
+    nodes: list[Node] = []
+    edges: list[Edge] = []
     labels = dict(initial.columns)
     version: dict[ColumnId, int] = {}
-    # Node id of each column's current version, and the id stem of each label.
+    # Node id of each column's current version.
     current: dict[ColumnId, str] = {}
-    stems: dict[str, str] = {}
     used_ids: set[str] = set()
 
     def born(cid: ColumnId, at: int, label: str) -> str:
-        stem = stems.get(label)
-        if stem is None:
-            stem = stems[label] = sanitize_identifier(label)
-        node_id = f"{stem}_v{at}"
+        node_id = f"{sanitize_identifier(label)}_v{at}"
         if node_id in used_ids:
             node_id = f"{node_id}_c{cid}"
         used_ids.add(node_id)
@@ -376,10 +369,10 @@ def _build_column_model(
     # A transitive reduction keeps reachability, so also the weak components.
     kept = _transitive_reduction(n, pairs)
     edges.extend(Edge(group_ids[i], group_ids[j]) for i, j in kept)
-    model.components = [
+    components = [
         [group_ids[i] for i in members] for members in _weak_components(list(group_ids), kept)
     ]
-    return model
+    return WorkflowModel(PARALLEL if runs is None else COLLAPSED, nodes, edges, components)
 
 
 def build_parallel(

@@ -3,8 +3,8 @@
 The input is the JSON document produced by OpenRefine's "Extract" dialog:
 a top-level array of operation objects, each with an "op" identifier,
 an optional "description", and operation-specific parameter keys.
-The bases of the package's slotted records live here too, at the bottom
-of the import graph.
+The base of the package's slotted records, which are all immutable, lives
+here too, at the bottom of the import graph.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from typing import Any, NamedTuple
 from .errors import RecipeError
 
 
-class SlotRecord:
+class FrozenRecord:
     """Base of the slotted records. ``__slots__`` lists the fields in
-    constructor order; records compare, print and pickle by those fields."""
+    constructor order, and only ``__init__`` sets them: a record is
+    immutable, and it compares, hashes, prints and pickles by its fields."""
 
     __slots__ = ()
 
@@ -29,8 +30,16 @@ class SlotRecord:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -38,20 +47,6 @@ class SlotRecord:
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-class FrozenRecord(SlotRecord):
-    """A slotted record whose fields only ``__init__`` sets; it hashes by value."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 class _EmptyMapping(Mapping):

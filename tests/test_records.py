@@ -1,9 +1,10 @@
 """The contract of the record types.
 
-Field-only records are named tuples; records that validate, get filled in
-or define ``__len__`` are slotted classes. Either way: keyword
-construction with defaults, immutability for the frozen ones, comparison
-by value, and no mutable default shared between instances.
+Field-only records are named tuples; records that validate, hold lists
+or define ``__len__`` are slotted ``FrozenRecord`` classes. Either way:
+keyword construction, immutability (a record holding a list still
+refuses assignment, though the list itself can change), comparison by
+value, and no mutable default shared between instances.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from refineflow import (
     SchemaState,
     WorkflowModel,
 )
+from refineflow.recipe import EMPTY_MAPPING
 from refineflow.cli import RunConfig
 from refineflow.effects import OpSpec
+from refineflow.engine import Table
 from refineflow.expressions import CellRef, Literal, OwnValue, Term
 
 # Two equal instances of every frozen record, built independently.
@@ -45,6 +48,11 @@ FROZEN = [
     lambda: SchemaState(columns=((0, "a"), (1, "b")), next_id=2),
     lambda: ColumnEffect(reads=frozenset({0}), writes=frozenset({0}), labels=frozenset({"a"})),
     lambda: Edge(src="step_0", dst="step_1", label="a"),
+    lambda: WorkflowModel(
+        "parallel", [Node("step", "step_0", "fill-down", 0)], [Edge("a_v0", "step_0")], [["step_0"]]
+    ),
+    lambda: RunConfig(input_path="x.json", query=("upstream", "a")),
+    lambda: Table(["a", "b"], [["1", "2"]]),
 ]
 
 
@@ -76,7 +84,7 @@ def test_hashable_records_hash_by_value():
     # Records holding a mapping or a list are unhashable.
     for make in FROZEN:
         first, second = make(), make()
-        if isinstance(first, (RawOperation, Recipe, Node)):
+        if isinstance(first, (RawOperation, Recipe, Node, WorkflowModel, RunConfig, Table)):
             with pytest.raises(TypeError):
                 hash(first)
         else:
@@ -88,7 +96,7 @@ def test_records_of_different_values_differ():
     assert SchemaState.from_labels(["a"]) != SchemaState.from_labels(["b"])
     assert Recipe((RawOperation("core/fill-down", 0),)) != Recipe()
     assert Recipe() != SchemaState()
-    assert WorkflowModel("linear") != WorkflowModel("parallel")
+    assert WorkflowModel("linear", [], [], []) != WorkflowModel("parallel", [], [], [])
     assert RunConfig("a.json") != RunConfig("b.json")
 
 
@@ -110,23 +118,12 @@ def test_raw_operation_default_params_are_not_a_shared_mutable_dict():
     assert pickle.loads(pickle.dumps(first.params)) is first.params
 
 
-def test_mutable_records_get_fresh_defaults():
-    first, second = WorkflowModel("linear"), WorkflowModel("linear")
-    first.nodes.append("n")
-    first.edges.append("e")
-    first.components.append(["n"])
-    assert (second.nodes, second.edges, second.components) == ([], [], [])
-    assert first != second
-    first.model_kind = "parallel"
-    assert first.model_kind == "parallel"
-
-    config, other = RunConfig(input_path="x.json"), RunConfig(input_path="x.json")
-    config.split_arity_overrides["a"] = 3
-    assert other.split_arity_overrides == {}
-    config.view = "data"
-    assert config.view == "data"
+def test_run_config_default_overrides_are_the_shared_read_only_mapping():
+    first, second = RunConfig(input_path="x.json"), RunConfig(input_path="y.json")
+    assert first.split_arity_overrides is EMPTY_MAPPING
+    assert second.split_arity_overrides is EMPTY_MAPPING
     with pytest.raises(TypeError):
-        hash(config)
+        first.split_arity_overrides["a"] = 3
 
 
 def test_recipe_length_and_keyword_construction():
