@@ -205,7 +205,8 @@ def _weak_components(members: list[int], pairs: list[tuple[int, int]]) -> list[l
 
 
 def _short_label(op: RawOperation) -> str:
-    return op.op_id.rsplit("/", 1)[-1]
+    """The op id after its last "/", or the whole id when nothing follows."""
+    return op.op_id.rsplit("/", 1)[-1] or op.op_id
 
 
 # One encoder for every param value: json.dumps with options builds a new one.

@@ -322,25 +322,31 @@ def test_identifiers_are_word_characters_for_awkward_labels():
     rng = random.Random(93)
     awkward = ['"', "\\", "\n", "²", "é", "\u3000", "_"]
     labels = ["".join(rng.sample(awkward, len(awkward))) + str(i) for i in range(5)]
-    recipe = make_recipe(random_recipe_entries(rng, 14, labels))
+    entries = random_recipe_entries(rng, 14, labels)
     view_kinds = {
         "combined": None,
         "process": ("step", "summary"),
         "data": ("data_table", "data_column"),
     }
-    for model in _models(recipe):
-        idents = identifier_map(model)
-        assert all(re.fullmatch(r"\w+", ident) for ident in idents.values()), idents
-        for view, kinds in view_kinds.items():
-            graph = parse_dot(emit_dot(model, view))
-            # dotcheck reads an escaped character as itself, so DOT's "\n"
-            # line break reads back as "n".
-            expected = {
-                idents[n.id]: n.label.replace("\n", "n")
-                for n in model.nodes
-                if kinds is None or n.kind in kinds
-            }
-            assert {name: attrs["label"] for name, attrs in graph.nodes.items()} == expected
+    # An op id with nothing after its last "/" still names its step.
+    for op_id in (None, "core/", "/"):
+        extra = [] if op_id is None else [{"op": op_id, "columnName": labels[0]}]
+        for model in _models(make_recipe(entries + extra)):
+            idents = identifier_map(model)
+            assert all(re.fullmatch(r"\w+", ident) for ident in idents.values()), idents
+            for view, kinds in view_kinds.items():
+                graph = parse_dot(emit_dot(model, view))
+                # dotcheck reads an escaped character as itself, so DOT's "\n"
+                # line break reads back as "n".
+                expected = {
+                    idents[n.id]: n.label.replace("\n", "n")
+                    for n in model.nodes
+                    if kinds is None or n.kind in kinds
+                }
+                assert {name: attrs["label"] for name, attrs in graph.nodes.items()} == expected
+                for line in emit_yw(model, view).splitlines():
+                    if line.startswith(("# @begin", "# @end")):
+                        assert re.fullmatch(r"# @(begin|end) \w+", line), line
 
 
 def test_emitters_reject_unknown_view(menus_recipe):
