@@ -147,13 +147,16 @@ def run(config: RunConfig, stderr=None) -> int:
                 workflow = model.upstream_lineage(workflow, node_id)
             else:
                 workflow = model.downstream_impact(workflow, node_id)
+        summaries = [node for node in workflow.nodes if node.kind == "summary"]
+        details = [] if config.output_path == "-" else [
+            (summary.id, model.detail_model(recipe, summary)) for summary in summaries
+        ]
     except RefineflowError as exc:
         _print_diagnostic(Diagnostic("error", exc.code, exc.message, exc.step_index), stderr)
         return 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
     main_text = _emit(workflow, config, name)
-    summaries = [node for node in workflow.nodes if node.kind == "summary"]
     if config.output_path == "-":
         _write_stdout(main_text)
         if summaries:
@@ -165,11 +168,8 @@ def run(config: RunConfig, stderr=None) -> int:
         return 0
 
     outputs = [(config.output_path, main_text)] + [
-        (
-            _detail_path(config.output_path, summary.id),
-            _emit(model.detail_model(recipe, summary), config, summary.id),
-        )
-        for summary in summaries
+        (_detail_path(config.output_path, summary_id), _emit(detail, config, summary_id))
+        for summary_id, detail in details
     ]
     pending: list[tuple[str, str]] = []  # (temporary file, final path)
     try:

@@ -41,7 +41,7 @@ from collections.abc import Mapping
 from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, SchemaState
-from .errors import ModelError
+from .errors import ModelError, RecipeError
 from .recipe import EMPTY_MAPPING, FrozenRecord, RawOperation, Recipe
 from . import effects as _effects
 
@@ -213,10 +213,15 @@ def _short_label(op: RawOperation) -> str:
 _encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _render_param_value(value) -> str:
+def _render_param_value(value, op: RawOperation) -> str:
     if isinstance(value, str):
         return value
-    return _encode_json(value)
+    try:
+        return _encode_json(value)
+    except RecursionError:
+        # Encoding runs deeper in the stack than parse_recipe's decoding.
+        message = f"step {op.index} ({op.op_id}): input nests arrays or objects too deeply"
+        raise RecipeError("malformed-json", message, step_index=op.index) from None
 
 
 def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
@@ -224,7 +229,7 @@ def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
         Node(
             "param",
             f"param_{step_index}_{key}",
-            f"{key} = {_render_param_value(op.params[key])}",
+            f"{key} = {_render_param_value(op.params[key], op)}",
             step_index,
             {"key": key},
         )

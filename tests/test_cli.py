@@ -14,6 +14,8 @@ import pytest
 from refineflow import cli, model
 from refineflow.cli import RunConfig, main, run
 from refineflow.effects import MAX_SPLIT_PARTS
+from refineflow.errors import RecipeError
+from refineflow.recipe import parse_recipe
 from conftest import FIXTURES, LONG_INT, needs_int_digit_limit
 from dotcheck import parse_dot
 
@@ -228,6 +230,36 @@ def test_integer_past_the_digit_limit_exits_1(tmp_path):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error malformed-json - ")
     assert result.stderr.count("\n") == 1
+
+
+def _deep_mass_edits(depth: int) -> str:
+    edits = "[" * depth + "]" * depth
+    entry = '{"op": "core/mass-edit", "columnName": "a", "expression": "value", "edits": %s}'
+    return "[" + ", ".join([entry % edits] * 3) + "]"
+
+
+def test_params_nested_near_the_json_depth_limit_end_in_a_diagnostic(tmp_path):
+    # The deepest nesting parse_recipe accepts here; each model then renders
+    # the values a few frames deeper, and the collapsed model's detail file
+    # renders them again.
+    low, high = 1, 100_000
+    while low < high:
+        middle = (low + high + 1) // 2
+        try:
+            parse_recipe(_deep_mass_edits(middle))
+            low = middle
+        except RecipeError:
+            high = middle - 1
+    for depth in range(low - 3, low + 1):
+        recipe = tmp_path / f"deep{depth}.json"
+        recipe.write_text(_deep_mass_edits(depth), encoding="utf-8")
+        for kind in model.MODEL_KINDS:
+            stderr = io.StringIO()
+            config = RunConfig(str(recipe), str(tmp_path / f"{kind}.dot"), kind)
+            assert run(config, stderr=stderr) in (0, 1)
+            for line in stderr.getvalue().splitlines():
+                assert re.fullmatch(r"(error|warning|info) [\w-]+ (-|\d+) .+", line), line
+            assert "Recursion" not in stderr.getvalue()
 
 
 def test_warnings_do_not_change_exit_status(tmp_path, capsys):
