@@ -26,11 +26,11 @@ from refineflow import (
     SchemaState,
     WorkflowModel,
 )
-from refineflow.recipe import EMPTY_MAPPING
 from refineflow.cli import RunConfig
 from refineflow.effects import OpSpec
 from refineflow.engine import Table
 from refineflow.expressions import CellRef, Literal, OwnValue, Term
+from refineflow.recipe import EMPTY_MAPPING
 
 # Two equal instances of every frozen record, built independently.
 FROZEN = [
