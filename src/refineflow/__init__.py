@@ -2,9 +2,7 @@
 
 Pipeline: parse an exported operation history, resolve each step's column
 read/write effect, build a linear / parallel / collapsed workflow graph,
-and emit it as Graphviz DOT or YesWorkflow annotations. A small reference
-interpreter doubles as the oracle that reordered execution along the
-parallel model preserves results.
+and emit it as Graphviz DOT or YesWorkflow annotations.
 """
 
 from .effects import (
@@ -18,13 +16,7 @@ from .effects import (
     trace_effects,
 )
 from .emit import emit_dot, emit_yw
-from .errors import (
-    EffectError,
-    EngineError,
-    ModelError,
-    RecipeError,
-    RefineflowError,
-)
+from .errors import EffectError, ModelError, RecipeError, RefineflowError
 from .expressions import ExpressionAnalysis, analyze_expression
 from .model import (
     Edge,
@@ -43,26 +35,12 @@ from .recipe import Diagnostic, RawOperation, Recipe, parse_recipe, validate_rec
 
 __version__ = "0.1.0"
 
-# The reference interpreter (and its csv import) loads on first use: the
-# converter never runs it, so importing the CLI does not pay for it.
-_ENGINE_NAMES = ("Table", "execute", "execute_order")
-
-
-def __getattr__(name: str):
-    if name in _ENGINE_NAMES:
-        from . import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ColumnEffect",
     "ColumnId",
     "Diagnostic",
     "Edge",
     "EffectError",
-    "EngineError",
     "ExpressionAnalysis",
     "ModelError",
     "Node",
@@ -71,7 +49,6 @@ __all__ = [
     "RecipeError",
     "RefineflowError",
     "SchemaState",
-    "Table",
     "WorkflowModel",
     "analyze_expression",
     "apply_effect",
@@ -86,8 +63,6 @@ __all__ = [
     "effect_of",
     "emit_dot",
     "emit_yw",
-    "execute",
-    "execute_order",
     "infer_initial_schema",
     "parse_recipe",
     "trace_effects",

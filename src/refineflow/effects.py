@@ -41,7 +41,7 @@ MAX_SPLIT_PARTS = 1000
 class OpSpec(NamedTuple):
     """Everything the model knows about one operation id.
 
-    ``params`` are the keys the effect rule and the interpreter consume;
+    ``params`` are the keys that shape what a step of the op id does;
     other keys are retained verbatim but do not influence the model
     (validate_recipe reports them). ``own`` and ``new_label`` must be
     present, except a list-valued ``own``.

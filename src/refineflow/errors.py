@@ -27,7 +27,3 @@ class EffectError(RefineflowError):
 
 class ModelError(RefineflowError):
     """Raised for invalid workflow-model queries."""
-
-
-class EngineError(RefineflowError):
-    """Raised by the reference interpreter for unsupported or invalid steps."""

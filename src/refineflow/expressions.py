@@ -20,7 +20,7 @@ VALUE_METHODS = frozenset({"toLowercase", "toUppercase", "trim", "toNumber", "to
 
 
 # As tuples, nodes of different kinds can compare equal (Literal("c") ==
-# CellRef("c")): tell them apart by type, as the analysis and engine do.
+# CellRef("c")): tell them apart by type, as the analysis does.
 class Literal(NamedTuple):
     text: str
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from refineflow import Recipe, Table, infer_initial_schema, parse_recipe, trace_effects
+from refineflow import Recipe, infer_initial_schema, parse_recipe, trace_effects
+from oracle import Table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"

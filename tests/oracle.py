@@ -1,14 +1,15 @@
 """Reference interpreter for a supported subset of operations.
 
-This is the brute-force oracle behind the parallel model: replaying a
-recipe in any topological order of its dependency DAG must produce the
-same table as the recorded order. ``execute`` interprets operations the
-way OpenRefine replays a history: columns are addressed by label only,
-resolved step by step, independent of the effect catalog and its column
-ids. ``execute_order`` checks a permutation against the ordering pairs
-and replays the permuted recipe through ``execute``. Agreement with the
-recorded order (``by_label()`` equal) is exactly what the commutativity
-rule promises.
+This is the tests' brute-force oracle behind the parallel model (the
+converter never runs a recipe, so the package does not ship it):
+replaying a recipe in any topological order of its dependency DAG must
+produce the same table as the recorded order. ``execute`` interprets
+operations the way OpenRefine replays a history: columns are addressed
+by label only, resolved step by step, independent of the effect catalog
+and its column ids. ``execute_order`` checks a permutation against the
+ordering pairs and replays the permuted recipe through ``execute``.
+Agreement with the recorded order (``by_label()`` equal) is exactly what
+the commutativity rule promises.
 
 Cells are untyped strings; the empty string counts as blank (fill-down
 fills it, mass-edit's fromBlank matches it). ``toNumber`` yields a number
@@ -22,17 +23,21 @@ from __future__ import annotations
 import csv
 import io
 
-from . import expressions as ex
-from .effects import SchemaState, split_arity, trace_effects
-from .errors import EngineError
-from .model import dependency_edges
-from .recipe import FrozenRecord, RawOperation, Recipe
+from refineflow import expressions as ex
+from refineflow.effects import SchemaState, split_arity, trace_effects
+from refineflow.errors import RefineflowError
+from refineflow.model import dependency_edges
+from refineflow.recipe import FrozenRecord, RawOperation, Recipe
+
+
+class OracleError(RefineflowError):
+    """Raised by the interpreter for unsupported or invalid steps."""
 
 
 class Table(FrozenRecord):
     """An in-memory grid: unique column labels, left to right, and rows
     aligned to them. ``execute`` works on a copy; its label operations
-    raise :class:`EngineError` naming the step."""
+    raise :class:`OracleError` naming the step."""
 
     __slots__ = ("labels", "rows")
 
@@ -40,7 +45,7 @@ class Table(FrozenRecord):
         labels = list(labels)
         if len(set(labels)) != len(labels):
             duplicate = next(l for l in labels if labels.count(l) > 1)
-            raise EngineError("label-collision", f"duplicate column label {duplicate!r}")
+            raise OracleError("label-collision", f"duplicate column label {duplicate!r}")
         rows = [list(row) for row in rows]
         for row in rows:
             if len(row) != len(labels):
@@ -64,7 +69,7 @@ class Table(FrozenRecord):
         try:
             return self.labels.index(label)
         except ValueError:
-            raise EngineError(
+            raise OracleError(
                 "unresolved-column",
                 f"step {op.index} ({op.op_id}) references column {label!r} "
                 "which is not live at that point",
@@ -73,7 +78,7 @@ class Table(FrozenRecord):
 
     def require_free(self, label: str, op: RawOperation):
         if label in self.labels:
-            raise EngineError(
+            raise OracleError(
                 "label-collision",
                 f"step {op.index} ({op.op_id}) would duplicate column label {label!r}",
                 step_index=op.index,
@@ -163,14 +168,14 @@ def evaluate_expression(parsed: ex.ParsedExpression, own_value: str, lookup) -> 
 def _parse_expression(op: RawOperation) -> ex.ParsedExpression:
     expression = op.params.get("expression")
     if expression is None:
-        raise EngineError(
+        raise OracleError(
             "expression-error",
             f"step {op.index} ({op.op_id}) carries no expression",
             step_index=op.index,
         )
     parsed = ex.parse_expression(str(expression))
     if parsed is None:
-        raise EngineError(
+        raise OracleError(
             "expression-error",
             f"step {op.index} ({op.op_id}) expression is outside the supported subset: "
             f"{expression!r}",
@@ -182,14 +187,14 @@ def _parse_expression(op: RawOperation) -> ex.ParsedExpression:
 def _compile_edits(op: RawOperation) -> list[tuple[set[str], bool, str]]:
     edits = op.params.get("edits")
     if not isinstance(edits, list):
-        raise EngineError(
+        raise OracleError(
             "unsupported-op",
             f"step {op.index} (core/mass-edit) lacks an edits list",
             step_index=op.index,
         )
     expression = op.params.get("expression", "value")
     if ex.strip_language_tag(str(expression)) != "value":
-        raise EngineError(
+        raise OracleError(
             "unsupported-op",
             f"step {op.index} (core/mass-edit) only supports the identity expression",
             step_index=op.index,
@@ -245,7 +250,7 @@ _COLUMN_KERNELS = {
 
 def _split_separator(op: RawOperation) -> str:
     if op.params.get("regex") or op.params.get("mode") == "lengths":
-        raise EngineError(
+        raise OracleError(
             "unsupported-op",
             f"step {op.index} (core/column-split) only supports plain separator splits",
             step_index=op.index,
@@ -262,7 +267,7 @@ def _split_parts(cell: str, separator: str, arity: int) -> list[str]:
 def _require_string_param(op: RawOperation, key: str) -> str:
     value = op.params.get(key)
     if not isinstance(value, str):
-        raise EngineError(
+        raise OracleError(
             "unsupported-op",
             f"step {op.index} ({op.op_id}) lacks a usable {key!r} parameter",
             step_index=op.index,
@@ -275,7 +280,7 @@ def execute(
 ) -> Table:
     """Run a recipe over a table in the recorded order.
 
-    Raises :class:`EngineError` with ``unsupported-op`` for steps outside
+    Raises :class:`OracleError` with ``unsupported-op`` for steps outside
     the subset and ``expression-error`` for opaque expressions.
     """
     state = Table(table.labels, table.rows)
@@ -327,7 +332,7 @@ def _execute_step(state: Table, op: RawOperation, arity_hints):
         state.insert_column(base_position + 1, new_label, values)
 
     else:
-        raise EngineError(
+        raise OracleError(
             "unsupported-op",
             f"step {op.index} ({op_id}) is outside the interpreter subset",
             step_index=op.index,
@@ -352,11 +357,11 @@ def execute_order(
     effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels), arity_hints)
 
     if sorted(order) != list(range(n)):
-        raise EngineError("invalid-order", f"order {order!r} is not a permutation of 0..{n - 1}")
+        raise OracleError("invalid-order", f"order {order!r} is not a permutation of 0..{n - 1}")
     position = {step: rank for rank, step in enumerate(order)}
     for i, j in dependency_edges(effects):
         if position[i] > position[j]:
-            raise EngineError(
+            raise OracleError(
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"
             )
 

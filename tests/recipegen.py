@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import random
 
-from refineflow import Recipe, Table, parse_recipe
+from refineflow import Recipe, parse_recipe
+from oracle import Table
 
 CELL_POOL = [
     "",

@@ -22,8 +22,6 @@ from refineflow import (
     detail_model,
     emit_dot,
     emit_yw,
-    execute,
-    execute_order,
     infer_initial_schema,
     parse_recipe,
     trace_effects,
@@ -31,6 +29,7 @@ from refineflow import (
 from refineflow.cli import main as cli_main
 from conftest import FIXTURES, GOLDEN
 from dotcheck import parse_dot
+from oracle import execute, execute_order
 from recipegen import (
     CORPUS_SEED,
     CORPUS_SIZE,

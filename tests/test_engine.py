@@ -4,16 +4,9 @@ import random
 
 import pytest
 
-from refineflow import (
-    EngineError,
-    SchemaState,
-    Table,
-    dependency_edges,
-    execute,
-    execute_order,
-    trace_effects,
-)
+from refineflow import SchemaState, dependency_edges, trace_effects
 from conftest import make_recipe
+from oracle import OracleError, Table, execute, execute_order
 from recipegen import random_recipe, random_topological_order
 
 
@@ -29,7 +22,7 @@ def test_from_csv_keeps_header_order_and_pads_rows():
 
 
 def test_table_rejects_duplicate_labels_and_ragged_rows():
-    with pytest.raises(EngineError) as info:
+    with pytest.raises(OracleError) as info:
         Table(["a", "a"], [])
     assert info.value.code == "label-collision"
     with pytest.raises(ValueError):
@@ -158,7 +151,7 @@ def test_blank_down():
 
 def test_unsupported_op_raises():
     recipe = make_recipe([{"op": "core/row-removal"}])
-    with pytest.raises(EngineError) as info:
+    with pytest.raises(OracleError) as info:
         execute(recipe, Table(["a"], [["1"]]))
     assert info.value.code == "unsupported-op"
     assert info.value.step_index == 0
@@ -168,7 +161,7 @@ def test_opaque_expression_raises():
     recipe = make_recipe(
         [{"op": "core/text-transform", "columnName": "a", "expression": "jython:1"}]
     )
-    with pytest.raises(EngineError) as info:
+    with pytest.raises(OracleError) as info:
         execute(recipe, Table(["a"], [["1"]]))
     assert info.value.code == "expression-error"
 
@@ -203,7 +196,7 @@ def test_opaque_expression_raises():
 )
 def test_step_errors_name_their_step(entry, code):
     recipe = make_recipe([{"op": "core/blank-down", "columnName": "a"}, entry])
-    with pytest.raises(EngineError) as info:
+    with pytest.raises(OracleError) as info:
         execute(recipe, Table(["a"], [["1"]]))
     assert info.value.code == code
     assert info.value.step_index == 1
@@ -213,7 +206,7 @@ def test_rename_collision_rejected():
     recipe = make_recipe(
         [{"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"}]
     )
-    with pytest.raises(EngineError) as info:
+    with pytest.raises(OracleError) as info:
         execute(recipe, Table(["a", "b"], [["1", "2"]]))
     assert info.value.code == "label-collision"
 
@@ -239,7 +232,7 @@ def test_identity_order_equals_execute(menus_recipe, menus_table):
 
 
 def test_invalid_order_not_a_permutation(menus_recipe, menus_table):
-    with pytest.raises(EngineError) as info:
+    with pytest.raises(OracleError) as info:
         execute_order(menus_recipe, [0, 0, 1, 2, 3, 4, 5, 6], menus_table)
     assert info.value.code == "invalid-order"
 
@@ -247,7 +240,7 @@ def test_invalid_order_not_a_permutation(menus_recipe, menus_table):
 def test_invalid_order_violates_dependency(menus_recipe, menus_table):
     # The rename of "date 1" (step 1) cannot run before the split (step 0).
     order = [1, 0, 2, 3, 4, 5, 6, 7]
-    with pytest.raises(EngineError) as info:
+    with pytest.raises(OracleError) as info:
         execute_order(menus_recipe, order, menus_table)
     assert info.value.code == "invalid-order"
 
@@ -311,7 +304,7 @@ def test_reorder_with_transient_label_reuse():
     table = Table(["a", "c"], [["1", "x"], ["2", "y"]])
     effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels))
     assert dependency_edges(effects) == {(0, 1)}
-    with pytest.raises(EngineError) as info:
+    with pytest.raises(OracleError) as info:
         execute_order(recipe, [1, 0], table)
     assert info.value.code == "invalid-order"
     forward = execute_order(recipe, [0, 1], table)

@@ -28,9 +28,9 @@ from refineflow import (
 )
 from refineflow.cli import RunConfig
 from refineflow.effects import OpSpec
-from refineflow.engine import Table
 from refineflow.expressions import CellRef, Literal, OwnValue, Term
 from refineflow.recipe import EMPTY_MAPPING
+from oracle import Table
 
 # Two equal instances of every frozen record, built independently.
 FROZEN = [
