@@ -82,7 +82,7 @@ CATALOG: dict[str, OpSpec] = {
     ),
     "core/mass-edit": OpSpec(
         params=("columnName", "expression", "edits"),
-        own="columnName", writes_own=True,
+        own="columnName", expression=True, writes_own=True,
     ),
     "core/column-rename": OpSpec(
         params=("oldColumnName", "newColumnName"),

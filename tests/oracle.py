@@ -192,13 +192,6 @@ def _compile_edits(op: RawOperation) -> list[tuple[set[str], bool, str]]:
             f"step {op.index} (core/mass-edit) lacks an edits list",
             step_index=op.index,
         )
-    expression = op.params.get("expression", "value")
-    if ex.strip_language_tag(str(expression)) != "value":
-        raise OracleError(
-            "unsupported-op",
-            f"step {op.index} (core/mass-edit) only supports the identity expression",
-            step_index=op.index,
-        )
     compiled = []
     for entry in edits:
         if not isinstance(entry, dict):
@@ -211,19 +204,16 @@ def _compile_edits(op: RawOperation) -> list[tuple[set[str], bool, str]]:
     return compiled
 
 
-def _apply_edits(cell: str, compiled) -> str:
+def _apply_edits(key: str, cell: str, compiled) -> str:
+    """The first matching edit's ``to`` for a row whose key is ``key``;
+    the cell unchanged when no edit matches."""
     for matches, from_blank, to in compiled:
-        if cell in matches or (from_blank and cell == ""):
+        if key in matches or (from_blank and key == ""):
             return to
     return cell
 
 
-def _mass_edit(op: RawOperation, cells: list[str]) -> list[str]:
-    compiled = _compile_edits(op)
-    return [_apply_edits(cell, compiled) for cell in cells]
-
-
-def _fill_down(op: RawOperation, cells: list[str]) -> list[str]:
+def _fill_down(cells: list[str]) -> list[str]:
     carry = None
     values = []
     for cell in cells:
@@ -235,14 +225,13 @@ def _fill_down(op: RawOperation, cells: list[str]) -> list[str]:
     return values
 
 
-def _blank_down(op: RawOperation, cells: list[str]) -> list[str]:
+def _blank_down(cells: list[str]) -> list[str]:
     return ["" if r and cell == cells[r - 1] else cell for r, cell in enumerate(cells)]
 
 
 # Steps that rewrite their own column from that column alone, run on a
 # plain list of the column's cells.
 _COLUMN_KERNELS = {
-    "core/mass-edit": _mass_edit,
     "core/fill-down": _fill_down,
     "core/blank-down": _blank_down,
 }
@@ -295,7 +284,18 @@ def _execute_step(state: Table, op: RawOperation, arity_hints):
 
     if kernel is not None:
         position = state.position(_require_string_param(op, "columnName"), op)
-        state.set_column(position, kernel(op, [row[position] for row in state.rows]))
+        state.set_column(position, kernel([row[position] for row in state.rows]))
+
+    elif op_id == "core/mass-edit":
+        # OpenRefine matches the edits against the key expression, evaluated
+        # on each row, and rewrites the cell of the own column.
+        position = state.position(_require_string_param(op, "columnName"), op)
+        compiled = _compile_edits(op)
+        keys = state.evaluate(_parse_expression(op), position, op)
+        state.set_column(
+            position,
+            [_apply_edits(key, row[position], compiled) for key, row in zip(keys, state.rows)],
+        )
 
     elif op_id == "core/text-transform":
         position = state.position(_require_string_param(op, "columnName"), op)

@@ -135,6 +135,25 @@ def test_mass_edit_from_to_and_blank():
     assert [row[0] for row in out.rows] == ["new", "new", "filled", "other"]
 
 
+def test_mass_edit_matches_its_key_expression():
+    # The edits match the key, here another column's cell; the own column
+    # is rewritten.
+    recipe = make_recipe(
+        [
+            {
+                "op": "core/mass-edit",
+                "columnName": "a",
+                "expression": 'grel:cells["b"].value.trim()',
+                "edits": [{"from": ["x"], "to": "hit"}, {"fromBlank": True, "to": "blank"}],
+            }
+        ]
+    )
+    table = Table(["a", "b"], [["1", " x "], ["2", "x"], ["3", "y"], ["4", ""]])
+    out = execute(recipe, table)
+    assert out.by_label()["a"] == ["hit", "hit", "3", "blank"]
+    assert out.by_label()["b"] == [" x ", "x", "y", ""]
+
+
 def test_fill_down():
     recipe = make_recipe([{"op": "core/fill-down", "columnName": "a"}])
     table = Table(["a"], [[""], ["x"], [""], [""], ["y"], [""]])
@@ -172,8 +191,8 @@ def test_opaque_expression_raises():
         ({"op": "core/text-transform", "columnName": "a"}, "expression-error"),
         ({"op": "core/mass-edit", "columnName": "a", "expression": "value"}, "unsupported-op"),
         (
-            {"op": "core/mass-edit", "columnName": "a", "expression": "value.trim()", "edits": []},
-            "unsupported-op",
+            {"op": "core/mass-edit", "columnName": "a", "expression": "jython:1", "edits": []},
+            "expression-error",
         ),
         (
             {"op": "core/column-split", "columnName": "a", "separator": ",", "regex": True},

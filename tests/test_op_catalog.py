@@ -24,9 +24,9 @@ OPS = {
         (("a", "b"), ("a",), (), (), (), False),
     ),
     "core/mass-edit": (
-        {"columnName": "a", "expression": "value", "edits": [{"from": ["x"], "to": "y"}]},
-        ("a",),
-        (("a",), ("a",), (), (), (), False),
+        {"columnName": "a", "expression": 'cells["b"].value', "edits": [{"from": ["x"], "to": "y"}]},
+        ("a", "b"),
+        (("a", "b"), ("a",), (), (), (), False),
     ),
     "core/column-rename": (
         {"oldColumnName": "a", "newColumnName": "z"},
