@@ -92,9 +92,10 @@ TABLES = [
 ]
 
 
-def _replay(entries: list[dict], table: Table):
+def _replay(recipe, table: Table):
+    """The table by label, or the error code when the replay fails."""
     try:
-        return execute(make_recipe(entries), table).by_label()
+        return execute(recipe, table).by_label()
     except OracleError as exc:
         return exc.code
 
@@ -107,16 +108,15 @@ def test_every_unordered_pair_commutes():
     ordered_pairs = lost_pairs = 0
     for first in alphabet:
         for second in alphabet:
-            ordered = False
-            tells_apart = False
+            recipe, reversed_recipe = make_recipe([first, second]), make_recipe([second, first])
+            ordered = tells_apart = False
             for table in TABLES:
-                recorded = _replay([first, second], table)
+                recorded = _replay(recipe, table)
                 if isinstance(recorded, str):
                     continue
                 cases += 1
-                recipe = make_recipe([first, second])
                 effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels))
-                swapped = _replay([second, first], table)
+                swapped = _replay(reversed_recipe, table)
                 if dependency_edges(effects):
                     ordered = True
                     tells_apart = tells_apart or swapped != recorded
@@ -125,7 +125,7 @@ def test_every_unordered_pair_commutes():
             ordered_pairs += ordered
             lost_pairs += ordered and not tells_apart
     elapsed = time.perf_counter() - started
-    assert unsound == [], f"{len(unsound)} unordered pairs replay differently: {unsound[:3]}"
+    assert unsound == [], f"{len(unsound)} unordered (pair, table) cases replay differently: {unsound[:3]}"
     print(
         f"\n{len(alphabet)} ops, {cases} runnable (pair, table) cases, none unsound "
         f"({elapsed:.2f}s); {lost_pairs} of {ordered_pairs} ordered pairs replay the "
