@@ -9,9 +9,7 @@ from .effects import (
     ColumnEffect,
     ColumnId,
     SchemaState,
-    apply_effect,
     catalog_reference,
-    effect_of,
     infer_initial_schema,
     trace_effects,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "SchemaState",
     "WorkflowModel",
     "analyze_expression",
-    "apply_effect",
     "build_collapsed",
     "build_linear",
     "build_parallel",
@@ -60,7 +57,6 @@ __all__ = [
     "dependency_edges",
     "detail_model",
     "downstream_impact",
-    "effect_of",
     "emit_dot",
     "emit_yw",
     "infer_initial_schema",

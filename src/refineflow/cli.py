@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from . import effects, model
-from .emit import VIEWS, emit_dot, emit_yw
+from .emit import VIEWS, emit_dot, emit_yw, identifier_map
 from .errors import RefineflowError
 from .model import DATA_KINDS, WorkflowModel
 from .recipe import EMPTY_MAPPING, Diagnostic, parse_recipe, validate_recipe
@@ -49,7 +49,8 @@ def _print_diagnostic(diag: Diagnostic, stream) -> None:
 
 
 def _resolve_query_node(workflow: WorkflowModel, node_id: str) -> str:
-    """Exact node id, else the last-born data node with that label.
+    """Exact node id, else the last-born data node with that label, else
+    the node the output names by that identifier.
 
     Data nodes are appended as their versions are born, so when a label was
     freed and taken again, the last match is the column that holds it last.
@@ -59,7 +60,10 @@ def _resolve_query_node(workflow: WorkflowModel, node_id: str) -> str:
     for node in reversed(workflow.nodes):
         if node.kind in DATA_KINDS and node.label == node_id:
             return node.id
-    raise RefineflowError("unknown-node", f"no node with id or data label {node_id!r}")
+    for found, identifier in identifier_map(workflow).items():
+        if identifier == node_id:
+            return found
+    raise RefineflowError("unknown-node", f"no node with id, label or identifier {node_id!r}")
 
 
 def _write_temp(path: str, text: str) -> str:

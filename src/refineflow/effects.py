@@ -11,15 +11,16 @@ serve label resolution and callers that want the live columns at a step.
 
 Each recognized operation id is described once, by an :class:`OpSpec` in
 ``CATALOG``; one reader turns a step's params into labels for both
-:func:`effect_of` and :func:`infer_initial_schema`. Unknown operation ids
-fall back to the table-scoped rule: the analysis degrades to the
-sequential interpretation instead of failing.
+:func:`trace_effects` and :func:`infer_initial_schema`. Unknown operation
+ids fall back to the table-scoped rule: the analysis degrades to the
+sequential interpretation instead of failing. A step's effect is computed
+only inside :func:`trace_effects`, the one pass that sees the whole recipe.
 
 Recipes repeat expression texts step after step (one ``value.trim()`` per
-column), so each pass (one :func:`infer_initial_schema`, one
-:func:`trace_effects` or one direct :func:`effect_of` call) analyzes each
-distinct text once. The memo holds analyses, never resolved ids, and
-lives for that call only: nothing is cached across calls.
+column), so each pass (one :func:`infer_initial_schema` or one
+:func:`trace_effects` call) analyzes each distinct text once. The memo
+holds analyses, never resolved ids, and lives for that call only: nothing
+is cached across calls.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class OpSpec(NamedTuple):
     ``params`` are the keys that shape what a step of the op id does;
     other keys are retained verbatim but do not influence the model
     (validate_recipe reports them). ``own`` and ``new_label`` must be
-    present, except a list-valued ``own``.
+    present.
 
     The effect rule: ``own`` names the parameter holding the column the
     step runs on (a list of columns when ``own_list``). The step reads it,
@@ -234,6 +235,16 @@ def _present(value, op: RawOperation, key: str):
     return value
 
 
+def _typed(value, op: RawOperation, key: str, kind: type, noun: str):
+    if not isinstance(_present(value, op, key), kind):
+        raise EffectError(
+            "missing-param",
+            f"step {op.index} ({op.op_id}): {key} is not {noun}",
+            step_index=op.index,
+        )
+    return value
+
+
 def static_split_arity(op: RawOperation) -> int | None:
     """Part count of a split when the recipe pins it; None when data-dependent."""
     field_lengths = op.params.get("fieldLengths")
@@ -311,25 +322,18 @@ def _read_labels(
     return owns, references, opaque, gives, frees
 
 
-def effect_of(
-    op: RawOperation,
-    schema: SchemaState,
-    arity_hints: dict[str, int] | None = None,
-) -> ColumnEffect:
-    """Column effect of one operation against the schema it runs on.
-
-    Raises :class:`EffectError` (``unresolved-column`` / ``missing-param``)
-    when a referenced column is not live or a required parameter is absent.
-    """
-    return _effect_of(op, schema, arity_hints, {})
-
-
 def _effect_of(
     op: RawOperation,
     schema: SchemaState,
     arity_hints: dict[str, int] | None,
     analyses: Analyses,
 ) -> ColumnEffect:
+    """Column effect of one operation against the schema it runs on.
+
+    Raises :class:`EffectError` (``unresolved-column`` / ``missing-param``)
+    when a referenced column is not live or a required parameter is absent
+    or of the wrong type.
+    """
     spec = spec_of(op.op_id)
     if spec.table_scoped:
         live = schema.live_ids()
@@ -338,19 +342,14 @@ def _effect_of(
     owns, references, opaque, gives, frees = _read_labels(spec, op, arity_hints, analyses)
     anchor = None
     if spec.own_list:
+        _typed(op.params.get(spec.own), op, spec.own, list, "a list")
         own = frozenset(_resolve(name, schema, op) for name in owns)
     else:
         anchor = _resolve(_present(owns[0], op, spec.own), schema, op)
         own = frozenset({anchor})
 
     if spec.new_label is not None:
-        new_label = _present(gives[0], op, spec.new_label)
-        if not isinstance(new_label, str):
-            raise EffectError(
-                "missing-param",
-                f"step {op.index} ({op.op_id}): {spec.new_label} is not a string",
-                step_index=op.index,
-            )
+        new_label = _typed(gives[0], op, spec.new_label, str, "a string")
 
     reads = schema.live_ids() if opaque else own  # opaque means no references
     if references:
@@ -369,7 +368,7 @@ def _effect_of(
     )
 
 
-def apply_effect(schema: SchemaState, effect: ColumnEffect) -> SchemaState:
+def _apply_effect(schema: SchemaState, effect: ColumnEffect) -> SchemaState:
     """Next schema after an effect produced against ``schema``.
 
     New columns land immediately right of the effect's anchor (or at the
@@ -419,7 +418,7 @@ def trace_effects(
     for op in recipe.operations:
         try:
             effect = _effect_of(op, states[-1], arity_hints, analyses)
-            states.append(apply_effect(states[-1], effect))
+            states.append(_apply_effect(states[-1], effect))
         except EffectError as exc:
             if exc.step_index is None:
                 exc.step_index = op.index

@@ -98,12 +98,10 @@ class WorkflowModel(FrozenRecord):
     nodes into independent subworkflow groups. Each model owns its lists.
     """
 
-    __slots__ = ("model_kind", "nodes", "edges", "components")
+    __slots__ = ("nodes", "edges", "components")
 
-    def __init__(
-        self, model_kind: str, nodes: list[Node], edges: list[Edge], components: list[list[str]]
-    ):
-        self._set(model_kind, nodes, edges, components)
+    def __init__(self, nodes: list[Node], edges: list[Edge], components: list[list[str]]):
+        self._set(nodes, edges, components)
 
     def node_map(self) -> dict[str, Node]:
         return {node.id: node for node in self.nodes}
@@ -255,7 +253,7 @@ def build_linear(recipe: Recipe) -> WorkflowModel:
         if pos > 0:
             edges.append(Edge(f"step_{pos - 1}", step_id))
     components = [[f"step_{i}" for i in range(n)]] if n else []
-    return WorkflowModel(LINEAR, nodes, edges, components)
+    return WorkflowModel(nodes, edges, components)
 
 
 def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) -> list[tuple[int, int]]:
@@ -378,7 +376,7 @@ def _build_column_model(
     components = [
         [group_ids[i] for i in members] for members in _weak_components(list(group_ids), kept)
     ]
-    return WorkflowModel(PARALLEL if runs is None else COLLAPSED, nodes, edges, components)
+    return WorkflowModel(nodes, edges, components)
 
 
 def build_parallel(
@@ -420,12 +418,7 @@ def _induced_subgraph(model: WorkflowModel, keep: set[str]) -> WorkflowModel:
     components = [
         [node_id for node_id in group if node_id in keep] for group in model.components
     ]
-    return WorkflowModel(
-        model_kind=model.model_kind,
-        nodes=nodes,
-        edges=edges,
-        components=[g for g in components if g],
-    )
+    return WorkflowModel(nodes, edges, [g for g in components if g])
 
 
 def _closure(model: WorkflowModel, node_id: str, reverse: bool) -> set[str]:

@@ -184,7 +184,7 @@ def validate_recipe(
                 )
             )
             continue
-        required = () if spec.own_list else (spec.own, spec.new_label)
+        required = (spec.own, spec.new_label)
         missing = [key for key in required if key is not None and key not in op.params]
         if missing:
             diagnostics.append(

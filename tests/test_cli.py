@@ -382,6 +382,18 @@ def test_query_downstream(tmp_path):
     assert "dish_count" not in labels
 
 
+def test_query_by_the_identifier_the_output_shows(tmp_path):
+    whole = tmp_path / "whole.dot"
+    assert run_cli(["-i", MENUS, "-o", str(whole)]) == 0
+    assert '"text_transform_5"' in whole.read_text(encoding="utf-8")
+    outputs = []
+    for node in ("step_5", "text_transform_5"):
+        out = tmp_path / f"{node}.dot"
+        assert run_cli(["-i", MENUS, "--query", f"downstream:{node}", "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_query_label_resolves_to_the_column_that_holds_it_last(tmp_path):
     # "a" is removed, then a new column takes the label: a query by label
     # names the new column, not the removed one.
@@ -580,6 +592,11 @@ def test_public_names_resolve_and_no_interpreter_ships():
     assert [name for name in refineflow.__all__ if not hasattr(refineflow, name)] == []
     assert importlib.util.find_spec("refineflow.engine") is None
     assert "__getattr__" not in vars(refineflow)
+    # A step's effect is taken from a trace only.
+    for name in ("effect_of", "apply_effect"):
+        assert name not in refineflow.__all__
+        assert not hasattr(refineflow, name)
+        assert not hasattr(refineflow.effects, name)
 
 
 # Expressions whose references the source text does not order: "a" is a

@@ -8,14 +8,11 @@ from pathlib import Path
 import pytest
 
 from refineflow import (
-    ColumnEffect,
     ColumnId,
     EffectError,
     SchemaState,
     analyze_expression,
-    apply_effect,
     catalog_reference,
-    effect_of,
     infer_initial_schema,
     trace_effects,
 )
@@ -35,8 +32,14 @@ def _single(recipe_entry: dict):
 MENUS_SCHEMA = _schema("date", "event", "dish_count")
 
 
+def _step(recipe_entry: dict, schema: SchemaState = MENUS_SCHEMA):
+    """Effect of a one-step recipe traced over ``schema``, and the schema after it."""
+    (effect,), states = trace_effects(make_recipe([recipe_entry]), schema)
+    return effect, states[-1]
+
+
 def test_split_effect_creates_three_parts():
-    op = _single(
+    effect, _ = _step(
         {
             "op": "core/column-split",
             "columnName": "date",
@@ -45,7 +48,6 @@ def test_split_effect_creates_three_parts():
             "removeOriginalColumn": True,
         }
     )
-    effect = effect_of(op, MENUS_SCHEMA)
     date_id = MENUS_SCHEMA.id_of("date")
     assert effect.reads == {date_id}
     assert [label for _, label in effect.creates] == ["date 1", "date 2", "date 3"]
@@ -56,24 +58,21 @@ def test_split_effect_creates_three_parts():
 
 def test_rename_effect_preserves_schema_size():
     schema = _schema("date 1", "date 2", "date 3")
-    op = _single(
-        {"op": "core/column-rename", "oldColumnName": "date 2", "newColumnName": "month"}
+    effect, after = _step(
+        {"op": "core/column-rename", "oldColumnName": "date 2", "newColumnName": "month"}, schema
     )
-    effect = effect_of(op, schema)
     old_id = schema.id_of("date 2")
     assert dict(effect.renames) == {old_id: "month"}
     assert effect.reads == {old_id}
-    after = apply_effect(schema, effect)
     assert len(after.columns) == len(schema.columns)
     assert dict(after.columns)[old_id] == "month"
     assert after.ids() == schema.ids()
 
 
 def test_trim_transform_is_intra_column():
-    op = _single(
+    effect, _ = _step(
         {"op": "core/text-transform", "columnName": "event", "expression": "value.trim()"}
     )
-    effect = effect_of(op, MENUS_SCHEMA)
     event_id = MENUS_SCHEMA.id_of("event")
     assert effect.reads == {event_id}
     assert effect.writes == {event_id}
@@ -81,29 +80,26 @@ def test_trim_transform_is_intra_column():
 
 
 def test_transform_with_references_reads_them():
-    op = _single(
+    effect, _ = _step(
         {
             "op": "core/text-transform",
             "columnName": "event",
             "expression": 'grel:cells["date"].value + value',
         }
     )
-    effect = effect_of(op, MENUS_SCHEMA)
     assert effect.reads == {MENUS_SCHEMA.id_of("event"), MENUS_SCHEMA.id_of("date")}
 
 
 def test_opaque_expression_reads_everything():
-    op = _single(
+    effect, _ = _step(
         {"op": "core/text-transform", "columnName": "event", "expression": "jython:x"}
     )
-    effect = effect_of(op, MENUS_SCHEMA)
     assert effect.reads == MENUS_SCHEMA.live_ids()
     assert effect.writes == {MENUS_SCHEMA.id_of("event")}
 
 
 def test_unknown_op_is_table_scoped():
-    op = _single({"op": "vendor/exotic-op"})
-    effect = effect_of(op, MENUS_SCHEMA)
+    effect, _ = _step({"op": "vendor/exotic-op"})
     assert effect.table_scoped
     assert effect.reads == MENUS_SCHEMA.live_ids()
     assert effect.writes == MENUS_SCHEMA.live_ids()
@@ -111,39 +107,35 @@ def test_unknown_op_is_table_scoped():
 
 def test_row_ops_are_table_scoped():
     for op_id in ("core/row-removal", "core/row-reorder", "core/row-star", "core/row-flag"):
-        effect = effect_of(_single({"op": op_id}), MENUS_SCHEMA)
+        effect, _ = _step({"op": op_id})
         assert effect.table_scoped
 
 
 def test_column_move_touches_only_moved_column():
-    op = _single({"op": "core/column-move", "columnName": "event", "index": 0})
-    effect = effect_of(op, MENUS_SCHEMA)
+    effect, after = _step({"op": "core/column-move", "columnName": "event", "index": 0})
     event_id = MENUS_SCHEMA.id_of("event")
     assert effect.reads == effect.writes == {event_id}
     assert not effect.table_scoped
     # Presentation-only: the schema itself is unchanged.
-    assert apply_effect(MENUS_SCHEMA, effect) == MENUS_SCHEMA
+    assert after == MENUS_SCHEMA
 
 
 def test_column_reorder_touches_listed_columns():
-    op = _single({"op": "core/column-reorder", "columnNames": ["event", "date"]})
-    effect = effect_of(op, MENUS_SCHEMA)
+    effect, _ = _step({"op": "core/column-reorder", "columnNames": ["event", "date"]})
     expected = {MENUS_SCHEMA.id_of("event"), MENUS_SCHEMA.id_of("date")}
     assert effect.reads == effect.writes == expected
     assert not effect.table_scoped
 
 
 def test_column_reorder_unknown_label_errors():
-    op = _single({"op": "core/column-reorder", "columnNames": ["ghost"]})
     with pytest.raises(EffectError) as info:
-        effect_of(op, MENUS_SCHEMA)
+        _step({"op": "core/column-reorder", "columnNames": ["ghost"]})
     assert info.value.code == "unresolved-column"
 
 
 def test_unresolved_column_error():
-    op = _single({"op": "core/column-removal", "columnName": "ghost"})
     with pytest.raises(EffectError) as info:
-        effect_of(op, MENUS_SCHEMA)
+        _step({"op": "core/column-removal", "columnName": "ghost"})
     assert info.value.code == "unresolved-column"
     assert "ghost" in info.value.message
     assert info.value.step_index == 0
@@ -151,58 +143,61 @@ def test_unresolved_column_error():
 
 def test_apply_split_placement():
     schema = _schema("date", "event")
-    op = _single(
+    _, after = _step(
         {
             "op": "core/column-split",
             "columnName": "date",
             "separator": "/",
             "maxColumns": 3,
             "removeOriginalColumn": True,
-        }
+        },
+        schema,
     )
-    after = apply_effect(schema, effect_of(op, schema))
     assert after.labels() == ("date 1", "date 2", "date 3", "event")
 
 
 def test_apply_split_keeps_original_when_asked():
     schema = _schema("date", "event")
-    op = _single(
+    _, after = _step(
         {
             "op": "core/column-split",
             "columnName": "date",
             "separator": "/",
             "maxColumns": 2,
             "removeOriginalColumn": False,
-        }
+        },
+        schema,
     )
-    after = apply_effect(schema, effect_of(op, schema))
     assert after.labels() == ("date", "date 1", "date 2", "event")
 
 
 def test_apply_addition_right_of_base():
     schema = _schema("a", "b")
-    op = _single(
+    _, after = _step(
         {
             "op": "core/column-addition",
             "baseColumnName": "a",
             "newColumnName": "x",
             "expression": "value",
-        }
+        },
+        schema,
     )
-    after = apply_effect(schema, effect_of(op, schema))
     assert after.labels() == ("a", "x", "b")
 
 
 def test_apply_empty_effect_is_identity():
+    # A step that creates, deletes and renames nothing shares its
+    # predecessor's snapshot.
     schema = _schema("a")
-    assert apply_effect(schema, ColumnEffect()) == schema
+    effect, after = _step({"op": "core/fill-down", "columnName": "a"}, schema)
+    assert (effect.creates, effect.deletes, effect.renames) == ((), frozenset(), ())
+    assert after is schema
 
 
 def test_apply_rename_collision():
     schema = _schema("a", "b")
-    op = _single({"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"})
     with pytest.raises(EffectError) as info:
-        apply_effect(schema, effect_of(op, schema))
+        _step({"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"}, schema)
     assert info.value.code == "label-collision"
 
 
@@ -303,14 +298,6 @@ def test_repeated_text_resolves_against_its_own_schema():
     assert "'x'" in info.value.message
 
 
-def test_traced_effects_equal_single_step_effects(menus_recipe, mass_edit_recipe):
-    recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
-    for recipe in recipes:
-        traced, states = trace_effects(recipe, infer_initial_schema(recipe))
-        for op, effect, state in zip(recipe.operations, traced, states):
-            assert effect == effect_of(op, state)
-
-
 def test_output_ids_are_writes_creates_and_deletes(menus_recipe, mass_edit_recipe):
     recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
     shapes = Counter()
@@ -376,9 +363,8 @@ def test_static_and_hinted_split_arity():
 
 
 def test_missing_param_raises():
-    op = _single({"op": "core/column-rename", "oldColumnName": "a"})
     with pytest.raises(EffectError) as info:
-        effect_of(op, _schema("a"))
+        _step({"op": "core/column-rename", "oldColumnName": "a"}, _schema("a"))
     assert info.value.code == "missing-param"
 
 
@@ -408,8 +394,7 @@ def test_conservative_fallback_reads_all_live():
         initial = infer_initial_schema(recipe)
         schemas = trace_effects(recipe, initial)[1]
         position = rng.randrange(len(recipe) + 1)
-        unknown = _single({"op": "vendor/mystery"})
-        effect = effect_of(unknown, schemas[position])
+        effect, _ = _step({"op": "vendor/mystery"}, schemas[position])
         assert effect.reads >= schemas[position].live_ids()
 
 

@@ -9,6 +9,7 @@ from refineflow import (
     Edge,
     ModelError,
     Node,
+    Recipe,
     SchemaState,
     WorkflowModel,
     build_collapsed,
@@ -526,7 +527,7 @@ def test_collapse_folds_a_rename_run():
     assert columns("step_5", into=False) == ["x5_v6"]
     assert [n.id for n in model.nodes if n.kind == "summary"] == ["summary_0"]
     inner = detail_model(recipe, model.node_map()["summary_0"])
-    assert inner.model_kind == "linear"
+    assert inner == build_linear(Recipe(recipe.operations[:5]))
     assert [n.label for n in inner.nodes if n.kind == "step"] == ["column-rename"] * 5
     chain = [
         (e.src, e.dst) for e in inner.edges if e.src.startswith("step_") and e.dst.startswith("step_")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from refineflow import EffectError, infer_initial_schema, trace_effects
+from refineflow import EffectError, infer_initial_schema, trace_effects, validate_recipe
 from refineflow.effects import CATALOG
 from conftest import make_recipe
 
@@ -69,9 +69,9 @@ OPS = {
 
 _NOT_A_STRING = "step 0 ({op}): column name parameter is not a string"
 _LACKS = "step 0 ({op}) lacks required parameter {key!r}"
+_REORDER = "core/column-reorder"
 
-# (op id, column or label param, value) -> (code, message), or None when
-# the step still traces.
+# (op id, column or label param, value) -> (code, message).
 BAD_LABELS = [
     (op, key, value, ("missing-param", (_LACKS if value is None else _NOT_A_STRING).format(
         op=op, key=key
@@ -95,14 +95,14 @@ BAD_LABELS = [
     (op, "newColumnName", 7, ("missing-param", f"step 0 ({op}): newColumnName is not a string"))
     for op in ("core/column-rename", "core/column-addition")
 ] + [
-    ("core/column-reorder", "columnNames", None, None),
-    ("core/column-reorder", "columnNames", 7, None),
-    ("core/column-reorder", "columnNames", "a", None),
-] + [
-    ("core/column-reorder", "columnNames", value, (
-        "missing-param", _NOT_A_STRING.format(op="core/column-reorder")
-    ))
-    for value in ([None], [7])
+    (_REORDER, "columnNames", value, ("missing-param", message))
+    for value, message in [
+        (None, _LACKS.format(op=_REORDER, key="columnNames")),
+        (7, f"step 0 ({_REORDER}): columnNames is not a list"),
+        ("a", f"step 0 ({_REORDER}): columnNames is not a list"),
+        ([None], _NOT_A_STRING.format(op=_REORDER)),
+        ([7], _NOT_A_STRING.format(op=_REORDER)),
+    ]
 ]
 
 
@@ -152,10 +152,17 @@ def test_inferred_schema_traces_and_covers_reads(op_id):
 def test_bad_label_params(op_id, key, value, expected):
     params = {**OPS[op_id][0], key: value}
     recipe, initial = _one_step(op_id, params)
-    if expected is None:
-        trace_effects(recipe, initial)
-        return
     with pytest.raises(EffectError) as info:
         trace_effects(recipe, initial)
     assert (info.value.code, info.value.message) == expected
     assert info.value.step_index == 0
+
+
+@pytest.mark.parametrize("op_id", sorted(op_id for op_id, spec in CATALOG.items() if spec.own))
+def test_missing_own_param_is_a_validation_error(op_id):
+    spec = CATALOG[op_id]
+    params = {key: value for key, value in OPS[op_id][0].items() if key != spec.own}
+    diagnostics = validate_recipe(make_recipe([{"op": op_id, **params}]))
+    errors = [d for d in diagnostics if d.severity == "error"]
+    assert [(d.code, d.step_index) for d in errors] == [("missing-param", 0)]
+    assert spec.own in errors[0].message

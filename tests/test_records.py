@@ -49,7 +49,7 @@ FROZEN = [
     lambda: ColumnEffect(reads=frozenset({0}), writes=frozenset({0}), labels=frozenset({"a"})),
     lambda: Edge(src="step_0", dst="step_1", label="a"),
     lambda: WorkflowModel(
-        "parallel", [Node("step", "step_0", "fill-down", 0)], [Edge("a_v0", "step_0")], [["step_0"]]
+        [Node("step", "step_0", "fill-down", 0)], [Edge("a_v0", "step_0")], [["step_0"]]
     ),
     lambda: RunConfig(input_path="x.json", query=("upstream", "a")),
     lambda: Table(["a", "b"], [["1", "2"]]),
@@ -96,7 +96,7 @@ def test_records_of_different_values_differ():
     assert SchemaState.from_labels(["a"]) != SchemaState.from_labels(["b"])
     assert Recipe((RawOperation("core/fill-down", 0),)) != Recipe()
     assert Recipe() != SchemaState()
-    assert WorkflowModel("linear", [], [], []) != WorkflowModel("parallel", [], [], [])
+    assert WorkflowModel([], [], []) != WorkflowModel([], [], [["step_0"]])
     assert RunConfig("a.json") != RunConfig("b.json")
 
 
