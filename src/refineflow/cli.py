@@ -137,12 +137,17 @@ def run(config: RunConfig, stderr=None) -> int:
 
         initial = effects.infer_initial_schema(recipe, hints)
         effect_list, _ = effects.trace_effects(recipe, initial, hints)
+        # The DOT process view draws steps only. YW's process view prints
+        # each step's data ports, and a query may name a data label.
+        dataflow = (config.view, config.format) != ("process", "dot") or config.query is not None
         if config.model_kind == model.LINEAR:
             workflow = model.build_linear(recipe)
         elif config.model_kind == model.PARALLEL:
-            workflow = model.build_parallel(recipe, effect_list, initial)
+            workflow = model.build_parallel(recipe, effect_list, initial, dataflow)
         else:
-            workflow = model.build_collapsed(recipe, effect_list, initial, config.collapse_threshold)
+            workflow = model.build_collapsed(
+                recipe, effect_list, initial, config.collapse_threshold, dataflow
+            )
 
         if config.query is not None:
             direction, raw_node = config.query

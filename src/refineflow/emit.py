@@ -72,30 +72,35 @@ def _edge_roles(model: WorkflowModel, view: str) -> _EdgeRoles:
 def identifier_map(model: WorkflowModel) -> dict[str, str]:
     """Stable emission identifier per node id.
 
-    Step, summary, and param identifiers come from sanitized labels/keys;
-    colliding ones get the step index appended. Data node ids are already
-    unique, readable identifiers. Every identifier holds word characters
-    only, so it needs no escaping inside DOT quotes.
+    Step and summary identifiers come from sanitized labels, and are named
+    first, among themselves: a step has the same identifier in every view,
+    whether or not the model holds data and param nodes. Param identifiers
+    come from sanitized keys; data node ids are already unique, readable
+    identifiers. Within each of the two groups, colliding identifiers get
+    the step index appended; a name already taken gets "_" appended. Every
+    identifier holds word characters only, so it needs no escaping inside
+    DOT quotes.
     """
-    base: list[str] = []
+    steps: list[tuple[Node, str]] = []
+    others: list[tuple[Node, str]] = []
     for node in model.nodes:
-        if node.kind == "param":
-            text = node.payload.get("key", node.label)
-        elif node.kind in STEP_KINDS:
-            text = node.label
+        if node.kind in STEP_KINDS:
+            steps.append((node, sanitize_identifier(node.label)))
+        elif node.kind == "param":
+            others.append((node, sanitize_identifier(node.payload.get("key", node.label))))
         else:
-            text = node.id
-        base.append(sanitize_identifier(text))
-    counts = Counter(base)
+            others.append((node, sanitize_identifier(node.id)))
     result: dict[str, str] = {}
     used: set[str] = set()
-    for node, name in zip(model.nodes, base):
-        if counts[name] > 1 and node.step_index is not None:
-            name = f"{name}_{node.step_index}"
-        while name in used:
-            name += "_"
-        used.add(name)
-        result[node.id] = name
+    for group in (steps, others):
+        counts = Counter(name for _, name in group)
+        for node, name in group:
+            if counts[name] > 1 and node.step_index is not None:
+                name = f"{name}_{node.step_index}"
+            while name in used:
+                name += "_"
+            used.add(name)
+            result[node.id] = name
     return result
 
 

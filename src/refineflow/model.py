@@ -282,6 +282,7 @@ def _build_column_model(
     effects: list[ColumnEffect],
     initial: SchemaState,
     runs: list[tuple[int, int]] | None,
+    dataflow: bool,
 ) -> WorkflowModel:
     """Column-granularity model; ``runs`` folds step ranges into summaries.
 
@@ -291,7 +292,8 @@ def _build_column_model(
     first step's writes, at the labels they have after it, and its creates:
     the steps of a run share their output columns, so none of them creates
     a column. Each output is a new data node, which becomes its column's
-    current one.
+    current one. Without ``dataflow`` only the step layer is built: no data
+    or param node, and no edge that touches one.
     """
     n = len(recipe.operations)
     if len(effects) != n:
@@ -315,8 +317,9 @@ def _build_column_model(
         nodes.append(Node("data_column", node_id, label, None, {"column_id": cid, "version": at}))
         return node_id
 
-    for cid, name in initial.columns:
-        born(cid, 0, name)
+    if dataflow:
+        for cid, name in initial.columns:
+            born(cid, 0, name)
 
     # Node id of each group, by the index of its first step.
     group_ids: dict[int, str] = {}
@@ -327,15 +330,11 @@ def _build_column_model(
         end = run_end.get(start, start)
         op = recipe.operations[start]
         first = effects[start]
-        group = effects[start : end + 1]
-        reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
-        in_ids = [current[cid] for cid in sorted(reads)]
         if end > start:
             count = end - start + 1
             node_id = f"summary_{start}"
             payload = {"op_id": op.op_id, "count": count, "first_index": start, "last_index": end}
             nodes.append(Node("summary", node_id, f"{op.op_id} × {count}", start, payload))
-            params = []
             group_of[start : end + 1] = [start] * count
         else:
             node_id = f"step_{start}"
@@ -346,24 +345,25 @@ def _build_column_model(
             elif len(first.reads) >= 2 and len(first.writes | first.created_ids()) == 1:
                 payload["pattern"] = "merge"
             nodes.append(Node("step", node_id, _short_label(op), start, payload))
-            params = _param_nodes(op, start)
-            nodes.extend(params)
         group_ids[start] = node_id
 
-        for effect in group:
-            for cid in effect.writes:
-                version[cid] = version.get(cid, 0) + 1
-            labels.update(effect.renames)
-            labels.update(effect.creates)
-
-        for src in in_ids:
-            edges.append(Edge(src, node_id))
-        for param in params:
-            edges.append(Edge(param.id, node_id))
-        for cid in sorted(first.writes):
-            edges.append(Edge(node_id, born(cid, version[cid], labels[cid])))
-        for cid, name in first.creates:
-            edges.append(Edge(node_id, born(cid, 0, name)))
+        if dataflow:
+            group = effects[start : end + 1]
+            reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
+            edges.extend(Edge(current[cid], node_id) for cid in sorted(reads))
+            if end == start:
+                params = _param_nodes(op, start)
+                nodes.extend(params)
+                edges.extend(Edge(param.id, node_id) for param in params)
+            for effect in group:
+                for cid in effect.writes:
+                    version[cid] = version.get(cid, 0) + 1
+                labels.update(effect.renames)
+                labels.update(effect.creates)
+            for cid in sorted(first.writes):
+                edges.append(Edge(node_id, born(cid, version[cid], labels[cid])))
+            for cid, name in first.creates:
+                edges.append(Edge(node_id, born(cid, 0, name)))
         start = end + 1
 
     pairs = dependency_edges(effects)
@@ -380,13 +380,16 @@ def _build_column_model(
 
 
 def build_parallel(
-    recipe: Recipe, effects: list[ColumnEffect], initial: SchemaState
+    recipe: Recipe, effects: list[ColumnEffect], initial: SchemaState, dataflow: bool = True
 ) -> WorkflowModel:
     """Column-granularity model exposing independent subworkflow branches.
 
     ``effects`` are the recipe's step effects traced from ``initial``.
+    ``dataflow=False`` builds the step layer only: the steps, their
+    ordering edges and their components, which is all the process view
+    draws.
     """
-    return _build_column_model(recipe, effects, initial, runs=None)
+    return _build_column_model(recipe, effects, initial, None, dataflow)
 
 
 def build_collapsed(
@@ -394,16 +397,19 @@ def build_collapsed(
     effects: list[ColumnEffect],
     initial: SchemaState,
     threshold: int = DEFAULT_COLLAPSE_THRESHOLD,
+    dataflow: bool = True,
 ) -> WorkflowModel:
     """Parallel model with long same-shaped runs folded into summary nodes.
 
     A run is a maximal group of >= threshold consecutive steps sharing the
     same op id and the same output column set. :func:`detail_model` expands
-    a summary node into the linear model of its run.
+    a summary node into the linear model of its run. ``dataflow`` is as
+    for :func:`build_parallel`.
     """
     if threshold < 2:
         raise ValueError("collapse threshold must be >= 2")
-    return _build_column_model(recipe, effects, initial, _collapse_runs(recipe, effects, threshold))
+    runs = _collapse_runs(recipe, effects, threshold)
+    return _build_column_model(recipe, effects, initial, runs, dataflow)
 
 
 def detail_model(recipe: Recipe, summary: Node) -> WorkflowModel:

@@ -10,6 +10,7 @@ here too, at the bottom of the import graph.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from typing import Any, NamedTuple
 
@@ -111,6 +112,30 @@ class Diagnostic(NamedTuple):
     step_index: int | None = None
 
 
+# A \uD800-\uDFFF escape: the only way a text decoded from UTF-8 can give
+# the JSON decoder a surrogate.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _holds_surrogate(document) -> bool:
+    """Whether a key or string value holds a lone surrogate, which no UTF-8
+    output can carry (an escaped pair decodes to one character). A loop,
+    not recursion: the document may nest up to the decoder's limit."""
+    pending = [document]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, str):
+            if _SURROGATE.search(value):
+                return True
+        elif isinstance(value, dict):
+            pending.extend(value)
+            pending.extend(value.values())
+        elif isinstance(value, list):
+            pending.extend(value)
+    return False
+
+
 def parse_recipe(text: str) -> Recipe:
     """Parse an exported operation history into a :class:`Recipe`.
 
@@ -118,8 +143,9 @@ def parse_recipe(text: str) -> Recipe:
     is treated as a one-element history (tolerates hand-edited fixtures).
 
     Raises :class:`RecipeError` with code ``malformed-json`` (also for an
-    integer too long for Python to convert), ``not-an-array`` or
-    ``missing-op-field``.
+    integer too long for Python to convert, and for a lone surrogate
+    escape such as ``"\\ud800"``, which cannot be written as UTF-8),
+    ``not-an-array`` or ``missing-op-field``.
     """
     try:
         document = json.loads(text)
@@ -130,6 +156,8 @@ def parse_recipe(text: str) -> Recipe:
         raise RecipeError("malformed-json", "input holds an integer with too many digits to read") from None
     except RecursionError:
         raise RecipeError("malformed-json", "input nests arrays or objects too deeply") from None
+    if _SURROGATE_ESCAPE.search(text) and _holds_surrogate(document):
+        raise RecipeError("malformed-json", "input holds a lone surrogate escape, which is not UTF-8 text")
 
     if isinstance(document, dict):
         document = [document]

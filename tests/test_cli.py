@@ -16,8 +16,6 @@ import refineflow
 from refineflow import cli, model
 from refineflow.cli import RunConfig, main, run
 from refineflow.effects import MAX_SPLIT_PARTS
-from refineflow.errors import RecipeError
-from refineflow.recipe import parse_recipe
 from conftest import FIXTURES, LONG_INT, needs_int_digit_limit
 from dotcheck import parse_dot
 
@@ -234,34 +232,65 @@ def test_integer_past_the_digit_limit_exits_1(tmp_path):
     assert result.stderr.count("\n") == 1
 
 
-def _deep_mass_edits(depth: int) -> str:
-    edits = "[" * depth + "]" * depth
-    entry = '{"op": "core/mass-edit", "columnName": "a", "expression": "value", "edits": %s}'
-    return "[" + ", ".join([entry % edits] * 3) + "]"
+@pytest.mark.parametrize("output", ["file", "-"])
+def test_lone_surrogate_escape_exits_1_without_output(tmp_path, capsys, output):
+    recipe = tmp_path / "surrogate.json"
+    recipe.write_text(
+        r'[{"op":"core/text-transform","columnName":"a\ud800","expression":"value.trim()"}]',
+        encoding="utf-8",
+    )
+    status = run_cli(["-i", str(recipe), "-o", str(tmp_path / "never.dot") if output == "file" else "-"])
+    assert status == 1
+    assert os.listdir(tmp_path) == ["surrogate.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error malformed-json - ")
+    assert captured.err.count("\n") == 1
+
+
+def _deep_mass_edits(depth: int, key: str = "edits") -> str:
+    """Three mass edits whose ``key`` nests ``depth`` arrays. Under another
+    key than "edits", one no model renders, the edits are empty."""
+    nested = "[" * depth + "]" * depth
+    fields = f'"edits": {nested}' if key == "edits" else f'"edits": [], "{key}": {nested}'
+    entry = '{"op": "core/mass-edit", "columnName": "a", "expression": "value", %s}' % fields
+    return "[" + ", ".join([entry] * 3) + "]"
 
 
 def test_params_nested_near_the_json_depth_limit_end_in_a_diagnostic(tmp_path):
-    # The deepest nesting parse_recipe accepts here; each model then renders
-    # the values a few frames deeper, and the collapsed model's detail file
-    # renders them again.
-    low, high = 1, 100_000
-    while low < high:
-        middle = (low + high + 1) // 2
-        try:
-            parse_recipe(_deep_mass_edits(middle))
-            low = middle
-        except RecipeError:
-            high = middle - 1
+    # The deepest nesting the CLI reads, found with the nesting under a key
+    # no model renders. Each model that renders the edits does so a few
+    # frames deeper; the collapsed model renders them in its detail file.
+    # The DOT process view of the parallel model renders no param at all.
+    recipe = tmp_path / "deep.json"
+
+    def status(kind: str, view: str) -> int:
+        stderr = io.StringIO()
+        code = run(RunConfig(str(recipe), str(tmp_path / "out.dot"), kind, view), stderr=stderr)
+        lines = stderr.getvalue().splitlines()
+        for line in lines:
+            assert re.fullmatch(r"(error|warning|info) [\w-]+ (-|\d+) .+", line), line
+        assert "Recursion" not in stderr.getvalue()
+        assert code == 0 or len(lines) == 1 and lines[0].startswith("error malformed-json ")
+        return code
+
+    low, high = 1, 100_000  # the CLI reads ``low`` levels, and not ``high``
+    while high - low > 1:
+        middle = (low + high) // 2
+        recipe.write_text(_deep_mass_edits(middle, key="description"), encoding="utf-8")
+        low, high = (middle, high) if status(model.PARALLEL, "combined") == 0 else (low, middle)
     for depth in range(low - 3, low + 1):
-        recipe = tmp_path / f"deep{depth}.json"
         recipe.write_text(_deep_mass_edits(depth), encoding="utf-8")
-        for kind in model.MODEL_KINDS:
-            stderr = io.StringIO()
-            config = RunConfig(str(recipe), str(tmp_path / f"{kind}.dot"), kind)
-            assert run(config, stderr=stderr) in (0, 1)
-            for line in stderr.getvalue().splitlines():
-                assert re.fullmatch(r"(error|warning|info) [\w-]+ (-|\d+) .+", line), line
-            assert "Recursion" not in stderr.getvalue()
+        codes = {}
+        for kind in model.MODEL_KINDS:  # a loop: a comprehension is one frame deeper
+            for view in ("combined", "process"):
+                codes[kind, view] = status(kind, view)
+        assert codes[model.PARALLEL, "process"] == 0
+    # Before 3.12 the JSON decoder and encoder count against the one
+    # recursion limit, so at the deepest nesting read the encoder gives out.
+    if sys.version_info < (3, 12):
+        assert codes[model.PARALLEL, "combined"] == 1
+        assert codes[model.COLLAPSED, "combined"] == codes[model.COLLAPSED, "process"] == 1
 
 
 def test_warnings_do_not_change_exit_status(tmp_path, capsys):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import io
+import json
 import random
 import re
 import sys
 import time
+from functools import partial
 
 import pytest
 
@@ -15,11 +18,15 @@ from refineflow import (
     emit_dot,
     emit_yw,
     infer_initial_schema,
+    parse_recipe,
     trace_effects,
 )
-from refineflow.emit import VIEWS, _quote, identifier_map
-from refineflow.model import sanitize_identifier
+from refineflow.cli import RunConfig, run
+from refineflow.emit import STEP_FILL, VIEWS, _quote, identifier_map
+from refineflow.errors import RefineflowError
+from refineflow.model import STEP_KINDS, sanitize_identifier
 from conftest import GOLDEN, make_recipe
+from differential import generated_recipe
 from dotcheck import DotSyntaxError, parse_dot
 from recipegen import acceptance_corpus, random_recipe, random_recipe_entries
 
@@ -433,3 +440,52 @@ def test_emitters_match_goldens(menus_recipe, menus_trace, golden_name, kind, vi
         first, second = emit_yw(model, view, name="menus"), emit_yw(model, view, name="menus")
     assert first == second  # two runs, byte-identical
     assert first == (GOLDEN / golden_name).read_text(encoding="utf-8")
+
+
+def test_step_only_process_view_equals_the_full_one(menus_recipe, mass_edit_recipe):
+    # Generated recipes with row ops, unknown ops and opaque expressions.
+    rng = random.Random(20261019)
+    recipes = [menus_recipe, mass_edit_recipe] + [
+        parse_recipe(json.dumps(generated_recipe(rng, k))) for k in range(200)
+    ]
+    checked = 0
+    for recipe in recipes:
+        initial = infer_initial_schema(recipe)
+        try:
+            effects, _ = trace_effects(recipe, initial)
+        except RefineflowError:
+            continue  # a recipe that reads a column it removed
+        for build in (build_parallel, partial(build_collapsed, threshold=2)):
+            full = build(recipe, effects, initial)
+            steps = build(recipe, effects, initial, dataflow=False)
+            assert emit_dot(steps, "process") == emit_dot(full, "process")
+            assert all(node.kind in STEP_KINDS for node in steps.nodes)
+            assert steps.components == full.components
+        checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize(
+    "unknown, step, other",
+    [("vendor/expression", "expression", "expression_"), ("vendor/a_v1", "a_v1", "a_v1_")],
+)
+def test_step_identifiers_agree_across_views(tmp_path, unknown, step, other):
+    # The unknown op's short label collides with the transform's param key,
+    # or with the data node of the version the transform writes.
+    recipe = tmp_path / "probe.json"
+    recipe.write_text(json.dumps([
+        {"op": "core/text-transform", "columnName": "a", "expression": "value.trim()"},
+        {"op": unknown},
+    ]), encoding="utf-8")
+    texts = {}
+    for view, fmt in (("process", "dot"), ("combined", "dot"), ("combined", "yw")):
+        out = tmp_path / f"{view}.{fmt}"
+        assert run(RunConfig(str(recipe), str(out), view=view, format=fmt), stderr=io.StringIO()) == 0
+        texts[view, fmt] = out.read_text(encoding="utf-8")
+    process = parse_dot(texts["process", "dot"]).nodes
+    combined = parse_dot(texts["combined", "dot"])
+    assert len(combined.nodes) == texts["combined", "dot"].count(" [label=")
+    step_names = [name for name, attrs in combined.nodes.items() if attrs["fillcolor"] == STEP_FILL]
+    assert list(process) == step_names == ["text_transform", step]
+    assert check_yw_nesting(texts["combined", "yw"]) == ["probe"] + step_names
+    assert other in combined.nodes

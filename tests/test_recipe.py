@@ -67,6 +67,42 @@ def test_parse_integer_past_the_digit_limit_is_malformed_json():
     assert "Traceback" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        r'[{"op":"core/text-transform","columnName":"a\ud800","expression":"value.trim()"}]',
+        r'[{"op":"core/fill-down","columnName":"a","\uDFFF":1}]',
+        r'[{"op":"core/mass-edit","columnName":"a","edits":[{"from":["x\udc00y"],"to":"z"}]}]',
+        r'[{"op":"vendor/\ude00\ud83d"}]',
+    ],
+)
+def test_parse_lone_surrogate_escape_is_malformed_json(text):
+    with pytest.raises(RecipeError) as info:
+        parse_recipe(text)
+    assert info.value.code == "malformed-json"
+    assert "surrogate" in info.value.message
+
+
+def test_parse_surrogate_pairs_and_escaped_backslashes_still_parse():
+    recipe = parse_recipe(r'[{"op":"core/fill-down","columnName":"\ud83d\uDE00","x":"\\ud800"}]')
+    assert recipe.operations[0].params == {"columnName": "😀", "x": "\\ud800"}
+
+
+def test_parse_surrogate_check_survives_the_deepest_nesting():
+    def message(depth: int) -> str:
+        text = '[{"op":"x","v":' + "[" * depth + r'"\ud800"' + "]" * depth + "}]"
+        with pytest.raises(RecipeError) as info:
+            parse_recipe(text)
+        assert info.value.code == "malformed-json"
+        return info.value.message
+
+    low, high = 1, 100_000  # the decoder reads ``low`` levels, and not ``high``
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if "too deeply" in message(middle) else (middle, high)
+    assert "surrogate" in message(low)
+
+
 def test_parse_not_an_array():
     with pytest.raises(RecipeError) as info:
         parse_recipe('"just a string"')
