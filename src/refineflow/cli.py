@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from . import effects, model
-from .emit import VIEWS, emit_dot, emit_yw, identifier_map
+from .emit import VIEWS, _naming, emit_dot, emit_yw, identifier_map
 from .errors import RefineflowError
 from .model import DATA_KINDS, WorkflowModel
 from .recipe import EMPTY_MAPPING, Diagnostic, parse_recipe, validate_recipe
@@ -48,9 +48,9 @@ def _print_diagnostic(diag: Diagnostic, stream) -> None:
     print(f"{diag.severity} {diag.code} {step} {diag.message}", file=stream)
 
 
-def _resolve_query_node(workflow: WorkflowModel, node_id: str) -> str:
+def _resolve_query_node(workflow: WorkflowModel, node_id: str, idents: dict[str, str]) -> str:
     """Exact node id, else the last-born data node with that label, else
-    the node the output names by that identifier.
+    the node the output names by that identifier (``idents``).
 
     Data nodes are appended as their versions are born, so when a label was
     freed and taken again, the last match is the column that holds it last.
@@ -60,7 +60,7 @@ def _resolve_query_node(workflow: WorkflowModel, node_id: str) -> str:
     for node in reversed(workflow.nodes):
         if node.kind in DATA_KINDS and node.label == node_id:
             return node.id
-    for found, identifier in identifier_map(workflow).items():
+    for found, identifier in idents.items():
         if identifier == node_id:
             return found
     raise RefineflowError("unknown-node", f"no node with id, label or identifier {node_id!r}")
@@ -149,9 +149,12 @@ def run(config: RunConfig, stderr=None) -> int:
                 recipe, effect_list, initial, config.collapse_threshold, dataflow
             )
 
+        idents = None
         if config.query is not None:
+            # The subgraph keeps the identifiers of the whole model.
+            idents = identifier_map(workflow)
             direction, raw_node = config.query
-            node_id = _resolve_query_node(workflow, raw_node)
+            node_id = _resolve_query_node(workflow, raw_node, idents)
             if direction == "upstream":
                 workflow = model.upstream_lineage(workflow, node_id)
             else:
@@ -165,7 +168,8 @@ def run(config: RunConfig, stderr=None) -> int:
         return 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
-    main_text = _emit(workflow, config, name)
+    with _naming(idents):
+        main_text = _emit(workflow, config, name)
     if config.output_path == "-":
         _write_stdout(main_text)
         if summaries:

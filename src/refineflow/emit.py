@@ -15,6 +15,8 @@ sorted lexicographically.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import NamedTuple
 
 from .model import DATA_KINDS, STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
@@ -104,6 +106,20 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
     return result
 
 
+_NAMES: ContextVar[dict[str, str] | None] = ContextVar("_NAMES", default=None)
+
+
+@contextmanager
+def _naming(idents: dict[str, str] | None):
+    """Emit with ``idents`` (None: each model's own) inside the block, as
+    the CLI does to name a query's subgraph as the whole model."""
+    token = _NAMES.set(idents)
+    try:
+        yield
+    finally:
+        _NAMES.reset(token)
+
+
 def _quote(text: str) -> str:
     if '"' in text or "\\" in text or "\n" in text or "\r" in text:
         escaped = text.replace("\\", "\\\\").replace('"', '\\"')
@@ -159,7 +175,7 @@ def emit_dot(model: WorkflowModel, view: str) -> str:
     the layout keeps them visually separate.
     """
     roles = _edge_roles(model, view)
-    idents = identifier_map(model)
+    idents = _NAMES.get() or identifier_map(model)
     nodes, edges = _view(model, view, roles)
 
     def statement(node: Node) -> str:
@@ -202,7 +218,7 @@ def emit_yw(model: WorkflowModel, view: str, name: str = "workflow") -> str:
     and outputs; parameters appear only in the combined view.
     """
     roles = _edge_roles(model, view)
-    idents = identifier_map(model)
+    idents = _NAMES.get() or identifier_map(model)
     node_order = {node.id: position for position, node in enumerate(model.nodes)}
 
     lines = [f"# @begin {sanitize_identifier(name)}"]

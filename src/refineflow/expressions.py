@@ -14,29 +14,19 @@ reported, never raised.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 VALUE_METHODS = frozenset({"toLowercase", "toUppercase", "trim", "toNumber", "toString"})
 
 
-# As tuples, nodes of different kinds can compare equal (Literal("c") ==
-# CellRef("c")): tell them apart by type, as the analysis does.
-class Literal(NamedTuple):
-    text: str
-
-
-class OwnValue(NamedTuple):
-    pass
-
-
-class CellRef(NamedTuple):
-    label: str
-
-
 class Term(NamedTuple):
-    """A primary expression with a chain of pure method calls applied to it."""
+    """One ``+`` operand: a ``"literal"`` (``text`` is its value), the own
+    ``"value"`` (``text`` is empty) or a ``"cell"`` reference (``text`` is
+    the label), with the pure method calls applied to it, in order."""
 
-    base: Literal | OwnValue | CellRef
+    kind: str
+    text: str
     methods: tuple[str, ...] = ()
 
 
@@ -56,118 +46,32 @@ class ExpressionAnalysis(NamedTuple):
 
 OPAQUE_ANALYSIS = ExpressionAnalysis((), True)
 
-_TOKEN_CHARS = {"+": "plus", ".": "dot", "[": "lbracket", "]": "rbracket",
-                "(": "lparen", ")": "rparen"}
+# A quoted string; a backslash escapes the character after it.
+_STRING = r""" "[^"\\]*(?:\\.[^"\\]*)*" | '[^'\\]*(?:\\.[^'\\]*)*' """
+# One term and what follows it: "+" or the end. Whitespace may separate
+# any two tokens. ``\w`` and ``\s`` match exactly what ``str.isalnum`` (or
+# "_") and ``str.isspace`` accept; a name's first character is checked in
+# Python, since ``[^\W\d]`` would also accept characters such as "²".
+_TERM = re.compile(
+    rf"""
+    \s*
+    (?: (?P<literal> {_STRING})
+      | (?P<value> value)
+      | cells \s* (?: \[ \s* (?P<label> {_STRING}) \s* \] | \. \s* (?P<name> \w+) )
+        \s* \. \s* value
+    )
+    (?P<methods> (?: \s* \. \s* (?: {'|'.join(sorted(VALUE_METHODS))}) \s* \( \s* \) )* )
+    \s* (?: (?P<plus> \+ ) | \Z )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_WORD = re.compile(r"\w+")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]] | None:
-    """Split into (kind, text) tokens; None if a character is unsupported."""
-    tokens: list[tuple[str, str]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append((_TOKEN_CHARS[ch], ch))
-            i += 1
-            continue
-        if ch in "\"'":
-            quote = ch
-            i += 1
-            buf = []
-            while i < n and text[i] != quote:
-                if text[i] == "\\" and i + 1 < n:
-                    buf.append(text[i + 1])
-                    i += 2
-                else:
-                    buf.append(text[i])
-                    i += 1
-            if i >= n:
-                return None  # unterminated literal
-            tokens.append(("string", "".join(buf)))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("ident", text[start:i]))
-            continue
-        return None
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, kind: str) -> str | None:
-        tok = self.peek()
-        if tok is None or tok[0] != kind:
-            return None
-        self.pos += 1
-        return tok[1]
-
-    def parse_expression(self) -> ParsedExpression | None:
-        terms = [self.parse_term()]
-        if terms[0] is None:
-            return None
-        while self.take("plus") is not None:
-            term = self.parse_term()
-            if term is None:
-                return None
-            terms.append(term)
-        if self.pos != len(self.tokens):
-            return None
-        return tuple(t for t in terms if t is not None)
-
-    def parse_term(self) -> Term | None:
-        base = self.parse_primary()
-        if base is None:
-            return None
-        methods = []
-        while self.take("dot") is not None:
-            name = self.take("ident")
-            if name is None or name not in VALUE_METHODS:
-                return None
-            if self.take("lparen") is None or self.take("rparen") is None:
-                return None
-            methods.append(name)
-        return Term(base=base, methods=tuple(methods))
-
-    def parse_primary(self) -> Literal | OwnValue | CellRef | None:
-        literal = self.take("string")
-        if literal is not None:
-            return Literal(literal)
-        ident = self.take("ident")
-        if ident == "value":
-            return OwnValue()
-        if ident == "cells":
-            return self.parse_cell_ref()
-        return None
-
-    def parse_cell_ref(self) -> CellRef | None:
-        # cells["label"].value  or  cells.name.value
-        if self.take("lbracket") is not None:
-            label = self.take("string")
-            if label is None or self.take("rbracket") is None:
-                return None
-        else:
-            if self.take("dot") is None:
-                return None
-            label = self.take("ident")
-            if label is None or label == "value":
-                return None
-        if self.take("dot") is None or self.take("ident") != "value":
-            return None
-        return CellRef(label)
+def _unquote(quoted: str) -> str:
+    body = quoted[1:-1]
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
 def strip_language_tag(expression: str) -> str | None:
@@ -182,12 +86,25 @@ def strip_language_tag(expression: str) -> str | None:
 def parse_expression(expression: str) -> ParsedExpression | None:
     """Parse into terms, or None when the expression is outside the subset."""
     body = strip_language_tag(expression)
-    if body is None or not body.strip():
-        return None
-    tokens = _tokenize(body)
-    if tokens is None:
-        return None
-    return _Parser(tokens).parse_expression()
+    terms: list[Term] = []
+    position = 0
+    while body is not None and (match := _TERM.match(body, position)):
+        literal, label, name = match["literal"], match["label"], match["name"]
+        if literal is not None:
+            kind, text = "literal", _unquote(literal)
+        elif match["value"] is not None:
+            kind, text = "value", ""
+        elif label is not None:
+            kind, text = "cell", _unquote(label)
+        elif (name[0].isalpha() or name[0] == "_") and name != "value":
+            kind, text = "cell", name
+        else:
+            return None
+        terms.append(Term(kind, text, tuple(_WORD.findall(match["methods"]))))
+        if match["plus"] is None:
+            return tuple(terms)
+        position = match.end()
+    return None
 
 
 def analyze_expression(expression: str) -> ExpressionAnalysis:
@@ -199,8 +116,5 @@ def analyze_expression(expression: str) -> ExpressionAnalysis:
     parsed = parse_expression(expression)
     if parsed is None:
         return OPAQUE_ANALYSIS
-    referenced = []
-    for term in parsed:
-        if isinstance(term.base, CellRef) and term.base.label not in referenced:
-            referenced.append(term.base.label)
+    referenced = dict.fromkeys(term.text for term in parsed if term.kind == "cell")
     return ExpressionAnalysis(tuple(referenced), opaque=False)

@@ -143,10 +143,15 @@ def parse_recipe(text: str) -> Recipe:
     is treated as a one-element history (tolerates hand-edited fixtures).
 
     Raises :class:`RecipeError` with code ``malformed-json`` (also for an
-    integer too long for Python to convert, and for a lone surrogate
-    escape such as ``"\\ud800"``, which cannot be written as UTF-8),
+    integer too long for Python to convert, and for a lone surrogate,
+    raw or escaped as ``"\\ud800"``, which cannot be written as UTF-8),
     ``not-an-array`` or ``missing-op-field``.
     """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecipeError("malformed-json", "input holds a lone surrogate, which is not UTF-8 text") from None
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

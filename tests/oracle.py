@@ -91,7 +91,7 @@ class Table(FrozenRecord):
     def evaluate(self, parsed: ex.ParsedExpression, position: int, op: RawOperation) -> list[str]:
         """The expression on every row, ``value`` being the cell at ``position``."""
         return [
-            evaluate_expression(parsed, row[position], lambda ref: row[self.position(ref.label, op)])
+            evaluate_expression(parsed, row[position], lambda label: row[self.position(label, op)])
             for row in self.rows
         ]
 
@@ -144,16 +144,15 @@ def _apply_method(value, method: str):
 
 
 def evaluate_expression(parsed: ex.ParsedExpression, own_value: str, lookup) -> str:
-    """Evaluate a parsed expression; ``lookup(label_or_ref)`` resolves cells."""
+    """Evaluate a parsed expression; ``lookup(label)`` resolves cells."""
     result = None
     for term in parsed:
-        base = term.base
-        if isinstance(base, ex.OwnValue):
+        if term.kind == "value":
             value = own_value
-        elif isinstance(base, ex.Literal):
-            value = base.text
+        elif term.kind == "literal":
+            value = term.text
         else:
-            value = lookup(base)
+            value = lookup(term.text)
         for method in term.methods:
             value = _apply_method(value, method)
         if result is None:

@@ -356,6 +356,19 @@ def test_stdout_output(capsys):
     parse_dot(out)
 
 
+def test_a_taken_temporary_name_is_skipped_and_left_alone(tmp_path, monkeypatch):
+    taken = tmp_path / f".refineflow-{bytes(6).hex()}.tmp"
+    taken.write_bytes(b"not ours\n")
+    names = [bytes(6), b"\x01" * 6]
+    monkeypatch.setattr(os, "urandom", lambda size: names.pop(0))
+    out = tmp_path / "model.dot"
+    assert run_cli(["-i", MENUS, "-o", str(out)]) == 0
+    assert names == []
+    assert taken.read_bytes() == b"not ours\n"
+    assert out.read_text(encoding="utf-8").startswith("digraph workflow {")
+    assert sorted(os.listdir(tmp_path)) == sorted([taken.name, "model.dot"])
+
+
 def test_stdout_collapsed_warns_about_details(capsys):
     status = run_cli(["-i", MASS_EDIT, "-t", "collapsed", "-o", "-"])
     assert status == 0
@@ -421,6 +434,35 @@ def test_query_by_the_identifier_the_output_shows(tmp_path):
         assert run_cli(["-i", MENUS, "--query", f"downstream:{node}", "-o", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    ("query", "names"),
+    [
+        # Outside the whole model, these nodes would lose the collisions
+        # that give them their step index.
+        ("downstream:step_6", {"text_transform_6"}),
+        ("upstream:repaired_date", {"columnName_0", "expression_4"}),
+        ("downstream:date_v0", {"column_split", "column_addition"}),
+    ],
+)
+def test_query_output_names_nodes_as_the_whole_model_does(tmp_path, query, names):
+    shown = set()
+    for view in ("combined", "process"):
+        whole, part = tmp_path / f"whole_{view}.dot", tmp_path / f"part_{view}.dot"
+        assert run_cli(["-i", MENUS, "-v", view, "-o", str(whole)]) == 0
+        assert run_cli(["-i", MENUS, "-v", view, "--query", query, "-o", str(part)]) == 0
+        whole_nodes = parse_dot(whole.read_text(encoding="utf-8")).nodes
+        part_nodes = parse_dot(part.read_text(encoding="utf-8")).nodes
+        assert part_nodes
+        assert {node: whole_nodes.get(node) for node in part_nodes} == part_nodes
+        shown |= set(part_nodes)
+    assert names <= shown
+    whole, part = tmp_path / "whole.yw", tmp_path / "part.yw"
+    assert run_cli(["-i", MENUS, "-f", "yw", "-o", str(whole)]) == 0
+    assert run_cli(["-i", MENUS, "-f", "yw", "--query", query, "-o", str(part)]) == 0
+    lines = set(whole.read_text(encoding="utf-8").splitlines())
+    assert set(part.read_text(encoding="utf-8").splitlines()) <= lines
 
 
 def test_query_label_resolves_to_the_column_that_holds_it_last(tmp_path):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 
 from refineflow import analyze_expression
-from refineflow.expressions import CellRef, Literal, OwnValue, parse_expression
+from refineflow.expressions import Term, parse_expression
 
 # Independent reference extractor: regex over the two cell-reference forms.
 _BRACKET_REF = re.compile(r'cells\["((?:[^"\\]|\\.)*)"\]\.value')
@@ -133,12 +134,8 @@ def test_monotonic_reference_append():
 def test_parse_expression_shape():
     parsed = parse_expression('grel:"x" + value.trim() + cells["c"].value')
     assert parsed is not None
-    bases = [term.base for term in parsed]
-    # Nodes are tuples, so Literal("c") == CellRef("c"): compare types too.
-    assert [(type(base), base) for base in bases] == [
-        (Literal, Literal("x")), (OwnValue, OwnValue()), (CellRef, CellRef("c"))
-    ]
-    assert parsed[1].methods == ("trim",)
+    assert parsed == (Term("literal", "x"), Term("value", "", ("trim",)), Term("cell", "c"))
+    assert Term("literal", "c") != Term("cell", "c")
 
 
 def test_references_keep_first_mention_order():
@@ -149,3 +146,55 @@ def test_references_keep_first_mention_order():
     )
     assert analysis.references == ("ab", "a", 'q"x')
     assert analyze_expression("value.replace(1)").references == ()
+
+
+@pytest.mark.parametrize(
+    ("expression", "references", "opaque"),
+    [
+        # A name after "cells." starts with a letter or "_" and is not "value".
+        ("cells.value.value", (), True),
+        ("cells.\u00b2x.value", (), True),
+        ("cells.2a.value", (), True),
+        ("cells.a\u00b2.value", ("a\u00b2",), False),
+        ("cells._x9.value", ("_x9",), False),
+        # Keywords are whole identifiers.
+        ("valuex", (), True),
+        ("cells.a.valuex", (), True),
+        ("value.trimx()", (), True),
+        # Every "+" needs a term after it, and nothing may follow the last.
+        ("value +", (), True),
+        ("value )", (), True),
+        ("value.trim() value", (), True),
+        ("cells", (), True),
+        ('cells["a".value', (), True),
+        # A backslash escapes the next character, so this string never ends.
+        ('value + "abc\\', (), True),
+        ("'a\\'", (), True),
+        ('cells["a\\\\"].value', ("a\\",), False),
+        # Only a leading "grel:" tag, in lower case, is stripped.
+        ("GREL:value", (), True),
+        (" grel:value", (), False),
+        ("grel:", (), True),
+        ("grel: ", (), True),
+        # Any whitespace (as str.isspace) may separate tokens.
+        ("value . trim ( ) + cells . a . value + cells [ 'b' ] . value", ("a", "b"), False),
+        ("value\x1c.trim()\x1c+\x1ccells.c\x1c.value", ("c",), False),
+        ("\u3000value\n", (), False),
+    ],
+)
+def test_subset_boundary_cases(expression, references, opaque):
+    analysis = analyze_expression(expression)
+    assert analysis == (references, opaque)
+    assert (parse_expression(expression) is None) == opaque
+
+
+def test_many_references_keep_first_mention_order_in_linear_time():
+    labels = [f"c{i}" for i in range(50_000)]
+    expression = " + ".join(f'cells["{label}"].value' for label in labels + labels[::-1])
+    start = time.perf_counter()
+    analysis = analyze_expression(expression)
+    elapsed = time.perf_counter() - start
+    assert analysis.references == tuple(labels)
+    assert not analysis.opaque
+    # About 0.2 s; a quadratic dedup takes minutes.
+    assert elapsed < 20

@@ -83,6 +83,27 @@ def test_parse_lone_surrogate_escape_is_malformed_json(text):
     assert "surrogate" in info.value.message
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"op":"core/text-transform","columnName":"a\ud800","expression":"value.trim()"}]',
+        '[{"op":"core/fill-down","columnName":"a","\udfff":1}]',
+        '[{"op":"vendor/\ud83d\ude00"}]',  # a pair of raw surrogates is two characters
+        '[{"op":"core/fill-down","columnName":"caf\u00e9"}] \ud800',
+    ],
+)
+def test_parse_raw_lone_surrogate_is_malformed_json(text):
+    with pytest.raises(RecipeError) as info:
+        parse_recipe(text)
+    assert info.value.code == "malformed-json"
+    assert "surrogate" in info.value.message
+
+
+def test_parse_non_ascii_text_still_parses():
+    recipe = parse_recipe('[{"op":"core/fill-down","columnName":"caf\u00e9 \u65e5 \U0001f600"}]')
+    assert recipe.operations[0].params == {"columnName": "café 日 😀"}
+
+
 def test_parse_surrogate_pairs_and_escaped_backslashes_still_parse():
     recipe = parse_recipe(r'[{"op":"core/fill-down","columnName":"\ud83d\uDE00","x":"\\ud800"}]')
     assert recipe.operations[0].params == {"columnName": "😀", "x": "\\ud800"}

@@ -28,7 +28,7 @@ from refineflow import (
 )
 from refineflow.cli import RunConfig
 from refineflow.effects import OpSpec
-from refineflow.expressions import CellRef, Literal, OwnValue, Term
+from refineflow.expressions import Term
 from refineflow.recipe import EMPTY_MAPPING
 from oracle import Table
 
@@ -39,10 +39,10 @@ FROZEN = [
     lambda: Recipe(operations=(RawOperation("core/fill-down", 0),)),
     lambda: Node("data_table", "table_0", "table_0"),
     lambda: Diagnostic("warning", "unknown-op", "text", step_index=2),
-    lambda: Literal("c"),
-    lambda: OwnValue(),
-    lambda: CellRef("c"),
-    lambda: Term(base=CellRef("c"), methods=("trim",)),
+    lambda: Term("literal", "c"),
+    lambda: Term("value", ""),
+    lambda: Term("cell", "c"),
+    lambda: Term(kind="cell", text="c", methods=("trim",)),
     lambda: ExpressionAnalysis(("a",), False),
     lambda: OpSpec(params=("columnName",), own="columnName", writes_own=True),
     lambda: SchemaState(columns=((0, "a"), (1, "b")), next_id=2),
@@ -98,6 +98,7 @@ def test_records_of_different_values_differ():
     assert Recipe() != SchemaState()
     assert WorkflowModel([], [], []) != WorkflowModel([], [], [["step_0"]])
     assert RunConfig("a.json") != RunConfig("b.json")
+    assert Term("literal", "c") != Term("cell", "c")
 
 
 def test_schema_state_rejects_duplicate_labels():
