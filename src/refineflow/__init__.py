@@ -9,7 +9,6 @@ from .effects import (
     ColumnEffect,
     ColumnId,
     SchemaState,
-    catalog_reference,
     infer_initial_schema,
     trace_effects,
 )
@@ -29,7 +28,14 @@ from .model import (
     downstream_impact,
     upstream_lineage,
 )
-from .recipe import Diagnostic, RawOperation, Recipe, parse_recipe, validate_recipe
+from .recipe import (
+    Diagnostic,
+    RawOperation,
+    Recipe,
+    catalog_reference,
+    parse_recipe,
+    validate_recipe,
+)
 
 __version__ = "0.1.0"
 

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from . import effects, model
-from .emit import VIEWS, _naming, emit_dot, emit_yw, identifier_map
+from .emit import VIEWS, emit_dot, emit_yw, identifier_map
 from .errors import RefineflowError
 from .model import DATA_KINDS, WorkflowModel
 from .recipe import EMPTY_MAPPING, Diagnostic, parse_recipe, validate_recipe
@@ -104,10 +104,10 @@ def _detail_path(output_path: str, summary_id: str) -> str:
     return f"{stem}.detail.{summary_id}{ext}"
 
 
-def _emit(workflow: WorkflowModel, config: RunConfig, name: str) -> str:
+def _emit(workflow: WorkflowModel, config: RunConfig, name: str, idents=None) -> str:
     if config.format == "dot":
-        return emit_dot(workflow, config.view)
-    return emit_yw(workflow, config.view, name=name)
+        return emit_dot(workflow, config.view, idents=idents)
+    return emit_yw(workflow, config.view, name=name, idents=idents)
 
 
 def run(config: RunConfig, stderr=None) -> int:
@@ -168,8 +168,7 @@ def run(config: RunConfig, stderr=None) -> int:
         return 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
-    with _naming(idents):
-        main_text = _emit(workflow, config, name)
+    main_text = _emit(workflow, config, name, idents)
     if config.output_path == "-":
         _write_stdout(main_text)
         if summaries:

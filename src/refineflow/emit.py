@@ -15,8 +15,6 @@ sorted lexicographically.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import NamedTuple
 
 from .model import DATA_KINDS, STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
@@ -106,20 +104,6 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
     return result
 
 
-_NAMES: ContextVar[dict[str, str] | None] = ContextVar("_NAMES", default=None)
-
-
-@contextmanager
-def _naming(idents: dict[str, str] | None):
-    """Emit with ``idents`` (None: each model's own) inside the block, as
-    the CLI does to name a query's subgraph as the whole model."""
-    token = _NAMES.set(idents)
-    try:
-        yield
-    finally:
-        _NAMES.reset(token)
-
-
 def _quote(text: str) -> str:
     if '"' in text or "\\" in text or "\n" in text or "\r" in text:
         escaped = text.replace("\\", "\\\\").replace('"', '\\"')
@@ -168,14 +152,16 @@ def _view(model: WorkflowModel, view: str, roles: _EdgeRoles) -> tuple[list[Node
     return [n for n in model.nodes if n.kind in DATA_KINDS], derived
 
 
-def emit_dot(model: WorkflowModel, view: str) -> str:
+def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None = None) -> str:
     """Serialize one view of a model as a Graphviz DOT digraph.
 
     Independent subworkflow groups are wrapped in ``cluster`` subgraphs so
-    the layout keeps them visually separate.
+    the layout keeps them visually separate. ``idents`` names the nodes
+    (default: the model's own :func:`identifier_map`); the CLI passes the
+    whole model's map to name a query's subgraph.
     """
     roles = _edge_roles(model, view)
-    idents = _NAMES.get() or identifier_map(model)
+    idents = idents or identifier_map(model)
     nodes, edges = _view(model, view, roles)
 
     def statement(node: Node) -> str:
@@ -211,14 +197,17 @@ def emit_dot(model: WorkflowModel, view: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_yw(model: WorkflowModel, view: str, name: str = "workflow") -> str:
+def emit_yw(
+    model: WorkflowModel, view: str, name: str = "workflow", *, idents: dict[str, str] | None = None
+) -> str:
     """Serialize one view of a model as YesWorkflow comment annotations.
 
     Each step becomes a ``@begin``/``@end`` block listing its data inputs
-    and outputs; parameters appear only in the combined view.
+    and outputs; parameters appear only in the combined view. ``idents``
+    is as for :func:`emit_dot`.
     """
     roles = _edge_roles(model, view)
-    idents = _NAMES.get() or identifier_map(model)
+    idents = idents or identifier_map(model)
     node_order = {node.id: position for position, node in enumerate(model.nodes)}
 
     lines = [f"# @begin {sanitize_identifier(name)}"]

@@ -42,8 +42,7 @@ from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, SchemaState
 from .errors import ModelError, RecipeError
-from .recipe import EMPTY_MAPPING, FrozenRecord, RawOperation, Recipe
-from . import effects as _effects
+from .recipe import EMPTY_MAPPING, FrozenRecord, RawOperation, Recipe, Step
 
 LINEAR = "linear"
 PARALLEL = "parallel"
@@ -222,7 +221,8 @@ def _render_param_value(value, op: RawOperation) -> str:
         raise RecipeError("malformed-json", message, step_index=op.index) from None
 
 
-def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
+def _param_nodes(step: Step, step_index: int) -> list[Node]:
+    op = step.op
     return [
         Node(
             "param",
@@ -231,7 +231,7 @@ def _param_nodes(op: RawOperation, step_index: int) -> list[Node]:
             step_index,
             {"key": key},
         )
-        for key in _effects.spec_of(op.op_id).params
+        for key in step.spec.params
         if key in op.params
     ]
 
@@ -240,11 +240,12 @@ def build_linear(recipe: Recipe) -> WorkflowModel:
     """Alternating chain of table snapshots and steps, with param nodes."""
     n = len(recipe.operations)
     nodes, edges = [Node("data_table", "table_0", "table_0")], []
-    for pos, op in enumerate(recipe.operations):
+    for pos, step in enumerate(recipe.steps):
+        op = step.op
         step_id = f"step_{pos}"
         table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
         nodes.append(Node("step", step_id, _short_label(op), pos, {"op_id": op.op_id}))
-        params = _param_nodes(op, pos)
+        params = _param_nodes(step, pos)
         nodes.extend(params)
         nodes.append(Node("data_table", table_out, table_out))
         edges.append(Edge(table_in, step_id))
@@ -352,7 +353,7 @@ def _build_column_model(
             reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
             edges.extend(Edge(current[cid], node_id) for cid in sorted(reads))
             if end == start:
-                params = _param_nodes(op, start)
+                params = _param_nodes(recipe.steps[start], start)
                 nodes.extend(params)
                 edges.extend(Edge(param.id, node_id) for param in params)
             for effect in group:

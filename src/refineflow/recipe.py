@@ -1,10 +1,18 @@
-"""Parsing and validation of exported OpenRefine operation histories.
+"""Parsing, decoding and validation of exported OpenRefine operation histories.
 
 The input is the JSON document produced by OpenRefine's "Extract" dialog:
 a top-level array of operation objects, each with an "op" identifier,
 an optional "description", and operation-specific parameter keys.
-The base of the package's slotted records, which are all immutable, lives
-here too, at the bottom of the import graph.
+
+This is the label level. Each recognized operation id is described once,
+by an :class:`OpSpec` in ``CATALOG``, and a :class:`Recipe` decodes each of
+its operations once, when it is built, into a checked :class:`Step`: the
+labels the step reads, gives and frees, and what is wrong with it.
+Validation, schema inference and the effect trace read those steps, never
+the parameters. Recipes repeat expression texts step after step (one
+``value.trim()`` per column), so a recipe analyzes each distinct text
+once. The base of the package's slotted records, which are all immutable,
+lives here too, at the bottom of the import graph.
 """
 
 from __future__ import annotations
@@ -14,13 +22,16 @@ import re
 from collections.abc import Mapping
 from typing import Any, NamedTuple
 
-from .errors import RecipeError
+from .errors import EffectError, RecipeError
+from .expressions import ExpressionAnalysis, analyze_expression
 
 
 class FrozenRecord:
     """Base of the slotted records. ``__slots__`` lists the fields in
     constructor order, and only ``__init__`` sets them: a record is
-    immutable, and it compares, hashes, prints and pickles by its fields."""
+    immutable, and it compares, hashes, prints and pickles by its fields
+    (``_values``). A record whose last slots are derived from its fields
+    narrows ``_values`` to the fields."""
 
     __slots__ = ()
 
@@ -43,7 +54,7 @@ class FrozenRecord:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
@@ -87,18 +98,6 @@ class RawOperation(NamedTuple):
     params: Mapping[str, Any] = EMPTY_MAPPING
 
 
-class Recipe(FrozenRecord):
-    """An ordered operation history. An empty history is valid."""
-
-    __slots__ = ("operations",)
-
-    def __init__(self, operations: tuple[RawOperation, ...] = ()):
-        self._set(operations)
-
-    def __len__(self) -> int:
-        return len(self.operations)
-
-
 class Diagnostic(NamedTuple):
     """A non-fatal finding about a recipe.
 
@@ -110,6 +109,235 @@ class Diagnostic(NamedTuple):
     code: str
     message: str
     step_index: int | None = None
+
+
+DEFAULT_SPLIT_ARITY = 2
+
+# Upper bound on the columns one split may create. Every later schema
+# snapshot holds the parts, so without a bound one recipe entry could
+# make the trace allocate without limit.
+MAX_SPLIT_PARTS = 1000
+
+
+class OpSpec(NamedTuple):
+    """Everything the model knows about one operation id.
+
+    ``params`` are the keys that shape what a step of the op id does;
+    other keys are retained verbatim but do not influence the model
+    (validate_recipe reports them). ``own`` and ``new_label`` must be
+    present.
+
+    The effect rule: ``own`` names the parameter holding the column the
+    step runs on (a list of columns when ``own_list``). The step reads it,
+    plus its expression's references when ``expression`` (every live
+    column when the expression is opaque or absent), and writes it when
+    ``writes_own``. ``new_label`` names the parameter holding a label the
+    step gives the own column (``rename``) or a new column it creates to
+    the right of the own column. A ``split`` creates "<own> 1" ... "<own> k".
+    ``deletes`` removes the own column: always when True, or when the
+    parameter it names is truthy. A ``table_scoped`` step reads and
+    writes every live column. :func:`catalog_reference` renders these
+    fields as the catalog reference.
+    """
+
+    params: tuple[str, ...] = ()
+    own: str | None = None
+    own_list: bool = False
+    expression: bool = False
+    writes_own: bool = False
+    new_label: str | None = None
+    rename: bool = False
+    split: bool = False
+    deletes: bool | str = False
+    table_scoped: bool = False
+
+
+# The conservative rule: row operations, and any op id outside the catalog.
+TABLE_SCOPED = OpSpec(table_scoped=True)
+
+
+CATALOG: dict[str, OpSpec] = {
+    "core/text-transform": OpSpec(
+        params=("columnName", "expression"),
+        own="columnName", expression=True, writes_own=True,
+    ),
+    "core/mass-edit": OpSpec(
+        params=("columnName", "expression", "edits"),
+        own="columnName", expression=True, writes_own=True,
+    ),
+    "core/column-rename": OpSpec(
+        params=("oldColumnName", "newColumnName"),
+        own="oldColumnName", writes_own=True, new_label="newColumnName", rename=True,
+    ),
+    "core/column-removal": OpSpec(
+        params=("columnName",),
+        own="columnName", deletes=True,
+    ),
+    "core/column-split": OpSpec(
+        params=(
+            "columnName", "mode", "separator", "regex", "maxColumns", "fieldLengths",
+            "removeOriginalColumn",
+        ),
+        own="columnName", split=True, deletes="removeOriginalColumn",
+    ),
+    "core/column-addition": OpSpec(
+        params=("baseColumnName", "newColumnName", "expression"),
+        own="baseColumnName", expression=True, new_label="newColumnName",
+    ),
+    "core/column-move": OpSpec(
+        params=("columnName",),
+        own="columnName", writes_own=True,
+    ),
+    "core/column-reorder": OpSpec(
+        params=("columnNames",),
+        own="columnNames", own_list=True, writes_own=True,
+    ),
+    "core/fill-down": OpSpec(
+        params=("columnName",),
+        own="columnName", writes_own=True,
+    ),
+    "core/blank-down": OpSpec(
+        params=("columnName",),
+        own="columnName", writes_own=True,
+    ),
+    "core/row-removal": TABLE_SCOPED,
+    "core/row-reorder": TABLE_SCOPED,
+    "core/row-star": TABLE_SCOPED,
+    "core/row-flag": TABLE_SCOPED,
+}
+
+
+class Step(NamedTuple):
+    """One operation, decoded once against its :class:`OpSpec`.
+
+    ``owns`` are the own labels (one, or the listed ones when
+    ``own_list``); ``references`` are the expression's, and ``opaque``
+    says the expression is outside the subset or absent. ``new_label`` is
+    the label the step gives (a split gives its parts instead: see
+    :func:`split_arity`, which reads the pinned count ``parts``), and
+    ``frees`` the labels it takes away (its own, when it renames or
+    deletes it). Every label is a string: a malformed one is left out,
+    and ``malformed`` holds the message of the step's first malformed
+    parameter, which the trace raises as ``missing-param``.
+    ``diagnostics`` are validation's findings that need no split hint.
+    """
+
+    op: RawOperation
+    spec: OpSpec
+    owns: tuple[str, ...] = ()
+    references: tuple[str, ...] = ()
+    opaque: bool = False
+    new_label: str | None = None
+    frees: tuple[str, ...] = ()
+    parts: int | None = None
+    malformed: str | None = None
+    diagnostics: tuple[Diagnostic, ...] = ()
+
+
+def _decode(op: RawOperation, analyses: dict[str, ExpressionAnalysis]) -> Step:
+    """The step of one operation; an expression text missing from the
+    recipe's ``analyses`` is analyzed and added."""
+    spec = CATALOG.get(op.op_id)
+    if spec is None:
+        message = (
+            f"operation id {op.op_id!r} is not in the effect catalog; "
+            "treated conservatively as touching the whole table"
+        )
+        return Step(op, TABLE_SCOPED, diagnostics=(Diagnostic("warning", "unknown-op", message, op.index),))
+    params = op.params
+    diagnostics = []
+    missing = [key for key in (spec.own, spec.new_label) if key is not None and key not in params]
+    if missing:
+        message = f"{op.op_id} lacks required parameter(s): {', '.join(missing)}"
+        diagnostics.append(Diagnostic("error", "missing-param", message, op.index))
+    unused = params.keys() - spec.params
+    unused.discard("description")
+    if unused:
+        message = f"{op.op_id} parameter(s) retained but not used by the model: {', '.join(sorted(unused))}"
+        diagnostics.append(Diagnostic("info", "unused-param", message, op.index))
+    if spec.table_scoped:
+        return Step(op, spec, diagnostics=tuple(diagnostics))
+
+    # The own labels that are strings, and what is wrong with the step's
+    # first malformed parameter, if anything.
+    own = params.get(spec.own)
+    listed = (own if isinstance(own, list) else ()) if spec.own_list else (own,)
+    owns = tuple(label for label in listed if isinstance(label, str))
+    problem = None
+    if own is None:
+        problem = f" lacks required parameter {spec.own!r}"
+    elif spec.own_list and not isinstance(own, list):
+        problem = f": {spec.own} is not a list"
+    elif len(owns) < len(listed):
+        problem = ": column name parameter is not a string"
+    new_label = params.get(spec.new_label) if spec.new_label else None
+    if spec.new_label and not isinstance(new_label, str):
+        if problem is None:
+            problem = (
+                f" lacks required parameter {spec.new_label!r}" if new_label is None
+                else f": {spec.new_label} is not a string"
+            )
+        new_label = None
+    malformed = None if problem is None else f"step {op.index} ({op.op_id}){problem}"
+
+    references, opaque = (), False
+    if spec.expression:
+        expression = params.get("expression")
+        if isinstance(expression, str):
+            analysis = analyses.get(expression)
+            if analysis is None:
+                analysis = analyses[expression] = analyze_expression(expression)
+            references, opaque = analysis
+        else:  # absent, or no text: none spells a term of the subset
+            opaque = True
+    parts = None
+    if spec.split:
+        field_lengths, max_columns = params.get("fieldLengths"), params.get("maxColumns")
+        if isinstance(field_lengths, list) and field_lengths:
+            parts = len(field_lengths)
+        elif isinstance(max_columns, int) and not isinstance(max_columns, bool) and max_columns > 0:
+            parts = max_columns
+    deletes = spec.deletes is True or bool(spec.deletes and params.get(spec.deletes))
+    frees = owns if spec.rename or deletes else ()
+    return Step(
+        op, spec, owns, references, opaque, new_label, frees, parts, malformed, tuple(diagnostics)
+    )
+
+
+def split_arity(step: Step, arity_hints: dict[str, int] | None = None) -> int:
+    """Part count of a split of a string label: the count the recipe pins,
+    then the hint for its column, then the default.
+
+    Raises ``split-arity-too-large`` past :data:`MAX_SPLIT_PARTS`.
+    """
+    parts = step.parts or (arity_hints or {}).get(step.owns[0], DEFAULT_SPLIT_ARITY)
+    if parts > MAX_SPLIT_PARTS:
+        raise EffectError(
+            "split-arity-too-large",
+            f"step {step.op.index} ({step.op.op_id}) splits into {parts} columns; "
+            f"at most {MAX_SPLIT_PARTS} are supported",
+            step_index=step.op.index,
+        )
+    return parts
+
+
+class Recipe(FrozenRecord):
+    """An ordered operation history and its decoded steps, one per
+    operation. An empty history is valid. The steps follow from the
+    operations, so a recipe compares, prints and pickles by its operations.
+    """
+
+    __slots__ = ("operations", "steps")
+
+    def __init__(self, operations: tuple[RawOperation, ...] = ()):
+        analyses: dict[str, ExpressionAnalysis] = {}
+        self._set(operations, tuple(_decode(op, analyses) for op in operations))
+
+    def _values(self) -> tuple:
+        return (self.operations,)
+
+    def __len__(self) -> int:
+        return len(self.operations)
 
 
 # A \uD800-\uDFFF escape: the only way a text decoded from UTF-8 can give
@@ -195,61 +423,62 @@ def parse_recipe(text: str) -> Recipe:
 def validate_recipe(
     recipe: Recipe, arity_hints: dict[str, int] | None = None
 ) -> list[Diagnostic]:
-    """Report unknown operations, unused parameter keys, and defaulted splits.
+    """Report unknown operations, missing and unused parameter keys, and
+    defaulted splits: each step's findings, then its split warning.
 
     Never mutates the recipe; diagnostics are the only output.
     """
-    # Imported here: the operation catalog lives with the effect rules.
-    from . import effects
-
     diagnostics: list[Diagnostic] = []
     hints = arity_hints or {}
-    for op in recipe.operations:
-        spec = effects.CATALOG.get(op.op_id)
-        if spec is None:
+    for step in recipe.steps:
+        diagnostics.extend(step.diagnostics)
+        column = step.op.params.get("columnName")
+        if step.spec.split and step.parts is None and not (isinstance(column, str) and column in hints):
             diagnostics.append(
                 Diagnostic(
                     "warning",
-                    "unknown-op",
-                    f"operation id {op.op_id!r} is not in the effect catalog; "
-                    "treated conservatively as touching the whole table",
-                    step_index=op.index,
+                    "split-arity-defaulted",
+                    f"split of column {column!r} has no static part count; "
+                    f"defaulting to {DEFAULT_SPLIT_ARITY} (override with --split-arity)",
+                    step_index=step.op.index,
                 )
             )
-            continue
-        required = (spec.own, spec.new_label)
-        missing = [key for key in required if key is not None and key not in op.params]
-        if missing:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "missing-param",
-                    f"{op.op_id} lacks required parameter(s): {', '.join(missing)}",
-                    step_index=op.index,
-                )
-            )
-        unused = sorted(key for key in op.params if key not in spec.params and key != "description")
-        if unused:
-            diagnostics.append(
-                Diagnostic(
-                    "info",
-                    "unused-param",
-                    f"{op.op_id} parameter(s) retained but not used by the model: "
-                    + ", ".join(unused),
-                    step_index=op.index,
-                )
-            )
-        if spec.split and effects.static_split_arity(op) is None:
-            column = op.params.get("columnName")
-            if not (isinstance(column, str) and column in hints):
-                diagnostics.append(
-                    Diagnostic(
-                        "warning",
-                        "split-arity-defaulted",
-                        f"split of column {column!r} has no static part count; "
-                        f"defaulting to {effects.DEFAULT_SPLIT_ARITY} "
-                        "(override with --split-arity)",
-                        step_index=op.index,
-                    )
-                )
     return diagnostics
+
+
+def catalog_reference() -> str:
+    """Markdown reference of the operation catalog, one row per op id,
+    derived from each :class:`OpSpec`'s rule fields."""
+    lines = [
+        "# Operation effect catalog",
+        "",
+        "Column effects assigned to each recognized operation id. A name in",
+        "backticks is the recipe parameter that holds the column label.",
+        "Operations marked table-scoped touch the row structure of every",
+        "column and are never reordered against anything.",
+        "",
+        "| op id | reads | writes | creates | deletes | table-scoped |",
+        "|---|---|---|---|---|---|",
+    ]
+    for op_id, spec in [*CATALOG.items(), ("(any other op id)", TABLE_SCOPED)]:
+        if spec.table_scoped:
+            lines.append(f"| {op_id} | all live columns | all live columns | - | - | yes |")
+            continue
+        own = f"columns listed in `{spec.own}`" if spec.own_list else f"`{spec.own}`"
+        reads = own
+        if spec.expression:
+            reads += " + expression references (all live columns when opaque)"
+        writes = own if spec.writes_own else "-"
+        if spec.rename:
+            writes += f" (relabeled `{spec.new_label}`)"
+        creates = "-"
+        if spec.split:
+            creates = f'"<{own}> 1" ... "<{own}> k"'
+        elif spec.new_label is not None and not spec.rename:
+            creates = f"`{spec.new_label}`"
+        deletes = "-"
+        if spec.deletes:
+            deletes = own if spec.deletes is True else f"{own} when `{spec.deletes}`"
+        lines.append(f"| {op_id} | {reads} | {writes} | {creates} | {deletes} | no |")
+    lines.append("")
+    return "\n".join(lines)

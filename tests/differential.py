@@ -10,7 +10,10 @@ output, standard error, and the names and bytes of the files it wrote.
 
 The inputs are both fixtures plus N seeded generated recipes. The generated
 recipes start from non-ASCII labels; some carry a row op or an unknown op,
-some opaque expressions, and some a read of a column they removed.
+some opaque expressions, some a read of a column they removed (by a step
+that may also have a malformed parameter), and some one or two malformed
+parameters: a null or integer own label, an integer ``newColumnName``, a
+string ``columnNames`` or a ``maxColumns`` past the split cap.
 Each input runs through ``cli.run`` in every model/view/format combination,
 to a file and to standard output, then as a collapsed model at threshold 2
 and as upstream and downstream queries. Standard library only; pytest does
@@ -45,8 +48,34 @@ OPAQUE_EXPRESSIONS = (
     "jython:return value",
 )
 
+# Readers of a removed column that are malformed too: a doubly broken step.
+BROKEN_READERS = (
+    {"op": "core/column-rename", "oldColumnName": "gone ø", "newColumnName": 7},
+    {"op": "core/column-reorder", "columnNames": ["gone ø", 7]},
+)
+# The package's MAX_SPLIT_PARTS is 1000; its import path differs between
+# versions, and this script compares versions.
+PAST_SPLIT_CAP = 1001
+OWN_KEYS = ("columnName", "baseColumnName", "oldColumnName")
+
 ROW_OP = {"op": "core/row-removal", "engineConfig": {"facets": [], "mode": "row-based"}}
 UNKNOWN_OP = {"op": "vendor/mystery-op", "description": "unknown to the catalog"}
+
+
+def malform(rng: random.Random, entries: list[dict]) -> None:
+    """Break one or two parameters, so that runs reach the decoder's checks."""
+    for _ in range(rng.randint(1, 2)):
+        entry = rng.choice(entries)
+        own = [key for key in OWN_KEYS if key in entry]
+        if entry["op"] == "core/column-split" and rng.random() < 0.5:
+            entry["maxColumns"] = PAST_SPLIT_CAP
+        elif "newColumnName" in entry and rng.random() < 0.5:
+            entry["newColumnName"] = 7
+        elif own:
+            entry[own[0]] = rng.choice([None, 7])
+        else:
+            reorder = {"op": "core/column-reorder", "columnNames": rng.choice(LABELS)}
+            entries.insert(rng.randrange(len(entries) + 1), reorder)
 
 
 def generated_recipe(rng: random.Random, k: int) -> list[dict]:
@@ -72,7 +101,12 @@ def inputs(count: int, seed: int) -> list[tuple[str, str]]:
     ]
     rng = random.Random(seed)
     for k in range(count):
-        text = json.dumps(generated_recipe(rng, k), ensure_ascii=False, indent=1)
+        entries = generated_recipe(rng, k)
+        if k % 5 == 4 and rng.random() < 0.5:
+            entries[-1] = dict(rng.choice(BROKEN_READERS))
+        if k % 3 == 2:
+            malform(rng, entries)
+        text = json.dumps(entries, ensure_ascii=False, indent=1)
         named.append((f"gen{k:04d}", text))
     return named
 

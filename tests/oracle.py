@@ -24,10 +24,10 @@ import csv
 import io
 
 from refineflow import expressions as ex
-from refineflow.effects import SchemaState, split_arity, trace_effects
+from refineflow.effects import SchemaState, trace_effects
 from refineflow.errors import RefineflowError
 from refineflow.model import dependency_edges
-from refineflow.recipe import FrozenRecord, RawOperation, Recipe
+from refineflow.recipe import FrozenRecord, RawOperation, Recipe, Step, split_arity
 
 
 class OracleError(RefineflowError):
@@ -272,12 +272,13 @@ def execute(
     the subset and ``expression-error`` for opaque expressions.
     """
     state = Table(table.labels, table.rows)
-    for op in recipe.operations:
-        _execute_step(state, op, arity_hints)
+    for step in recipe.steps:
+        _execute_step(state, step, arity_hints)
     return state
 
 
-def _execute_step(state: Table, op: RawOperation, arity_hints):
+def _execute_step(state: Table, step: Step, arity_hints):
+    op = step.op
     op_id = op.op_id
     kernel = _COLUMN_KERNELS.get(op_id)
 
@@ -314,7 +315,7 @@ def _execute_step(state: Table, op: RawOperation, arity_hints):
         label = _require_string_param(op, "columnName")
         separator = _split_separator(op)
         position = state.position(label, op)
-        arity = split_arity(op, arity_hints)
+        arity = split_arity(step, arity_hints)
         part_rows = [_split_parts(row[position], separator, arity) for row in state.rows]
         for k in range(arity):
             new_label = f"{label} {k + 1}"

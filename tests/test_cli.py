@@ -15,7 +15,7 @@ import pytest
 import refineflow
 from refineflow import cli, model
 from refineflow.cli import RunConfig, main, run
-from refineflow.effects import MAX_SPLIT_PARTS
+from refineflow.recipe import MAX_SPLIT_PARTS
 from conftest import FIXTURES, LONG_INT, needs_int_digit_limit
 from dotcheck import parse_dot
 
@@ -163,6 +163,59 @@ def test_unresolved_column_exits_1(tmp_path, capsys):
     assert "error unresolved-column 1 " in err
 
 
+_REMOVE_A = {"op": "core/column-removal", "columnName": "a"}
+
+
+# (recipe, exact stderr): which of several faults a run reports. Within a
+# step, a malformed parameter comes before an unresolved label; across
+# steps, the first failing step is reported, and inference (which counts
+# split parts) runs over the whole recipe before the trace.
+ERROR_ORDER = {
+    "rename-to-int-of-removed": (
+        [_REMOVE_A, {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": 7}],
+        "error missing-param 1 step 1 (core/column-rename): newColumnName is not a string\n",
+    ),
+    "reorder-int-after-removed": (
+        [_REMOVE_A, {"op": "core/column-reorder", "columnNames": ["a", 7]}],
+        "error missing-param 1 step 1 (core/column-reorder): "
+        "column name parameter is not a string\n",
+    ),
+    "split-int-over-cap": (
+        [{"op": "core/column-split", "columnName": 7, "separator": ",", "maxColumns": 5000}],
+        "error missing-param 0 step 0 (core/column-split): column name parameter is not a string\n",
+    ),
+    "null-fill-down-then-split-over-cap": (
+        [
+            {"op": "core/fill-down", "columnName": None},
+            {"op": "core/column-split", "columnName": "d", "separator": ",", "maxColumns": 5000},
+        ],
+        "error split-arity-too-large 1 step 1 (core/column-split) splits into 5000 columns; "
+        "at most 1000 are supported\n",
+    ),
+    "null-new-label-reading-removed": (
+        [
+            {"op": "core/column-removal", "columnName": "b"},
+            {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": None,
+             "expression": "grel:cells.b.value"},
+        ],
+        "error missing-param 1 step 1 (core/column-addition) "
+        "lacks required parameter 'newColumnName'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_ORDER))
+def test_error_order_of_a_recipe_with_several_faults(tmp_path, name):
+    entries, expected = ERROR_ORDER[name]
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(entries), encoding="utf-8")
+    out = tmp_path / "never.dot"
+    stderr = io.StringIO()
+    assert run(RunConfig(input_path=str(recipe), output_path=str(out)), stderr=stderr) == 1
+    assert stderr.getvalue() == expected
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "step",
     [
@@ -286,6 +339,9 @@ def test_params_nested_near_the_json_depth_limit_end_in_a_diagnostic(tmp_path):
             for view in ("combined", "process"):
                 codes[kind, view] = status(kind, view)
         assert codes[model.PARALLEL, "process"] == 0
+        # A nested expression is opaque without being rendered as text.
+        recipe.write_text(_deep_mass_edits(depth, key="expression"), encoding="utf-8")
+        assert status(model.PARALLEL, "process") == 0
     # Before 3.12 the JSON decoder and encoder count against the one
     # recursion limit, so at the deepest nesting read the encoder gives out.
     if sys.version_info < (3, 12):

@@ -10,13 +10,15 @@ import pytest
 from refineflow import (
     ColumnId,
     EffectError,
+    Recipe,
     SchemaState,
     analyze_expression,
     catalog_reference,
     infer_initial_schema,
     trace_effects,
+    validate_recipe,
 )
-from refineflow.effects import split_arity, static_split_arity
+from refineflow.recipe import split_arity
 from conftest import make_recipe
 from recipegen import acceptance_corpus, random_recipe
 
@@ -26,7 +28,7 @@ def _schema(*labels: str) -> SchemaState:
 
 
 def _single(recipe_entry: dict):
-    return make_recipe([recipe_entry]).operations[0]
+    return make_recipe([recipe_entry]).steps[0]
 
 
 MENUS_SCHEMA = _schema("date", "event", "dish_count")
@@ -249,18 +251,18 @@ def test_trace_error_names_step():
 
 @pytest.fixture
 def analyzed(monkeypatch) -> list[str]:
-    """Every expression text the effect rules analyze, in call order."""
+    """Every expression text the decoder analyzes, in call order."""
     texts: list[str] = []
 
     def counting(text: str):
         texts.append(text)
         return analyze_expression(text)
 
-    monkeypatch.setattr("refineflow.effects.analyze_expression", counting)
+    monkeypatch.setattr("refineflow.recipe.analyze_expression", counting)
     return texts
 
 
-def test_each_pass_analyzes_each_distinct_text_once(analyzed):
+def test_each_recipe_analyzes_each_distinct_text_once(analyzed):
     entries = [
         {"op": "core/text-transform", "columnName": f"c{j}", "expression": "value.trim()"}
         for j in range(5)
@@ -270,13 +272,14 @@ def test_each_pass_analyzes_each_distinct_text_once(analyzed):
          "expression": 'grel:cells["c1"].value + value'}
     )
     recipe = make_recipe(entries)
-    initial = infer_initial_schema(recipe)
+    assert sorted(analyzed) == ['grel:cells["c1"].value + value', "value.trim()"]
+    # The passes read the decoded steps: validate, infer and trace analyze none.
+    validate_recipe(recipe)
+    trace_effects(recipe, infer_initial_schema(recipe))
     assert len(analyzed) == 2
-    trace_effects(recipe, initial)
+    # Each recipe has its own memo: one built from the same operations analyzes again.
+    Recipe(recipe.operations)
     assert len(analyzed) == 4
-    # No memo outlives its call: a second trace analyzes again.
-    trace_effects(recipe, initial)
-    assert sorted(analyzed[4:]) == sorted(analyzed[:2])
 
 
 def test_repeated_text_resolves_against_its_own_schema():
@@ -352,12 +355,12 @@ def test_infer_orders_expression_references_by_position():
 
 
 def test_static_and_hinted_split_arity():
-    assert static_split_arity(_single({"op": "core/column-split", "columnName": "d", "maxColumns": 4})) == 4
-    assert static_split_arity(
-        _single({"op": "core/column-split", "columnName": "d", "fieldLengths": [2, 2, 4]})
-    ) == 3
+    assert _single({"op": "core/column-split", "columnName": "d", "maxColumns": 4}).parts == 4
+    assert _single(
+        {"op": "core/column-split", "columnName": "d", "fieldLengths": [2, 2, 4]}
+    ).parts == 3
     loose = _single({"op": "core/column-split", "columnName": "d", "separator": "/"})
-    assert static_split_arity(loose) is None
+    assert loose.parts is None
     assert split_arity(loose) == 2
     assert split_arity(loose, {"d": 5}) == 5
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from refineflow import EffectError, infer_initial_schema, trace_effects, validate_recipe
-from refineflow.effects import CATALOG
+from refineflow.recipe import CATALOG
 from conftest import make_recipe
 
 UNKNOWN_OP = "vendor/unknown-op"

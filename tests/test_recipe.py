@@ -6,6 +6,7 @@ import random
 import pytest
 
 from refineflow import RecipeError, parse_recipe, validate_recipe
+from refineflow.recipe import CATALOG, TABLE_SCOPED
 from conftest import LONG_INT, make_recipe, needs_int_digit_limit
 
 
@@ -245,3 +246,34 @@ def test_validate_never_mutates(menus_recipe):
     before = [op.params.copy() for op in menus_recipe.operations]
     validate_recipe(menus_recipe)
     assert [op.params for op in menus_recipe.operations] == before
+
+
+def test_each_step_is_decoded_once_into_labels_and_findings():
+    recipe = make_recipe(
+        [
+            {"op": "core/column-split", "columnName": "a", "separator": ",", "fieldLengths": [1, 2]},
+            {"op": "vendor/unknown-op", "columnName": "a"},
+            {"op": "core/column-rename", "oldColumnName": "a 1", "newColumnName": 7, "x": 1},
+            {"op": "core/column-reorder", "columnNames": ["a 2", None]},
+            {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b",
+             "expression": 'cells["c"].value + value'},
+            {"op": "core/text-transform", "columnName": "b", "expression": ["value"]},
+            {"op": "core/column-removal", "columnName": "c"},
+        ]
+    )
+    split, unknown, rename, reorder, addition, transform, removal = recipe.steps
+    assert split.spec is CATALOG["core/column-split"]
+    assert (split.owns, split.parts, split.frees, split.malformed) == (("a",), 2, (), None)
+    assert unknown.spec is TABLE_SCOPED and unknown.owns == ()
+    assert [d.code for d in unknown.diagnostics] == ["unknown-op"]
+    # A malformed label is left out; the message waits for the trace.
+    assert (rename.owns, rename.new_label, rename.frees) == (("a 1",), None, ("a 1",))
+    assert rename.malformed == "step 2 (core/column-rename): newColumnName is not a string"
+    assert [d.code for d in rename.diagnostics] == ["unused-param"]
+    assert reorder.owns == ("a 2",)
+    assert reorder.malformed == "step 3 (core/column-reorder): column name parameter is not a string"
+    assert (addition.owns, addition.references, addition.opaque) == (("a",), ("c",), False)
+    assert (addition.new_label, addition.malformed) == ("b", None)
+    assert (transform.references, transform.opaque) == ((), True)  # not a text
+    assert (removal.owns, removal.frees) == (("c",), ("c",))
+

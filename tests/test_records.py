@@ -25,11 +25,11 @@ from refineflow import (
     Recipe,
     SchemaState,
     WorkflowModel,
+    parse_recipe,
 )
 from refineflow.cli import RunConfig
-from refineflow.effects import OpSpec
 from refineflow.expressions import Term
-from refineflow.recipe import EMPTY_MAPPING
+from refineflow.recipe import EMPTY_MAPPING, OpSpec
 from oracle import Table
 
 # Two equal instances of every frozen record, built independently.
@@ -134,3 +134,30 @@ def test_recipe_length_and_keyword_construction():
     assert Recipe(ops).operations == ops
     with pytest.raises(TypeError):
         Recipe(operations=ops, unknown=1)
+
+
+# Every kind of step: catalog ops, an unknown op, an unused key, and
+# malformed parameters the trace reports.
+ODD_STEPS = """[
+ {"op": "core/column-split", "columnName": "a", "separator": ",", "maxColumns": 3},
+ {"op": "vendor/unknown-op", "columnName": "a"},
+ {"op": "core/column-rename", "oldColumnName": "a 1", "newColumnName": 7, "extra": true},
+ {"op": "core/column-reorder", "columnNames": ["a 2", null]},
+ {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b", "expression": 5}
+]"""
+
+
+@pytest.mark.parametrize("text", ["menus", "odd"])
+def test_recipe_decodes_its_operations_however_it_is_built(menus_text, text):
+    parsed = parse_recipe(menus_text if text == "menus" else ODD_STEPS)
+    assert len(parsed.steps) == len(parsed.operations)
+    assert [step.op for step in parsed.steps] == list(parsed.operations)
+    rebuilt = Recipe(parsed.operations)
+    assert rebuilt == parsed
+    assert rebuilt.steps == parsed.steps
+    assert Recipe(parsed.operations[1:3]).steps == parsed.steps[1:3]
+    for copied in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+        assert copied == parsed
+        assert copied.steps == parsed.steps
+    assert repr(parsed) == f"Recipe(operations={parsed.operations!r})"
+
