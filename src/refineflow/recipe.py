@@ -432,17 +432,15 @@ def validate_recipe(
     hints = arity_hints or {}
     for step in recipe.steps:
         diagnostics.extend(step.diagnostics)
+        if not step.spec.split or step.parts is not None:
+            continue
         column = step.op.params.get("columnName")
-        if step.spec.split and step.parts is None and not (isinstance(column, str) and column in hints):
-            diagnostics.append(
-                Diagnostic(
-                    "warning",
-                    "split-arity-defaulted",
-                    f"split of column {column!r} has no static part count; "
-                    f"defaulting to {DEFAULT_SPLIT_ARITY} (override with --split-arity)",
-                    step_index=step.op.index,
-                )
+        if not (isinstance(column, str) and column in hints):
+            message = (
+                f"split of column {column!r} has no static part count; "
+                f"defaulting to {DEFAULT_SPLIT_ARITY} (override with --split-arity)"
             )
+            diagnostics.append(Diagnostic("warning", "split-arity-defaulted", message, step.op.index))
     return diagnostics
 
 
