@@ -127,16 +127,15 @@ def run(config: RunConfig, stderr=None) -> int:
         return 2
 
     try:
-        recipe = parse_recipe(text)
-        hints = config.split_arity_overrides
-        diagnostics = validate_recipe(recipe, hints)
+        recipe = parse_recipe(text, config.split_arity_overrides)
+        diagnostics = validate_recipe(recipe)
         for diag in diagnostics:
             _print_diagnostic(diag, stderr)
         if any(d.severity == "error" for d in diagnostics):
             return 1
 
-        initial = effects.infer_initial_schema(recipe, hints)
-        effect_list, _ = effects.trace_effects(recipe, initial, hints)
+        initial = effects.infer_initial_schema(recipe)
+        effect_list, _ = effects.trace_effects(recipe, initial)
         # The DOT process view draws steps only. YW's process view prints
         # each step's data ports, and a query may name a data label.
         dataflow = (config.view, config.format) != ("process", "dot") or config.query is not None

@@ -12,10 +12,10 @@ serve label resolution and callers that want the live columns at a step.
 Both passes here read the recipe's decoded steps (:class:`recipe.Step`),
 never the parameters: :func:`infer_initial_schema` collects their labels,
 and :func:`trace_effects`, the one pass that computes effects, resolves
-those labels to ids. A step's part count comes from
-:func:`recipe.split_arity` in both. Unknown operation ids fall back to
-the table-scoped rule: the analysis degrades to the sequential
-interpretation instead of failing.
+those labels to ids and raises a step's error when it reaches that step.
+The labels a split gives, and so its part count, are the step's
+``gives``. Unknown operation ids fall back to the table-scoped rule: the
+analysis degrades to the sequential interpretation instead of failing.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import EffectError
-from .recipe import FrozenRecord, RawOperation, Recipe, Step, split_arity
+from .recipe import FrozenRecord, RawOperation, Recipe, Step
 
 # Stable identity of a column: survives renames, never reused.
 ColumnId = int
@@ -112,44 +112,35 @@ def _resolve(label: str, schema: SchemaState, op: RawOperation) -> ColumnId:
     return cid
 
 
-def _gives(step: Step, arity_hints: dict[str, int] | None) -> tuple[str, ...]:
-    """Labels a step gives: a split's parts, or its new label."""
-    if step.spec.split and step.owns:
-        own = step.owns[0]
-        return tuple(f"{own} {k + 1}" for k in range(split_arity(step, arity_hints)))
-    return () if step.new_label is None else (step.new_label,)
-
-
-def _effect_of(step: Step, schema: SchemaState, arity_hints: dict[str, int] | None) -> ColumnEffect:
+def _effect_of(step: Step, schema: SchemaState) -> ColumnEffect:
     """Column effect of one step against the schema it runs on.
 
-    Raises :class:`EffectError`: ``missing-param`` for the step's first
-    malformed parameter, then ``unresolved-column`` for a label that is
-    not live.
+    Raises :class:`EffectError`: the step's own ``error``
+    (``missing-param`` or ``split-arity-too-large``), then
+    ``unresolved-column`` for a label that is not live.
     """
     op, spec = step.op, step.spec
     if spec.table_scoped:
         live = schema.live_ids()
         return ColumnEffect(reads=live, writes=live, table_scoped=True)
-    if step.malformed is not None:
-        raise EffectError("missing-param", step.malformed, step_index=op.index)
+    if step.error is not None:
+        raise EffectError(*step.error, step_index=op.index)
 
-    gives = _gives(step, arity_hints)
     own_ids = [_resolve(label, schema, op) for label in step.owns]
     own = frozenset(own_ids)
     anchor = None if spec.own_list else own_ids[0]
     reads = schema.live_ids() if step.opaque else own  # opaque means no references
     if step.references:
         reads = own | frozenset(_resolve(name, schema, op) for name in step.references)
-    creates = () if spec.rename else tuple(enumerate(gives, schema.next_id))
+    creates = () if spec.rename else tuple(enumerate(step.gives, schema.next_id))
     return ColumnEffect(
         reads=reads,
         writes=own if spec.writes_own else frozenset(),
         creates=creates,
         deletes=own if step.frees and not spec.rename else frozenset(),
-        renames=((anchor, step.new_label),) if spec.rename else (),
+        renames=((anchor, step.gives[0]),) if spec.rename else (),
         anchor=anchor if creates else None,
-        labels=frozenset(gives + step.frees),
+        labels=frozenset(step.gives + step.frees),
     )
 
 
@@ -186,11 +177,7 @@ def _apply_effect(schema: SchemaState, effect: ColumnEffect) -> SchemaState:
     return SchemaState(columns=tuple(columns), next_id=next_id)
 
 
-def trace_effects(
-    recipe: Recipe,
-    initial: SchemaState,
-    arity_hints: dict[str, int] | None = None,
-) -> tuple[list[ColumnEffect], list[SchemaState]]:
+def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffect], list[SchemaState]]:
     """Effects and schema snapshots together, aligned with recipe order.
 
     n operations yield n effects and n+1 states. A step that leaves the
@@ -201,7 +188,7 @@ def trace_effects(
     effects: list[ColumnEffect] = []
     for step in recipe.steps:
         try:
-            effect = _effect_of(step, states[-1], arity_hints)
+            effect = _effect_of(step, states[-1])
             states.append(_apply_effect(states[-1], effect))
         except EffectError as exc:
             if exc.step_index is None:
@@ -211,9 +198,7 @@ def trace_effects(
     return effects, states
 
 
-def infer_initial_schema(
-    recipe: Recipe, arity_hints: dict[str, int] | None = None
-) -> SchemaState:
+def infer_initial_schema(recipe: Recipe) -> SchemaState:
     """Minimal schema a recipe can run on: every label read before created.
 
     Ids are assigned in first-mention order: a step's own column, then its
@@ -230,5 +215,5 @@ def infer_initial_schema(
             if label not in known:
                 assumed.append(label)
                 known.add(label)
-        known.update(_gives(step, arity_hints) + step.frees)
+        known.update(step.gives + step.frees)
     return SchemaState.from_labels(assumed)

@@ -238,9 +238,13 @@ def _param_nodes(step: Step, step_index: int) -> list[Node]:
 
 def build_linear(recipe: Recipe) -> WorkflowModel:
     """Alternating chain of table snapshots and steps, with param nodes."""
-    n = len(recipe.operations)
+    return _linear(recipe.steps)
+
+
+def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
+    n = len(steps)
     nodes, edges = [Node("data_table", "table_0", "table_0")], []
-    for pos, step in enumerate(recipe.steps):
+    for pos, step in enumerate(steps):
         op = step.op
         step_id = f"step_{pos}"
         table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
@@ -416,7 +420,7 @@ def build_collapsed(
 def detail_model(recipe: Recipe, summary: Node) -> WorkflowModel:
     """Linear model of the steps a collapsed model's summary node folds."""
     first, last = summary.payload["first_index"], summary.payload["last_index"]
-    return build_linear(Recipe(recipe.operations[first : last + 1]))
+    return _linear(recipe.steps[first : last + 1])
 
 
 def _induced_subgraph(model: WorkflowModel, keep: set[str]) -> WorkflowModel:

@@ -7,12 +7,14 @@ an optional "description", and operation-specific parameter keys.
 This is the label level. Each recognized operation id is described once,
 by an :class:`OpSpec` in ``CATALOG``, and a :class:`Recipe` decodes each of
 its operations once, when it is built, into a checked :class:`Step`: the
-labels the step reads, gives and frees, and what is wrong with it.
-Validation, schema inference and the effect trace read those steps, never
-the parameters. Recipes repeat expression texts step after step (one
-``value.trim()`` per column), so a recipe analyzes each distinct text
-once. The base of the package's slotted records, which are all immutable,
-lives here too, at the bottom of the import graph.
+labels the step reads, gives and frees, and what is wrong with it. The
+decoder is the one place that counts a split's parts, from the operation
+or from the split hints the recipe holds. Validation, schema inference and
+the effect trace read those steps, never the parameters or the hints.
+Recipes repeat expression texts step after step (one ``value.trim()`` per
+column), so a recipe analyzes each distinct text once. The base of the
+package's slotted records, which are all immutable, lives here too, at the
+bottom of the import graph.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 from collections.abc import Mapping
 from typing import Any, NamedTuple
 
-from .errors import EffectError, RecipeError
+from .errors import RecipeError
 from .expressions import ExpressionAnalysis, analyze_expression
 
 
@@ -208,18 +210,19 @@ CATALOG: dict[str, OpSpec] = {
 
 
 class Step(NamedTuple):
-    """One operation, decoded once against its :class:`OpSpec`.
+    """One operation, decoded once against its :class:`OpSpec` and the
+    recipe's split hints.
 
     ``owns`` are the own labels (one, or the listed ones when
     ``own_list``); ``references`` are the expression's, and ``opaque``
-    says the expression is outside the subset or absent. ``new_label`` is
-    the label the step gives (a split gives its parts instead: see
-    :func:`split_arity`, which reads the pinned count ``parts``), and
-    ``frees`` the labels it takes away (its own, when it renames or
-    deletes it). Every label is a string: a malformed one is left out,
-    and ``malformed`` holds the message of the step's first malformed
-    parameter, which the trace raises as ``missing-param``.
-    ``diagnostics`` are validation's findings that need no split hint.
+    says the expression is outside the subset or absent. ``gives`` are the
+    labels the step gives: a rename's or addition's new label, or a
+    split's "<own> 1" ... "<own> k". ``frees`` are the labels it takes
+    away (its own, when it renames or deletes it). Every label is a
+    string: a malformed one is left out. ``error`` is the ``(code,
+    message)`` the trace raises at this step: ``missing-param`` for its
+    first malformed parameter, else ``split-arity-too-large``.
+    ``diagnostics`` are its validation findings.
     """
 
     op: RawOperation
@@ -227,16 +230,19 @@ class Step(NamedTuple):
     owns: tuple[str, ...] = ()
     references: tuple[str, ...] = ()
     opaque: bool = False
-    new_label: str | None = None
+    gives: tuple[str, ...] = ()
     frees: tuple[str, ...] = ()
-    parts: int | None = None
-    malformed: str | None = None
+    error: tuple[str, str] | None = None
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-def _decode(op: RawOperation, analyses: dict[str, ExpressionAnalysis]) -> Step:
+def _decode(
+    op: RawOperation, analyses: dict[str, ExpressionAnalysis], split_arity: Mapping[str, int]
+) -> Step:
     """The step of one operation; an expression text missing from the
-    recipe's ``analyses`` is analyzed and added."""
+    recipe's ``analyses`` is analyzed and added. A split's part count is
+    the one the operation pins, else ``split_arity``'s for its column,
+    else :data:`DEFAULT_SPLIT_ARITY` with a warning."""
     spec = CATALOG.get(op.op_id)
     if spec is None:
         message = (
@@ -271,14 +277,13 @@ def _decode(op: RawOperation, analyses: dict[str, ExpressionAnalysis]) -> Step:
     elif len(owns) < len(listed):
         problem = ": column name parameter is not a string"
     new_label = params.get(spec.new_label) if spec.new_label else None
-    if spec.new_label and not isinstance(new_label, str):
-        if problem is None:
-            problem = (
-                f" lacks required parameter {spec.new_label!r}" if new_label is None
-                else f": {spec.new_label} is not a string"
-            )
-        new_label = None
-    malformed = None if problem is None else f"step {op.index} ({op.op_id}){problem}"
+    gives = (new_label,) if isinstance(new_label, str) else ()
+    if spec.new_label and not gives and problem is None:
+        problem = (
+            f" lacks required parameter {spec.new_label!r}" if new_label is None
+            else f": {spec.new_label} is not a string"
+        )
+    error = None if problem is None else ("missing-param", f"step {op.index} ({op.op_id}){problem}")
 
     references, opaque = (), False
     if spec.expression:
@@ -290,51 +295,50 @@ def _decode(op: RawOperation, analyses: dict[str, ExpressionAnalysis]) -> Step:
             references, opaque = analysis
         else:  # absent, or no text: none spells a term of the subset
             opaque = True
-    parts = None
     if spec.split:
         field_lengths, max_columns = params.get("fieldLengths"), params.get("maxColumns")
         if isinstance(field_lengths, list) and field_lengths:
             parts = len(field_lengths)
         elif isinstance(max_columns, int) and not isinstance(max_columns, bool) and max_columns > 0:
             parts = max_columns
+        elif isinstance(own, str) and own in split_arity:
+            parts = split_arity[own]
+        else:
+            parts = DEFAULT_SPLIT_ARITY
+            message = (
+                f"split of column {own!r} has no static part count; "
+                f"defaulting to {DEFAULT_SPLIT_ARITY} (override with --split-arity)"
+            )
+            diagnostics.append(Diagnostic("warning", "split-arity-defaulted", message, op.index))
+        if error is None and parts > MAX_SPLIT_PARTS:
+            message = f"splits into {parts} columns; at most {MAX_SPLIT_PARTS} are supported"
+            error = ("split-arity-too-large", f"step {op.index} ({op.op_id}) {message}")
+        elif error is None:
+            gives = tuple(f"{own} {k + 1}" for k in range(parts))
     deletes = spec.deletes is True or bool(spec.deletes and params.get(spec.deletes))
     frees = owns if spec.rename or deletes else ()
-    return Step(
-        op, spec, owns, references, opaque, new_label, frees, parts, malformed, tuple(diagnostics)
-    )
-
-
-def split_arity(step: Step, arity_hints: dict[str, int] | None = None) -> int:
-    """Part count of a split of a string label: the count the recipe pins,
-    then the hint for its column, then the default.
-
-    Raises ``split-arity-too-large`` past :data:`MAX_SPLIT_PARTS`.
-    """
-    parts = step.parts or (arity_hints or {}).get(step.owns[0], DEFAULT_SPLIT_ARITY)
-    if parts > MAX_SPLIT_PARTS:
-        raise EffectError(
-            "split-arity-too-large",
-            f"step {step.op.index} ({step.op.op_id}) splits into {parts} columns; "
-            f"at most {MAX_SPLIT_PARTS} are supported",
-            step_index=step.op.index,
-        )
-    return parts
+    return Step(op, spec, owns, references, opaque, gives, frees, error, tuple(diagnostics))
 
 
 class Recipe(FrozenRecord):
-    """An ordered operation history and its decoded steps, one per
-    operation. An empty history is valid. The steps follow from the
-    operations, so a recipe compares, prints and pickles by its operations.
+    """An ordered operation history, the split part counts given for its
+    columns (``split_arity``, which a split that pins no count reads), and
+    its decoded steps, one per operation. An empty history is valid. The
+    steps follow from the other two fields, so a recipe compares, prints
+    and pickles by those.
     """
 
-    __slots__ = ("operations", "steps")
+    __slots__ = ("operations", "split_arity", "steps")
 
-    def __init__(self, operations: tuple[RawOperation, ...] = ()):
+    def __init__(
+        self, operations: tuple[RawOperation, ...] = (), split_arity: Mapping[str, int] = EMPTY_MAPPING
+    ):
         analyses: dict[str, ExpressionAnalysis] = {}
-        self._set(operations, tuple(_decode(op, analyses) for op in operations))
+        steps = tuple(_decode(op, analyses, split_arity) for op in operations)
+        self._set(operations, split_arity, steps)
 
     def _values(self) -> tuple:
-        return (self.operations,)
+        return (self.operations, self.split_arity)
 
     def __len__(self) -> int:
         return len(self.operations)
@@ -364,8 +368,9 @@ def _holds_surrogate(document) -> bool:
     return False
 
 
-def parse_recipe(text: str) -> Recipe:
-    """Parse an exported operation history into a :class:`Recipe`.
+def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> Recipe:
+    """Parse an exported operation history into a :class:`Recipe` with
+    the given split part counts.
 
     Accepts the usual top-level array, or a single operation object which
     is treated as a one-element history (tolerates hand-edited fixtures).
@@ -417,31 +422,13 @@ def parse_recipe(text: str) -> Recipe:
             )
         params = {key: value for key, value in entry.items() if key != "op"}
         operations.append(RawOperation(op_id=op_id, index=index, params=params))
-    return Recipe(operations=tuple(operations))
+    return Recipe(tuple(operations), split_arity)
 
 
-def validate_recipe(
-    recipe: Recipe, arity_hints: dict[str, int] | None = None
-) -> list[Diagnostic]:
-    """Report unknown operations, missing and unused parameter keys, and
-    defaulted splits: each step's findings, then its split warning.
-
-    Never mutates the recipe; diagnostics are the only output.
-    """
-    diagnostics: list[Diagnostic] = []
-    hints = arity_hints or {}
-    for step in recipe.steps:
-        diagnostics.extend(step.diagnostics)
-        if not step.spec.split or step.parts is not None:
-            continue
-        column = step.op.params.get("columnName")
-        if not (isinstance(column, str) and column in hints):
-            message = (
-                f"split of column {column!r} has no static part count; "
-                f"defaulting to {DEFAULT_SPLIT_ARITY} (override with --split-arity)"
-            )
-            diagnostics.append(Diagnostic("warning", "split-arity-defaulted", message, step.op.index))
-    return diagnostics
+def validate_recipe(recipe: Recipe) -> list[Diagnostic]:
+    """Each step's findings: unknown operations, missing and unused
+    parameter keys, and defaulted splits. Never mutates the recipe."""
+    return [diagnostic for step in recipe.steps for diagnostic in step.diagnostics]
 
 
 def catalog_reference() -> str:

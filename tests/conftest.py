@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from refineflow import Recipe, infer_initial_schema, parse_recipe, trace_effects
+from refineflow import Recipe, analyze_expression, infer_initial_schema, parse_recipe, trace_effects
 from oracle import Table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -26,6 +26,19 @@ needs_int_digit_limit = pytest.mark.skipif(
     not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_INT),
     reason="no integer string conversion limit below 5,001 digits",
 )
+
+
+@pytest.fixture
+def analyzed(monkeypatch) -> list[str]:
+    """Every expression text the decoder analyzes, in call order."""
+    texts: list[str] = []
+
+    def counting(text: str):
+        texts.append(text)
+        return analyze_expression(text)
+
+    monkeypatch.setattr("refineflow.recipe.analyze_expression", counting)
+    return texts
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,9 @@ import io
 
 from refineflow import expressions as ex
 from refineflow.effects import SchemaState, trace_effects
-from refineflow.errors import RefineflowError
+from refineflow.errors import EffectError, RefineflowError
 from refineflow.model import dependency_edges
-from refineflow.recipe import FrozenRecord, RawOperation, Recipe, Step, split_arity
+from refineflow.recipe import FrozenRecord, RawOperation, Recipe, Step
 
 
 class OracleError(RefineflowError):
@@ -263,9 +263,7 @@ def _require_string_param(op: RawOperation, key: str) -> str:
     return value
 
 
-def execute(
-    recipe: Recipe, table: Table, arity_hints: dict[str, int] | None = None
-) -> Table:
+def execute(recipe: Recipe, table: Table) -> Table:
     """Run a recipe over a table in the recorded order.
 
     Raises :class:`OracleError` with ``unsupported-op`` for steps outside
@@ -273,11 +271,11 @@ def execute(
     """
     state = Table(table.labels, table.rows)
     for step in recipe.steps:
-        _execute_step(state, step, arity_hints)
+        _execute_step(state, step)
     return state
 
 
-def _execute_step(state: Table, step: Step, arity_hints):
+def _execute_step(state: Table, step: Step):
     op = step.op
     op_id = op.op_id
     kernel = _COLUMN_KERNELS.get(op_id)
@@ -315,7 +313,9 @@ def _execute_step(state: Table, step: Step, arity_hints):
         label = _require_string_param(op, "columnName")
         separator = _split_separator(op)
         position = state.position(label, op)
-        arity = split_arity(step, arity_hints)
+        if step.error is not None:  # past the part cap
+            raise EffectError(*step.error, step_index=op.index)
+        arity = len(step.gives)
         part_rows = [_split_parts(row[position], separator, arity) for row in state.rows]
         for k in range(arity):
             new_label = f"{label} {k + 1}"
@@ -339,12 +339,7 @@ def _execute_step(state: Table, step: Step, arity_hints):
         )
 
 
-def execute_order(
-    recipe: Recipe,
-    order: list[int],
-    table: Table,
-    arity_hints: dict[str, int] | None = None,
-) -> Table:
+def execute_order(recipe: Recipe, order: list[int], table: Table) -> Table:
     """Run a recipe in a caller-chosen topological order of its dependency DAG.
 
     The order must be a permutation of the step indices respecting every
@@ -354,7 +349,7 @@ def execute_order(
     ``by_label()`` equals that of ``execute(recipe, table)``.
     """
     n = len(recipe.operations)
-    effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels), arity_hints)
+    effects, _ = trace_effects(recipe, SchemaState.from_labels(table.labels))
 
     if sorted(order) != list(range(n)):
         raise OracleError("invalid-order", f"order {order!r} is not a permutation of 0..{n - 1}")
@@ -365,5 +360,5 @@ def execute_order(
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"
             )
 
-    permuted = Recipe(tuple(recipe.operations[step] for step in order))
-    return execute(permuted, table, arity_hints)
+    permuted = Recipe(tuple(recipe.operations[step] for step in order), recipe.split_arity)
+    return execute(permuted, table)

@@ -36,10 +36,12 @@ def test_linear_dot_combined(tmp_path):
     assert len(steps) == 8
 
 
-def test_collapsed_writes_detail_file(tmp_path):
+def test_collapsed_writes_detail_file(tmp_path, analyzed):
     out = tmp_path / "model.dot"
     status = run_cli(["-i", MASS_EDIT, "-t", "collapsed", "-o", str(out)])
     assert status == 0
+    # The detail model reads the recipe's decoded steps: nothing is decoded again.
+    assert analyzed == ["value"]
     assert out.exists()
     details = sorted(tmp_path.glob("model.detail.*.dot"))
     assert len(details) == 1
@@ -166,10 +168,10 @@ def test_unresolved_column_exits_1(tmp_path, capsys):
 _REMOVE_A = {"op": "core/column-removal", "columnName": "a"}
 
 
-# (recipe, exact stderr): which of several faults a run reports. Within a
-# step, a malformed parameter comes before an unresolved label; across
-# steps, the first failing step is reported, and inference (which counts
-# split parts) runs over the whole recipe before the trace.
+# (recipe, exact stderr[, split hints]): which of several faults a run
+# reports. Within a step, a malformed parameter comes before an unresolved
+# label or a part count past the cap; across steps, the first failing step
+# is reported, whether the count past the cap is pinned or hinted.
 ERROR_ORDER = {
     "rename-to-int-of-removed": (
         [_REMOVE_A, {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": 7}],
@@ -189,8 +191,15 @@ ERROR_ORDER = {
             {"op": "core/fill-down", "columnName": None},
             {"op": "core/column-split", "columnName": "d", "separator": ",", "maxColumns": 5000},
         ],
-        "error split-arity-too-large 1 step 1 (core/column-split) splits into 5000 columns; "
-        "at most 1000 are supported\n",
+        "error missing-param 0 step 0 (core/fill-down) lacks required parameter 'columnName'\n",
+    ),
+    "null-fill-down-then-hinted-split-over-cap": (
+        [
+            {"op": "core/fill-down", "columnName": None},
+            {"op": "core/column-split", "columnName": "d", "separator": ","},
+        ],
+        "error missing-param 0 step 0 (core/fill-down) lacks required parameter 'columnName'\n",
+        {"d": 5000},
     ),
     "null-new-label-reading-removed": (
         [
@@ -206,12 +215,13 @@ ERROR_ORDER = {
 
 @pytest.mark.parametrize("name", sorted(ERROR_ORDER))
 def test_error_order_of_a_recipe_with_several_faults(tmp_path, name):
-    entries, expected = ERROR_ORDER[name]
+    entries, expected, *hints = ERROR_ORDER[name]
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps(entries), encoding="utf-8")
     out = tmp_path / "never.dot"
     stderr = io.StringIO()
-    assert run(RunConfig(input_path=str(recipe), output_path=str(out)), stderr=stderr) == 1
+    config = RunConfig(str(recipe), str(out), split_arity_overrides=hints[0] if hints else {})
+    assert run(config, stderr=stderr) == 1
     assert stderr.getvalue() == expected
     assert not out.exists()
 

@@ -12,13 +12,12 @@ from refineflow import (
     EffectError,
     Recipe,
     SchemaState,
-    analyze_expression,
     catalog_reference,
     infer_initial_schema,
     trace_effects,
     validate_recipe,
 )
-from refineflow.recipe import split_arity
+from refineflow.recipe import MAX_SPLIT_PARTS
 from conftest import make_recipe
 from recipegen import acceptance_corpus, random_recipe
 
@@ -249,19 +248,6 @@ def test_trace_error_names_step():
     assert info.value.step_index == 2
 
 
-@pytest.fixture
-def analyzed(monkeypatch) -> list[str]:
-    """Every expression text the decoder analyzes, in call order."""
-    texts: list[str] = []
-
-    def counting(text: str):
-        texts.append(text)
-        return analyze_expression(text)
-
-    monkeypatch.setattr("refineflow.recipe.analyze_expression", counting)
-    return texts
-
-
 def test_each_recipe_analyzes_each_distinct_text_once(analyzed):
     entries = [
         {"op": "core/text-transform", "columnName": f"c{j}", "expression": "value.trim()"}
@@ -355,14 +341,25 @@ def test_infer_orders_expression_references_by_position():
 
 
 def test_static_and_hinted_split_arity():
-    assert _single({"op": "core/column-split", "columnName": "d", "maxColumns": 4}).parts == 4
-    assert _single(
+    pinned = make_recipe([{"op": "core/column-split", "columnName": "d", "maxColumns": 4}])
+    assert len(pinned.steps[0].gives) == 4
+    # A count the operation pins beats a hint for its column.
+    assert len(Recipe(pinned.operations, {"d": 5}).steps[0].gives) == 4
+    assert len(_single(
         {"op": "core/column-split", "columnName": "d", "fieldLengths": [2, 2, 4]}
-    ).parts == 3
-    loose = _single({"op": "core/column-split", "columnName": "d", "separator": "/"})
-    assert loose.parts is None
-    assert split_arity(loose) == 2
-    assert split_arity(loose, {"d": 5}) == 5
+    ).gives) == 3
+    loose = make_recipe([{"op": "core/column-split", "columnName": "d", "separator": "/"}])
+    assert loose.steps[0].gives == ("d 1", "d 2")
+    hinted = Recipe(loose.operations, {"d": 5})
+    assert hinted.steps[0].gives == ("d 1", "d 2", "d 3", "d 4", "d 5")
+    assert infer_initial_schema(hinted).labels() == ("d",)
+    assert len(trace_effects(hinted, infer_initial_schema(hinted))[1][-1].columns) == 6
+    # A count past the cap, pinned or hinted, gives nothing: the trace
+    # raises the step's error when it reaches the step.
+    over = Recipe(loose.operations, {"d": MAX_SPLIT_PARTS + 1})
+    assert over.steps[0].gives == ()
+    assert over.steps[0].error[0] == "split-arity-too-large"
+    assert infer_initial_schema(over).labels() == ("d",)
 
 
 def test_missing_param_raises():

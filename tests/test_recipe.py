@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from refineflow import RecipeError, parse_recipe, validate_recipe
+from refineflow import Recipe, RecipeError, parse_recipe, validate_recipe
 from refineflow.recipe import CATALOG, TABLE_SCOPED
 from conftest import LONG_INT, make_recipe, needs_int_digit_limit
 
@@ -236,7 +236,7 @@ def test_validate_split_arity_warning_and_hint():
     recipe = make_recipe([entry])
     codes = [d.code for d in validate_recipe(recipe)]
     assert "split-arity-defaulted" in codes
-    codes_with_hint = [d.code for d in validate_recipe(recipe, {"date": 3})]
+    codes_with_hint = [d.code for d in validate_recipe(Recipe(recipe.operations, {"date": 3}))]
     assert "split-arity-defaulted" not in codes_with_hint
     pinned = make_recipe([{**entry, "maxColumns": 3}])
     assert "split-arity-defaulted" not in [d.code for d in validate_recipe(pinned)]
@@ -263,17 +263,21 @@ def test_each_step_is_decoded_once_into_labels_and_findings():
     )
     split, unknown, rename, reorder, addition, transform, removal = recipe.steps
     assert split.spec is CATALOG["core/column-split"]
-    assert (split.owns, split.parts, split.frees, split.malformed) == (("a",), 2, (), None)
+    assert (split.owns, split.gives, split.frees, split.error) == (("a",), ("a 1", "a 2"), (), None)
     assert unknown.spec is TABLE_SCOPED and unknown.owns == ()
     assert [d.code for d in unknown.diagnostics] == ["unknown-op"]
     # A malformed label is left out; the message waits for the trace.
-    assert (rename.owns, rename.new_label, rename.frees) == (("a 1",), None, ("a 1",))
-    assert rename.malformed == "step 2 (core/column-rename): newColumnName is not a string"
+    assert (rename.owns, rename.gives, rename.frees) == (("a 1",), (), ("a 1",))
+    assert rename.error == (
+        "missing-param", "step 2 (core/column-rename): newColumnName is not a string"
+    )
     assert [d.code for d in rename.diagnostics] == ["unused-param"]
     assert reorder.owns == ("a 2",)
-    assert reorder.malformed == "step 3 (core/column-reorder): column name parameter is not a string"
+    assert reorder.error == (
+        "missing-param", "step 3 (core/column-reorder): column name parameter is not a string"
+    )
     assert (addition.owns, addition.references, addition.opaque) == (("a",), ("c",), False)
-    assert (addition.new_label, addition.malformed) == ("b", None)
+    assert (addition.gives, addition.error) == (("b",), None)
     assert (transform.references, transform.opaque) == ((), True)  # not a text
     assert (removal.owns, removal.frees) == (("c",), ("c",))
 

@@ -136,14 +136,15 @@ def test_recipe_length_and_keyword_construction():
         Recipe(operations=ops, unknown=1)
 
 
-# Every kind of step: catalog ops, an unknown op, an unused key, and
-# malformed parameters the trace reports.
+# Every kind of step: catalog ops, an unknown op, an unused key,
+# malformed parameters the trace reports, and a split that pins no count.
 ODD_STEPS = """[
  {"op": "core/column-split", "columnName": "a", "separator": ",", "maxColumns": 3},
  {"op": "vendor/unknown-op", "columnName": "a"},
  {"op": "core/column-rename", "oldColumnName": "a 1", "newColumnName": 7, "extra": true},
  {"op": "core/column-reorder", "columnNames": ["a 2", null]},
- {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b", "expression": 5}
+ {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b", "expression": 5},
+ {"op": "core/column-split", "columnName": "b", "separator": ","}
 ]"""
 
 
@@ -156,8 +157,15 @@ def test_recipe_decodes_its_operations_however_it_is_built(menus_text, text):
     assert rebuilt == parsed
     assert rebuilt.steps == parsed.steps
     assert Recipe(parsed.operations[1:3]).steps == parsed.steps[1:3]
-    for copied in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
-        assert copied == parsed
-        assert copied.steps == parsed.steps
-    assert repr(parsed) == f"Recipe(operations={parsed.operations!r})"
+    # Split hints are part of the recipe: they change its decoded steps.
+    hinted = Recipe(parsed.operations, {"b": 4})
+    assert hinted != parsed
+    # Only the odd steps hold a split that pins no part count.
+    assert (hinted.steps == parsed.steps) is (text == "menus")
+    for recipe in (parsed, hinted):
+        for copied in (copy.copy(recipe), copy.deepcopy(recipe), pickle.loads(pickle.dumps(recipe))):
+            assert copied == recipe
+            assert copied.split_arity == recipe.split_arity
+            assert copied.steps == recipe.steps
+    assert repr(parsed) == f"Recipe(operations={parsed.operations!r}, split_arity=EMPTY_MAPPING)"
 
