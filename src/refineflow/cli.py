@@ -128,12 +128,8 @@ def run(config: RunConfig, stderr=None) -> int:
 
     try:
         recipe = parse_recipe(text, config.split_arity_overrides)
-        diagnostics = validate_recipe(recipe)
-        for diag in diagnostics:
+        for diag in validate_recipe(recipe):
             _print_diagnostic(diag, stderr)
-        if any(d.severity == "error" for d in diagnostics):
-            return 1
-
         initial = effects.infer_initial_schema(recipe)
         effect_list, _ = effects.trace_effects(recipe, initial)
         # The DOT process view draws steps only. YW's process view prints
@@ -169,7 +165,12 @@ def run(config: RunConfig, stderr=None) -> int:
     name = os.path.splitext(os.path.basename(config.input_path))[0]
     main_text = _emit(workflow, config, name, idents)
     if config.output_path == "-":
-        _write_stdout(main_text)
+        try:
+            _write_stdout(main_text)
+        except OSError as exc:
+            message = f"<stdout>: {exc.strerror or exc}"
+            _print_diagnostic(Diagnostic("error", "unwritable-output", message), stderr)
+            return 2
         if summaries:
             message = (
                 f"{len(summaries)} collapsed-run detail file(s) "

@@ -115,8 +115,9 @@ def _resolve(label: str, schema: SchemaState, op: RawOperation) -> ColumnId:
 def _effect_of(step: Step, schema: SchemaState) -> ColumnEffect:
     """Column effect of one step against the schema it runs on.
 
-    Raises :class:`EffectError`: the step's own ``error``
-    (``missing-param`` or ``split-arity-too-large``), then
+    Raises :class:`EffectError`: the step's own ``error``, the decoder's
+    one verdict on its parameters (``missing-param``,
+    ``split-arity-too-large`` or ``malformed-json``), then
     ``unresolved-column`` for a label that is not live.
     """
     op, spec = step.op, step.spec

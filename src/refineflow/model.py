@@ -26,22 +26,23 @@ generating set of conflicts, linear in the total effect size, whose
 transitive closure is the conflict relation. A DAG has exactly one
 transitive reduction, so the process edges are those of the full relation.
 
-The builders read the recipe, the step effects and the initial schema,
-nothing else: the column-level models follow each column's current label
-from the initial columns through the effects' renames and creates. A data
-node is made exactly when its column version is born (an initial column,
-a write or a create), and a read looks up its column's current node.
+The builders read the recipe's decoded steps (a param node shows a step's
+rendered ``params``), the step effects and the initial schema, never a
+parameter; the linear model raises a step's ``error``, as the trace does.
+The column-level models follow each column's current label from the
+initial columns through the effects' renames and creates. A data node is
+made exactly when its column version is born (an initial column, a write
+or a create), and a read looks up its column's current node.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Mapping
 from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, SchemaState
-from .errors import ModelError, RecipeError
+from .errors import EffectError, ModelError
 from .recipe import EMPTY_MAPPING, FrozenRecord, RawOperation, Recipe, Step
 
 LINEAR = "linear"
@@ -206,38 +207,16 @@ def _short_label(op: RawOperation) -> str:
     return op.op_id.rsplit("/", 1)[-1] or op.op_id
 
 
-# One encoder for every param value: json.dumps with options builds a new one.
-_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _render_param_value(value, op: RawOperation) -> str:
-    if isinstance(value, str):
-        return value
-    try:
-        return _encode_json(value)
-    except RecursionError:
-        # Encoding runs deeper in the stack than parse_recipe's decoding.
-        message = f"step {op.index} ({op.op_id}): input nests arrays or objects too deeply"
-        raise RecipeError("malformed-json", message, step_index=op.index) from None
-
-
 def _param_nodes(step: Step, step_index: int) -> list[Node]:
-    op = step.op
     return [
-        Node(
-            "param",
-            f"param_{step_index}_{key}",
-            f"{key} = {_render_param_value(op.params[key], op)}",
-            step_index,
-            {"key": key},
-        )
-        for key in step.spec.params
-        if key in op.params
+        Node("param", f"param_{step_index}_{key}", f"{key} = {text}", step_index, {"key": key})
+        for key, text in step.params
     ]
 
 
 def build_linear(recipe: Recipe) -> WorkflowModel:
-    """Alternating chain of table snapshots and steps, with param nodes."""
+    """Alternating chain of table snapshots and steps, with param nodes.
+    Raises a step's ``error`` as :class:`EffectError`, as the trace does."""
     return _linear(recipe.steps)
 
 
@@ -246,6 +225,8 @@ def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
     nodes, edges = [Node("data_table", "table_0", "table_0")], []
     for pos, step in enumerate(steps):
         op = step.op
+        if step.error is not None:
+            raise EffectError(*step.error, step_index=op.index)
         step_id = f"step_{pos}"
         table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
         nodes.append(Node("step", step_id, _short_label(op), pos, {"op_id": op.op_id}))

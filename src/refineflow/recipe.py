@@ -7,10 +7,9 @@ an optional "description", and operation-specific parameter keys.
 This is the label level. Each recognized operation id is described once,
 by an :class:`OpSpec` in ``CATALOG``, and a :class:`Recipe` decodes each of
 its operations once, when it is built, into a checked :class:`Step`: the
-labels the step reads, gives and frees, and what is wrong with it. The
-decoder is the one place that counts a split's parts, from the operation
-or from the split hints the recipe holds. Validation, schema inference and
-the effect trace read those steps, never the parameters or the hints.
+labels the step reads, gives and frees, its rendered parameters, and what
+is wrong with it. The decoder is the only code that reads a parameter or a
+split hint; validation, inference, the trace and the models read steps.
 Recipes repeat expression texts step after step (one ``value.trim()`` per
 column), so a recipe analyzes each distinct text once. The base of the
 package's slotted records, which are all immutable, lives here too, at the
@@ -101,10 +100,9 @@ class RawOperation(NamedTuple):
 
 
 class Diagnostic(NamedTuple):
-    """A non-fatal finding about a recipe.
-
-    ``error`` severity is reserved for conditions that prevent model
-    construction; warnings and infos never affect processing.
+    """A finding about a recipe, one CLI line. Validation finds warnings
+    and infos, which never affect processing; a fault that stops the run
+    (a step's ``error``, among others) is reported as one ``error``.
     """
 
     severity: str  # "error" | "warning" | "info"
@@ -220,9 +218,13 @@ class Step(NamedTuple):
     split's "<own> 1" ... "<own> k". ``frees`` are the labels it takes
     away (its own, when it renames or deletes it). Every label is a
     string: a malformed one is left out. ``error`` is the ``(code,
-    message)`` the trace raises at this step: ``missing-param`` for its
-    first malformed parameter, else ``split-arity-too-large``.
-    ``diagnostics`` are its validation findings.
+    message)`` the trace and the linear model raise at this step, the one
+    verdict on its parameters: ``missing-param`` for its first absent or
+    malformed one, else ``split-arity-too-large``, else ``malformed-json``
+    for a value nested too deeply to render. ``diagnostics`` are its
+    validation findings. ``params`` renders each present key of
+    ``spec.params``, in that order: a string as it is, any other value as
+    compact, key-sorted JSON.
     """
 
     op: RawOperation
@@ -234,6 +236,12 @@ class Step(NamedTuple):
     frees: tuple[str, ...] = ()
     error: tuple[str, str] | None = None
     diagnostics: tuple[Diagnostic, ...] = ()
+    params: tuple[tuple[str, str], ...] = ()
+
+
+# One encoder for every param value: json.dumps with options builds a new one.
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_TOO_DEEP = "input nests arrays or objects too deeply"
 
 
 def _decode(
@@ -252,10 +260,6 @@ def _decode(
         return Step(op, TABLE_SCOPED, diagnostics=(Diagnostic("warning", "unknown-op", message, op.index),))
     params = op.params
     diagnostics = []
-    missing = [key for key in (spec.own, spec.new_label) if key is not None and key not in params]
-    if missing:
-        message = f"{op.op_id} lacks required parameter(s): {', '.join(missing)}"
-        diagnostics.append(Diagnostic("error", "missing-param", message, op.index))
     unused = params.keys() - spec.params
     unused.discard("description")
     if unused:
@@ -317,7 +321,16 @@ def _decode(
             gives = tuple(f"{own} {k + 1}" for k in range(parts))
     deletes = spec.deletes is True or bool(spec.deletes and params.get(spec.deletes))
     frees = owns if spec.rename or deletes else ()
-    return Step(op, spec, owns, references, opaque, gives, frees, error, tuple(diagnostics))
+    # A loop, not a comprehension, whose frame would cost the encoder a nesting level.
+    rendered = []
+    try:
+        for key in spec.params:
+            if key in params:
+                value = params[key]
+                rendered.append((key, value if isinstance(value, str) else _encode_json(value)))
+    except RecursionError:
+        error = error or ("malformed-json", f"step {op.index} ({op.op_id}): {_TOO_DEEP}")
+    return Step(op, spec, owns, references, opaque, gives, frees, error, tuple(diagnostics), tuple(rendered))
 
 
 class Recipe(FrozenRecord):
@@ -393,7 +406,7 @@ def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> R
         # Python's limit on integer string conversion (4,300 digits by default).
         raise RecipeError("malformed-json", "input holds an integer with too many digits to read") from None
     except RecursionError:
-        raise RecipeError("malformed-json", "input nests arrays or objects too deeply") from None
+        raise RecipeError("malformed-json", _TOO_DEEP) from None
     if _SURROGATE_ESCAPE.search(text) and _holds_surrogate(document):
         raise RecipeError("malformed-json", "input holds a lone surrogate escape, which is not UTF-8 text")
 
@@ -426,8 +439,9 @@ def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> R
 
 
 def validate_recipe(recipe: Recipe) -> list[Diagnostic]:
-    """Each step's findings: unknown operations, missing and unused
-    parameter keys, and defaulted splits. Never mutates the recipe."""
+    """Each step's findings, warnings and infos only: unknown operations,
+    unused parameter keys and defaulted splits. A step's faults are its
+    ``error``, which the trace raises. Never mutates the recipe."""
     return [diagnostic for step in recipe.steps for diagnostic in step.diagnostics]
 
 

@@ -12,8 +12,9 @@ The inputs are both fixtures plus N seeded generated recipes. The generated
 recipes start from non-ASCII labels; some carry a row op or an unknown op,
 some opaque expressions, some a read of a column they removed (by a step
 that may also have a malformed parameter), and some one or two malformed
-parameters: a null or integer own label, an integer ``newColumnName``, a
-string ``columnNames`` or a ``maxColumns`` past the split cap.
+parameters: a null, integer or absent own label, an integer or absent
+``newColumnName``, a string ``columnNames`` or a ``maxColumns`` past the
+split cap.
 Each input runs through ``cli.run`` in every model/view/format combination,
 to a file and to standard output, then as a collapsed model at threshold 2
 and as upstream and downstream queries. Standard library only; pytest does
@@ -62,6 +63,17 @@ ROW_OP = {"op": "core/row-removal", "engineConfig": {"facets": [], "mode": "row-
 UNKNOWN_OP = {"op": "vendor/mystery-op", "description": "unknown to the catalog"}
 
 
+# A broken value that drops its key.
+ABSENT = object()
+
+
+def _set(entry: dict, key: str, value) -> None:
+    if value is ABSENT:
+        del entry[key]
+    else:
+        entry[key] = value
+
+
 def malform(rng: random.Random, entries: list[dict]) -> None:
     """Break one or two parameters, so that runs reach the decoder's checks."""
     for _ in range(rng.randint(1, 2)):
@@ -70,9 +82,9 @@ def malform(rng: random.Random, entries: list[dict]) -> None:
         if entry["op"] == "core/column-split" and rng.random() < 0.5:
             entry["maxColumns"] = PAST_SPLIT_CAP
         elif "newColumnName" in entry and rng.random() < 0.5:
-            entry["newColumnName"] = 7
+            _set(entry, "newColumnName", rng.choice([7, ABSENT]))
         elif own:
-            entry[own[0]] = rng.choice([None, 7])
+            _set(entry, own[0], rng.choice([None, 7, ABSENT]))
         else:
             reorder = {"op": "core/column-reorder", "columnNames": rng.choice(LABELS)}
             entries.insert(rng.randrange(len(entries) + 1), reorder)

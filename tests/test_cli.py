@@ -14,7 +14,7 @@ import pytest
 
 import refineflow
 from refineflow import cli, model
-from refineflow.cli import RunConfig, main, run
+from refineflow.cli import FORMATS, RunConfig, main, run
 from refineflow.recipe import MAX_SPLIT_PARTS
 from conftest import FIXTURES, LONG_INT, needs_int_digit_limit
 from dotcheck import parse_dot
@@ -171,7 +171,8 @@ _REMOVE_A = {"op": "core/column-removal", "columnName": "a"}
 # (recipe, exact stderr[, split hints]): which of several faults a run
 # reports. Within a step, a malformed parameter comes before an unresolved
 # label or a part count past the cap; across steps, the first failing step
-# is reported, whether the count past the cap is pinned or hinted.
+# is reported, whether the count past the cap is pinned or hinted and
+# whether a key is null or absent.
 ERROR_ORDER = {
     "rename-to-int-of-removed": (
         [_REMOVE_A, {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": 7}],
@@ -209,6 +210,19 @@ ERROR_ORDER = {
         ],
         "error missing-param 1 step 1 (core/column-addition) "
         "lacks required parameter 'newColumnName'\n",
+    ),
+    "null-fill-down-then-absent-fill-down": (
+        [{"op": "core/fill-down", "columnName": None}, {"op": "core/fill-down"}],
+        "error missing-param 0 step 0 (core/fill-down) lacks required parameter 'columnName'\n",
+    ),
+    "unresolved-read-then-absent-new-label": (
+        [
+            _REMOVE_A,
+            {"op": "core/fill-down", "columnName": "a"},
+            {"op": "core/column-rename", "oldColumnName": "b"},
+        ],
+        "error unresolved-column 1 step 1 (core/fill-down) references column 'a' "
+        "which is not live at that point\n",
     ),
 }
 
@@ -313,7 +327,7 @@ def test_lone_surrogate_escape_exits_1_without_output(tmp_path, capsys, output):
 
 def _deep_mass_edits(depth: int, key: str = "edits") -> str:
     """Three mass edits whose ``key`` nests ``depth`` arrays. Under another
-    key than "edits", one no model renders, the edits are empty."""
+    key than "edits", the edits are empty."""
     nested = "[" * depth + "]" * depth
     fields = f'"edits": {nested}' if key == "edits" else f'"edits": [], "{key}": {nested}'
     entry = '{"op": "core/mass-edit", "columnName": "a", "expression": "value", %s}' % fields
@@ -322,41 +336,50 @@ def _deep_mass_edits(depth: int, key: str = "edits") -> str:
 
 def test_params_nested_near_the_json_depth_limit_end_in_a_diagnostic(tmp_path):
     # The deepest nesting the CLI reads, found with the nesting under a key
-    # no model renders. Each model that renders the edits does so a few
-    # frames deeper; the collapsed model renders them in its detail file.
-    # The DOT process view of the parallel model renders no param at all.
+    # no step renders. Near it, whether a step's params render is decided
+    # once, by the decoder: every model, view and format exits the same way.
     recipe = tmp_path / "deep.json"
+    # Too deep to read (no step), or to render (the first step).
+    too_deep = {
+        f"error malformed-json {step} input nests arrays or objects too deeply\n"
+        for step in ("-", "0 step 0 (core/mass-edit):")
+    }
 
-    def status(kind: str, view: str) -> int:
+    def status(kind: str, view: str, fmt: str) -> int:
         stderr = io.StringIO()
-        code = run(RunConfig(str(recipe), str(tmp_path / "out.dot"), kind, view), stderr=stderr)
-        lines = stderr.getvalue().splitlines()
-        for line in lines:
-            assert re.fullmatch(r"(error|warning|info) [\w-]+ (-|\d+) .+", line), line
-        assert "Recursion" not in stderr.getvalue()
-        assert code == 0 or len(lines) == 1 and lines[0].startswith("error malformed-json ")
+        config = RunConfig(str(recipe), str(tmp_path / f"out.{fmt}"), kind, view, fmt)
+        code = run(config, stderr=stderr)
+        assert stderr.getvalue() in too_deep if code else stderr.getvalue() == ""
         return code
 
     low, high = 1, 100_000  # the CLI reads ``low`` levels, and not ``high``
     while high - low > 1:
         middle = (low + high) // 2
         recipe.write_text(_deep_mass_edits(middle, key="description"), encoding="utf-8")
-        low, high = (middle, high) if status(model.PARALLEL, "combined") == 0 else (low, middle)
+        low, high = (middle, high) if status(model.PARALLEL, "combined", "dot") == 0 else (low, middle)
     for depth in range(low - 3, low + 1):
-        recipe.write_text(_deep_mass_edits(depth), encoding="utf-8")
-        codes = {}
-        for kind in model.MODEL_KINDS:  # a loop: a comprehension is one frame deeper
-            for view in ("combined", "process"):
-                codes[kind, view] = status(kind, view)
-        assert codes[model.PARALLEL, "process"] == 0
-        # A nested expression is opaque without being rendered as text.
-        recipe.write_text(_deep_mass_edits(depth, key="expression"), encoding="utf-8")
-        assert status(model.PARALLEL, "process") == 0
-    # Before 3.12 the JSON decoder and encoder count against the one
-    # recursion limit, so at the deepest nesting read the encoder gives out.
-    if sys.version_info < (3, 12):
-        assert codes[model.PARALLEL, "combined"] == 1
-        assert codes[model.COLLAPSED, "combined"] == codes[model.COLLAPSED, "process"] == 1
+        for key in ("edits", "expression"):
+            recipe.write_text(_deep_mass_edits(depth, key), encoding="utf-8")
+            codes = set()
+            for kind in model.MODEL_KINDS:  # loops: a comprehension is one frame deeper
+                for view in ("combined", "process"):
+                    for fmt in FORMATS:
+                        codes.add(status(kind, view, fmt))
+            assert len(codes) == 1, (depth, key)
+
+
+def test_failed_write_to_stdout_exits_2(monkeypatch):
+    class FullDevice(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(FullDevice(), encoding="utf-8"))
+    stderr = io.StringIO()
+    assert run(RunConfig(MASS_EDIT, "-"), stderr=stderr) == 2
+    lines = stderr.getvalue().splitlines()
+    assert [line for line in lines if not line.startswith("info unused-param ")] == [
+        f"error unwritable-output - <stdout>: {os.strerror(errno.ENOSPC)}"
+    ]
 
 
 def test_warnings_do_not_change_exit_status(tmp_path, capsys):

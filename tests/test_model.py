@@ -7,6 +7,7 @@ import pytest
 
 from refineflow import (
     Edge,
+    EffectError,
     ModelError,
     Node,
     Recipe,
@@ -327,6 +328,24 @@ def test_linear_empty_recipe():
     assert [n.id for n in model.nodes] == ["table_0"]
     assert model.edges == []
     assert model.components == []
+
+
+def test_linear_model_raises_a_faulty_steps_error():
+    # No builder models a step the trace refuses: the linear model reads
+    # no effect, so it raises the step's error itself.
+    recipe = make_recipe(
+        [
+            {"op": "core/fill-down", "columnName": "a"},
+            {"op": "core/fill-down", "columnName": None},
+        ]
+    )
+    with pytest.raises(EffectError) as info:
+        build_linear(recipe)
+    expected = ("missing-param", "step 1 (core/fill-down) lacks required parameter 'columnName'", 1)
+    assert (info.value.code, info.value.message, info.value.step_index) == expected
+    with pytest.raises(EffectError) as traced:
+        trace_effects(recipe, infer_initial_schema(recipe))
+    assert (traced.value.code, traced.value.message) == expected[:2]
 
 
 def test_linear_single_rename_params():

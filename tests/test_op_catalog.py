@@ -160,9 +160,14 @@ def test_bad_label_params(op_id, key, value, expected):
 
 @pytest.mark.parametrize("op_id", sorted(op_id for op_id, spec in CATALOG.items() if spec.own))
 def test_missing_own_param_is_a_validation_error(op_id):
+    # The decoder's verdict on an absent own key is the step's error, with
+    # the text of a null one: the trace raises it at that step, and
+    # validate_recipe reports no error.
     spec = CATALOG[op_id]
     params = {key: value for key, value in OPS[op_id][0].items() if key != spec.own}
-    diagnostics = validate_recipe(make_recipe([{"op": op_id, **params}]))
-    errors = [d for d in diagnostics if d.severity == "error"]
-    assert [(d.code, d.step_index) for d in errors] == [("missing-param", 0)]
-    assert spec.own in errors[0].message
+    recipe, initial = _one_step(op_id, params)
+    assert [d for d in validate_recipe(recipe) if d.severity == "error"] == []
+    with pytest.raises(EffectError) as info:
+        trace_effects(recipe, initial)
+    expected = ("missing-param", _LACKS.format(op=op_id, key=spec.own), 0)
+    assert (info.value.code, info.value.message, info.value.step_index) == expected

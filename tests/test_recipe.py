@@ -5,8 +5,16 @@ import random
 
 import pytest
 
-from refineflow import Recipe, RecipeError, parse_recipe, validate_recipe
-from refineflow.recipe import CATALOG, TABLE_SCOPED
+from refineflow import (
+    EffectError,
+    Recipe,
+    RecipeError,
+    infer_initial_schema,
+    parse_recipe,
+    trace_effects,
+    validate_recipe,
+)
+from refineflow.recipe import CATALOG, TABLE_SCOPED, RawOperation
 from conftest import LONG_INT, make_recipe, needs_int_digit_limit
 
 
@@ -220,9 +228,51 @@ def test_validate_unused_params_info():
 
 
 def test_validate_missing_param_is_error():
+    # An absent key is the step's error, which the trace raises at that
+    # step; validation reports no error.
     recipe = make_recipe([{"op": "core/column-rename", "oldColumnName": "a"}])
-    diags = validate_recipe(recipe)
-    assert any(d.severity == "error" and d.code == "missing-param" for d in diags)
+    assert validate_recipe(recipe) == []
+    with pytest.raises(EffectError) as info:
+        trace_effects(recipe, infer_initial_schema(recipe))
+    message = "step 0 (core/column-rename) lacks required parameter 'newColumnName'"
+    assert (info.value.code, info.value.message, info.value.step_index) == ("missing-param", message, 0)
+
+
+def test_each_present_param_is_rendered_once_in_catalog_order():
+    recipe = make_recipe(
+        [
+            {"op": "core/mass-edit", "edits": [{"to": "y", "from": ["x"]}], "columnName": "a",
+             "engineConfig": {"mode": "row-based"}},
+            {"op": "core/column-split", "columnName": "d", "maxColumns": 3, "regex": None},
+            {"op": "core/row-removal", "engineConfig": {}},
+        ]
+    )
+    edit, split, rows = recipe.steps
+    assert edit.params == (("columnName", "a"), ("edits", '[{"from":["x"],"to":"y"}]'))
+    assert split.params == (("columnName", "d"), ("regex", "null"), ("maxColumns", "3"))
+    assert rows.params == ()
+
+
+def test_a_param_nested_too_deeply_to_render_is_the_step_error():
+    nested: list = []
+    for _ in range(100_000):  # past the encoder's limit in every Python version
+        nested = [nested]
+    deep = {"columnName": "a", "expression": "value", "edits": nested}
+    recipe = Recipe(
+        (
+            RawOperation("core/mass-edit", 0, deep),
+            RawOperation("core/mass-edit", 1, {**deep, "columnName": None}),
+        )
+    )
+    # A malformed parameter is the error that comes first within a step.
+    assert [step.error for step in recipe.steps] == [
+        ("malformed-json", "step 0 (core/mass-edit): input nests arrays or objects too deeply"),
+        ("missing-param", "step 1 (core/mass-edit) lacks required parameter 'columnName'"),
+    ]
+    assert validate_recipe(recipe) == []
+    with pytest.raises(EffectError) as info:
+        trace_effects(recipe, infer_initial_schema(recipe))
+    assert (info.value.code, info.value.step_index) == ("malformed-json", 0)
 
 
 def test_validate_split_arity_warning_and_hint():
