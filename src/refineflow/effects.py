@@ -6,8 +6,9 @@ The effect of a step records which column ids it reads and writes, which
 columns it creates or deletes (with their labels) and which it renames, and
 whether it touches the row structure of the whole table (``table_scoped``),
 in which case it reads and writes everything. The model builders read
-the effects and the initial schema only; the schema snapshots of a trace
-serve label resolution and callers that want the live columns at a step.
+the effects and the initial schema only. The trace resolves labels through
+one running label index; the schema snapshots it returns serve callers
+that want the live columns at a step.
 
 Both passes here read the recipe's decoded steps (:class:`recipe.Step`),
 never the parameters: :func:`infer_initial_schema` collects their labels,
@@ -20,6 +21,7 @@ analysis degrades to the sequential interpretation instead of failing.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import EffectError
@@ -41,9 +43,15 @@ class SchemaState(FrozenRecord):
     def __init__(self, columns: tuple[tuple[ColumnId, str], ...] = (), next_id: int = 0):
         labels = [label for _, label in columns]
         if len(set(labels)) != len(labels):
-            duplicate = next(l for l in labels if labels.count(l) > 1)
-            raise EffectError("label-collision", f"duplicate column label {duplicate!r}")
+            raise _collision(labels)
         self._set(columns, next_id)
+
+    @classmethod
+    def _distinct(cls, columns: tuple[tuple[ColumnId, str], ...], next_id: int) -> "SchemaState":
+        """A snapshot of columns whose labels are known to be distinct."""
+        state = object.__new__(cls)
+        state._set(columns, next_id)
+        return state
 
     @classmethod
     def from_labels(cls, labels) -> "SchemaState":
@@ -67,6 +75,14 @@ class SchemaState(FrozenRecord):
             if current == label:
                 return cid
         return None
+
+
+def _collision(labels: list[str]) -> EffectError:
+    """``label-collision`` naming the first label, in column order, that
+    ``labels`` holds twice."""
+    counts = Counter(labels)
+    duplicate = next(label for label in labels if counts[label] > 1)
+    return EffectError("label-collision", f"duplicate column label {duplicate!r}")
 
 
 class ColumnEffect(NamedTuple):
@@ -100,8 +116,8 @@ class ColumnEffect(NamedTuple):
         return self.writes | self.created_ids() | self.deletes
 
 
-def _resolve(label: str, schema: SchemaState, op: RawOperation) -> ColumnId:
-    cid = schema.id_of(label)
+def _resolve(label: str, index: dict[str, ColumnId], op: RawOperation) -> ColumnId:
+    cid = index.get(label)
     if cid is None:
         raise EffectError(
             "unresolved-column",
@@ -112,8 +128,9 @@ def _resolve(label: str, schema: SchemaState, op: RawOperation) -> ColumnId:
     return cid
 
 
-def _effect_of(step: Step, schema: SchemaState) -> ColumnEffect:
-    """Column effect of one step against the schema it runs on.
+def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEffect:
+    """Column effect of one step against the live columns' label index;
+    new columns get ids from ``next_id`` on.
 
     Raises :class:`EffectError`: the step's own ``error``, the decoder's
     one verdict on its parameters (``missing-param``,
@@ -122,18 +139,18 @@ def _effect_of(step: Step, schema: SchemaState) -> ColumnEffect:
     """
     op, spec = step.op, step.spec
     if spec.table_scoped:
-        live = schema.live_ids()
+        live = frozenset(index.values())
         return ColumnEffect(reads=live, writes=live, table_scoped=True)
     if step.error is not None:
         raise EffectError(*step.error, step_index=op.index)
 
-    own_ids = [_resolve(label, schema, op) for label in step.owns]
+    own_ids = [_resolve(label, index, op) for label in step.owns]
     own = frozenset(own_ids)
     anchor = None if spec.own_list else own_ids[0]
-    reads = schema.live_ids() if step.opaque else own  # opaque means no references
+    reads = frozenset(index.values()) if step.opaque else own  # opaque means no references
     if step.references:
-        reads = own | frozenset(_resolve(name, schema, op) for name in step.references)
-    creates = () if spec.rename else tuple(enumerate(step.gives, schema.next_id))
+        reads = own | frozenset(_resolve(name, index, op) for name in step.references)
+    creates = () if spec.rename else tuple(enumerate(step.gives, next_id))
     return ColumnEffect(
         reads=reads,
         writes=own if spec.writes_own else frozenset(),
@@ -145,52 +162,61 @@ def _effect_of(step: Step, schema: SchemaState) -> ColumnEffect:
     )
 
 
-def _apply_effect(schema: SchemaState, effect: ColumnEffect) -> SchemaState:
-    """Next schema after an effect produced against ``schema``.
+def _apply_effect(
+    effect: ColumnEffect, own_label: str, columns: list[tuple[ColumnId, str]], index: dict[str, ColumnId]
+) -> None:
+    """Apply an effect that creates, deletes or renames to the running
+    ``columns`` and their label ``index``, in place.
 
-    New columns land immediately right of the effect's anchor (or at the
-    end when there is none). Raises ``label-collision`` if a create or
-    rename would duplicate a live label. An effect that creates, deletes
-    and renames nothing returns ``schema`` itself: snapshots are frozen,
-    so consecutive states share it. Other effects share the unchanged
-    ``(id, label)`` pairs.
+    Only a step with one own column changes the columns, and every change
+    is at that column, the pair ``(index[own_label], own_label)``: a rename
+    relabels it, new columns land immediately right of it, and a delete
+    removes it. Its freed label leaves the index and the labels given enter
+    it. Raises ``label-collision`` when a given label is live on another
+    column, naming the first label in column order that the new columns
+    hold twice.
     """
-    if not (effect.creates or effect.deletes or effect.renames):
-        return schema
-    rename_map = dict(effect.renames)
-    columns = [
-        (column[0], rename_map[column[0]]) if column[0] in rename_map else column
-        for column in schema.columns
-    ]
-
+    own = (index[own_label], own_label)
+    if effect.renames:
+        columns[columns.index(own)] = effect.renames[0]
     if effect.creates:
-        anchor_pos = len(columns)
-        if effect.anchor is not None:
-            for pos, (cid, _) in enumerate(columns):
-                if cid == effect.anchor:
-                    anchor_pos = pos + 1
-                    break
-        columns[anchor_pos:anchor_pos] = list(effect.creates)
-
-    columns = [column for column in columns if column[0] not in effect.deletes]
-
-    next_id = max([schema.next_id] + [cid + 1 for cid, _ in effect.creates])
-    return SchemaState(columns=tuple(columns), next_id=next_id)
+        at = columns.index(own) + 1
+        columns[at:at] = effect.creates
+    if effect.deletes:
+        columns.remove(own)
+    if effect.renames or effect.deletes:
+        del index[own_label]
+    entering = effect.renames + effect.creates
+    size = len(index) + len(entering)
+    index.update([(label, cid) for cid, label in entering])
+    if len(index) != size:
+        raise _collision([label for _, label in columns])
 
 
 def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffect], list[SchemaState]]:
     """Effects and schema snapshots together, aligned with recipe order.
 
-    n operations yield n effects and n+1 states. A step that leaves the
-    columns as they were (no create, delete or rename) shares its
-    predecessor's state, so the trace allocates only where columns change.
+    The trace keeps one running column list and one label → id index,
+    updated as each effect is applied, and resolves every label through the
+    index. n operations yield n effects and n+1 states. A step that leaves
+    the columns as they were (no create, delete or rename) shares its
+    predecessor's state; any other step gets a snapshot of the running
+    list, whose labels the index has already checked to be distinct.
     """
+    columns = list(initial.columns)
+    index = {label: cid for cid, label in columns}
+    next_id = initial.next_id
     states = [initial]
     effects: list[ColumnEffect] = []
     for step in recipe.steps:
         try:
-            effect = _effect_of(step, states[-1])
-            states.append(_apply_effect(states[-1], effect))
+            effect = _effect_of(step, index, next_id)
+            if effect.creates or effect.deletes or effect.renames:
+                _apply_effect(effect, step.owns[0], columns, index)
+                next_id += len(effect.creates)
+                states.append(SchemaState._distinct(tuple(columns), next_id))
+            else:
+                states.append(states[-1])
         except EffectError as exc:
             if exc.step_index is None:
                 exc.step_index = step.op.index

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -224,6 +225,49 @@ def test_trace_label_collision_names_its_step(step):
     assert info.value.message == "duplicate column label 'b'"
 
 
+def test_split_collision_names_first_duplicate_in_column_order():
+    # The split gives "a 1" before "a 2", but "a 2" comes first among the
+    # columns after it: 'a 2', 'x', 'a', 'a 1', 'a 2', 'a 1'.
+    split = {"op": "core/column-split", "columnName": "a", "separator": ",", "maxColumns": 2}
+    with pytest.raises(EffectError) as info:
+        _step(split, _schema("a 2", "x", "a", "a 1"))
+    assert (info.value.code, info.value.step_index) == ("label-collision", 0)
+    assert info.value.message == "duplicate column label 'a 2'"
+
+
+def test_trace_resolves_labels_without_scanning_columns(monkeypatch, menus_recipe, mass_edit_recipe):
+    def scan(self, label):
+        raise AssertionError(f"the trace scanned the columns for {label!r}")
+
+    monkeypatch.setattr(SchemaState, "id_of", scan)
+    for recipe in [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]:
+        trace_effects(recipe, infer_initial_schema(recipe))
+
+
+def test_unchanged_columns_share_the_snapshot_after_mixed_steps():
+    recipe = make_recipe(
+        [
+            {"op": "core/text-transform", "columnName": "a", "expression": "value.trim()"},
+            {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"},
+            {"op": "core/fill-down", "columnName": "b"},
+            {"op": "core/column-addition", "baseColumnName": "b", "newColumnName": "c",
+             "expression": "value"},
+            {"op": "core/row-removal"},
+            {"op": "core/column-split", "columnName": "c", "separator": ",", "maxColumns": 2,
+             "removeOriginalColumn": True},
+            {"op": "core/column-reorder", "columnNames": ["c 2", "b"]},
+            {"op": "core/column-removal", "columnName": "b"},
+            {"op": "core/blank-down", "columnName": "c 1"},
+        ]
+    )
+    effects, states = trace_effects(recipe, infer_initial_schema(recipe))
+    changed = [bool(effect.creates or effect.deletes or effect.renames) for effect in effects]
+    assert changed == [False, True, False, True, False, True, False, True, False]
+    for changes, before, after in zip(changed, states, states[1:]):
+        assert (after is before) != changes
+    assert states[-1] == SchemaState(((2, "c 1"), (3, "c 2")), 4)
+
+
 def test_trace_menus_has_nine_states(menus_recipe, menus_trace):
     _, schemas = menus_trace
     assert len(schemas) == len(menus_recipe) + 1 == 9
@@ -371,6 +415,18 @@ def test_missing_param_raises():
 def test_schema_rejects_duplicate_labels():
     with pytest.raises(EffectError):
         SchemaState.from_labels(["a", "a"])
+
+
+def test_schema_names_first_duplicate_label_in_linear_time():
+    labels = [f"c{k}" for k in range(40_000)]
+    labels[-1] = "c20000"
+    start = time.perf_counter()
+    with pytest.raises(EffectError) as info:
+        SchemaState.from_labels(labels)
+    elapsed = time.perf_counter() - start
+    assert info.value.message == "duplicate column label 'c20000'"
+    # About 0.01 s; counting each label's occurrences takes about 10 s.
+    assert elapsed < 2
 
 
 def test_identity_stability_over_random_recipes():

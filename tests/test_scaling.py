@@ -46,7 +46,13 @@ def _deep_parentheses(n: int) -> list[dict]:
     return [{"op": "core/text-transform", "columnName": "a", "expression": "(" * n + "value" + ")" * n}]
 
 
+def _long_reorder(n: int) -> list[dict]:
+    """One reorder listing n labels: the trace resolves n labels in one step."""
+    return [{"op": "core/column-reorder", "columnNames": [f"c{k}" for k in range(n)]}]
+
+
 FAMILIES = {
+    "long-reorder": (_long_reorder, 2500),
     "transform-chain": (_transform_chain, 200),
     "wide-addition": (_wide_addition, 200),
     "deep-parentheses": (_deep_parentheses, 2000),
