@@ -7,6 +7,10 @@ change the exit status. All output files are written to temporary files,
 then renamed into place, the main file last: a failed write leaves no
 partial or temporary file, and the previous main output in place.
 
+A conversion is parse → validate → build → query → emit. The model
+builder runs the trace, so a step the trace refuses is reported from the
+build, with the same diagnostic whatever the model kind.
+
 A collapsed model also gets one detail file per summary node it writes
 (after a query, the summaries the query kept): the linear model of the
 folded run, named ``<stem>.detail.<summary id><ext>``. Standard output
@@ -23,7 +27,7 @@ import sys
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from . import effects, model
+from . import model
 from .emit import VIEWS, emit_dot, emit_yw, identifier_map
 from .errors import RefineflowError
 from .model import DATA_KINDS, WorkflowModel
@@ -130,19 +134,15 @@ def run(config: RunConfig, stderr=None) -> int:
         recipe = parse_recipe(text, config.split_arity_overrides)
         for diag in validate_recipe(recipe):
             _print_diagnostic(diag, stderr)
-        initial = effects.infer_initial_schema(recipe)
-        effect_list, _ = effects.trace_effects(recipe, initial)
         # The DOT process view draws steps only. YW's process view prints
         # each step's data ports, and a query may name a data label.
         dataflow = (config.view, config.format) != ("process", "dot") or config.query is not None
         if config.model_kind == model.LINEAR:
             workflow = model.build_linear(recipe)
         elif config.model_kind == model.PARALLEL:
-            workflow = model.build_parallel(recipe, effect_list, initial, dataflow)
+            workflow = model.build_parallel(recipe, dataflow)
         else:
-            workflow = model.build_collapsed(
-                recipe, effect_list, initial, config.collapse_threshold, dataflow
-            )
+            workflow = model.build_collapsed(recipe, config.collapse_threshold, dataflow)
 
         idents = None
         if config.query is not None:

@@ -5,10 +5,11 @@ analysis stays well-defined across renames, splits, and derived columns.
 The effect of a step records which column ids it reads and writes, which
 columns it creates or deletes (with their labels) and which it renames, and
 whether it touches the row structure of the whole table (``table_scoped``),
-in which case it reads and writes everything. The model builders read
-the effects and the initial schema only. The trace resolves labels through
-one running label index; the schema snapshots it returns serve callers
-that want the live columns at a step.
+in which case it reads and writes everything. The trace resolves labels
+through one running label index. Each model builder runs the trace on its
+recipe and keeps the effects and the initial schema only; the schema
+snapshots the trace returns serve callers that want the live columns at a
+step.
 
 Both passes here read the recipe's decoded steps (:class:`recipe.Step`),
 never the parameters: :func:`infer_initial_schema` collects their labels,
@@ -88,8 +89,7 @@ def _collision(labels: list[str]) -> EffectError:
 class ColumnEffect(NamedTuple):
     """Read/write/create/delete sets of one step, over column ids.
 
-    ``creates`` keeps creation order; new columns are inserted immediately
-    to the right of ``anchor`` (their source column) when it is live.
+    ``creates`` keeps creation order.
     ``labels`` holds the labels the step gives (those of the columns it
     creates, a rename's new label) and frees (the current label of a column
     it renames or deletes). A replay resolves columns by label, so two
@@ -102,7 +102,6 @@ class ColumnEffect(NamedTuple):
     deletes: frozenset[ColumnId] = frozenset()
     renames: tuple[tuple[ColumnId, str], ...] = ()
     table_scoped: bool = False
-    anchor: ColumnId | None = None
     labels: frozenset[str] = frozenset()
 
     def created_ids(self) -> frozenset[ColumnId]:
@@ -146,18 +145,15 @@ def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEf
 
     own_ids = [_resolve(label, index, op) for label in step.owns]
     own = frozenset(own_ids)
-    anchor = None if spec.own_list else own_ids[0]
     reads = frozenset(index.values()) if step.opaque else own  # opaque means no references
     if step.references:
         reads = own | frozenset(_resolve(name, index, op) for name in step.references)
-    creates = () if spec.rename else tuple(enumerate(step.gives, next_id))
     return ColumnEffect(
         reads=reads,
         writes=own if spec.writes_own else frozenset(),
-        creates=creates,
+        creates=() if spec.rename else tuple(enumerate(step.gives, next_id)),
         deletes=own if step.frees and not spec.rename else frozenset(),
-        renames=((anchor, step.gives[0]),) if spec.rename else (),
-        anchor=anchor if creates else None,
+        renames=((own_ids[0], step.gives[0]),) if spec.rename else (),
         labels=frozenset(step.gives + step.frees),
     )
 

@@ -26,13 +26,16 @@ generating set of conflicts, linear in the total effect size, whose
 transitive closure is the conflict relation. A DAG has exactly one
 transitive reduction, so the process edges are those of the full relation.
 
-The builders read the recipe's decoded steps (a param node shows a step's
-rendered ``params``), the step effects and the initial schema, never a
-parameter; the linear model raises a step's ``error``, as the trace does.
-The column-level models follow each column's current label from the
-initial columns through the effects' renames and creates. A data node is
-made exactly when its column version is born (an initial column, a write
-or a create), and a read looks up its column's current node.
+Each builder takes the recipe alone and runs the trace itself
+(:func:`effects.trace_effects` from :func:`effects.infer_initial_schema`),
+so every builder refuses what the trace refuses. The builders read the
+recipe's decoded steps (a param node shows a step's rendered ``params``),
+never a parameter. The column-level models keep the effects and the
+initial schema, dropping the schema snapshots at once, and follow each
+column's current label from the initial columns through the effects'
+renames and creates. A data node is made exactly when its column version
+is born (an initial column, a write or a create), and a read looks up its
+column's current node.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import re
 from collections.abc import Mapping
 from typing import Any, NamedTuple
 
-from .effects import ColumnEffect, ColumnId, SchemaState
+from .effects import ColumnEffect, ColumnId, infer_initial_schema, trace_effects
 from .errors import EffectError, ModelError
 from .recipe import EMPTY_MAPPING, FrozenRecord, RawOperation, Recipe, Step
 
@@ -216,7 +219,11 @@ def _param_nodes(step: Step, step_index: int) -> list[Node]:
 
 def build_linear(recipe: Recipe) -> WorkflowModel:
     """Alternating chain of table snapshots and steps, with param nodes.
-    Raises a step's ``error`` as :class:`EffectError`, as the trace does."""
+
+    Runs the trace first, so it raises the trace's :class:`EffectError`
+    for a recipe the trace refuses.
+    """
+    trace_effects(recipe, infer_initial_schema(recipe))
     return _linear(recipe.steps)
 
 
@@ -263,14 +270,9 @@ def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) 
     return runs
 
 
-def _build_column_model(
-    recipe: Recipe,
-    effects: list[ColumnEffect],
-    initial: SchemaState,
-    runs: list[tuple[int, int]] | None,
-    dataflow: bool,
-) -> WorkflowModel:
-    """Column-granularity model; ``runs`` folds step ranges into summaries.
+def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -> WorkflowModel:
+    """Column-granularity model of the recipe's traced effects; with a
+    ``threshold``, runs of at least that many steps fold into summaries.
 
     Steps are taken in groups: a folded run, or one step. A group reads the
     current data node of each column its steps read, and every one of its
@@ -281,11 +283,11 @@ def _build_column_model(
     current one. Without ``dataflow`` only the step layer is built: no data
     or param node, and no edge that touches one.
     """
-    n = len(recipe.operations)
-    if len(effects) != n:
-        raise ValueError("effects misaligned with recipe")
-
-    run_end = dict(runs or ())
+    initial = infer_initial_schema(recipe)
+    effects = trace_effects(recipe, initial)[0]
+    runs = [] if threshold is None else _collapse_runs(recipe, effects, threshold)
+    n = len(effects)
+    run_end = dict(runs)
     nodes: list[Node] = []
     edges: list[Edge] = []
     labels = dict(initial.columns)
@@ -365,41 +367,38 @@ def _build_column_model(
     return WorkflowModel(nodes, edges, components)
 
 
-def build_parallel(
-    recipe: Recipe, effects: list[ColumnEffect], initial: SchemaState, dataflow: bool = True
-) -> WorkflowModel:
+def build_parallel(recipe: Recipe, dataflow: bool = True) -> WorkflowModel:
     """Column-granularity model exposing independent subworkflow branches.
 
-    ``effects`` are the recipe's step effects traced from ``initial``.
+    Traces the recipe, and raises the trace's :class:`EffectError`.
     ``dataflow=False`` builds the step layer only: the steps, their
     ordering edges and their components, which is all the process view
     draws.
     """
-    return _build_column_model(recipe, effects, initial, None, dataflow)
+    return _build_column_model(recipe, None, dataflow)
 
 
 def build_collapsed(
-    recipe: Recipe,
-    effects: list[ColumnEffect],
-    initial: SchemaState,
-    threshold: int = DEFAULT_COLLAPSE_THRESHOLD,
-    dataflow: bool = True,
+    recipe: Recipe, threshold: int = DEFAULT_COLLAPSE_THRESHOLD, dataflow: bool = True
 ) -> WorkflowModel:
     """Parallel model with long same-shaped runs folded into summary nodes.
 
     A run is a maximal group of >= threshold consecutive steps sharing the
     same op id and the same output column set. :func:`detail_model` expands
-    a summary node into the linear model of its run. ``dataflow`` is as
-    for :func:`build_parallel`.
+    a summary node into the linear model of its run. The trace and
+    ``dataflow`` are as for :func:`build_parallel`.
     """
     if threshold < 2:
         raise ValueError("collapse threshold must be >= 2")
-    runs = _collapse_runs(recipe, effects, threshold)
-    return _build_column_model(recipe, effects, initial, runs, dataflow)
+    return _build_column_model(recipe, threshold, dataflow)
 
 
 def detail_model(recipe: Recipe, summary: Node) -> WorkflowModel:
-    """Linear model of the steps a collapsed model's summary node folds."""
+    """Linear model of the steps a collapsed model's summary node folds.
+
+    The collapsed builder has traced the recipe already, so this does not
+    trace again; it raises a step's ``error`` as the trace does.
+    """
     first, last = summary.payload["first_index"], summary.payload["last_index"]
     return _linear(recipe.steps[first : last + 1])
 

@@ -22,7 +22,6 @@ from refineflow import (
     detail_model,
     emit_dot,
     emit_yw,
-    infer_initial_schema,
     parse_recipe,
     trace_effects,
 )
@@ -54,9 +53,8 @@ def _step_pairs(model) -> set[tuple[int, int]]:
     }
 
 
-def test_criterion_1_linear_model_shape(menus_recipe, menus_trace):
+def test_criterion_1_linear_model_shape(menus_recipe):
     started = time.perf_counter()
-    _, schemas = menus_trace
     assert len(menus_recipe) == 8
     model = build_linear(menus_recipe)
     tables = [n.id for n in model.nodes if n.kind == "data_table"]
@@ -76,10 +74,9 @@ def test_criterion_1_linear_model_shape(menus_recipe, menus_trace):
     print(f"\nPASS criterion 1: linear model is a 9-table / 8-step alternating chain ({elapsed:.3f}s)")
 
 
-def test_criterion_2_parallel_component_count(menus_recipe, menus_trace):
+def test_criterion_2_parallel_component_count(menus_recipe):
     started = time.perf_counter()
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+    model = build_parallel(menus_recipe)
     assert len(model.components) == 3
 
     date_group = set(model.components[0])
@@ -130,9 +127,7 @@ def test_criterion_4_conservative_fallback(corpus):
         position = rng.randrange(len(entries) + 1)
         entries.insert(position, {"op": "vendor/unknown-step"})
         tainted = parse_recipe(json.dumps(entries))
-        initial = infer_initial_schema(tainted)
-        effects, schemas = trace_effects(tainted, initial)
-        model = build_parallel(tainted, effects, schemas[0])
+        model = build_parallel(tainted)
         assert len(model.components) == 1
         pairs = _step_pairs(model)
         assert has_unique_topological_order(len(tainted), pairs)
@@ -148,9 +143,7 @@ def test_criterion_4_conservative_fallback(corpus):
 
 
 def test_criterion_5_collapse_accounting(mass_edit_recipe, corpus, tmp_path):
-    initial = infer_initial_schema(mass_edit_recipe)
-    effects, schemas = trace_effects(mass_edit_recipe, initial)
-    model = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(mass_edit_recipe, threshold=3)
     summaries = [n for n in model.nodes if n.kind == "summary"]
     assert len(summaries) == 1
     assert summaries[0].payload["count"] == 10
@@ -170,10 +163,8 @@ def test_criterion_5_collapse_accounting(mass_edit_recipe, corpus, tmp_path):
 
     rng = random.Random(CORPUS_SEED + 3)
     for recipe, _ in corpus:
-        initial = infer_initial_schema(recipe)
-        effects, schemas = trace_effects(recipe, initial)
         threshold = rng.choice([2, 3, 5])
-        collapsed = build_collapsed(recipe, effects, schemas[0], threshold)
+        collapsed = build_collapsed(recipe, threshold)
         steps = [n for n in collapsed.nodes if n.kind == "step"]
         counts = [n.payload["count"] for n in collapsed.nodes if n.kind == "summary"]
         assert len(steps) + sum(counts) == len(recipe)
@@ -183,10 +174,9 @@ def test_criterion_5_collapse_accounting(mass_edit_recipe, corpus, tmp_path):
     )
 
 
-def test_criterion_6_determinism_goldens(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
+def test_criterion_6_determinism_goldens(menus_recipe):
     linear = build_linear(menus_recipe)
-    parallel = build_parallel(menus_recipe, effects, schemas[0])
+    parallel = build_parallel(menus_recipe)
     cases = [
         (linear, "combined", "dot", "menus_linear_combined.dot"),
         (linear, "data", "dot", "menus_linear_data.dot"),

@@ -229,15 +229,20 @@ ERROR_ORDER = {
 
 @pytest.mark.parametrize("name", sorted(ERROR_ORDER))
 def test_error_order_of_a_recipe_with_several_faults(tmp_path, name):
+    # The builder runs the trace, so every model kind reports the same.
     entries, expected, *hints = ERROR_ORDER[name]
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps(entries), encoding="utf-8")
     out = tmp_path / "never.dot"
-    stderr = io.StringIO()
-    config = RunConfig(str(recipe), str(out), split_arity_overrides=hints[0] if hints else {})
-    assert run(config, stderr=stderr) == 1
-    assert stderr.getvalue() == expected
-    assert not out.exists()
+    for kind in model.MODEL_KINDS:
+        stderr = io.StringIO()
+        config = RunConfig(
+            str(recipe), str(out), model_kind=kind,
+            split_arity_overrides=hints[0] if hints else {},
+        )
+        assert run(config, stderr=stderr) == 1
+        assert stderr.getvalue() == expected
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -258,10 +263,11 @@ def test_label_collision_names_its_step(tmp_path, capsys, step):
         encoding="utf-8",
     )
     out = tmp_path / "never.dot"
-    assert run_cli(["-i", str(recipe), "-o", str(out)]) == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == "error label-collision 1 duplicate column label 'b'"
+    for kind in model.MODEL_KINDS:
+        assert run_cli(["-i", str(recipe), "-t", kind, "-o", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error label-collision 1 duplicate column label 'b'\n"
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

@@ -54,7 +54,6 @@ def test_split_effect_creates_three_parts():
     assert effect.reads == {date_id}
     assert [label for _, label in effect.creates] == ["date 1", "date 2", "date 3"]
     assert effect.deletes == {date_id}
-    assert effect.anchor == date_id
     assert len({cid for cid, _ in effect.creates}) == 3
 
 

@@ -17,9 +17,7 @@ from refineflow import (
     detail_model,
     emit_dot,
     emit_yw,
-    infer_initial_schema,
     parse_recipe,
-    trace_effects,
 )
 from refineflow.cli import RunConfig, run
 from refineflow.emit import STEP_FILL, VIEWS, _quote, identifier_map
@@ -32,11 +30,9 @@ from recipegen import acceptance_corpus, random_recipe, random_recipe_entries
 
 
 def _models(recipe):
-    initial = infer_initial_schema(recipe)
-    effects, schemas = trace_effects(recipe, initial)
     linear = build_linear(recipe)
-    parallel = build_parallel(recipe, effects, schemas[0])
-    collapsed = build_collapsed(recipe, effects, schemas[0], threshold=3)
+    parallel = build_parallel(recipe)
+    collapsed = build_collapsed(recipe, threshold=3)
     details = [detail_model(recipe, n) for n in collapsed.nodes if n.kind == "summary"]
     return [linear, parallel, collapsed] + details
 
@@ -64,8 +60,7 @@ def check_yw_nesting(text: str) -> list[str]:
 # --- DOT ------------------------------------------------------------------------
 
 
-def test_linear_data_view_is_a_labeled_path(menus_recipe, menus_trace):
-    _, schemas = menus_trace
+def test_linear_data_view_is_a_labeled_path(menus_recipe):
     model = build_linear(menus_recipe)
     graph = parse_dot(emit_dot(model, "data"))
     assert len(graph.nodes) == 9
@@ -76,9 +71,8 @@ def test_linear_data_view_is_a_labeled_path(menus_recipe, menus_trace):
         assert attrs.get("label")
 
 
-def test_parallel_process_view_clusters(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_parallel_process_view_clusters(menus_recipe):
+    model = build_parallel(menus_recipe)
     text = emit_dot(model, "process")
     graph = parse_dot(text)
     clusters = [name for name in graph.clusters if name.startswith("cluster_")]
@@ -133,10 +127,9 @@ def test_cluster_emit_is_linear_in_components():
     assert len(graph.nodes) == len(model.nodes)
 
 
-def test_dot_view_membership_exactly_once(menus_recipe, menus_trace):
+def test_dot_view_membership_exactly_once(menus_recipe):
     """Each eligible node/edge appears exactly once per view."""
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+    model = build_parallel(menus_recipe)
     kinds = {n.id: n.kind for n in model.nodes}
 
     combined = parse_dot(emit_dot(model, "combined"))
@@ -159,9 +152,8 @@ def test_dot_view_membership_exactly_once(menus_recipe, menus_trace):
     assert len(data.nodes) == len([k for k in kinds.values() if k.startswith("data_")])
 
 
-def test_dot_node_colors_by_kind(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_dot_node_colors_by_kind(menus_recipe):
+    model = build_parallel(menus_recipe)
     graph = parse_dot(emit_dot(model, "combined"))
     assert graph.nodes["column_split"]["fillcolor"] == "#CCFFCC"
     assert graph.nodes["date_v0"]["fillcolor"] == "#FAFAD2"
@@ -169,9 +161,8 @@ def test_dot_node_colors_by_kind(menus_recipe, menus_trace):
     assert graph.nodes["date_v0"]["style"] == "rounded,filled"
 
 
-def test_dot_edge_statements_sorted(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_dot_edge_statements_sorted(menus_recipe):
+    model = build_parallel(menus_recipe)
     text = emit_dot(model, "combined")
     edge_lines = [line for line in text.splitlines() if " -> " in line]
     assert edge_lines == sorted(edge_lines)
@@ -222,9 +213,7 @@ def test_dot_escapes_quotes():
 
 
 def test_summary_node_rendered_with_double_border(mass_edit_recipe):
-    initial = infer_initial_schema(mass_edit_recipe)
-    effects, schemas = trace_effects(mass_edit_recipe, initial)
-    model = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(mass_edit_recipe, threshold=3)
     graph = parse_dot(emit_dot(model, "process"))
     (summary_name,) = list(graph.nodes)
     assert graph.nodes[summary_name]["peripheries"] == "2"
@@ -254,9 +243,8 @@ def test_yw_empty_model():
     assert text == "# @begin workflow\n# @end workflow\n"
 
 
-def test_yw_menus_merge_step(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_yw_menus_merge_step(menus_recipe):
+    model = build_parallel(menus_recipe)
     text = emit_yw(model, "combined", name="menus")
     names = check_yw_nesting(text)
     assert len(names) == 9  # outer + 8 steps
@@ -269,9 +257,8 @@ def test_yw_menus_merge_step(menus_recipe, menus_trace):
     assert [o.split("_v")[0] for o in outs] == ["repaired_date"]
 
 
-def test_yw_params_only_in_combined(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_yw_params_only_in_combined(menus_recipe):
+    model = build_parallel(menus_recipe)
     assert "# @param" in emit_yw(model, "combined")
     assert "# @param" not in emit_yw(model, "process")
     assert "# @param" not in emit_yw(model, "data")
@@ -427,12 +414,11 @@ GOLDEN_CASES = [
 
 
 @pytest.mark.parametrize("golden_name,kind,view,fmt", GOLDEN_CASES)
-def test_emitters_match_goldens(menus_recipe, menus_trace, golden_name, kind, view, fmt):
-    effects, schemas = menus_trace
+def test_emitters_match_goldens(menus_recipe, golden_name, kind, view, fmt):
     model = (
         build_linear(menus_recipe)
         if kind == "linear"
-        else build_parallel(menus_recipe, effects, schemas[0])
+        else build_parallel(menus_recipe)
     )
     if fmt == "dot":
         first, second = emit_dot(model, view), emit_dot(model, view)
@@ -449,15 +435,13 @@ def test_step_only_process_view_equals_the_full_one(menus_recipe, mass_edit_reci
         parse_recipe(json.dumps(generated_recipe(rng, k))) for k in range(200)
     ]
     checked = 0
+    builders = (build_parallel, partial(build_collapsed, threshold=2))
     for recipe in recipes:
-        initial = infer_initial_schema(recipe)
         try:
-            effects, _ = trace_effects(recipe, initial)
+            pairs = [(build(recipe), build(recipe, dataflow=False)) for build in builders]
         except RefineflowError:
             continue  # a recipe that reads a column it removed
-        for build in (build_parallel, partial(build_collapsed, threshold=2)):
-            full = build(recipe, effects, initial)
-            steps = build(recipe, effects, initial, dataflow=False)
+        for full, steps in pairs:
             assert emit_dot(steps, "process") == emit_dot(full, "process")
             assert all(node.kind in STEP_KINDS for node in steps.nodes)
             assert steps.components == full.components

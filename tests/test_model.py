@@ -248,10 +248,9 @@ def test_long_table_scoped_chain_builds_in_bounded_memory():
         for k in range(2999)
     ]
     recipe = make_recipe(entries)
-    effects, schemas = _models_for(recipe)
     tracemalloc.start()
     try:
-        model = build_parallel(recipe, effects, schemas[0])
+        model = build_parallel(recipe)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -285,14 +284,11 @@ def test_default_payload_is_empty_and_read_only():
     assert "version" not in second.payload
 
 
-def test_payload_get_works_on_every_node_kind(menus_recipe, menus_trace, mass_edit_recipe):
-    effects, schemas = menus_trace
-    mass_initial = infer_initial_schema(mass_edit_recipe)
-    mass_effects, _ = trace_effects(mass_edit_recipe, mass_initial)
+def test_payload_get_works_on_every_node_kind(menus_recipe, mass_edit_recipe):
     models = [
         build_linear(menus_recipe),
-        build_parallel(menus_recipe, effects, schemas[0]),
-        build_collapsed(mass_edit_recipe, mass_effects, mass_initial),
+        build_parallel(menus_recipe),
+        build_collapsed(mass_edit_recipe),
     ]
     kinds = set()
     for model in models:
@@ -305,8 +301,7 @@ def test_payload_get_works_on_every_node_kind(menus_recipe, menus_trace, mass_ed
 # --- linear model -------------------------------------------------------------
 
 
-def test_linear_menus_shape(menus_recipe, menus_trace):
-    _, schemas = menus_trace
+def test_linear_menus_shape(menus_recipe):
     model = build_linear(menus_recipe)
     tables = [n for n in model.nodes if n.kind == "data_table"]
     steps = [n for n in model.nodes if n.kind == "step"]
@@ -331,28 +326,50 @@ def test_linear_empty_recipe():
 
 
 def test_linear_model_raises_a_faulty_steps_error():
-    # No builder models a step the trace refuses: the linear model reads
-    # no effect, so it raises the step's error itself.
-    recipe = make_recipe(
-        [
-            {"op": "core/fill-down", "columnName": "a"},
-            {"op": "core/fill-down", "columnName": None},
-        ]
-    )
-    with pytest.raises(EffectError) as info:
-        build_linear(recipe)
-    expected = ("missing-param", "step 1 (core/fill-down) lacks required parameter 'columnName'", 1)
-    assert (info.value.code, info.value.message, info.value.step_index) == expected
-    with pytest.raises(EffectError) as traced:
-        trace_effects(recipe, infer_initial_schema(recipe))
-    assert (traced.value.code, traced.value.message) == expected[:2]
+    # No builder models a step the trace refuses: every builder runs the
+    # trace and raises its error, the linear model included.
+    cases = [
+        (
+            [{"op": "core/fill-down", "columnName": "a"}, {"op": "core/fill-down", "columnName": None}],
+            ("missing-param", "step 1 (core/fill-down) lacks required parameter 'columnName'", 1),
+        ),
+        (
+            [
+                {"op": "core/column-removal", "columnName": "a"},
+                {"op": "core/text-transform", "columnName": "a", "expression": "value"},
+            ],
+            (
+                "unresolved-column",
+                "step 1 (core/text-transform) references column 'a' which is not live at that point",
+                1,
+            ),
+        ),
+        (
+            [
+                {
+                    "op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b",
+                    "expression": "value",
+                },
+                {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"},
+            ],
+            ("label-collision", "duplicate column label 'b'", 1),
+        ),
+    ]
+    for entries, expected in cases:
+        recipe = make_recipe(entries)
+        with pytest.raises(EffectError) as traced:
+            trace_effects(recipe, infer_initial_schema(recipe))
+        assert (traced.value.code, traced.value.message, traced.value.step_index) == expected
+        for build in (build_linear, build_parallel, build_collapsed):
+            with pytest.raises(EffectError) as info:
+                build(recipe)
+            assert (info.value.code, info.value.message, info.value.step_index) == expected
 
 
 def test_linear_single_rename_params():
     recipe = make_recipe(
         [{"op": "core/column-rename", "oldColumnName": "date 2", "newColumnName": "year"}]
     )
-    effects, schemas = _models_for(recipe)
     model = build_linear(recipe)
     params = [n for n in model.nodes if n.kind == "param"]
     assert len(params) == 2
@@ -365,15 +382,13 @@ def test_linear_single_rename_params():
 # --- parallel model -----------------------------------------------------------
 
 
-def test_parallel_menus_components(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_parallel_menus_components(menus_recipe):
+    model = build_parallel(menus_recipe)
     assert len(model.components) == 3
 
 
-def test_parallel_menus_split_and_merge(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_parallel_menus_split_and_merge(menus_recipe):
+    model = build_parallel(menus_recipe)
     date_group = model.components[0]
     split_steps = [
         n for n in model.nodes
@@ -401,8 +416,7 @@ def test_parallel_unknown_op_serializes_everything():
             {"op": "core/text-transform", "columnName": "b", "expression": "value"},
         ]
     )
-    effects, schemas = _models_for(recipe)
-    model = build_parallel(recipe, effects, schemas[0])
+    model = build_parallel(recipe)
     assert len(model.components) == 1
     step_pairs = {
         (e.src, e.dst)
@@ -420,10 +434,10 @@ def test_opaque_expression_stays_column_scoped():
             {"op": "core/text-transform", "columnName": "c", "expression": "value.trim()"},
         ]
     )
-    effects, schemas = _models_for(recipe)
+    effects, _ = _models_for(recipe)
     assert not any(effect.table_scoped for effect in effects)
     assert dependency_edges(effects) == {(0, 1), (0, 2)}
-    assert len(build_parallel(recipe, effects, schemas[0]).components) == 1
+    assert len(build_parallel(recipe).components) == 1
 
 
 def test_parallel_all_table_scoped_degenerates_to_chain():
@@ -435,8 +449,7 @@ def test_parallel_all_table_scoped_degenerates_to_chain():
             {"op": "core/row-flag"},
         ]
     )
-    effects, schemas = _models_for(recipe)
-    model = build_parallel(recipe, effects, schemas[0])
+    model = build_parallel(recipe)
     assert len(model.components) == 1
     pairs = {
         (int(e.src.split("_")[1]), int(e.dst.split("_")[1]))
@@ -450,8 +463,8 @@ def test_parallel_models_are_dags_and_refine_linear_order():
     rng = random.Random(61)
     for _ in range(25):
         recipe, _ = random_recipe(rng)
-        effects, schemas = _models_for(recipe)
-        model = build_parallel(recipe, effects, schemas[0])
+        effects, _ = _models_for(recipe)
+        model = build_parallel(recipe)
         assert _is_acyclic(model)
         # The recorded order satisfies every dependency pair.
         for i, j in dependency_edges(effects):
@@ -462,9 +475,8 @@ def test_parallel_models_are_dags_and_refine_linear_order():
         assert sorted(grouped) == sorted(step_ids)
 
 
-def test_parallel_version_chains_are_consistent(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_parallel_version_chains_are_consistent(menus_recipe):
+    model = build_parallel(menus_recipe)
     data_nodes = [n for n in model.nodes if n.kind == "data_column"]
     by_key = {(n.payload["column_id"], n.payload["version"]): n for n in data_nodes}
     assert len(by_key) == len(data_nodes)  # no duplicate versions
@@ -482,7 +494,7 @@ def test_parallel_version_chains_are_consistent(menus_recipe, menus_trace):
 def test_every_read_comes_from_the_version_just_before_its_step(menus_recipe, mass_edit_recipe):
     recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
     for recipe in recipes:
-        effects, schemas = _models_for(recipe)
+        effects, _ = _models_for(recipe)
         # Each column's version before each step, counted from the effects.
         before: list[dict[int, int]] = []
         version: dict[int, int] = {}
@@ -490,8 +502,8 @@ def test_every_read_comes_from_the_version_just_before_its_step(menus_recipe, ma
             before.append(dict(version))
             for cid in effect.writes:
                 version[cid] = version.get(cid, 0) + 1
-        parallel = build_parallel(recipe, effects, schemas[0])
-        collapsed = build_collapsed(recipe, effects, schemas[0], threshold=2)
+        parallel = build_parallel(recipe)
+        collapsed = build_collapsed(recipe, threshold=2)
         for model in (parallel, collapsed):
             nodes = model.node_map()
             read: dict[str, set[int]] = {}
@@ -514,8 +526,7 @@ def test_every_read_comes_from_the_version_just_before_its_step(menus_recipe, ma
 
 
 def test_collapse_run_of_ten(mass_edit_recipe):
-    effects, schemas = _models_for(mass_edit_recipe)
-    model = build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(mass_edit_recipe, threshold=3)
     summaries = [n for n in model.nodes if n.kind == "summary"]
     assert len(summaries) == 1
     summary = summaries[0]
@@ -532,8 +543,7 @@ def test_collapse_folds_a_rename_run():
         for k in range(5)
     ] + [{"op": "core/text-transform", "columnName": "x5", "expression": "value.trim()"}]
     recipe = make_recipe(entries)
-    effects, schemas = _models_for(recipe)
-    model = build_collapsed(recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(recipe, threshold=3)
     kinds = {n.id: n.kind for n in model.nodes}
 
     def columns(node_id: str, into: bool) -> list[str]:
@@ -564,8 +574,7 @@ def test_collapse_below_threshold_keeps_steps():
         }
     ] * 2
     recipe = make_recipe(entries)
-    effects, schemas = _models_for(recipe)
-    model = build_collapsed(recipe, effects, schemas[0], threshold=3)
+    model = build_collapsed(recipe, threshold=3)
     assert [n.kind for n in model.nodes if n.kind == "summary"] == []
     assert len([n for n in model.nodes if n.kind == "step"]) == 2
 
@@ -585,8 +594,7 @@ def test_alternating_ops_never_collapse():
             {"op": "core/text-transform", "columnName": "a", "expression": "value.trim()"}
         )
     recipe = make_recipe(entries)
-    effects, schemas = _models_for(recipe)
-    model = build_collapsed(recipe, effects, schemas[0], threshold=2)
+    model = build_collapsed(recipe, threshold=2)
     assert all(n.kind != "summary" for n in model.nodes)
 
 
@@ -601,24 +609,21 @@ def test_collapse_same_op_different_columns_not_a_run():
         for column in ("a", "b", "a", "b")
     ]
     recipe = make_recipe(entries)
-    effects, schemas = _models_for(recipe)
-    model = build_collapsed(recipe, effects, schemas[0], threshold=2)
+    model = build_collapsed(recipe, threshold=2)
     assert all(n.kind != "summary" for n in model.nodes)
 
 
 def test_collapse_threshold_validated(mass_edit_recipe):
-    effects, schemas = _models_for(mass_edit_recipe)
     with pytest.raises(ValueError):
-        build_collapsed(mass_edit_recipe, effects, schemas[0], threshold=1)
+        build_collapsed(mass_edit_recipe, threshold=1)
 
 
 def test_collapse_conservation_over_random_recipes():
     rng = random.Random(71)
     for _ in range(20):
         recipe, _ = random_recipe(rng)
-        effects, schemas = _models_for(recipe)
         threshold = rng.choice([2, 3, 5])
-        model = build_collapsed(recipe, effects, schemas[0], threshold)
+        model = build_collapsed(recipe, threshold)
         steps = [n for n in model.nodes if n.kind == "step"]
         summaries = [n for n in model.nodes if n.kind == "summary"]
         assert len(steps) + sum(s.payload["count"] for s in summaries) == len(recipe)
@@ -639,9 +644,8 @@ def _data_node_by_label(model: WorkflowModel, label: str) -> str:
     return max(nodes, key=lambda n: n.payload.get("version", 0)).id
 
 
-def test_upstream_of_repaired_date(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_upstream_of_repaired_date(menus_recipe):
+    model = build_parallel(menus_recipe)
     target = _data_node_by_label(model, "repaired_date")
     lineage = upstream_lineage(model, target)
     labels = {n.label for n in lineage.nodes}
@@ -653,8 +657,7 @@ def test_upstream_of_repaired_date(menus_recipe, menus_trace):
     assert any(n.payload.get("pattern") == "merge" for n in lineage.nodes)
 
 
-def test_upstream_of_source_table_is_itself(menus_recipe, menus_trace):
-    _, schemas = menus_trace
+def test_upstream_of_source_table_is_itself(menus_recipe):
     model = build_linear(menus_recipe)
     lineage = upstream_lineage(model, "table_0")
     assert [n.id for n in lineage.nodes] == ["table_0"]
@@ -665,8 +668,7 @@ def test_lineage_matches_reverse_bfs_oracle():
     rng = random.Random(81)
     for _ in range(10):
         recipe, _ = random_recipe(rng)
-        effects, schemas = _models_for(recipe)
-        model = build_parallel(recipe, effects, schemas[0])
+        model = build_parallel(recipe)
         node = rng.choice(model.nodes)
         up = upstream_lineage(model, node.id)
         assert {n.id for n in up.nodes} == _reachable(model, node.id, reverse=True)
@@ -678,9 +680,8 @@ def test_lineage_matches_reverse_bfs_oracle():
         assert up.edges == expected_edges
 
 
-def test_unknown_node_query(menus_recipe, menus_trace):
-    effects, schemas = menus_trace
-    model = build_parallel(menus_recipe, effects, schemas[0])
+def test_unknown_node_query(menus_recipe):
+    model = build_parallel(menus_recipe)
     with pytest.raises(ModelError) as info:
         upstream_lineage(model, "nope")
     assert info.value.code == "unknown-node"

@@ -18,7 +18,7 @@ import tracemalloc
 
 import pytest
 
-from refineflow import build_parallel, infer_initial_schema, parse_recipe, trace_effects
+from refineflow import build_parallel, parse_recipe
 from refineflow.cli import RunConfig, run
 
 MAX_RATIO = 6
@@ -72,9 +72,7 @@ def _measure(entries: list[dict], tmp_path) -> tuple[dict[str, int], float]:
         tracemalloc.stop()
     elapsed = time.perf_counter() - start
     assert status == 0
-    recipe = parse_recipe(text)
-    initial = infer_initial_schema(recipe)
-    model = build_parallel(recipe, trace_effects(recipe, initial)[0], initial)
+    model = build_parallel(parse_recipe(text))
     measures = {
         "tracemalloc peak": peak,
         "output bytes": out.stat().st_size,
