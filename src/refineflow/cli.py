@@ -22,8 +22,10 @@ their count.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+import threading
 from collections.abc import Mapping
 from typing import NamedTuple
 
@@ -47,19 +49,53 @@ class RunConfig(NamedTuple):
     query: tuple[str, str] | None = None  # (direction, node id)
 
 
-def _print_diagnostic(diag: Diagnostic, stream) -> None:
-    step = "-" if diag.step_index is None else str(diag.step_index)
-    print(f"{diag.severity} {diag.code} {step} {diag.message}", file=stream)
+def _write_diagnostics(diags: list[Diagnostic], stream) -> None:
+    """One line each, in one ``write``: a line-buffered stream makes a
+    system call per write, and a real export has an info per step."""
+    lines = []
+    for diag in diags:
+        step = "-" if diag.step_index is None else str(diag.step_index)
+        lines.append(f"{diag.severity} {diag.code} {step} {diag.message}\n")
+    if lines:
+        stream.write("".join(lines))
+
+
+class _CollectorPause:
+    """Pauses the cyclic garbage collector while any conversion runs: the
+    first conversion in saves the process-wide state and pauses it, the
+    last one out restores it, each under the lock."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._running == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._running += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._running -= 1
+            if self._running == 0 and self._was_enabled:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
 
 
 def _resolve_query_node(workflow: WorkflowModel, node_id: str, idents: dict[str, str]) -> str:
     """Exact node id, else the last-born data node with that label, else
-    the node the output names by that identifier (``idents``).
+    the node the output names by that identifier (``idents``, keyed by
+    every node id).
 
     Data nodes are appended as their versions are born, so when a label was
     freed and taken again, the last match is the column that holds it last.
     """
-    if node_id in workflow.node_map():
+    if node_id in idents:
         return node_id
     for node in reversed(workflow.nodes):
         if node.kind in DATA_KINDS and node.label == node_id:
@@ -115,9 +151,18 @@ def _emit(workflow: WorkflowModel, config: RunConfig, name: str, idents=None) ->
 
 
 def run(config: RunConfig, stderr=None) -> int:
-    """Execute one conversion; returns the process exit status."""
-    stderr = stderr if stderr is not None else sys.stderr
+    """Execute one conversion; returns the process exit status.
 
+    The cyclic garbage collector is paused for the conversion and the
+    caller's state restored on every exit, an escaping exception included:
+    a conversion makes no reference cycle, so a collection would walk its
+    growing heap and free nothing. Threads may convert at once.
+    """
+    with _COLLECTOR_PAUSE:
+        return _convert(config, stderr if stderr is not None else sys.stderr)
+
+
+def _convert(config: RunConfig, stderr) -> int:
     try:
         with open(config.input_path, encoding="utf-8") as stream:
             text = stream.read()
@@ -127,13 +172,12 @@ def run(config: RunConfig, stderr=None) -> int:
             else f"not UTF-8 text (byte {exc.start}: {exc.reason})"
         )
         message = f"{config.input_path}: {reason}"
-        _print_diagnostic(Diagnostic("error", "unreadable-input", message), stderr)
+        _write_diagnostics([Diagnostic("error", "unreadable-input", message)], stderr)
         return 2
 
     try:
         recipe = parse_recipe(text, config.split_arity_overrides)
-        for diag in validate_recipe(recipe):
-            _print_diagnostic(diag, stderr)
+        _write_diagnostics(validate_recipe(recipe), stderr)
         # The DOT process view draws steps only. YW's process view prints
         # each step's data ports, and a query may name a data label.
         dataflow = (config.view, config.format) != ("process", "dot") or config.query is not None
@@ -159,7 +203,7 @@ def run(config: RunConfig, stderr=None) -> int:
             (summary.id, model.detail_model(recipe, summary)) for summary in summaries
         ]
     except RefineflowError as exc:
-        _print_diagnostic(Diagnostic("error", exc.code, exc.message, exc.step_index), stderr)
+        _write_diagnostics([Diagnostic("error", exc.code, exc.message, exc.step_index)], stderr)
         return 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
@@ -169,14 +213,14 @@ def run(config: RunConfig, stderr=None) -> int:
             _write_stdout(main_text)
         except OSError as exc:
             message = f"<stdout>: {exc.strerror or exc}"
-            _print_diagnostic(Diagnostic("error", "unwritable-output", message), stderr)
+            _write_diagnostics([Diagnostic("error", "unwritable-output", message)], stderr)
             return 2
         if summaries:
             message = (
                 f"{len(summaries)} collapsed-run detail file(s) "
                 "require a file output path; none were written"
             )
-            _print_diagnostic(Diagnostic("warning", "details-skipped", message), stderr)
+            _write_diagnostics([Diagnostic("warning", "details-skipped", message)], stderr)
         return 0
 
     outputs = [(config.output_path, main_text)] + [
@@ -195,7 +239,7 @@ def run(config: RunConfig, stderr=None) -> int:
             pending.pop()
     except OSError as exc:
         message = f"{path}: {exc.strerror or exc}"
-        _print_diagnostic(Diagnostic("error", "unwritable-output", message), stderr)
+        _write_diagnostics([Diagnostic("error", "unwritable-output", message)], stderr)
         return 2
     finally:
         for temp_path, _ in pending:

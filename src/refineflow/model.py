@@ -413,7 +413,7 @@ def _induced_subgraph(model: WorkflowModel, keep: set[str]) -> WorkflowModel:
 
 
 def _closure(model: WorkflowModel, node_id: str, reverse: bool) -> set[str]:
-    if node_id not in model.node_map():
+    if not any(node.id == node_id for node in model.nodes):
         raise ModelError("unknown-node", f"no node with id {node_id!r}")
     adjacency: dict[str, list[str]] = {}
     for edge in model.edges:

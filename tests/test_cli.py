@@ -398,6 +398,36 @@ def test_warnings_do_not_change_exit_status(tmp_path, capsys):
     assert "warning unknown-op 0 " in capsys.readouterr().err
 
 
+def test_findings_reach_stderr_in_one_write_before_the_error(tmp_path):
+    # A line-buffered stderr makes a system call per write.
+    class Writes(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.writes: list[str] = []
+
+        def write(self, text: str) -> int:
+            self.writes.append(text)
+            return super().write(text)
+
+    transform = {
+        "op": "core/text-transform", "columnName": "a", "expression": "value",
+        "engineConfig": {"mode": "row-based"},
+    }
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(
+        json.dumps([transform, transform, {"op": "core/column-removal", "columnName": "b"},
+                    {"op": "core/fill-down", "columnName": "b"}]),
+        encoding="utf-8",
+    )
+    stderr = Writes()
+    assert run(RunConfig(str(recipe), str(tmp_path / "never.dot")), stderr=stderr) == 1
+    findings, error = stderr.writes
+    assert [line.split(" ", 3)[:3] for line in findings.splitlines()] == [
+        ["info", "unused-param", "0"], ["info", "unused-param", "1"],
+    ]
+    assert error.startswith("error unresolved-column 3 ") and error.count("\n") == 1
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         run_cli(["-i", MENUS, "-t", "sideways"])
