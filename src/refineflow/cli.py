@@ -9,7 +9,9 @@ partial or temporary file, and the previous main output in place.
 
 A conversion is parse → validate → build → query → emit. The model
 builder runs the trace, so a step the trace refuses is reported from the
-build, with the same diagnostic whatever the model kind.
+build, with the same diagnostic whatever the model kind. The input text
+lives only until it is parsed, and the recipe only until the models are
+built, so a conversion's peak memory is that of its largest stage.
 
 A collapsed model also gets one detail file per summary node it writes
 (after a query, the summaries the query kept): the linear model of the
@@ -33,9 +35,11 @@ from . import model
 from .emit import VIEWS, emit_dot, emit_yw, identifier_map
 from .errors import RefineflowError
 from .model import DATA_KINDS, WorkflowModel
-from .recipe import EMPTY_MAPPING, Diagnostic, parse_recipe, validate_recipe
+from .recipe import EMPTY_MAPPING, Diagnostic, Recipe, parse_recipe, validate_recipe
 
 FORMATS = ("dot", "yw")
+
+_UNREADABLE = "unreadable-input"  # exits 2, as an unwritable output does
 
 
 class RunConfig(NamedTuple):
@@ -162,7 +166,8 @@ def run(config: RunConfig, stderr=None) -> int:
         return _convert(config, stderr if stderr is not None else sys.stderr)
 
 
-def _convert(config: RunConfig, stderr) -> int:
+def _read_recipe(config: RunConfig) -> Recipe:
+    """The input file's recipe. The text lives only while it is parsed."""
     try:
         with open(config.input_path, encoding="utf-8") as stream:
             text = stream.read()
@@ -171,40 +176,49 @@ def _convert(config: RunConfig, stderr) -> int:
             exc.strerror if isinstance(exc, OSError)
             else f"not UTF-8 text (byte {exc.start}: {exc.reason})"
         )
-        message = f"{config.input_path}: {reason}"
-        _write_diagnostics([Diagnostic("error", "unreadable-input", message)], stderr)
-        return 2
+        raise RefineflowError(_UNREADABLE, f"{config.input_path}: {reason}") from None
+    return parse_recipe(text, config.split_arity_overrides)
 
-    try:
-        recipe = parse_recipe(text, config.split_arity_overrides)
-        _write_diagnostics(validate_recipe(recipe), stderr)
-        # The DOT process view draws steps only. YW's process view prints
-        # each step's data ports, and a query may name a data label.
-        dataflow = (config.view, config.format) != ("process", "dot") or config.query is not None
-        if config.model_kind == model.LINEAR:
-            workflow = model.build_linear(recipe)
-        elif config.model_kind == model.PARALLEL:
-            workflow = model.build_parallel(recipe, dataflow)
+
+def _models(config: RunConfig, stderr) -> tuple[WorkflowModel, dict[str, str] | None, list]:
+    """Parse, validate, build and query: the main model, the identifiers
+    that name it, and the (summary id, detail model) pairs to write. The
+    recipe lives only until they are built."""
+    recipe = _read_recipe(config)
+    _write_diagnostics(validate_recipe(recipe), stderr)
+    # The DOT process view draws steps only. YW's process view prints
+    # each step's data ports, and a query may name a data label.
+    dataflow = (config.view, config.format) != ("process", "dot") or config.query is not None
+    if config.model_kind == model.LINEAR:
+        workflow = model.build_linear(recipe)
+    elif config.model_kind == model.PARALLEL:
+        workflow = model.build_parallel(recipe, dataflow)
+    else:
+        workflow = model.build_collapsed(recipe, config.collapse_threshold, dataflow)
+
+    idents = None
+    if config.query is not None:
+        # The subgraph keeps the identifiers of the whole model.
+        idents = identifier_map(workflow)
+        direction, raw_node = config.query
+        node_id = _resolve_query_node(workflow, raw_node, idents)
+        if direction == "upstream":
+            workflow = model.upstream_lineage(workflow, node_id)
         else:
-            workflow = model.build_collapsed(recipe, config.collapse_threshold, dataflow)
+            workflow = model.downstream_impact(workflow, node_id)
+    details = [] if config.output_path == "-" else [
+        (node.id, model.detail_model(recipe, node))
+        for node in workflow.nodes if node.kind == "summary"
+    ]
+    return workflow, idents, details
 
-        idents = None
-        if config.query is not None:
-            # The subgraph keeps the identifiers of the whole model.
-            idents = identifier_map(workflow)
-            direction, raw_node = config.query
-            node_id = _resolve_query_node(workflow, raw_node, idents)
-            if direction == "upstream":
-                workflow = model.upstream_lineage(workflow, node_id)
-            else:
-                workflow = model.downstream_impact(workflow, node_id)
-        summaries = [node for node in workflow.nodes if node.kind == "summary"]
-        details = [] if config.output_path == "-" else [
-            (summary.id, model.detail_model(recipe, summary)) for summary in summaries
-        ]
+
+def _convert(config: RunConfig, stderr) -> int:
+    try:
+        workflow, idents, details = _models(config, stderr)
     except RefineflowError as exc:
         _write_diagnostics([Diagnostic("error", exc.code, exc.message, exc.step_index)], stderr)
-        return 1
+        return 2 if exc.code == _UNREADABLE else 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
     main_text = _emit(workflow, config, name, idents)
@@ -215,9 +229,10 @@ def _convert(config: RunConfig, stderr) -> int:
             message = f"<stdout>: {exc.strerror or exc}"
             _write_diagnostics([Diagnostic("error", "unwritable-output", message)], stderr)
             return 2
+        summaries = sum(node.kind == "summary" for node in workflow.nodes)
         if summaries:
             message = (
-                f"{len(summaries)} collapsed-run detail file(s) "
+                f"{summaries} collapsed-run detail file(s) "
                 "require a file output path; none were written"
             )
             _write_diagnostics([Diagnostic("warning", "details-skipped", message)], stderr)

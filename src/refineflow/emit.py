@@ -111,27 +111,24 @@ def _quote(text: str) -> str:
     return f'"{text}"'
 
 
-def _component_of(model: WorkflowModel, roles: _EdgeRoles, view: str) -> dict[str, int]:
+def _component_of(model: WorkflowModel, roles: _EdgeRoles, view: str) -> dict[str, int | None]:
     """Cluster assignment: steps by their group, and the data/param nodes
-    the view draws by the steps they touch; nodes shared between groups
-    stay unassigned."""
-    assignment: dict[str, int] = {}
+    the view draws by the steps they touch; a node shared between groups
+    maps to None and stays unclustered."""
+    assignment: dict[str, int | None] = {}
     for index, group in enumerate(model.components):
         for node_id in group:
             assignment[node_id] = index
     if view == "process":
         return assignment
     ports = (roles.ins, roles.outs) if view == "data" else (roles.ins, roles.params, roles.outs)
-    candidates: dict[str, set[int]] = {}
     for port in ports:
         for step_id, others in port.items():
             component = assignment.get(step_id)
             if component is not None:
                 for node_id in others:
-                    candidates.setdefault(node_id, set()).add(component)
-    for node_id, components in candidates.items():
-        if len(components) == 1:
-            assignment[node_id] = components.pop()
+                    if assignment.setdefault(node_id, component) != component:
+                        assignment[node_id] = None
     return assignment
 
 
@@ -190,11 +187,10 @@ def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None =
     for src, dst, label in edges:
         attrs = f" [label={_quote(label)}]" if label else ""
         rendered.append((idents[src], idents[dst], label or "", attrs))
-    for src, dst, _, attrs in sorted(rendered):
-        lines.append(f'"{src}" -> "{dst}"{attrs};')
-
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    rendered.sort()
+    lines.extend(f'"{src}" -> "{dst}"{attrs};' for src, dst, _, attrs in rendered)
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def emit_yw(
@@ -225,5 +221,5 @@ def emit_yw(
         for data_id in sorted(roles.outs.get(step.id, ()), key=node_order.get):
             lines.append(f"# @out {idents[data_id]}")
         lines.append(f"# @end {idents[step.id]}")
-    lines.append(f"# @end {sanitize_identifier(name)}")
-    return "\n".join(lines) + "\n"
+    lines.append(f"# @end {sanitize_identifier(name)}\n")
+    return "\n".join(lines)

@@ -188,6 +188,21 @@ def _transitive_reduction(n: int, pairs: set[tuple[int, int]]) -> list[tuple[int
     return sorted(kept)
 
 
+def _group_order(effects: list[ColumnEffect], runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Process edges between groups, each named by its first step: the
+    transitive reduction of the dependency pairs, quotiented by the runs.
+    The pairs and the reach masks die when it returns."""
+    n = len(effects)
+    pairs = dependency_edges(effects)
+    if runs:
+        # A run's steps share its summary node.
+        group_of = list(range(n))
+        for start, end in runs:
+            group_of[start : end + 1] = [start] * (end - start + 1)
+        pairs = {(group_of[i], group_of[j]) for i, j in pairs if group_of[i] != group_of[j]}
+    return _transitive_reduction(n, pairs)
+
+
 def _weak_components(members: list[int], pairs: list[tuple[int, int]]) -> list[list[int]]:
     parent = {m: m for m in members}
 
@@ -286,6 +301,8 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
     initial = infer_initial_schema(recipe)
     effects = trace_effects(recipe, initial)[0]
     runs = [] if threshold is None else _collapse_runs(recipe, effects, threshold)
+    # A transitive reduction keeps reachability, so also the weak components.
+    kept = _group_order(effects, runs)
     n = len(effects)
     run_end = dict(runs)
     nodes: list[Node] = []
@@ -311,7 +328,6 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
 
     # Node id of each group, by the index of its first step.
     group_ids: dict[int, str] = {}
-    group_of = list(range(n))
 
     start = 0
     while start < n:
@@ -323,7 +339,6 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
             node_id = f"summary_{start}"
             payload = {"op_id": op.op_id, "count": count, "first_index": start, "last_index": end}
             nodes.append(Node("summary", node_id, f"{op.op_id} × {count}", start, payload))
-            group_of[start : end + 1] = [start] * count
         else:
             node_id = f"step_{start}"
             payload = {"op_id": op.op_id}
@@ -354,12 +369,6 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
                 edges.append(Edge(node_id, born(cid, 0, name)))
         start = end + 1
 
-    pairs = dependency_edges(effects)
-    if runs:
-        # Quotient by group: a run's steps share its summary node.
-        pairs = {(group_of[i], group_of[j]) for i, j in pairs if group_of[i] != group_of[j]}
-    # A transitive reduction keeps reachability, so also the weak components.
-    kept = _transitive_reduction(n, pairs)
     edges.extend(Edge(group_ids[i], group_ids[j]) for i, j in kept)
     components = [
         [group_ids[i] for i in members] for members in _weak_components(list(group_ids), kept)

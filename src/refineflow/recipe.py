@@ -433,8 +433,10 @@ def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> R
                 f'entry {index} lacks a non-empty string "op" key',
                 step_index=index,
             )
-        params = {key: value for key, value in entry.items() if key != "op"}
-        operations.append(RawOperation(op_id=op_id, index=index, params=params))
+        # The decoded document is the parser's own: the entry, less its
+        # "op", becomes the params, keys in file order.
+        del entry["op"]
+        operations.append(RawOperation(op_id=op_id, index=index, params=entry))
     return Recipe(tuple(operations), split_arity)
 
 

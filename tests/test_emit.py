@@ -22,7 +22,7 @@ from refineflow import (
 from refineflow.cli import RunConfig, run
 from refineflow.emit import STEP_FILL, VIEWS, _quote, identifier_map
 from refineflow.errors import RefineflowError
-from refineflow.model import STEP_KINDS, sanitize_identifier
+from refineflow.model import STEP_KINDS, WorkflowModel, sanitize_identifier
 from conftest import GOLDEN, make_recipe
 from differential import generated_recipe
 from dotcheck import DotSyntaxError, parse_dot
@@ -241,6 +241,35 @@ def test_yw_empty_model():
     model = build_linear(recipe)
     text = emit_yw(model, "combined")
     assert text == "# @begin workflow\n# @end workflow\n"
+
+
+def test_every_text_ends_in_exactly_one_newline(menus_recipe, mass_edit_recipe):
+    models = [WorkflowModel([], [], [])] + _models(menus_recipe) + _models(mass_edit_recipe)
+    for model in models:
+        for view in VIEWS:
+            for text in (emit_dot(model, view), emit_yw(model, view)):
+                assert text.endswith("\n") and not text.endswith("\n\n"), text[-40:]
+
+
+def test_a_data_node_two_groups_read_is_drawn_outside_every_cluster():
+    recipe = make_recipe(
+        [
+            {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": b,
+             "expression": "value"}
+            for b in ("b", "c")
+        ]
+    )
+    model = build_parallel(recipe)
+    assert len(model.components) == 2
+    shared = next(node.id for node in model.nodes if node.label == "a")
+    for view in ("combined", "data"):
+        graph = parse_dot(emit_dot(model, view))
+        clusters = [members for name, members in graph.clusters.items() if name.startswith("cluster_")]
+        assert len(clusters) == 2
+        assert shared in graph.nodes
+        assert not any(shared in members for members in clusters)
+        # Each addition's new column is drawn in its own cluster.
+        assert [{"b_v0", "c_v0"} & set(members) for members in clusters] == [{"b_v0"}, {"c_v0"}]
 
 
 def test_yw_menus_merge_step(menus_recipe):

@@ -155,6 +155,15 @@ def test_parse_keeps_description():
     assert recipe.operations[0].params["description"] == "Fill down"
 
 
+@pytest.mark.parametrize("wrap", [True, False], ids=["array", "single-object"])
+def test_params_hold_every_other_key_in_file_order(wrap):
+    entry = '{"z":1,"description":"d","op":"core/fill-down","columnName":"a","b":[2]}'
+    recipe = parse_recipe(f"[{entry}]" if wrap else entry)
+    params = recipe.operations[0].params
+    assert list(params.items()) == [("z", 1), ("description", "d"), ("columnName", "a"), ("b", [2])]
+    assert "op" not in params
+
+
 def _random_json_value(rng: random.Random, depth: int = 0):
     choices = ["str", "int", "float", "bool", "null"]
     if depth < 2:
