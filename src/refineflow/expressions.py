@@ -10,6 +10,11 @@ pure calls from ``{toLowercase, toUppercase, trim, toNumber, toString}``,
 cell references ``cells["label"].value`` / ``cells.name.value``, string
 literals, and concatenation with ``+``. Anything else is opaque; opacity is
 reported, never raised.
+
+The analysis answers one question, which labels a text reads, and builds
+no term tree: nothing in the package evaluates an expression. The tests'
+replay reads and evaluates expressions with a reader of its own, so a
+read-set fault here cannot hide from the check that replays it.
 """
 
 from __future__ import annotations
@@ -18,20 +23,6 @@ import re
 from typing import NamedTuple
 
 VALUE_METHODS = frozenset({"toLowercase", "toUppercase", "trim", "toNumber", "toString"})
-
-
-class Term(NamedTuple):
-    """One ``+`` operand: a ``"literal"`` (``text`` is its value), the own
-    ``"value"`` (``text`` is empty) or a ``"cell"`` reference (``text`` is
-    the label), with the pure method calls applied to it, in order."""
-
-    kind: str
-    text: str
-    methods: tuple[str, ...] = ()
-
-
-# A parsed expression is the '+'-joined sequence of its terms.
-ParsedExpression = tuple[Term, ...]
 
 
 class ExpressionAnalysis(NamedTuple):
@@ -55,18 +46,17 @@ _STRING = r""" "[^"\\]*(?:\\.[^"\\]*)*" | '[^'\\]*(?:\\.[^'\\]*)*' """
 _TERM = re.compile(
     rf"""
     \s*
-    (?: (?P<literal> {_STRING})
-      | (?P<value> value)
+    (?: {_STRING}
+      | value
       | cells \s* (?: \[ \s* (?P<label> {_STRING}) \s* \] | \. \s* (?P<name> \w+) )
         \s* \. \s* value
     )
-    (?P<methods> (?: \s* \. \s* (?: {'|'.join(sorted(VALUE_METHODS))}) \s* \( \s* \) )* )
+    (?: \s* \. \s* (?: {'|'.join(sorted(VALUE_METHODS))}) \s* \( \s* \) )*
     \s* (?: (?P<plus> \+ ) | \Z )
     """,
     re.VERBOSE | re.DOTALL,
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
-_WORD = re.compile(r"\w+")
 
 
 def _unquote(quoted: str) -> str:
@@ -83,38 +73,24 @@ def strip_language_tag(expression: str) -> str | None:
     return stripped
 
 
-def parse_expression(expression: str) -> ParsedExpression | None:
-    """Parse into terms, or None when the expression is outside the subset."""
-    body = strip_language_tag(expression)
-    terms: list[Term] = []
-    position = 0
-    while body is not None and (match := _TERM.match(body, position)):
-        literal, label, name = match["literal"], match["label"], match["name"]
-        if literal is not None:
-            kind, text = "literal", _unquote(literal)
-        elif match["value"] is not None:
-            kind, text = "value", ""
-        elif label is not None:
-            kind, text = "cell", _unquote(label)
-        elif (name[0].isalpha() or name[0] == "_") and name != "value":
-            kind, text = "cell", name
-        else:
-            return None
-        terms.append(Term(kind, text, tuple(_WORD.findall(match["methods"]))))
-        if match["plus"] is None:
-            return tuple(terms)
-        position = match.end()
-    return None
-
-
 def analyze_expression(expression: str) -> ExpressionAnalysis:
     """Classify an expression and collect the column labels it reads.
 
     The read of the column the expression runs against is implied by the
     owning operation, not reported by this analysis.
     """
-    parsed = parse_expression(expression)
-    if parsed is None:
-        return OPAQUE_ANALYSIS
-    referenced = dict.fromkeys(term.text for term in parsed if term.kind == "cell")
-    return ExpressionAnalysis(tuple(referenced), opaque=False)
+    body = strip_language_tag(expression)
+    referenced: dict[str, None] = {}
+    position = 0
+    while body is not None and (match := _TERM.match(body, position)):
+        label, name = match["label"], match["name"]
+        if label is not None:
+            referenced[_unquote(label)] = None
+        elif name is not None:
+            if not (name[0].isalpha() or name[0] == "_") or name == "value":
+                return OPAQUE_ANALYSIS
+            referenced[name] = None
+        if match["plus"] is None:
+            return ExpressionAnalysis(tuple(referenced), opaque=False)
+        position = match.end()
+    return OPAQUE_ANALYSIS

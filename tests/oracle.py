@@ -7,9 +7,15 @@ produce the same table as the recorded order. ``execute`` interprets
 operations the way OpenRefine replays a history: columns are addressed
 by label only, resolved step by step, independent of the effect catalog
 and its column ids. ``execute_order`` checks a permutation against the
-ordering pairs and replays the permuted recipe through ``execute``.
+model's ordering pairs and replays the permuted operations the same way.
 Agreement with the recorded order (``by_label()`` equal) is exactly what
 the commutativity rule promises.
+
+The interpreter reads each operation's raw ``params`` and nothing the
+package decodes from them: it reads and evaluates expressions with its
+own reader (``read_expression``), written from the subset's definition,
+and works out a split's part count itself. So a fault in the package's
+read sets is not repeated here, and a replay can expose it.
 
 Cells are untyped strings; the empty string counts as blank (fill-down
 fills it, mass-edit's fromBlank matches it). ``toNumber`` yields a number
@@ -23,11 +29,10 @@ from __future__ import annotations
 import csv
 import io
 
-from refineflow import expressions as ex
 from refineflow.effects import SchemaState, trace_effects
-from refineflow.errors import EffectError, RefineflowError
+from refineflow.errors import RefineflowError
 from refineflow.model import dependency_edges
-from refineflow.recipe import FrozenRecord, RawOperation, Recipe, Step
+from refineflow.recipe import FrozenRecord, RawOperation, Recipe
 
 
 class OracleError(RefineflowError):
@@ -88,10 +93,10 @@ class Table(FrozenRecord):
         for row, value in zip(self.rows, values):
             row[position] = value
 
-    def evaluate(self, parsed: ex.ParsedExpression, position: int, op: RawOperation) -> list[str]:
+    def evaluate(self, operands: list[Operand], position: int, op: RawOperation) -> list[str]:
         """The expression on every row, ``value`` being the cell at ``position``."""
         return [
-            evaluate_expression(parsed, row[position], lambda label: row[self.position(label, op)])
+            evaluate_expression(operands, row[position], lambda name: row[self.position(name, op)])
             for row in self.rows
         ]
 
@@ -104,6 +109,124 @@ class Table(FrozenRecord):
         del self.labels[position]
         for row in self.rows:
             del row[position]
+
+
+# Expressions, read from the definition of the subset the oracle runs:
+#
+#   expression := ["grel:"] operand ("+" operand)*
+#   operand    := (string | "value" | "cells" ("[" string "]" | "." name) "." "value")
+#                 ("." method "(" ")")*
+#
+# Whitespace (as str.isspace) may separate any two tokens. A string is
+# quoted with " or '; a backslash takes the character after it literally.
+# A word is a run of letters, digits and "_" (as str.isalnum); a name is a
+# word that starts with a letter or "_" and is not "value". A leading tag
+# other than "grel:" (a word of letters before the first ":") and
+# anything else the grammar does not derive are outside the subset.
+
+METHODS = frozenset({"toLowercase", "toUppercase", "trim", "toNumber", "toString"})
+
+# One operand: its kind ("literal", "value" or "cell"), its text (the
+# literal's value, empty, or the cell's label) and its method calls.
+Operand = tuple[str, str, tuple[str, ...]]
+
+
+class _Cursor:
+    """A position in an expression's text; each reader skips whitespace first."""
+
+    def __init__(self, text: str):
+        self.text, self.at = text, 0
+
+    def _skip_space(self):
+        while self.at < len(self.text) and self.text[self.at].isspace():
+            self.at += 1
+
+    def at_end(self) -> bool:
+        self._skip_space()
+        return self.at == len(self.text)
+
+    def take(self, symbol: str) -> bool:
+        self._skip_space()
+        if self.text.startswith(symbol, self.at):
+            self.at += len(symbol)
+            return True
+        return False
+
+    def word(self) -> str:
+        self._skip_space()
+        text, start = self.text, self.at
+        while self.at < len(text) and (text[self.at].isalnum() or text[self.at] == "_"):
+            self.at += 1
+        return text[start : self.at]
+
+    def string(self) -> str | None:
+        """A quoted string's value; None, not moving on, when none starts here."""
+        self._skip_space()
+        quote = self.text[self.at : self.at + 1]
+        if quote not in ('"', "'"):
+            return None
+        chars, at = [], self.at + 1
+        while at < len(self.text):
+            char = self.text[at]
+            if char == quote:
+                self.at = at + 1
+                return "".join(chars)
+            if char == "\\":
+                at += 1
+                if at == len(self.text):
+                    break
+                char = self.text[at]
+            chars.append(char)
+            at += 1
+        return None
+
+
+def _read_operand(cursor: _Cursor) -> Operand | None:
+    text = cursor.string()
+    if text is not None:
+        kind = "literal"
+    else:
+        word = cursor.word()
+        if word == "value":
+            kind, text = "value", ""
+        elif word != "cells":
+            return None
+        elif cursor.take("["):
+            kind, text = "cell", cursor.string()
+            if text is None or not cursor.take("]"):
+                return None
+        elif cursor.take("."):
+            kind, text = "cell", cursor.word()
+            if not (text[:1].isalpha() or text[:1] == "_") or text == "value":
+                return None
+        else:
+            return None
+        if kind == "cell" and not (cursor.take(".") and cursor.word() == "value"):
+            return None
+    methods = []
+    while cursor.take("."):
+        method = cursor.word()
+        if method not in METHODS or not (cursor.take("(") and cursor.take(")")):
+            return None
+        methods.append(method)
+    return kind, text, tuple(methods)
+
+
+def read_expression(expression: str) -> list[Operand] | None:
+    """The operands of an expression, or None when it is outside the subset."""
+    text = expression.lstrip()
+    tag, colon, rest = text.partition(":")
+    if colon and tag.isalpha():
+        if tag != "grel":
+            return None
+        text = rest
+    cursor = _Cursor(text)
+    operands = []
+    while (operand := _read_operand(cursor)) is not None:
+        operands.append(operand)
+        if not cursor.take("+"):
+            return operands if cursor.at_end() else None
+    return None
 
 
 def format_value(value) -> str:
@@ -143,17 +266,17 @@ def _apply_method(value, method: str):
     raise AssertionError(f"unreachable method {method}")
 
 
-def evaluate_expression(parsed: ex.ParsedExpression, own_value: str, lookup) -> str:
-    """Evaluate a parsed expression; ``lookup(label)`` resolves cells."""
+def evaluate_expression(operands: list[Operand], own_value: str, lookup) -> str:
+    """Evaluate an expression's operands; ``lookup(label)`` resolves cells."""
     result = None
-    for term in parsed:
-        if term.kind == "value":
+    for kind, text, methods in operands:
+        if kind == "value":
             value = own_value
-        elif term.kind == "literal":
-            value = term.text
+        elif kind == "literal":
+            value = text
         else:
-            value = lookup(term.text)
-        for method in term.methods:
+            value = lookup(text)
+        for method in methods:
             value = _apply_method(value, method)
         if result is None:
             result = value
@@ -164,7 +287,7 @@ def evaluate_expression(parsed: ex.ParsedExpression, own_value: str, lookup) -> 
     return format_value(result if result is not None else "")
 
 
-def _parse_expression(op: RawOperation) -> ex.ParsedExpression:
+def _expression_operands(op: RawOperation) -> list[Operand]:
     expression = op.params.get("expression")
     if expression is None:
         raise OracleError(
@@ -172,15 +295,15 @@ def _parse_expression(op: RawOperation) -> ex.ParsedExpression:
             f"step {op.index} ({op.op_id}) carries no expression",
             step_index=op.index,
         )
-    parsed = ex.parse_expression(str(expression))
-    if parsed is None:
+    operands = read_expression(str(expression))
+    if operands is None:
         raise OracleError(
             "expression-error",
             f"step {op.index} ({op.op_id}) expression is outside the supported subset: "
             f"{expression!r}",
             step_index=op.index,
         )
-    return parsed
+    return operands
 
 
 def _compile_edits(op: RawOperation) -> list[tuple[set[str], bool, str]]:
@@ -236,6 +359,10 @@ _COLUMN_KERNELS = {
 }
 
 
+# The most columns one split may create here; the interpreter refuses more.
+MAX_SPLIT_PARTS = 1000
+
+
 def _split_separator(op: RawOperation) -> str:
     if op.params.get("regex") or op.params.get("mode") == "lengths":
         raise OracleError(
@@ -244,6 +371,26 @@ def _split_separator(op: RawOperation) -> str:
             step_index=op.index,
         )
     return _require_string_param(op, "separator")
+
+
+def _split_arity(op: RawOperation, label: str, split_arity) -> int:
+    """The part count the step pins (its ``fieldLengths`` or ``maxColumns``),
+    else the recipe's count for the column, else 2."""
+    field_lengths, max_columns = op.params.get("fieldLengths"), op.params.get("maxColumns")
+    if isinstance(field_lengths, list) and field_lengths:
+        arity = len(field_lengths)
+    elif isinstance(max_columns, int) and not isinstance(max_columns, bool) and max_columns > 0:
+        arity = max_columns
+    else:
+        arity = split_arity.get(label, 2)
+    if arity > MAX_SPLIT_PARTS:
+        raise OracleError(
+            "split-arity-too-large",
+            f"step {op.index} (core/column-split) splits into {arity} columns; "
+            f"the interpreter runs at most {MAX_SPLIT_PARTS}",
+            step_index=op.index,
+        )
+    return arity
 
 
 def _split_parts(cell: str, separator: str, arity: int) -> list[str]:
@@ -269,14 +416,17 @@ def execute(recipe: Recipe, table: Table) -> Table:
     Raises :class:`OracleError` with ``unsupported-op`` for steps outside
     the subset and ``expression-error`` for opaque expressions.
     """
+    return _replay(recipe.operations, recipe.split_arity, table)
+
+
+def _replay(operations, split_arity, table: Table) -> Table:
     state = Table(table.labels, table.rows)
-    for step in recipe.steps:
-        _execute_step(state, step)
+    for op in operations:
+        _execute_step(state, op, split_arity)
     return state
 
 
-def _execute_step(state: Table, step: Step):
-    op = step.op
+def _execute_step(state: Table, op: RawOperation, split_arity):
     op_id = op.op_id
     kernel = _COLUMN_KERNELS.get(op_id)
 
@@ -289,7 +439,7 @@ def _execute_step(state: Table, step: Step):
         # on each row, and rewrites the cell of the own column.
         position = state.position(_require_string_param(op, "columnName"), op)
         compiled = _compile_edits(op)
-        keys = state.evaluate(_parse_expression(op), position, op)
+        keys = state.evaluate(_expression_operands(op), position, op)
         state.set_column(
             position,
             [_apply_edits(key, row[position], compiled) for key, row in zip(keys, state.rows)],
@@ -297,7 +447,7 @@ def _execute_step(state: Table, step: Step):
 
     elif op_id == "core/text-transform":
         position = state.position(_require_string_param(op, "columnName"), op)
-        state.set_column(position, state.evaluate(_parse_expression(op), position, op))
+        state.set_column(position, state.evaluate(_expression_operands(op), position, op))
 
     elif op_id == "core/column-rename":
         position = state.position(_require_string_param(op, "oldColumnName"), op)
@@ -313,9 +463,7 @@ def _execute_step(state: Table, step: Step):
         label = _require_string_param(op, "columnName")
         separator = _split_separator(op)
         position = state.position(label, op)
-        if step.error is not None:  # past the part cap
-            raise EffectError(*step.error, step_index=op.index)
-        arity = len(step.gives)
+        arity = _split_arity(op, label, split_arity)
         part_rows = [_split_parts(row[position], separator, arity) for row in state.rows]
         for k in range(arity):
             new_label = f"{label} {k + 1}"
@@ -327,7 +475,7 @@ def _execute_step(state: Table, step: Step):
     elif op_id == "core/column-addition":
         base_position = state.position(_require_string_param(op, "baseColumnName"), op)
         new_label = _require_string_param(op, "newColumnName")
-        values = state.evaluate(_parse_expression(op), base_position, op)
+        values = state.evaluate(_expression_operands(op), base_position, op)
         state.require_free(new_label, op)
         state.insert_column(base_position + 1, new_label, values)
 
@@ -360,5 +508,4 @@ def execute_order(recipe: Recipe, order: list[int], table: Table) -> Table:
                 "invalid-order", f"order {order!r} violates dependency {i} -> {j}"
             )
 
-    permuted = Recipe(tuple(recipe.operations[step] for step in order), recipe.split_arity)
-    return execute(permuted, table)
+    return _replay([recipe.operations[step] for step in order], recipe.split_arity, table)

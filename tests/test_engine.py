@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import ast
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from refineflow import SchemaState, dependency_edges, trace_effects
+import oracle
+from refineflow import SchemaState, dependency_edges, expressions, parse_recipe, trace_effects
 from conftest import make_recipe
 from oracle import OracleError, Table, execute, execute_order
 from recipegen import random_recipe, random_topological_order
@@ -339,3 +343,37 @@ def test_random_recipes_execute_and_match_trace():
         out = execute(recipe, table)
         assert out.labels == _traced_labels(recipe, table)
         assert all(len(row) == len(out.labels) for row in out.rows)
+
+
+def test_split_part_count_comes_from_the_operation_or_the_recipe():
+    # No pinned count: the recipe's count for the column, else two parts.
+    entry = {"op": "core/column-split", "columnName": "a", "separator": "/"}
+    table = Table(["a"], [["1/2/3"]])
+    assert execute(make_recipe([entry]), table).labels == ["a", "a 1", "a 2"]
+    hinted = parse_recipe(json.dumps([entry]), {"a": 3})
+    assert execute(hinted, table).rows == [["1/2/3", "1", "2", "3"]]
+    # A pinned count wins over the recipe's, and a count past 1,000 is refused.
+    pinned = parse_recipe(json.dumps([{**entry, "maxColumns": 1}]), {"a": 3})
+    assert execute(pinned, table).labels == ["a", "a 1"]
+    with pytest.raises(OracleError) as info:
+        execute(make_recipe([{**entry, "maxColumns": 1001}]), table)
+    assert info.value.code == "split-arity-too-large"
+    assert info.value.step_index == 0
+
+
+def test_oracle_shares_no_reading_with_the_package():
+    """The oracle reads raw parameters with code of its own: it imports
+    nothing of the expression analyzer and never reads a decoded step."""
+    forbidden = {"expressions"} | {name for name in vars(expressions) if not name.startswith("__")}
+    unread = {"Step", "steps", "gives", "error"}
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("expressions" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("refineflow"):
+            assert "expressions" not in node.module
+            assert not (forbidden | unread) & {alias.name for alias in node.names}, ast.dump(node)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in forbidden | unread, node.lineno
+        elif isinstance(node, ast.Name):
+            assert node.id != "Step", node.lineno

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
 import re
 import time
 
 import pytest
 
 from refineflow import analyze_expression
-from refineflow.expressions import Term, parse_expression
+from oracle import evaluate_expression, read_expression
+from recipegen import EXPRESSION_TEMPLATES, acceptance_corpus, random_recipe_entries
 
 # Independent reference extractor: regex over the two cell-reference forms.
 _BRACKET_REF = re.compile(r'cells\["((?:[^"\\]|\\.)*)"\]\.value')
@@ -17,6 +19,14 @@ def regex_references(expression: str) -> set[str]:
     found = {match.group(1).replace('\\"', '"') for match in _BRACKET_REF.finditer(expression)}
     found |= {match.group(1) for match in _DOT_REF.finditer(expression)}
     return found
+
+
+def oracle_reading(expression: str) -> tuple[tuple[str, ...], bool]:
+    """The oracle's reading as (cell labels in first-mention order, opaque)."""
+    operands = read_expression(expression)
+    if operands is None:
+        return (), True
+    return tuple(dict.fromkeys(text for kind, text, _ in operands if kind == "cell")), False
 
 
 def test_to_lowercase_is_own_column_only():
@@ -74,27 +84,27 @@ def test_escaped_quote_in_label():
     assert analysis.references == ('a"b',)
 
 
-@pytest.mark.parametrize(
-    "expression",
-    [
-        "",
-        "   ",
-        "value.match(/x/)",
-        "if(value == 1, 2, 3)",
-        "1 + 2",
-        "row.index",
-        "value.toLowercase",
-        "value.unknownMethod()",
-        "cells[\"a\"]",
-        "cells.a",
-        "cells[day].value",
-        'value + "unterminated',
-        "value ++ value",
-        "value.toLowercase(1)",
-        "value!",
-        "cells.value.value",
-    ],
-)
+UNSUPPORTED = [
+    "",
+    "   ",
+    "value.match(/x/)",
+    "if(value == 1, 2, 3)",
+    "1 + 2",
+    "row.index",
+    "value.toLowercase",
+    "value.unknownMethod()",
+    "cells[\"a\"]",
+    "cells.a",
+    "cells[day].value",
+    'value + "unterminated',
+    "value ++ value",
+    "value.toLowercase(1)",
+    "value!",
+    "cells.value.value",
+]
+
+
+@pytest.mark.parametrize("expression", UNSUPPORTED)
 def test_unsupported_constructs_opaque(expression):
     analysis = analyze_expression(expression)
     assert analysis.opaque
@@ -131,11 +141,11 @@ def test_monotonic_reference_append():
         assert extended.references == base.references + ("zz9",)
 
 
-def test_parse_expression_shape():
-    parsed = parse_expression('grel:"x" + value.trim() + cells["c"].value')
-    assert parsed is not None
-    assert parsed == (Term("literal", "x"), Term("value", "", ("trim",)), Term("cell", "c"))
-    assert Term("literal", "c") != Term("cell", "c")
+def test_oracle_evaluates_one_row():
+    operands = read_expression('grel:"x" + value.trim() + cells["c"].value')
+    assert operands == [("literal", "x", ()), ("value", "", ("trim",)), ("cell", "c", ())]
+    row = {"c": "z"}
+    assert evaluate_expression(operands, " y ", row.__getitem__) == "xyz"
 
 
 def test_references_keep_first_mention_order():
@@ -148,44 +158,64 @@ def test_references_keep_first_mention_order():
     assert analyze_expression("value.replace(1)").references == ()
 
 
-@pytest.mark.parametrize(
-    ("expression", "references", "opaque"),
-    [
-        # A name after "cells." starts with a letter or "_" and is not "value".
-        ("cells.value.value", (), True),
-        ("cells.\u00b2x.value", (), True),
-        ("cells.2a.value", (), True),
-        ("cells.a\u00b2.value", ("a\u00b2",), False),
-        ("cells._x9.value", ("_x9",), False),
-        # Keywords are whole identifiers.
-        ("valuex", (), True),
-        ("cells.a.valuex", (), True),
-        ("value.trimx()", (), True),
-        # Every "+" needs a term after it, and nothing may follow the last.
-        ("value +", (), True),
-        ("value )", (), True),
-        ("value.trim() value", (), True),
-        ("cells", (), True),
-        ('cells["a".value', (), True),
-        # A backslash escapes the next character, so this string never ends.
-        ('value + "abc\\', (), True),
-        ("'a\\'", (), True),
-        ('cells["a\\\\"].value', ("a\\",), False),
-        # Only a leading "grel:" tag, in lower case, is stripped.
-        ("GREL:value", (), True),
-        (" grel:value", (), False),
-        ("grel:", (), True),
-        ("grel: ", (), True),
-        # Any whitespace (as str.isspace) may separate tokens.
-        ("value . trim ( ) + cells . a . value + cells [ 'b' ] . value", ("a", "b"), False),
-        ("value\x1c.trim()\x1c+\x1ccells.c\x1c.value", ("c",), False),
-        ("\u3000value\n", (), False),
-    ],
-)
+BOUNDARY_CASES = [
+    # A name after "cells." starts with a letter or "_" and is not "value".
+    ("cells.value.value", (), True),
+    ("cells.\u00b2x.value", (), True),
+    ("cells.2a.value", (), True),
+    ("cells.a\u00b2.value", ("a\u00b2",), False),
+    ("cells._x9.value", ("_x9",), False),
+    # Keywords are whole identifiers.
+    ("valuex", (), True),
+    ("cells.a.valuex", (), True),
+    ("value.trimx()", (), True),
+    # Every "+" needs a term after it, and nothing may follow the last.
+    ("value +", (), True),
+    ("value )", (), True),
+    ("value.trim() value", (), True),
+    ("cells", (), True),
+    ('cells["a".value', (), True),
+    # A backslash escapes the next character, so this string never ends.
+    ('value + "abc\\', (), True),
+    ("'a\\'", (), True),
+    ('cells["a\\\\"].value', ("a\\",), False),
+    # Only a leading "grel:" tag, in lower case, is stripped.
+    ("GREL:value", (), True),
+    (" grel:value", (), False),
+    ("grel:", (), True),
+    ("grel: ", (), True),
+    # Any whitespace (as str.isspace) may separate tokens.
+    ("value . trim ( ) + cells . a . value + cells [ 'b' ] . value", ("a", "b"), False),
+    ("value\x1c.trim()\x1c+\x1ccells.c\x1c.value", ("c",), False),
+    ("\u3000value\n", (), False),
+]
+
+
+@pytest.mark.parametrize(("expression", "references", "opaque"), BOUNDARY_CASES)
 def test_subset_boundary_cases(expression, references, opaque):
     analysis = analyze_expression(expression)
     assert analysis == (references, opaque)
-    assert (parse_expression(expression) is None) == opaque
+    assert oracle_reading(expression) == analysis
+
+
+def _generated_expressions() -> set[str]:
+    """Every expression text the recipe generator emits into the acceptance
+    corpus and over non-ASCII labels, and every template it draws from."""
+    entries = [op.params for recipe, _ in acceptance_corpus() for op in recipe.operations]
+    entries += random_recipe_entries(random.Random(1), 300, ["café", "日付", "naïve x", "c3"])
+    texts = {entry["expression"] for entry in entries if "expression" in entry}
+    return texts | {"value", *EXPRESSION_TEMPLATES}
+
+
+def test_oracle_reader_agrees_with_the_analysis():
+    """The oracle reads expressions with its own reader; both readers give
+    the same opacity and the same labels on every text the tests use."""
+    boundary = [case[0] for case in BOUNDARY_CASES]
+    generated = _generated_expressions()
+    assert any("cells[" in text for text in generated)
+    texts = [*CORPUS, *boundary, *UNSUPPORTED, *sorted(generated)]
+    for expression in texts:
+        assert oracle_reading(expression) == analyze_expression(expression), expression
 
 
 def test_many_references_keep_first_mention_order_in_linear_time():

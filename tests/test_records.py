@@ -28,8 +28,7 @@ from refineflow import (
     parse_recipe,
 )
 from refineflow.cli import RunConfig
-from refineflow.expressions import Term
-from refineflow.recipe import EMPTY_MAPPING, OpSpec
+from refineflow.recipe import CATALOG, EMPTY_MAPPING, OpSpec, Step
 from oracle import Table
 
 # Two equal instances of every frozen record, built independently.
@@ -39,10 +38,20 @@ FROZEN = [
     lambda: Recipe(operations=(RawOperation("core/fill-down", 0),)),
     lambda: Node("data_table", "table_0", "table_0"),
     lambda: Diagnostic("warning", "unknown-op", "text", step_index=2),
-    lambda: Term("literal", "c"),
-    lambda: Term("value", ""),
-    lambda: Term("cell", "c"),
-    lambda: Term(kind="cell", text="c", methods=("trim",)),
+    # Decoded steps: one that reads a cell, an unknown op, one carrying its
+    # error, and one built by keyword.
+    lambda: parse_recipe(
+        '[{"op": "core/text-transform", "columnName": "a", "expression": "cells.b.value"}]'
+    ).steps[0],
+    lambda: parse_recipe('[{"op": "vendor/unknown-op"}]').steps[0],
+    lambda: parse_recipe(
+        '[{"op": "core/column-split", "columnName": "a", "separator": ",", "maxColumns": 5000}]'
+    ).steps[0],
+    lambda: Step(
+        op=RawOperation("core/fill-down", 0, {"columnName": "a"}),
+        spec=CATALOG["core/fill-down"],
+        owns=("a",),
+    ),
     lambda: ExpressionAnalysis(("a",), False),
     lambda: OpSpec(params=("columnName",), own="columnName", writes_own=True),
     lambda: SchemaState(columns=((0, "a"), (1, "b")), next_id=2),
@@ -84,7 +93,7 @@ def test_hashable_records_hash_by_value():
     # Records holding a mapping or a list are unhashable.
     for make in FROZEN:
         first, second = make(), make()
-        if isinstance(first, (RawOperation, Recipe, Node, WorkflowModel, RunConfig, Table)):
+        if isinstance(first, (RawOperation, Step, Recipe, Node, WorkflowModel, RunConfig, Table)):
             with pytest.raises(TypeError):
                 hash(first)
         else:
@@ -98,7 +107,6 @@ def test_records_of_different_values_differ():
     assert Recipe() != SchemaState()
     assert WorkflowModel([], [], []) != WorkflowModel([], [], [["step_0"]])
     assert RunConfig("a.json") != RunConfig("b.json")
-    assert Term("literal", "c") != Term("cell", "c")
 
 
 def test_schema_state_rejects_duplicate_labels():
