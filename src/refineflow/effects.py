@@ -26,56 +26,22 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import EffectError
-from .recipe import FrozenRecord, RawOperation, Recipe, Step
+from .recipe import RawOperation, Recipe, Step
 
 # Stable identity of a column: survives renames, never reused.
 ColumnId = int
 
 
-class SchemaState(FrozenRecord):
-    """The live columns, in left-to-right order, at one point of a pipeline.
+class SchemaState(NamedTuple):
+    """The live columns, as ``(id, label)`` pairs in left-to-right order,
+    at one point of a pipeline. :func:`trace_effects` checks that the
+    initial labels are distinct and allocates every new id."""
 
-    ``next_id`` is the allocation high-water mark for the whole trace, so
-    ids of deleted columns are never handed out again.
-    """
-
-    __slots__ = ("columns", "next_id")
-
-    def __init__(self, columns: tuple[tuple[ColumnId, str], ...] = (), next_id: int = 0):
-        labels = [label for _, label in columns]
-        if len(set(labels)) != len(labels):
-            raise _collision(labels)
-        self._set(columns, next_id)
-
-    @classmethod
-    def _distinct(cls, columns: tuple[tuple[ColumnId, str], ...], next_id: int) -> "SchemaState":
-        """A snapshot of columns whose labels are known to be distinct."""
-        state = object.__new__(cls)
-        state._set(columns, next_id)
-        return state
+    columns: tuple[tuple[ColumnId, str], ...]
 
     @classmethod
     def from_labels(cls, labels) -> "SchemaState":
-        labels = list(labels)
-        return cls(
-            columns=tuple(enumerate(labels)),
-            next_id=len(labels),
-        )
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for _, label in self.columns)
-
-    def ids(self) -> tuple[ColumnId, ...]:
-        return tuple(cid for cid, _ in self.columns)
-
-    def live_ids(self) -> frozenset[ColumnId]:
-        return frozenset(cid for cid, _ in self.columns)
-
-    def id_of(self, label: str) -> ColumnId | None:
-        for cid, current in self.columns:
-            if current == label:
-                return cid
-        return None
+        return cls(tuple(enumerate(labels)))
 
 
 def _collision(labels: list[str]) -> EffectError:
@@ -194,14 +160,18 @@ def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffe
 
     The trace keeps one running column list and one label → id index,
     updated as each effect is applied, and resolves every label through the
-    index. n operations yield n effects and n+1 states. A step that leaves
-    the columns as they were (no create, delete or rename) shares its
-    predecessor's state; any other step gets a snapshot of the running
+    index. It raises ``label-collision`` when an initial label repeats, and
+    gives new columns ids above the highest initial one, so no id is handed
+    out twice. n operations yield n effects and n+1 states. A step that
+    leaves the columns as they were (no create, delete or rename) shares
+    its predecessor's state; any other step gets a snapshot of the running
     list, whose labels the index has already checked to be distinct.
     """
     columns = list(initial.columns)
     index = {label: cid for cid, label in columns}
-    next_id = initial.next_id
+    if len(index) != len(columns):
+        raise _collision([label for _, label in columns])
+    next_id = max((cid for cid, _ in columns), default=-1) + 1
     states = [initial]
     effects: list[ColumnEffect] = []
     for step in recipe.steps:
@@ -210,7 +180,7 @@ def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffe
             if effect.creates or effect.deletes or effect.renames:
                 _apply_effect(effect, step.owns[0], columns, index)
                 next_id += len(effect.creates)
-                states.append(SchemaState._distinct(tuple(columns), next_id))
+                states.append(SchemaState(tuple(columns)))
             else:
                 states.append(states[-1])
         except EffectError as exc:

@@ -183,12 +183,13 @@ def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None =
         lines.append("}")
     lines.extend(statement(node) for node in loose)
 
-    rendered = []
-    for src, dst, label in edges:
-        attrs = f" [label={_quote(label)}]" if label else ""
-        rendered.append((idents[src], idents[dst], label or "", attrs))
-    rendered.sort()
-    lines.extend(f'"{src}" -> "{dst}"{attrs};' for src, dst, _, attrs in rendered)
+    # Sorting the statements sorts by endpoints: identifiers hold word
+    # characters only, which sort after '"', and no two edges of a view
+    # share both endpoints.
+    lines.extend(sorted(
+        f'"{idents[src]}" -> "{idents[dst]}"' + (f" [label={_quote(label)}];" if label else ";")
+        for src, dst, label in edges
+    ))
     lines.append("}\n")
     return "\n".join(lines)
 

@@ -106,9 +106,6 @@ class WorkflowModel(FrozenRecord):
     def __init__(self, nodes: list[Node], edges: list[Edge], components: list[list[str]]):
         self._set(nodes, edges, components)
 
-    def node_map(self) -> dict[str, Node]:
-        return {node.id: node for node in self.nodes}
-
 
 def commutes(a: ColumnEffect, b: ColumnEffect) -> bool:
     """Whether two effects can swap without changing any result.

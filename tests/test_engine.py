@@ -16,7 +16,7 @@ from recipegen import random_recipe, random_topological_order
 
 def _traced_labels(recipe, table: Table) -> list[str]:
     _, schemas = trace_effects(recipe, SchemaState.from_labels(table.labels))
-    return list(schemas[-1].labels())
+    return [label for _, label in schemas[-1].columns]
 
 
 def test_from_csv_keeps_header_order_and_pads_rows():

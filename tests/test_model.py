@@ -505,7 +505,7 @@ def test_every_read_comes_from_the_version_just_before_its_step(menus_recipe, ma
         parallel = build_parallel(recipe)
         collapsed = build_collapsed(recipe, threshold=2)
         for model in (parallel, collapsed):
-            nodes = model.node_map()
+            nodes = {node.id: node for node in model.nodes}
             read: dict[str, set[int]] = {}
             for edge in model.edges:
                 src, dst = nodes[edge.src], nodes[edge.dst]
@@ -537,6 +537,18 @@ def test_collapse_run_of_ten(mass_edit_recipe):
     assert [n.payload["op_id"] for n in inner_steps] == ["core/mass-edit"] * 10
 
 
+def test_detail_model_raises_a_faulty_steps_error():
+    # detail_model does not trace again, but it raises a folded step's
+    # error as the trace does.
+    fill = {"op": "core/fill-down", "columnName": "a"}
+    model = build_collapsed(make_recipe([fill] * 3), threshold=3)
+    (summary,) = [n for n in model.nodes if n.kind == "summary"]
+    faulty = make_recipe([fill, {"op": "core/fill-down"}, fill])
+    with pytest.raises(EffectError) as info:
+        detail_model(faulty, summary)
+    assert (info.value.code, info.value.step_index) == ("missing-param", 1)
+
+
 def test_collapse_folds_a_rename_run():
     entries = [
         {"op": "core/column-rename", "oldColumnName": f"x{k}", "newColumnName": f"x{k + 1}"}
@@ -554,8 +566,9 @@ def test_collapse_folds_a_rename_run():
     assert columns("summary_0", into=False) == ["x5_v5"]
     assert columns("step_5", into=True) == ["x5_v5"]
     assert columns("step_5", into=False) == ["x5_v6"]
-    assert [n.id for n in model.nodes if n.kind == "summary"] == ["summary_0"]
-    inner = detail_model(recipe, model.node_map()["summary_0"])
+    (summary,) = [n for n in model.nodes if n.kind == "summary"]
+    assert summary.id == "summary_0"
+    inner = detail_model(recipe, summary)
     assert inner == build_linear(Recipe(recipe.operations[:5]))
     assert [n.label for n in inner.nodes if n.kind == "step"] == ["column-rename"] * 5
     chain = [

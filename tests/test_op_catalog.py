@@ -129,9 +129,9 @@ def test_rule_params_are_consumed_params(op_id):
 def test_inferred_schema_traces_and_covers_reads(op_id):
     params, labels, expected = OPS[op_id]
     recipe, initial = _one_step(op_id, params)
-    assert initial.labels() == labels
+    assert tuple(label for _, label in initial.columns) == labels
     (effect,), states = trace_effects(recipe, initial)
-    assert effect.reads <= initial.live_ids()
+    assert effect.reads <= {cid for cid, _ in initial.columns}
 
     def named(ids):
         return tuple(label for cid, label in initial.columns if cid in ids)

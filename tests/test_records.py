@@ -1,7 +1,8 @@
 """The contract of the record types.
 
-Field-only records are named tuples; records that validate, hold lists
-or define ``__len__`` are slotted ``FrozenRecord`` classes. Either way:
+Field-only records (``SchemaState`` among them) are named tuples;
+records that validate, hold lists or define ``__len__`` are slotted
+``FrozenRecord`` classes. Either way:
 keyword construction, immutability (a record holding a list still
 refuses assignment, though the list itself can change), comparison by
 value, and no mutable default shared between instances.
@@ -18,7 +19,6 @@ from refineflow import (
     ColumnEffect,
     Diagnostic,
     Edge,
-    EffectError,
     ExpressionAnalysis,
     Node,
     RawOperation,
@@ -54,7 +54,7 @@ FROZEN = [
     ),
     lambda: ExpressionAnalysis(("a",), False),
     lambda: OpSpec(params=("columnName",), own="columnName", writes_own=True),
-    lambda: SchemaState(columns=((0, "a"), (1, "b")), next_id=2),
+    lambda: SchemaState(columns=((0, "a"), (1, "b"))),
     lambda: ColumnEffect(reads=frozenset({0}), writes=frozenset({0}), labels=frozenset({"a"})),
     lambda: Edge(src="step_0", dst="step_1", label="a"),
     lambda: WorkflowModel(
@@ -104,16 +104,9 @@ def test_hashable_records_hash_by_value():
 def test_records_of_different_values_differ():
     assert SchemaState.from_labels(["a"]) != SchemaState.from_labels(["b"])
     assert Recipe((RawOperation("core/fill-down", 0),)) != Recipe()
-    assert Recipe() != SchemaState()
+    assert Recipe() != SchemaState(())
     assert WorkflowModel([], [], []) != WorkflowModel([], [], [["step_0"]])
     assert RunConfig("a.json") != RunConfig("b.json")
-
-
-def test_schema_state_rejects_duplicate_labels():
-    with pytest.raises(EffectError) as info:
-        SchemaState(columns=((0, "a"), (1, "a")), next_id=2)
-    assert info.value.code == "label-collision"
-    assert SchemaState() == SchemaState(columns=(), next_id=0)
 
 
 def test_raw_operation_default_params_are_not_a_shared_mutable_dict():
