@@ -44,12 +44,12 @@ class SchemaState(NamedTuple):
         return cls(tuple(enumerate(labels)))
 
 
-def _collision(labels: list[str]) -> EffectError:
-    """``label-collision`` naming the first label, in column order, that
-    ``labels`` holds twice."""
-    counts = Counter(labels)
-    duplicate = next(label for label in labels if counts[label] > 1)
-    return EffectError("label-collision", f"duplicate column label {duplicate!r}")
+def _collision(values: list, kind: str = "label") -> EffectError:
+    """``label-collision`` (or ``id-collision``) naming the first value, in
+    column order, that ``values`` holds twice."""
+    counts = Counter(values)
+    duplicate = next(value for value in values if counts[value] > 1)
+    return EffectError(f"{kind}-collision", f"duplicate column {kind} {duplicate!r}")
 
 
 class ColumnEffect(NamedTuple):
@@ -160,17 +160,19 @@ def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffe
 
     The trace keeps one running column list and one label → id index,
     updated as each effect is applied, and resolves every label through the
-    index. It raises ``label-collision`` when an initial label repeats, and
-    gives new columns ids above the highest initial one, so no id is handed
-    out twice. n operations yield n effects and n+1 states. A step that
-    leaves the columns as they were (no create, delete or rename) shares
-    its predecessor's state; any other step gets a snapshot of the running
-    list, whose labels the index has already checked to be distinct.
+    index. It raises ``label-collision`` or ``id-collision`` when an initial
+    label or id repeats, and gives new columns ids above the highest one, so
+    no id is handed out twice. n operations yield n effects and n+1 states.
+    A step that creates, deletes or renames nothing shares its predecessor's
+    state; any other step gets a snapshot of the running list, whose labels
+    the index has already checked to be distinct.
     """
     columns = list(initial.columns)
     index = {label: cid for cid, label in columns}
     if len(index) != len(columns):
         raise _collision([label for _, label in columns])
+    if len({cid for cid, _ in columns}) != len(columns):
+        raise _collision([cid for cid, _ in columns], "id")
     next_id = max((cid for cid, _ in columns), default=-1) + 1
     states = [initial]
     effects: list[ColumnEffect] = []

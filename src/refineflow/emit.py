@@ -111,18 +111,15 @@ def _quote(text: str) -> str:
     return f'"{text}"'
 
 
-def _component_of(model: WorkflowModel, roles: _EdgeRoles, view: str) -> dict[str, int | None]:
-    """Cluster assignment: steps by their group, and the data/param nodes
-    the view draws by the steps they touch; a node shared between groups
-    maps to None and stays unclustered."""
+def _component_of(model: WorkflowModel, roles: _EdgeRoles) -> dict[str, int | None]:
+    """Cluster assignment, the same for every view: steps by their group,
+    and every data and param node by the steps it touches; a node shared
+    between groups maps to None and stays unclustered."""
     assignment: dict[str, int | None] = {}
     for index, group in enumerate(model.components):
         for node_id in group:
             assignment[node_id] = index
-    if view == "process":
-        return assignment
-    ports = (roles.ins, roles.outs) if view == "data" else (roles.ins, roles.params, roles.outs)
-    for port in ports:
+    for port in (roles.ins, roles.params, roles.outs):
         for step_id, others in port.items():
             component = assignment.get(step_id)
             if component is not None:
@@ -169,7 +166,7 @@ def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None =
     clusters: dict[int, list[Node]] = {}
     loose = nodes
     if len(model.components) > 1:
-        assignment = _component_of(model, roles, view)
+        assignment = _component_of(model, roles)
         loose = []
         for node in nodes:
             index = assignment.get(node.id)

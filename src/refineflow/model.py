@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
+from itertools import groupby
 from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, infer_initial_schema, trace_effects
@@ -168,11 +169,15 @@ def _transitive_reduction(n: int, pairs: set[tuple[int, int]]) -> list[tuple[int
 
     Reachable sets are int bit masks. Taking the successors of a step in
     ascending order, a pair (i, j) is redundant exactly when an earlier
-    successor of i already reaches j.
+    successor of i already reaches j. Only j's predecessors read its mask,
+    so the lowest one frees it, and a step that nothing precedes keeps none.
     """
     successors: list[list[int]] = [[] for _ in range(n)]
+    lowest = [n] * n  # each step's lowest predecessor; n for none
     for i, j in pairs:
         successors[i].append(j)
+        if i < lowest[j]:
+            lowest[j] = i
     reach = [0] * n
     kept = []
     for i in range(n - 1, -1, -1):
@@ -181,27 +186,30 @@ def _transitive_reduction(n: int, pairs: set[tuple[int, int]]) -> list[tuple[int
             if not mask >> j & 1:
                 kept.append((i, j))
             mask |= reach[j] | 1 << j
-        reach[i] = mask
+            if lowest[j] == i:
+                reach[j] = 0
+        if lowest[i] < n:
+            reach[i] = mask
     return sorted(kept)
 
 
-def _group_order(effects: list[ColumnEffect], runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Process edges between groups, each named by its first step: the
-    transitive reduction of the dependency pairs, quotiented by the runs.
-    The pairs and the reach masks die when it returns."""
+def _group_order(
+    effects: list[ColumnEffect], runs: dict[int, int]
+) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The transitive reduction of the dependency pairs, quotiented by the
+    runs, between groups named by their first steps; and, by one union-find
+    over the kept pairs, the groups' weak components, ascending and in the
+    order of their first groups. The pairs and reach masks die here."""
     n = len(effects)
     pairs = dependency_edges(effects)
+    # A run's steps share its summary node.
+    group_of = list(range(n))
     if runs:
-        # A run's steps share its summary node.
-        group_of = list(range(n))
-        for start, end in runs:
+        for start, end in runs.items():
             group_of[start : end + 1] = [start] * (end - start + 1)
         pairs = {(group_of[i], group_of[j]) for i, j in pairs if group_of[i] != group_of[j]}
-    return _transitive_reduction(n, pairs)
-
-
-def _weak_components(members: list[int], pairs: list[tuple[int, int]]) -> list[list[int]]:
-    parent = {m: m for m in members}
+    kept = _transitive_reduction(n, pairs)
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -209,12 +217,13 @@ def _weak_components(members: list[int], pairs: list[tuple[int, int]]) -> list[l
             x = parent[x]
         return x
 
-    for i, j in pairs:
+    for i, j in kept:
         parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for m in members:
-        groups.setdefault(find(m), []).append(m)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    components: dict[int, list[int]] = {}
+    for i in range(n):
+        if group_of[i] == i:
+            components.setdefault(find(i), []).append(i)
+    return kept, list(components.values())
 
 
 def _short_label(op: RawOperation) -> str:
@@ -261,24 +270,15 @@ def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
     return WorkflowModel(nodes, edges, components)
 
 
-def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) -> list[tuple[int, int]]:
-    """Maximal runs (start, end inclusive) of >= threshold consecutive steps
-    sharing op id and output column set."""
-    runs = []
-    n = len(effects)
-    i = 0
-    while i < n:
-        j = i
-        key = (recipe.operations[i].op_id, effects[i].output_ids())
-        while (
-            j + 1 < n
-            and recipe.operations[j + 1].op_id == key[0]
-            and effects[j + 1].output_ids() == key[1]
-        ):
-            j += 1
-        if j - i + 1 >= threshold:
-            runs.append((i, j))
-        i = j + 1
+def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) -> dict[int, int]:
+    """Maximal runs of >= threshold consecutive steps sharing op id and output
+    column set, as start → last step; a run closes where that key changes."""
+    keys = [(op.op_id, effect.output_ids()) for op, effect in zip(recipe.operations, effects)]
+    runs: dict[int, int] = {}
+    for _, group in groupby(range(len(keys)), keys.__getitem__):
+        steps = list(group)
+        if len(steps) >= threshold:
+            runs[steps[0]] = steps[-1]
     return runs
 
 
@@ -297,11 +297,9 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
     """
     initial = infer_initial_schema(recipe)
     effects = trace_effects(recipe, initial)[0]
-    runs = [] if threshold is None else _collapse_runs(recipe, effects, threshold)
-    # A transitive reduction keeps reachability, so also the weak components.
-    kept = _group_order(effects, runs)
+    runs = {} if threshold is None else _collapse_runs(recipe, effects, threshold)
+    kept, component_starts = _group_order(effects, runs)
     n = len(effects)
-    run_end = dict(runs)
     nodes: list[Node] = []
     edges: list[Edge] = []
     labels = dict(initial.columns)
@@ -328,7 +326,7 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
 
     start = 0
     while start < n:
-        end = run_end.get(start, start)
+        end = runs.get(start, start)
         op = recipe.operations[start]
         first = effects[start]
         if end > start:
@@ -367,9 +365,7 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
         start = end + 1
 
     edges.extend(Edge(group_ids[i], group_ids[j]) for i, j in kept)
-    components = [
-        [group_ids[i] for i in members] for members in _weak_components(list(group_ids), kept)
-    ]
+    components = [[group_ids[i] for i in starts] for starts in component_starts]
     return WorkflowModel(nodes, edges, components)
 
 

@@ -335,10 +335,10 @@ def _decode(
 
 class Recipe(FrozenRecord):
     """An ordered operation history, the split part counts given for its
-    columns (``split_arity``, which a split that pins no count reads), and
-    its decoded steps, one per operation. An empty history is valid. The
-    steps follow from the other two fields, so a recipe compares, prints
-    and pickles by those.
+    columns (``split_arity``, ints >= 1, which a split that pins no count
+    reads), and its decoded steps, one per operation. An empty history is
+    valid. The steps follow from the other two fields, so a recipe compares,
+    prints and pickles by those.
     """
 
     __slots__ = ("operations", "split_arity", "steps")
@@ -346,6 +346,8 @@ class Recipe(FrozenRecord):
     def __init__(
         self, operations: tuple[RawOperation, ...] = (), split_arity: Mapping[str, int] = EMPTY_MAPPING
     ):
+        if any(type(parts) is not int or parts < 1 for parts in split_arity.values()):
+            raise ValueError("a split arity must be an int >= 1")
         analyses: dict[str, ExpressionAnalysis] = {}
         steps = tuple(_decode(op, analyses, split_arity) for op in operations)
         self._set(operations, split_arity, steps)
@@ -383,7 +385,7 @@ def _holds_surrogate(document) -> bool:
 
 def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> Recipe:
     """Parse an exported operation history into a :class:`Recipe` with
-    the given split part counts.
+    the given split part counts (each an int >= 1, else ``ValueError``).
 
     Accepts the usual top-level array, or a single operation object which
     is treated as a one-element history (tolerates hand-edited fixtures).

@@ -419,6 +419,24 @@ def test_schema_rejects_duplicate_labels():
     assert (info.value.code, info.value.step_index) == ("label-collision", None)
 
 
+def test_schema_rejects_duplicate_ids():
+    # Two trims over one id were traced as one column under two labels, and
+    # the sweep ordered the independent trims.
+    recipe = make_recipe(
+        [
+            {"op": "core/text-transform", "columnName": label, "expression": "value.trim()"}
+            for label in "ab"
+        ]
+    )
+    with pytest.raises(EffectError) as info:
+        trace_effects(recipe, SchemaState(((0, "a"), (0, "b"))))
+    assert (info.value.code, info.value.step_index) == ("id-collision", None)
+    assert info.value.message == "duplicate column id 0"
+    with pytest.raises(EffectError) as info:
+        trace_effects(make_recipe([]), SchemaState(((3, "a"), (5, "b"), (3, "c"), (5, "d"))))
+    assert info.value.message == "duplicate column id 3"
+
+
 def test_schema_names_first_duplicate_label_in_linear_time():
     labels = [f"c{k}" for k in range(40_000)]
     labels[-1] = "c20000"

@@ -258,6 +258,35 @@ def test_long_table_scoped_chain_builds_in_bounded_memory():
     assert len(model.components) == 1
 
 
+def _trims(n: int, columns: int) -> list[dict]:
+    """n trims taking the columns in turn: one chain per column."""
+    return [
+        {"op": "core/text-transform", "columnName": f"c{k % columns}", "expression": "value.trim()"}
+        for k in range(n)
+    ]
+
+
+def _reduction_peak(entries: list[dict]) -> int:
+    effects, _ = _models_for(make_recipe(entries))
+    pairs = dependency_edges(effects)
+    tracemalloc.start()
+    try:
+        _transitive_reduction(len(effects), pairs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("columns", [1, 50], ids=["one-column-chain", "independent-columns"])
+def test_reduction_memory_grows_linearly(columns):
+    # A reach mask is as long as the highest step it reaches, so keeping
+    # every mask until the end grows with the square of the steps (about 9x
+    # here); each mask is dropped once its lowest predecessor has read it.
+    n = 1000
+    small, large = _reduction_peak(_trims(n, columns)), _reduction_peak(_trims(4 * n, columns))
+    assert large <= 6 * small, large / small
+
+
 # --- records ------------------------------------------------------------------
 
 
@@ -473,6 +502,89 @@ def test_parallel_models_are_dags_and_refine_linear_order():
         step_ids = {n.id for n in model.nodes if n.kind == "step"}
         grouped = [nid for group in model.components for nid in group]
         assert sorted(grouped) == sorted(step_ids)
+
+
+def _conflict_components(effects, merged=()) -> list[list[int]]:
+    """Connected components of the undirected brute-force conflict graph
+    (the recorded chain when a step is table-scoped), with each of the
+    ``merged`` (first, last) step ranges joined; by first step, ascending."""
+    n = len(effects)
+    if any(effect.table_scoped for effect in effects):
+        pairs = {(i, i + 1) for i in range(n - 1)}
+    else:
+        pairs = _brute_force_pairs(effects)
+    pairs |= {(i, i + 1) for first, last in merged for i in range(first, last)}
+    neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
+    for i, j in pairs:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    seen: set[int] = set()
+    components = []
+    for root in range(n):
+        if root not in seen:
+            seen.add(root)
+            frontier, members = [root], []
+            while frontier:
+                step = frontier.pop()
+                members.append(step)
+                frontier.extend(neighbors[step] - seen)
+                seen.update(neighbors[step])
+            components.append(sorted(members))
+    return components
+
+
+def _component_steps(model: WorkflowModel) -> list[list[int]]:
+    """Each component's steps, a summary's run expanded, in model order."""
+    node_of = {node.id: node for node in model.nodes}
+    components = []
+    for group in model.components:
+        steps = []
+        for node_id in group:
+            node = node_of[node_id]
+            if node.kind == "summary":
+                steps.extend(range(node.payload["first_index"], node.payload["last_index"] + 1))
+            else:
+                steps.append(node.step_index)
+        components.append(steps)
+    return components
+
+
+def _component_test_recipes(menus_recipe, mass_edit_recipe) -> list[Recipe]:
+    rng = random.Random(CORPUS_SEED + 31)
+    corpus = [recipe for recipe, _ in acceptance_corpus()]
+    serialized = [
+        make_recipe(_with_table_scoped_steps(
+            [{"op": op.op_id, **op.params} for op in recipe.operations], rng, 1
+        ))
+        for recipe in corpus[:10]
+    ]
+    generated = [
+        make_recipe(random_recipe_entries(rng, rng.randint(5, 60), [f"c{k}" for k in range(8)]))
+        for _ in range(20)
+    ]
+    return [menus_recipe, mass_edit_recipe] + corpus + serialized + generated
+
+
+def test_parallel_components_are_the_conflict_graphs_branches(menus_recipe, mass_edit_recipe):
+    for recipe in _component_test_recipes(menus_recipe, mass_edit_recipe):
+        effects, _ = _models_for(recipe)
+        model = build_parallel(recipe, dataflow=False)
+        # Components by first step, members ascending.
+        assert _component_steps(model) == _conflict_components(effects)
+
+
+def test_collapsed_components_are_unions_of_their_runs_and_steps(menus_recipe, mass_edit_recipe):
+    for recipe in _component_test_recipes(menus_recipe, mass_edit_recipe):
+        effects, _ = _models_for(recipe)
+        model = build_collapsed(recipe, threshold=2)
+        runs = [
+            (n.payload["first_index"], n.payload["last_index"])
+            for n in model.nodes
+            if n.kind == "summary"
+        ]
+        # A component lists its groups ascending, so its steps come out
+        # ascending, and the components come by their first groups.
+        assert _component_steps(model) == _conflict_components(effects, runs)
 
 
 def test_parallel_version_chains_are_consistent(menus_recipe):

@@ -301,6 +301,26 @@ def test_validate_split_arity_warning_and_hint():
     assert "split-arity-defaulted" not in [d.code for d in validate_recipe(pinned)]
 
 
+_UNPINNED_SPLIT = json.dumps(
+    [{"op": "core/column-split", "columnName": "d", "separator": ",", "removeOriginalColumn": True}]
+)
+
+
+@pytest.mark.parametrize("hint", [0, -2, "3", 2.0, True, None])
+def test_split_hint_must_be_a_positive_int(hint):
+    # A zero hint used to decode a split with no parts (so d just vanished),
+    # and a string hint ended in a TypeError inside the decoder.
+    with pytest.raises(ValueError, match="split arity"):
+        parse_recipe(_UNPINNED_SPLIT, split_arity={"d": hint})
+    with pytest.raises(ValueError, match="split arity"):
+        Recipe((), {"unused": hint})
+
+
+def test_split_hint_of_one_is_accepted():
+    recipe = parse_recipe(_UNPINNED_SPLIT, split_arity={"d": 1})
+    assert recipe.steps[0].gives == ("d 1",)
+
+
 def test_validate_never_mutates(menus_recipe):
     before = [op.params.copy() for op in menus_recipe.operations]
     validate_recipe(menus_recipe)
