@@ -44,12 +44,12 @@ class SchemaState(NamedTuple):
         return cls(tuple(enumerate(labels)))
 
 
-def _collision(values: list, kind: str = "label") -> EffectError:
+def _collision(values: list, kind: str = "label", step_index: int | None = None) -> EffectError:
     """``label-collision`` (or ``id-collision``) naming the first value, in
     column order, that ``values`` holds twice."""
     counts = Counter(values)
     duplicate = next(value for value in values if counts[value] > 1)
-    return EffectError(f"{kind}-collision", f"duplicate column {kind} {duplicate!r}")
+    return EffectError(f"{kind}-collision", f"duplicate column {kind} {duplicate!r}", step_index)
 
 
 class ColumnEffect(NamedTuple):
@@ -125,34 +125,29 @@ def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEf
 
 
 def _apply_effect(
-    effect: ColumnEffect, own_label: str, columns: list[tuple[ColumnId, str]], index: dict[str, ColumnId]
+    effect: ColumnEffect, step: Step, columns: list[tuple[ColumnId, str]], index: dict[str, ColumnId]
 ) -> None:
     """Apply an effect that creates, deletes or renames to the running
     ``columns`` and their label ``index``, in place.
 
-    Only a step with one own column changes the columns, and every change
-    is at that column, the pair ``(index[own_label], own_label)``: a rename
-    relabels it, new columns land immediately right of it, and a delete
-    removes it. Its freed label leaves the index and the labels given enter
-    it. Raises ``label-collision`` when a given label is live on another
-    column, naming the first label in column order that the new columns
-    hold twice.
+    Only a step with one own column changes the columns, and the change is
+    one edit at that column: the own column is replaced by what is left of
+    it (itself, its new label, or nothing), followed by the columns it
+    creates. Its freed label leaves the index and the labels given enter
+    it. Raises ``label-collision`` at the step when a given label is live
+    on another column, naming the first label in column order that the new
+    columns hold twice.
     """
-    own = (index[own_label], own_label)
-    if effect.renames:
-        columns[columns.index(own)] = effect.renames[0]
-    if effect.creates:
-        at = columns.index(own) + 1
-        columns[at:at] = effect.creates
-    if effect.deletes:
-        columns.remove(own)
+    own = (index[step.owns[0]], step.owns[0])
+    at = columns.index(own)
+    columns[at : at + 1] = (() if effect.deletes else effect.renames or (own,)) + effect.creates
     if effect.renames or effect.deletes:
-        del index[own_label]
+        del index[own[1]]
     entering = effect.renames + effect.creates
     size = len(index) + len(entering)
     index.update([(label, cid) for cid, label in entering])
     if len(index) != size:
-        raise _collision([label for _, label in columns])
+        raise _collision([label for _, label in columns], step_index=step.op.index)
 
 
 def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffect], list[SchemaState]]:
@@ -162,10 +157,11 @@ def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffe
     updated as each effect is applied, and resolves every label through the
     index. It raises ``label-collision`` or ``id-collision`` when an initial
     label or id repeats, and gives new columns ids above the highest one, so
-    no id is handed out twice. n operations yield n effects and n+1 states.
-    A step that creates, deletes or renames nothing shares its predecessor's
-    state; any other step gets a snapshot of the running list, whose labels
-    the index has already checked to be distinct.
+    no id is handed out twice. Every error a step causes is raised whole,
+    with the step's index, where it is found. n operations yield n effects
+    and n+1 states. A step that creates, deletes or renames nothing shares
+    its predecessor's state; any other step gets a snapshot of the running
+    list, whose labels the index has already checked to be distinct.
     """
     columns = list(initial.columns)
     index = {label: cid for cid, label in columns}
@@ -177,18 +173,13 @@ def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffe
     states = [initial]
     effects: list[ColumnEffect] = []
     for step in recipe.steps:
-        try:
-            effect = _effect_of(step, index, next_id)
-            if effect.creates or effect.deletes or effect.renames:
-                _apply_effect(effect, step.owns[0], columns, index)
-                next_id += len(effect.creates)
-                states.append(SchemaState(tuple(columns)))
-            else:
-                states.append(states[-1])
-        except EffectError as exc:
-            if exc.step_index is None:
-                exc.step_index = step.op.index
-            raise
+        effect = _effect_of(step, index, next_id)
+        if effect.creates or effect.deletes or effect.renames:
+            _apply_effect(effect, step, columns, index)
+            next_id += len(effect.creates)
+            states.append(SchemaState(tuple(columns)))
+        else:
+            states.append(states[-1])
         effects.append(effect)
     return effects, states
 

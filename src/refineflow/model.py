@@ -390,8 +390,8 @@ def build_collapsed(
     a summary node into the linear model of its run. The trace and
     ``dataflow`` are as for :func:`build_parallel`.
     """
-    if threshold < 2:
-        raise ValueError("collapse threshold must be >= 2")
+    if type(threshold) is not int or threshold < 2:
+        raise ValueError("a collapse threshold must be an int >= 2")
     return _build_column_model(recipe, threshold, dataflow)
 
 
@@ -399,8 +399,11 @@ def detail_model(recipe: Recipe, summary: Node) -> WorkflowModel:
     """Linear model of the steps a collapsed model's summary node folds.
 
     The collapsed builder has traced the recipe already, so this does not
-    trace again; it raises a step's ``error`` as the trace does.
+    trace again; it raises a step's ``error`` as the trace does, and
+    ``not-a-summary`` for any other node.
     """
+    if summary.kind != "summary":
+        raise ModelError("not-a-summary", f"node {summary.id!r} is not a summary")
     first, last = summary.payload["first_index"], summary.payload["last_index"]
     return _linear(recipe.steps[first : last + 1])
 

@@ -15,9 +15,11 @@ import pytest
 import refineflow
 from refineflow import cli, model
 from refineflow.cli import FORMATS, RunConfig, main, run
+from refineflow.emit import VIEWS
 from refineflow.recipe import MAX_SPLIT_PARTS
 from conftest import FIXTURES, LONG_INT, needs_int_digit_limit
 from dotcheck import parse_dot
+from recipegen import random_recipe_entries
 
 MENUS = str(FIXTURES / "menus_recipe.json")
 MASS_EDIT = str(FIXTURES / "mass_edit_run.json")
@@ -692,9 +694,20 @@ def test_split_arity_over_cap_exits_1(tmp_path, capsys, split, argv):
     assert err.count("\n") == 1
 
 
+# Odd parameter values: wrong types, huge and fractional numbers, empty and
+# long strings, nested containers, lone surrogates (which the JSON file
+# carries as escapes) and a label like one a split gives.
+HOSTILE = [
+    None, True, -1, 10**12, 2**63, 1.5, "", "x" * 5000, "a 1", "\ud800", "a\udfff",
+    [], [1, "x"], [["a", ["b"]], []], {}, {"k": None},
+]
+# Ids a mutated entry now and then takes instead of its own.
+OTHER_OPS = ["core/row-removal", "core/column-move", "core/column-reorder", "example/unknown-op"]
+
+
 def _mutations(entry: dict, rng: random.Random):
-    """Seeded hostile variants of one recipe entry: odd values, dropped keys."""
-    hostile = [None, True, -1, 10**12, "", [], {}, [1, "x"], {"k": None}]
+    """Seeded hostile variants of one recipe entry: one or two parameters
+    set to odd values or dropped, now and then under another op id."""
     keys = [key for key in entry if key != "op"]
     for _ in range(5):
         mutated = dict(entry)
@@ -702,10 +715,28 @@ def _mutations(entry: dict, rng: random.Random):
             if rng.random() < 0.25:
                 del mutated[key]
             else:
-                mutated[key] = rng.choice(hostile)
+                mutated[key] = rng.choice(HOSTILE)
+        if rng.random() < 0.1:
+            mutated["op"] = rng.choice(OTHER_OPS)
         yield mutated
     if entry["op"] == "core/column-split":
         yield {**entry, "maxColumns": rng.choice([MAX_SPLIT_PARTS + 1, 10**9, 2**63])}
+
+
+def _fuzz_recipes(rng: random.Random):
+    """Each fixture and seeded generated recipe with one entry mutated."""
+    sources = [
+        json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+        for fixture in ("menus_recipe.json", "mass_edit_run.json")
+    ]
+    sources += [
+        random_recipe_entries(rng, rng.randint(3, 12), [f"c{k}" for k in range(rng.randint(1, 5))])
+        for _ in range(130)
+    ]
+    for entries in sources:
+        for position, entry in enumerate(entries):
+            for mutated in _mutations(entry, rng):
+                yield entries[:position] + [mutated] + entries[position + 1 :]
 
 
 _DIAGNOSTIC = re.compile(r"^(error|warning|info) \S+ (-|\d+) ")
@@ -713,23 +744,32 @@ _DIAGNOSTIC = re.compile(r"^(error|warning|info) \S+ (-|\d+) ")
 
 def test_cli_fuzz_gives_exit_code_and_one_line_diagnostics(tmp_path, capsys):
     rng = random.Random(2024)
-    out = tmp_path / "model.dot"
+    recipe = tmp_path / "fuzz.json"
     statuses = []
-    for fixture in ("menus_recipe.json", "mass_edit_run.json"):
-        entries = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
-        for position, entry in enumerate(entries):
-            for mutated in _mutations(entry, rng):
-                recipe = tmp_path / "fuzz.json"
-                recipe.write_text(json.dumps(entries[:position] + [mutated] + entries[position + 1 :]))
-                for model_kind in ("linear", "parallel", "collapsed"):
-                    status = run_cli(["-i", str(recipe), "-t", model_kind, "-o", str(out)])
-                    err = capsys.readouterr().err
-                    assert status in (0, 1, 2), (mutated, model_kind)
-                    assert "Traceback" not in err
-                    for line in err.splitlines():
-                        assert _DIAGNOSTIC.match(line), (mutated, model_kind, line)
-                    statuses.append(status)
-    assert len(statuses) >= 250
+    for entries in _fuzz_recipes(rng):
+        recipe.write_text(json.dumps(entries))
+        # The model, view, format, threshold, query and output all vary.
+        query = rng.choice([None, None, None, "step_0", "step_1", "c0", "a 1", "missing"])
+        config = RunConfig(
+            str(recipe),
+            rng.choice([str(tmp_path / "model.out"), "-"]),
+            rng.choice(model.MODEL_KINDS),
+            rng.choice(VIEWS),
+            rng.choice(FORMATS),
+            rng.choice([2, 3]),
+            query=query and (rng.choice(["upstream", "downstream"]), query),
+        )
+        stderr = io.StringIO()
+        try:
+            status = run(config, stderr=stderr)
+        except Exception as exc:
+            raise AssertionError(f"{config} on {entries}") from exc
+        capsys.readouterr()
+        assert status in (0, 1), (config, entries)
+        for line in stderr.getvalue().splitlines():
+            assert _DIAGNOSTIC.match(line), (config, entries, line)
+        statuses.append(status)
+    assert len(statuses) >= 4500
     assert {0, 1} <= set(statuses)
 
 

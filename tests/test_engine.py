@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import oracle
-from refineflow import SchemaState, dependency_edges, expressions, parse_recipe, trace_effects
+from refineflow import Recipe, SchemaState, dependency_edges, expressions, parse_recipe, trace_effects
 from conftest import make_recipe
 from oracle import OracleError, Table, execute, execute_order
-from recipegen import random_recipe, random_topological_order
+from recipegen import acceptance_corpus, random_recipe, random_topological_order
 
 
 def _traced_labels(recipe, table: Table) -> list[str]:
@@ -343,6 +343,19 @@ def test_random_recipes_execute_and_match_trace():
         out = execute(recipe, table)
         assert out.labels == _traced_labels(recipe, table)
         assert all(len(row) == len(out.labels) for row in out.rows)
+
+
+def test_trace_matches_the_oracle_after_every_step():
+    # Every schema the trace returns, not only the last, lists the columns
+    # the oracle's run of that prefix leaves, left to right.
+    prefixes = 0
+    for recipe, table in acceptance_corpus():
+        _, schemas = trace_effects(recipe, SchemaState.from_labels(table.labels))
+        for k, schema in enumerate(schemas):
+            prefix = Recipe(recipe.operations[:k], recipe.split_arity)
+            assert execute(prefix, table).labels == [label for _, label in schema.columns], (k, recipe)
+            prefixes += 1
+    assert prefixes == 1102
 
 
 def test_split_part_count_comes_from_the_operation_or_the_recipe():

@@ -661,6 +661,20 @@ def test_detail_model_raises_a_faulty_steps_error():
     assert (info.value.code, info.value.step_index) == ("missing-param", 1)
 
 
+def test_detail_model_refuses_a_node_that_is_not_a_summary(mass_edit_recipe):
+    model = build_collapsed(mass_edit_recipe, threshold=3)
+    for node in [n for n in model.nodes if n.kind != "summary"]:
+        with pytest.raises(ModelError) as info:
+            detail_model(mass_edit_recipe, node)
+        assert info.value.code == "not-a-summary"
+
+
+@pytest.mark.parametrize("threshold", ["3", 2.5, 3.0, True, 1, 0, -2, None])
+def test_collapse_threshold_must_be_an_int_of_at_least_two(mass_edit_recipe, threshold):
+    with pytest.raises(ValueError, match="collapse threshold"):
+        build_collapsed(mass_edit_recipe, threshold)
+
+
 def test_collapse_folds_a_rename_run():
     entries = [
         {"op": "core/column-rename", "oldColumnName": f"x{k}", "newColumnName": f"x{k + 1}"}
