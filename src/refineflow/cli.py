@@ -38,6 +38,7 @@ from .model import DATA_KINDS, WorkflowModel
 from .recipe import EMPTY_MAPPING, Diagnostic, Recipe, parse_recipe, validate_recipe
 
 FORMATS = ("dot", "yw")
+QUERY_DIRECTIONS = ("upstream", "downstream")
 
 _UNREADABLE = "unreadable-input"  # exits 2, as an unwritable output does
 
@@ -162,6 +163,13 @@ def run(config: RunConfig, stderr=None) -> int:
     a conversion makes no reference cycle, so a collection would walk its
     growing heap and free nothing. Threads may convert at once.
     """
+    direction = config.query and config.query[0]
+    for field, value, choices in (
+        ("model_kind", config.model_kind, model.MODEL_KINDS), ("view", config.view, VIEWS),
+        ("format", config.format, FORMATS), ("query", direction, (None, *QUERY_DIRECTIONS)),
+    ):
+        if value not in choices:
+            raise ValueError(f"{field} must be one of {choices}, got {value!r}")
     with _COLLECTOR_PAUSE:
         return _convert(config, stderr if stderr is not None else sys.stderr)
 
@@ -282,7 +290,7 @@ def _parse_split_arity(values: list[str]) -> dict[str, int]:
 
 def _parse_query(value: str) -> tuple[str, str]:
     direction, sep, node_id = value.partition(":")
-    if not sep or direction not in ("upstream", "downstream") or not node_id:
+    if not sep or direction not in QUERY_DIRECTIONS or not node_id:
         raise argparse.ArgumentTypeError(
             f"--query expects upstream:<node> or downstream:<node>, got {value!r}"
         )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +15,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
 # pytest's ``pythonpath`` setting reaches this process only; child
-# interpreters (the console-script test) import the checkout's package too.
+# interpreters (``launch``) import the checkout's package too.
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
 )
@@ -26,6 +27,19 @@ needs_int_digit_limit = pytest.mark.skipif(
     not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_INT),
     reason="no integer string conversion limit below 5,001 digits",
 )
+
+
+def launch(*args: str, env=None, timeout: float = 60, **kwargs) -> subprocess.CompletedProcess:
+    """Run the CLI with ``args`` in a fresh interpreter, in development mode
+    with every warning an error, and Python's default integer digit limit.
+    ``env`` adds to the environment; other keywords go to ``subprocess.run``.
+    Output that no keyword redirects is captured as bytes."""
+    environ = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "refineflow.cli", *args],
+        stderr=subprocess.PIPE, env={**environ, **(env or {})}, timeout=timeout, **kwargs,
+    )
 
 
 @pytest.fixture

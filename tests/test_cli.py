@@ -7,8 +7,11 @@ import json
 import os
 import random
 import re
-import subprocess
+import shutil
 import sys
+from collections.abc import Mapping
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -16,8 +19,8 @@ import refineflow
 from refineflow import cli, model
 from refineflow.cli import FORMATS, RunConfig, main, run
 from refineflow.emit import VIEWS
-from refineflow.recipe import MAX_SPLIT_PARTS
-from conftest import FIXTURES, LONG_INT, needs_int_digit_limit
+from refineflow.recipe import EMPTY_MAPPING, MAX_SPLIT_PARTS
+from conftest import FIXTURES, GOLDEN, LONG_INT, launch, needs_int_digit_limit
 from dotcheck import parse_dot
 from recipegen import random_recipe_entries
 
@@ -137,66 +140,125 @@ def test_write_failing_mid_file_keeps_previous_output(tmp_path, capsys, monkeypa
     assert out.read_text(encoding="utf-8") == "previous\n"
 
 
-def test_recipe_error_exits_1_without_output(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{broken", encoding="utf-8")
-    out = tmp_path / "never.dot"
-    status = run_cli(["-i", str(bad), "-o", str(out)])
-    assert status == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("error malformed-json")
+class ErrorCase(NamedTuple):
+    """A recipe the CLI refuses with exit 1: its entries or raw text, its
+    split hints, and its standard error. That is one line: ``stderr`` is
+    the whole line when it ends in a newline, else the line's start."""
 
+    recipe: list | str
+    stderr: str
+    hints: Mapping[str, int] = EMPTY_MAPPING
 
-def test_unresolved_column_exits_1(tmp_path, capsys):
-    recipe = tmp_path / "recipe.json"
-    recipe.write_text(
-        json.dumps(
-            [
-                {"op": "core/column-removal", "columnName": "a"},
-                {"op": "core/fill-down", "columnName": "a"},
-            ]
-        ),
-        encoding="utf-8",
-    )
-    out = tmp_path / "never.dot"
-    status = run_cli(["-i", str(recipe), "-o", str(out)])
-    assert status == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "error unresolved-column 1 " in err
+    def write(self, directory: Path) -> Path:
+        path = directory / "recipe.json"
+        text = self.recipe if isinstance(self.recipe, str) else json.dumps(self.recipe)
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def check(self, stderr: str) -> None:
+        assert stderr.startswith(self.stderr) and stderr.count("\n") == 1, stderr
+        assert stderr.endswith("\n"), stderr
 
 
 _REMOVE_A = {"op": "core/column-removal", "columnName": "a"}
+_TRIM_A = {"op": "core/text-transform", "columnName": "a", "expression": "value.trim()"}
+_TAKE_B = {"op": "core/text-transform", "columnName": "b", "expression": "value"}
+_SPLIT_DATE = {"op": "core/column-split", "columnName": "date", "separator": "/"}
+_FILL_DATE = {"op": "core/fill-down", "columnName": "date"}
+_TOO_MANY_PARTS = (
+    "error split-arity-too-large 0 step 0 (core/column-split) splits into 1001 columns; "
+    "at most 1000 are supported\n"
+)
 
-
-# (recipe, exact stderr[, split hints]): which of several faults a run
-# reports. Within a step, a malformed parameter comes before an unresolved
-# label or a part count past the cap; across steps, the first failing step
-# is reported, whether the count past the cap is pinned or hinted and
-# whether a key is null or absent.
+# The one table of recipes the CLI refuses, each run in process and in a
+# fresh interpreter. A row named by an error code is the plain case of it.
 ERROR_ORDER = {
-    "rename-to-int-of-removed": (
+    "malformed-json": ErrorCase("{broken", "error malformed-json - input is not valid JSON: "),
+    "deep-nesting": ErrorCase(
+        "[" * 100000, "error malformed-json - input nests arrays or objects too deeply\n"
+    ),
+    # Python reads an integer past 4,300 digits only without a digit limit.
+    "long-integer": ErrorCase(
+        '[{"op": "core/text-transform", "columnName": "a", "expression": "value.trim()", '
+        '"repeatCount": ' + LONG_INT + "}]",
+        "error malformed-json - input holds an integer with too many digits to read\n",
+    ),
+    # No UTF-8 output can carry a lone surrogate.
+    "lone-surrogate": ErrorCase(
+        r'[{"op":"core/text-transform","columnName":"a\ud800","expression":"value.trim()"}]',
+        "error malformed-json - input holds a lone surrogate escape, which is not UTF-8 text\n",
+    ),
+    # A reorder whose columnNames is not a list is not a step that reads
+    # and writes nothing.
+    "reorder-names-not-a-list": ErrorCase(
+        [_TRIM_A, {"op": "core/column-reorder", "columnNames": "a"}, _TRIM_A],
+        "error missing-param 1 step 1 (core/column-reorder): columnNames is not a list\n",
+    ),
+    "missing-param": ErrorCase(
+        [{"op": "core/fill-down"}],
+        "error missing-param 0 step 0 (core/fill-down) lacks required parameter 'columnName'\n",
+    ),
+    "split-past-the-cap": ErrorCase(
+        [{**_SPLIT_DATE, "maxColumns": MAX_SPLIT_PARTS + 1}, _FILL_DATE], _TOO_MANY_PARTS,
+    ),
+    "split-past-the-cap-fieldLengths": ErrorCase(
+        [{**_SPLIT_DATE, "fieldLengths": [1] * (MAX_SPLIT_PARTS + 1)}, _FILL_DATE],
+        _TOO_MANY_PARTS,
+    ),
+    "split-past-the-cap-hint": ErrorCase(
+        [_SPLIT_DATE, _FILL_DATE], _TOO_MANY_PARTS, {"date": MAX_SPLIT_PARTS + 1},
+    ),
+    "unresolved-column": ErrorCase(
+        [_REMOVE_A, {"op": "core/text-transform", "columnName": "a", "expression": "value"}],
+        "error unresolved-column 1 step 1 (core/text-transform) references column 'a' "
+        "which is not live at that point\n",
+    ),
+    "label-collision": ErrorCase(
+        [_TAKE_B, {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"}],
+        "error label-collision 1 duplicate column label 'b'\n",
+    ),
+    "label-collision-of-an-addition": ErrorCase(
+        [_TAKE_B, {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b",
+                   "expression": "value"}],
+        "error label-collision 1 duplicate column label 'b'\n",
+    ),
+    # Named in linear time: after 40 pinned 1,000-part splits, an addition
+    # named like a middle column.
+    "label-collision-after-40-splits": ErrorCase(
+        [
+            {"op": "core/column-split", "columnName": f"a {k}" if k > 1 else "a",
+             "separator": ",", "maxColumns": 1000, "removeOriginalColumn": False}
+            for k in range(1, 41)
+        ]
+        + [{"op": "core/column-addition", "baseColumnName": "a 1000", "newColumnName": "a 20 500",
+            "expression": "value"}],
+        "error label-collision 40 duplicate column label 'a 20 500'\n",
+    ),
+    # Several faults. Within a step, a malformed parameter comes before an
+    # unresolved label or a part count past the cap; across steps, the
+    # first failing step is reported, whether the count past the cap is
+    # pinned or hinted and whether a key is null or absent.
+    "rename-to-int-of-removed": ErrorCase(
         [_REMOVE_A, {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": 7}],
         "error missing-param 1 step 1 (core/column-rename): newColumnName is not a string\n",
     ),
-    "reorder-int-after-removed": (
+    "reorder-int-after-removed": ErrorCase(
         [_REMOVE_A, {"op": "core/column-reorder", "columnNames": ["a", 7]}],
         "error missing-param 1 step 1 (core/column-reorder): "
         "column name parameter is not a string\n",
     ),
-    "split-int-over-cap": (
+    "split-int-over-cap": ErrorCase(
         [{"op": "core/column-split", "columnName": 7, "separator": ",", "maxColumns": 5000}],
         "error missing-param 0 step 0 (core/column-split): column name parameter is not a string\n",
     ),
-    "null-fill-down-then-split-over-cap": (
+    "null-fill-down-then-split-over-cap": ErrorCase(
         [
             {"op": "core/fill-down", "columnName": None},
             {"op": "core/column-split", "columnName": "d", "separator": ",", "maxColumns": 5000},
         ],
         "error missing-param 0 step 0 (core/fill-down) lacks required parameter 'columnName'\n",
     ),
-    "null-fill-down-then-hinted-split-over-cap": (
+    "null-fill-down-then-hinted-split-over-cap": ErrorCase(
         [
             {"op": "core/fill-down", "columnName": None},
             {"op": "core/column-split", "columnName": "d", "separator": ","},
@@ -204,7 +266,7 @@ ERROR_ORDER = {
         "error missing-param 0 step 0 (core/fill-down) lacks required parameter 'columnName'\n",
         {"d": 5000},
     ),
-    "null-new-label-reading-removed": (
+    "null-new-label-reading-removed": ErrorCase(
         [
             {"op": "core/column-removal", "columnName": "b"},
             {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": None,
@@ -213,11 +275,11 @@ ERROR_ORDER = {
         "error missing-param 1 step 1 (core/column-addition) "
         "lacks required parameter 'newColumnName'\n",
     ),
-    "null-fill-down-then-absent-fill-down": (
+    "null-fill-down-then-absent-fill-down": ErrorCase(
         [{"op": "core/fill-down", "columnName": None}, {"op": "core/fill-down"}],
         "error missing-param 0 step 0 (core/fill-down) lacks required parameter 'columnName'\n",
     ),
-    "unresolved-read-then-absent-new-label": (
+    "unresolved-read-then-absent-new-label": ErrorCase(
         [
             _REMOVE_A,
             {"op": "core/fill-down", "columnName": "a"},
@@ -227,49 +289,39 @@ ERROR_ORDER = {
         "which is not live at that point\n",
     ),
 }
+ERROR_NAMES = [
+    pytest.param(name, marks=needs_int_digit_limit if name == "long-integer" else ())
+    for name in sorted(ERROR_ORDER)
+]
 
 
-@pytest.mark.parametrize("name", sorted(ERROR_ORDER))
-def test_error_order_of_a_recipe_with_several_faults(tmp_path, name):
+@pytest.mark.parametrize("name", ERROR_NAMES)
+def test_error_order_of_a_recipe_with_several_faults(tmp_path, capsys, name):
     # The builder runs the trace, so every model kind reports the same.
-    entries, expected, *hints = ERROR_ORDER[name]
-    recipe = tmp_path / "recipe.json"
-    recipe.write_text(json.dumps(entries), encoding="utf-8")
-    out = tmp_path / "never.dot"
+    case = ERROR_ORDER[name]
+    recipe = str(case.write(tmp_path))
     for kind in model.MODEL_KINDS:
-        stderr = io.StringIO()
-        config = RunConfig(
-            str(recipe), str(out), model_kind=kind,
-            split_arity_overrides=hints[0] if hints else {},
-        )
-        assert run(config, stderr=stderr) == 1
-        assert stderr.getvalue() == expected
-        assert not out.exists()
+        for output in (str(tmp_path / "never.dot"), "-"):
+            stderr = io.StringIO()
+            config = RunConfig(recipe, output, model_kind=kind, split_arity_overrides=case.hints)
+            assert run(config, stderr=stderr) == 1
+            case.check(stderr.getvalue())
+            assert capsys.readouterr().out == ""
+            assert os.listdir(tmp_path) == ["recipe.json"]
 
 
-@pytest.mark.parametrize(
-    "step",
-    [
-        {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"},
-        {
-            "op": "core/column-addition", "baseColumnName": "a", "newColumnName": "b",
-            "expression": "value",
-        },
-    ],
-    ids=["rename", "addition"],
-)
-def test_label_collision_names_its_step(tmp_path, capsys, step):
-    recipe = tmp_path / "recipe.json"
-    recipe.write_text(
-        json.dumps([{"op": "core/text-transform", "columnName": "b", "expression": "value"}, step]),
-        encoding="utf-8",
-    )
-    out = tmp_path / "never.dot"
-    for kind in model.MODEL_KINDS:
-        assert run_cli(["-i", str(recipe), "-t", kind, "-o", str(out)]) == 1
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err == "error label-collision 1 duplicate column label 'b'\n"
+@pytest.mark.parametrize("name", ERROR_NAMES)
+def test_error_order_in_a_fresh_interpreter(tmp_path, name):
+    # Each refusal is quick; the bound catches one that is not linear.
+    case = ERROR_ORDER[name]
+    argv = ["-i", str(case.write(tmp_path)), "-o", str(tmp_path / "never.dot")]
+    for label, parts in case.hints.items():
+        argv += ["--split-arity", f"{label}={parts}"]
+    result = launch(*argv, timeout=5)
+    assert result.returncode == 1
+    case.check(result.stderr.decode("utf-8"))
+    assert result.stdout == b""
+    assert os.listdir(tmp_path) == ["recipe.json"]
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):
@@ -282,55 +334,6 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error unreadable-input - ")
     assert err.count("\n") == 1
-
-
-def test_deeply_nested_json_exits_1(tmp_path, capsys):
-    recipe = tmp_path / "deep.json"
-    recipe.write_text("[" * 100000, encoding="utf-8")
-    out = tmp_path / "never.dot"
-    status = run_cli(["-i", str(recipe), "-o", str(out)])
-    assert status == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("error malformed-json - ")
-    assert err.count("\n") == 1
-
-
-@needs_int_digit_limit
-def test_integer_past_the_digit_limit_exits_1(tmp_path):
-    recipe = tmp_path / "long_int.json"
-    recipe.write_text(
-        '[{"op": "core/text-transform", "columnName": "a", "expression": "value.trim()", '
-        '"repeatCount": ' + LONG_INT + "}]",
-        encoding="utf-8",
-    )
-    out = tmp_path / "never.dot"
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
-    result = subprocess.run(
-        [sys.executable, "-m", "refineflow.cli", "-i", str(recipe), "-o", str(out)],
-        capture_output=True, text=True, env=env,
-    )
-    assert result.returncode == 1
-    assert not out.exists()
-    assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("error malformed-json - ")
-    assert result.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize("output", ["file", "-"])
-def test_lone_surrogate_escape_exits_1_without_output(tmp_path, capsys, output):
-    recipe = tmp_path / "surrogate.json"
-    recipe.write_text(
-        r'[{"op":"core/text-transform","columnName":"a\ud800","expression":"value.trim()"}]',
-        encoding="utf-8",
-    )
-    status = run_cli(["-i", str(recipe), "-o", str(tmp_path / "never.dot") if output == "file" else "-"])
-    assert status == 1
-    assert os.listdir(tmp_path) == ["surrogate.json"]
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error malformed-json - ")
-    assert captured.err.count("\n") == 1
 
 
 def _deep_mass_edits(depth: int, key: str = "edits") -> str:
@@ -672,26 +675,26 @@ def test_split_arity_override(tmp_path, capsys):
     assert {"date 1", "date 2", "date 3", "date 4"} <= labels
 
 
+_UPPER_B = {"op": "core/text-transform", "columnName": "b", "expression": "value.toUppercase()"}
+
+
 @pytest.mark.parametrize(
-    "split, argv",
+    "reader",
     [
-        ({"maxColumns": MAX_SPLIT_PARTS + 1}, []),
-        ({"fieldLengths": [1] * (MAX_SPLIT_PARTS + 1)}, []),
-        ({}, ["--split-arity", f"date={MAX_SPLIT_PARTS + 1}"]),
+        # A mass edit matches its edits against its key expression.
+        {"op": "core/mass-edit", "columnName": "a", "expression": 'grel:cells["b"].value',
+         "edits": [{"from": ["x"], "to": "hit"}]},
+        {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": "c",
+         "expression": "grel:cells.b.value + value"},
     ],
-    ids=["maxColumns", "fieldLengths", "split-arity-flag"],
+    ids=["keyed-mass-edit", "dotted-reference"],
 )
-def test_split_arity_over_cap_exits_1(tmp_path, capsys, split, argv):
-    recipe = tmp_path / "recipe.json"
-    entry = {"op": "core/column-split", "columnName": "date", "separator": "/", **split}
-    recipe.write_text(json.dumps([entry, {"op": "core/fill-down", "columnName": "date"}]))
-    out = tmp_path / "never.dot"
-    status = run_cli(["-i", str(recipe), "-o", str(out), *argv])
-    assert status == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("error split-arity-too-large 0 ")
-    assert err.count("\n") == 1
+def test_a_read_of_b_is_ordered_after_the_step_that_rewrites_b(tmp_path, reader):
+    recipe, out = tmp_path / "recipe.json", tmp_path / "process.dot"
+    recipe.write_text(json.dumps([_UPPER_B, reader]), encoding="utf-8")
+    assert run(RunConfig(str(recipe), str(out), view="process"), stderr=io.StringIO()) == 0
+    (edge,) = parse_dot(out.read_text(encoding="utf-8")).edges
+    assert edge[0] == "text_transform"
 
 
 # Odd parameter values: wrong types, huge and fractional numbers, empty and
@@ -775,13 +778,46 @@ def test_cli_fuzz_gives_exit_code_and_one_line_diagnostics(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli.dot"
-    result = subprocess.run(
-        [sys.executable, "-m", "refineflow.cli", "-i", MENUS, "-o", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
+    result = launch("-i", MENUS, "-o", str(out))
+    assert result.returncode == 0, result.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("golden", sorted(path.name for path in GOLDEN.glob("menus_*")))
+def test_golden_from_a_fresh_interpreter(tmp_path, golden):
+    # The YW goldens carry the workflow name "menus", the input's stem.
+    kind, view, fmt = re.fullmatch(r"menus_([a-z]+)_([a-z]+)\.([a-z]+)", golden).groups()
+    recipe, out = tmp_path / "menus.json", tmp_path / f"out.{fmt}"
+    shutil.copyfile(MENUS, recipe)
+    result = launch("-i", str(recipe), "-t", kind, "-v", view, "-f", fmt, "-o", str(out))
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_detail_files_from_a_fresh_interpreter(tmp_path):
+    # One detail file per summary beside a file output, and none beside
+    # standard output.
+    files, stdout = tmp_path / "files", tmp_path / "stdout"
+    files.mkdir()
+    stdout.mkdir()
+    assert launch("-i", MASS_EDIT, "-t", "collapsed", "-o", str(files / "out.dot")).returncode == 0
+    assert sorted(os.listdir(files)) == ["out.detail.summary_0.dot", "out.dot"]
+    result = launch("-i", MASS_EDIT, "-t", "collapsed", "-o", "-", cwd=stdout)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(b"digraph workflow {")
+    assert b"\nwarning details-skipped - " in result.stderr
+    assert os.listdir(stdout) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_from_a_fresh_interpreter():
+    with open("/dev/full", "wb") as full:
+        result = launch("-i", MENUS, "-o", "-", stdout=full)
+    assert result.returncode == 2
+    lines = result.stderr.decode("utf-8").splitlines()
+    assert [line for line in lines if not line.startswith("info unused-param ")] == [
+        f"error unwritable-output - <stdout>: {os.strerror(errno.ENOSPC)}"
+    ]
 
 
 def test_stdout_of_any_encoding_gets_the_file_bytes(tmp_path):
@@ -792,15 +828,39 @@ def test_stdout_of_any_encoding_gets_the_file_bytes(tmp_path):
     recipe.write_text(json.dumps([step], ensure_ascii=False), encoding="utf-8")
     out = tmp_path / "model.dot"
     assert run_cli(["-i", str(recipe), "-o", str(out)]) == 0
-    result = subprocess.run(
-        [sys.executable, "-m", "refineflow.cli", "-i", str(recipe), "-o", "-"],
-        capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": "ascii"},
-    )
+    result = launch("-i", str(recipe), "-o", "-", env={"PYTHONIOENCODING": "ascii"})
     assert result.returncode == 0, result.stderr
     assert b"Traceback" not in result.stderr
     if os.name == "posix":
         assert result.stdout == out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def north_star_recipe(tmp_path_factory) -> Path:
+    """A seeded 10,000-step recipe over 50 columns."""
+    path = tmp_path_factory.mktemp("north_star") / "long.json"
+    entries = random_recipe_entries(random.Random(10000), 10000, [f"c{k}" for k in range(50)])
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, view, fmt",
+    [
+        ("parallel", "combined", "dot"), ("parallel", "process", "dot"),
+        ("parallel", "combined", "yw"), ("collapsed", "combined", "dot"),
+    ],
+)
+def test_north_star_recipe_from_a_fresh_interpreter(tmp_path, north_star_recipe, kind, view, fmt):
+    # Both emitters, and the collapsed model with its detail files. A
+    # conversion takes about a second; the bound catches hangs and blow-ups.
+    out = tmp_path / f"out.{fmt}"
+    argv = ["-i", str(north_star_recipe), "-t", kind, "-v", view, "-f", fmt, "-o", str(out)]
+    result = launch(*argv, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for line in result.stderr.decode("utf-8").splitlines():
+        assert _DIAGNOSTIC.match(line), line
+    assert out.exists()
 
 
 def test_stdout_without_a_byte_layer_gets_text(monkeypatch):
@@ -814,14 +874,15 @@ def test_cli_import_does_not_load_the_interpreter():
     # A CLI launch does not pay for csv, which only the tests' reference
     # interpreter reads. The package's records are named tuples and slotted
     # classes, so it does not pay for dataclasses (and the inspect module
-    # it imports) either.
-    probe = (
-        "import sys, refineflow.cli; "
-        "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    # it imports) either. Each import prints one line "... | <module>".
+    result = launch("-i", MENUS, env={"PYTHONPROFILEIMPORTTIME": "1"})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]"]
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.decode("utf-8").splitlines() if line.startswith("import time:")
+    }
+    assert "refineflow.model" in imported
+    assert {"csv", "dataclasses", "inspect"} & imported == set()
 
 
 def test_public_names_resolve_and_no_interpreter_ships():
@@ -853,11 +914,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path, name):
     recipe.write_text(json.dumps([step]), encoding="utf-8")
     outputs = set()
     for seed in ("1", "2", "3", "4", "5", "6"):
-        result = subprocess.run(
-            [sys.executable, "-m", "refineflow.cli", "-i", str(recipe)],
-            capture_output=True,
-            env={**os.environ, "PYTHONHASHSEED": seed},
-        )
+        result = launch("-i", str(recipe), env={"PYTHONHASHSEED": seed})
         assert result.returncode == 0, result.stderr
         outputs.add(result.stdout)
     assert len(outputs) == 1
@@ -869,3 +926,17 @@ def test_run_config_defaults():
     assert config.view == "combined"
     assert config.format == "dot"
     assert config.collapse_threshold == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("model_kind", "linaer"), ("view", "bogus"), ("format", "svg"),
+        ("query", ("sideways", "step_1")),
+    ],
+)
+def test_run_refuses_a_config_outside_the_choices_before_reading(tmp_path, field, value):
+    # The input does not exist: a config read any further would exit 2.
+    config = RunConfig(str(tmp_path / "missing.json"), "-")._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be one of "):
+        run(config, stderr=io.StringIO())

@@ -480,11 +480,15 @@ def test_step_only_process_view_equals_the_full_one(menus_recipe, mass_edit_reci
 
 @pytest.mark.parametrize(
     "unknown, step, other",
-    [("vendor/expression", "expression", "expression_"), ("vendor/a_v1", "a_v1", "a_v1_")],
+    [
+        ("vendor/expression", "expression", "expression_"), ("vendor/a_v1", "a_v1", "a_v1_"),
+        ("core/", "core_", "a_v2"),
+    ],
 )
 def test_step_identifiers_agree_across_views(tmp_path, unknown, step, other):
     # The unknown op's short label collides with the transform's param key,
-    # or with the data node of the version the transform writes.
+    # or with the data node of the version the transform writes, or is the
+    # whole op id, which ends in "/". The YW block names are identifiers.
     recipe = tmp_path / "probe.json"
     recipe.write_text(json.dumps([
         {"op": "core/text-transform", "columnName": "a", "expression": "value.trim()"},

@@ -21,6 +21,7 @@ from refineflow.cli import FORMATS, RunConfig, run
 from refineflow.emit import VIEWS
 from conftest import FIXTURES
 from recipegen import acceptance_corpus, random_recipe_entries
+from test_cli import ERROR_NAMES, ERROR_ORDER
 
 MENUS = str(FIXTURES / "menus_recipe.json")
 MASS_EDIT = str(FIXTURES / "mass_edit_run.json")
@@ -44,57 +45,32 @@ def collector(request) -> bool:
 
 
 # name: (recipe text, or None for no input file; output path under the
-# test's directory; exit status; code of the one error line)
+# test's directory; exit status). The recipes the CLI refuses, with exit
+# 1, are those of test_cli's ERROR_ORDER.
 CASES = {
-    "converted": (MENUS_TEXT, "out.dot", 0, None),
-    "malformed-json": ("{broken", "out.dot", 1, "malformed-json"),
-    "lone-surrogate": (
-        '[{"op": "core/text-transform", "columnName": "a\\ud800", "expression": "value"}]',
-        "out.dot", 1, "malformed-json",
-    ),
-    "missing-param": (
-        json.dumps([{"op": "core/column-reorder", "columnNames": "a"}]),
-        "out.dot", 1, "missing-param",
-    ),
-    "unresolved-column": (
-        json.dumps([
-            {"op": "core/column-removal", "columnName": "a"},
-            {"op": "core/text-transform", "columnName": "a", "expression": "value"},
-        ]),
-        "out.dot", 1, "unresolved-column",
-    ),
-    "label-collision": (
-        json.dumps([
-            {"op": "core/text-transform", "columnName": "b", "expression": "value"},
-            {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"},
-        ]),
-        "out.dot", 1, "label-collision",
-    ),
-    "split-past-the-cap": (
-        json.dumps([
-            {"op": "core/column-split", "columnName": "d", "separator": ",", "maxColumns": 5000},
-        ]),
-        "out.dot", 1, "split-arity-too-large",
-    ),
-    "deep-nesting": ("[" * 100000, "out.dot", 1, "malformed-json"),
-    "unreadable-input": (None, "out.dot", 2, "unreadable-input"),
-    "unwritable-output": (MENUS_TEXT, "missing/out.dot", 2, "unwritable-output"),
+    "converted": (MENUS_TEXT, "out.dot", 0),
+    "unreadable-input": (None, "out.dot", 2),
+    "unwritable-output": (MENUS_TEXT, "missing/out.dot", 2),
 }
 
 
-def _case(tmp_path, name: str) -> tuple[RunConfig, int, str | None]:
-    text, output, status, code = CASES[name]
+def _case(tmp_path, name: str) -> tuple[RunConfig, int]:
+    if name in ERROR_ORDER:
+        case = ERROR_ORDER[name]
+        recipe = str(case.write(tmp_path))
+        return RunConfig(recipe, str(tmp_path / "out.dot"), split_arity_overrides=case.hints), 1
+    text, output, status = CASES[name]
     recipe = tmp_path / "recipe.json"
     if text is not None:
         recipe.write_text(text, encoding="utf-8")
-    return RunConfig(str(recipe), str(tmp_path / output)), status, code
+    return RunConfig(str(recipe), str(tmp_path / output)), status
 
 
 @pytest.mark.parametrize(
     "name", ["converted", "malformed-json", "unreadable-input", "unwritable-output"]
 )
 def test_run_restores_the_collector(tmp_path, collector, name):
-    config, status, _ = _case(tmp_path, name)
+    config, status = _case(tmp_path, name)
     assert run(config, stderr=io.StringIO()) == status
     assert gc.isenabled() == collector
 
@@ -210,9 +186,12 @@ def test_the_acceptance_corpus_makes_no_cycle(tmp_path, collector):
     assert gc.collect() == 0
 
 
-@pytest.mark.parametrize("name", sorted(set(CASES) - {"converted"}))
+@pytest.mark.parametrize("name", [*ERROR_NAMES, "unreadable-input", "unwritable-output"])
 def test_an_error_makes_no_cycle(tmp_path, name):
-    config, status, code = _case(tmp_path, name)
+    config, status = _case(tmp_path, name)
     diagnostics = _assert_cycle_free(config, status)
-    errors = [line for line in diagnostics.splitlines() if line.startswith("error ")]
-    assert len(errors) == 1 and errors[0].startswith(f"error {code} ")
+    if name in ERROR_ORDER:
+        ERROR_ORDER[name].check(diagnostics)
+    else:  # named by its code
+        errors = [line for line in diagnostics.splitlines() if line.startswith("error ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error {name} ")

@@ -4,7 +4,7 @@ library.
 The test records, under ``sys.setprofile``, each code object of
 ``src/refineflow`` that the CLI and the README's library example enter:
 both fixtures through every model, view and format, two queries, the
-acceptance corpus, the error inputs the CI's fresh-launch step checks, and
+acceptance corpus, the recipes of ``test_cli.ERROR_ORDER``, and
 ``cli.main`` with its options. A function none of them enters must be
 public API (a name in ``refineflow.__all__``, or a method of a public class
 or of the record base ``FrozenRecord``), a dunder, or dead code.
@@ -24,8 +24,9 @@ import refineflow
 from refineflow import model
 from refineflow.cli import FORMATS, RunConfig, main, run
 from refineflow.emit import VIEWS
-from conftest import FIXTURES, LONG_INT
+from conftest import FIXTURES
 from recipegen import acceptance_corpus
+from test_cli import ERROR_ORDER
 from test_readme import README, _python_block
 
 PACKAGE = Path(refineflow.__file__).parent
@@ -34,35 +35,6 @@ MASS_EDIT = str(FIXTURES / "mass_edit_run.json")
 PUBLIC_CLASSES = {
     name for name in refineflow.__all__ if isinstance(getattr(refineflow, name), type)
 } | {"FrozenRecord"}
-
-# The error inputs of the CI's fresh-launch step, each as recipe entries
-# or raw text.
-ERROR_INPUTS = [
-    '[{"op": "core/text-transform", "columnName": "a", "expression": "value", '
-    f'"repeatCount": {LONG_INT}}}]',
-    '[{"op": "core/text-transform", "columnName": "a\\ud800", "expression": "value.trim()"}]',
-    [{"op": "core/column-reorder", "columnNames": "a"}],
-    [
-        {"op": "core/column-removal", "columnName": "a"},
-        {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": 7},
-    ],
-    [
-        {"op": "core/fill-down", "columnName": None},
-        {"op": "core/column-split", "columnName": "d", "separator": ",", "maxColumns": 5000},
-    ],
-    [{"op": "core/fill-down"}],
-    [
-        {"op": "core/column-split", "columnName": "a", "separator": ",", "maxColumns": 3},
-        {
-            "op": "core/column-addition", "baseColumnName": "a", "newColumnName": "a 2",
-            "expression": "value",
-        },
-    ],
-    [
-        {"op": "core/column-removal", "columnName": "a"},
-        {"op": "core/text-transform", "columnName": "a", "expression": "value"},
-    ],
-]
 
 
 def _defined_functions() -> dict[tuple[str, int, str], str]:
@@ -113,9 +85,10 @@ def _conversions(tmp_path: Path, monkeypatch) -> None:
     for recipe, _ in acceptance_corpus():
         path.write_text(json.dumps([{"op": op.op_id, **op.params} for op in recipe.operations]))
         assert run(RunConfig(str(path), str(tmp_path / "out.dot")), stderr=stderr) == 0
-    for entries in ERROR_INPUTS:
-        path.write_text(entries if isinstance(entries, str) else json.dumps(entries))
-        assert run(RunConfig(str(path), str(tmp_path / "never.dot")), stderr=stderr) == 1
+    for case in ERROR_ORDER.values():
+        recipe = str(case.write(tmp_path))
+        config = RunConfig(recipe, str(tmp_path / "never.dot"), split_arity_overrides=case.hints)
+        assert run(config, stderr=stderr) == 1
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", io.TextIOWrapper(_FullDevice(), encoding="utf-8"))
         assert run(RunConfig(MENUS, "-"), stderr=stderr) == 2
