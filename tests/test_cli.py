@@ -324,6 +324,19 @@ def test_error_order_in_a_fresh_interpreter(tmp_path, name):
     assert os.listdir(tmp_path) == ["recipe.json"]
 
 
+@pytest.mark.parametrize("output", ["file", "-"])
+def test_lone_surrogate_escape_exits_1_without_output(tmp_path, capsys, output):
+    # Through main's argument parsing, to a file and to standard output.
+    case = ERROR_ORDER["lone-surrogate"]
+    recipe = str(case.write(tmp_path))
+    status = run_cli(["-i", recipe, "-o", str(tmp_path / "never.dot") if output == "file" else "-"])
+    assert status == 1
+    assert os.listdir(tmp_path) == ["recipe.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    case.check(captured.err)
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     recipe = tmp_path / "latin1.json"
     recipe.write_bytes(b'[{"op": "core/fill-down", "columnName": "caf\xe9"}]')
