@@ -31,6 +31,9 @@ from .recipe import RawOperation, Recipe, Step
 # Stable identity of a column: survives renames, never reused.
 ColumnId = int
 
+# The one empty set of every effect: each ``frozenset()`` call makes a new one.
+EMPTY_SET: frozenset = frozenset()
+
 
 class SchemaState(NamedTuple):
     """The live columns, as ``(id, label)`` pairs in left-to-right order,
@@ -62,13 +65,13 @@ class ColumnEffect(NamedTuple):
     steps that share one must keep their order.
     """
 
-    reads: frozenset[ColumnId] = frozenset()
-    writes: frozenset[ColumnId] = frozenset()
+    reads: frozenset[ColumnId] = EMPTY_SET
+    writes: frozenset[ColumnId] = EMPTY_SET
     creates: tuple[tuple[ColumnId, str], ...] = ()
-    deletes: frozenset[ColumnId] = frozenset()
+    deletes: frozenset[ColumnId] = EMPTY_SET
     renames: tuple[tuple[ColumnId, str], ...] = ()
     table_scoped: bool = False
-    labels: frozenset[str] = frozenset()
+    labels: frozenset[str] = EMPTY_SET
 
     def created_ids(self) -> frozenset[ColumnId]:
         return frozenset(cid for cid, _ in self.creates)
@@ -104,23 +107,23 @@ def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEf
     """
     op, spec = step.op, step.spec
     if spec.table_scoped:
-        live = frozenset(index.values())
+        live = frozenset(index.values()) or EMPTY_SET
         return ColumnEffect(reads=live, writes=live, table_scoped=True)
     if step.error is not None:
         raise EffectError(*step.error, step_index=op.index)
 
     own_ids = [_resolve(label, index, op) for label in step.owns]
-    own = frozenset(own_ids)
+    own = frozenset(own_ids) or EMPTY_SET
     reads = frozenset(index.values()) if step.opaque else own  # opaque means no references
     if step.references:
         reads = own | frozenset(_resolve(name, index, op) for name in step.references)
     return ColumnEffect(
         reads=reads,
-        writes=own if spec.writes_own else frozenset(),
+        writes=own if spec.writes_own else EMPTY_SET,
         creates=() if spec.rename else tuple(enumerate(step.gives, next_id)),
-        deletes=own if step.frees and not spec.rename else frozenset(),
+        deletes=own if step.frees and not spec.rename else EMPTY_SET,
         renames=((own_ids[0], step.gives[0]),) if spec.rename else (),
-        labels=frozenset(step.gives + step.frees),
+        labels=frozenset(step.gives + step.frees) if step.gives or step.frees else EMPTY_SET,
     )
 
 

@@ -34,39 +34,37 @@ _DATA_ATTRS = f'shape=box, style="rounded,filled", fillcolor="{DATA_FILL}"'
 
 
 class _EdgeRoles(NamedTuple):
-    """Every model edge in exactly one role, keyed by the step it touches.
+    """Every model edge in exactly one role: ``process`` holds the
+    step-to-step edges, and ``flow``, in model order, every other one, which
+    joins a step to one of its data or param nodes. ``steps`` and ``params``
+    are the ids of the step and summary nodes and of the param nodes."""
 
-    ``ins`` maps a step to the data nodes it reads, ``params`` to its
-    param nodes and ``outs`` to the data nodes it writes; those edges, in
-    model order, are ``flow``. ``process`` holds the step-to-step edges.
-    """
-
-    ins: dict[str, list[str]]
-    params: dict[str, list[str]]
-    outs: dict[str, list[str]]
     flow: list[Edge]
     process: list[Edge]
+    steps: set[str]
+    params: set[str]
 
 
 def _edge_roles(model: WorkflowModel, view: str) -> _EdgeRoles:
     """One pass over the edges, by endpoint kind. Rejects a view not in VIEWS."""
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}; expected one of {', '.join(VIEWS)}")
-    kinds = {n.id: n.kind for n in model.nodes}
-    roles = _EdgeRoles({}, {}, {}, [], [])
+    steps = {n.id for n in model.nodes if n.kind in STEP_KINDS}
+    roles = _EdgeRoles([], [], steps, {n.id for n in model.nodes if n.kind == "param"})
     for edge in model.edges:
-        src, dst = edge.src, edge.dst
-        if kinds[src] in STEP_KINDS and kinds[dst] in STEP_KINDS:
-            roles.process.append(edge)
-            continue
-        roles.flow.append(edge)
-        if kinds[dst] not in STEP_KINDS:
-            roles.outs.setdefault(src, []).append(dst)
-        elif kinds[src] == "param":
-            roles.params.setdefault(dst, []).append(src)
-        else:
-            roles.ins.setdefault(dst, []).append(src)
+        (roles.process if edge.src in steps and edge.dst in steps else roles.flow).append(edge)
     return roles
+
+
+def _ports(roles: _EdgeRoles) -> tuple[dict[str, list[str]], ...]:
+    """Each step's data inputs, param nodes and data outputs, in model order."""
+    ins, params, outs = {}, {}, {}
+    for src, dst, _ in roles.flow:
+        if dst not in roles.steps:
+            outs.setdefault(src, []).append(dst)
+        else:
+            (params if src in roles.params else ins).setdefault(dst, []).append(src)
+    return ins, params, outs
 
 
 def identifier_map(model: WorkflowModel) -> dict[str, str]:
@@ -83,13 +81,20 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
     """
     steps: list[tuple[Node, str]] = []
     others: list[tuple[Node, str]] = []
+    # Labels and keys repeat from step to step: each is sanitized once.
+    sanitized: dict[str, str] = {}
     for node in model.nodes:
         if node.kind in STEP_KINDS:
-            steps.append((node, sanitize_identifier(node.label)))
+            group, text = steps, node.label
         elif node.kind == "param":
-            others.append((node, sanitize_identifier(node.payload.get("key", node.label))))
+            group, text = others, node.payload.get("key", node.label)
         else:
             others.append((node, sanitize_identifier(node.id)))
+            continue
+        name = sanitized.get(text)
+        if name is None:
+            name = sanitized[text] = sanitize_identifier(text)
+        group.append((node, name))
     result: dict[str, str] = {}
     used: set[str] = set()
     for group in (steps, others):
@@ -119,13 +124,11 @@ def _component_of(model: WorkflowModel, roles: _EdgeRoles) -> dict[str, int | No
     for index, group in enumerate(model.components):
         for node_id in group:
             assignment[node_id] = index
-    for port in (roles.ins, roles.params, roles.outs):
-        for step_id, others in port.items():
-            component = assignment.get(step_id)
-            if component is not None:
-                for node_id in others:
-                    if assignment.setdefault(node_id, component) != component:
-                        assignment[node_id] = None
+    for src, dst, _ in roles.flow:
+        step_id, node_id = (dst, src) if dst in roles.steps else (src, dst)
+        component = assignment.get(step_id)
+        if component is not None and assignment.setdefault(node_id, component) != component:
+            assignment[node_id] = None
     return assignment
 
 
@@ -136,12 +139,13 @@ def _view(model: WorkflowModel, view: str, roles: _EdgeRoles) -> tuple[list[Node
         return model.nodes, roles.flow
     if view == "process":
         return [n for n in model.nodes if n.kind in STEP_KINDS], roles.process
+    ins, _, outs = _ports(roles)
     derived = [
         Edge(src, dst, node.label)
         for node in model.nodes
         if node.kind in STEP_KINDS
-        for src in roles.ins.get(node.id, ())
-        for dst in roles.outs.get(node.id, ())
+        for src in ins.get(node.id, ())
+        for dst in outs.get(node.id, ())
     ]
     return [n for n in model.nodes if n.kind in DATA_KINDS], derived
 
@@ -154,15 +158,35 @@ def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None =
     (default: the model's own :func:`identifier_map`); the CLI passes the
     whole model's map to name a query's subgraph.
     """
+    return "\n".join(_dot_lines(model, view, idents or identifier_map(model)))
+
+
+def _dot_lines(model: WorkflowModel, view: str, idents: dict[str, str]) -> list[str]:
+    """The digraph's lines; the identifiers die before they are joined."""
+    lines = ["digraph workflow {", "rankdir=TB;"]
+    edges = _node_statements(lines, model, view, idents)
+    # Sorting the statements sorts by endpoints: identifiers hold word
+    # characters only, which sort after '"', and no two edges of a view
+    # share both endpoints.
+    lines.extend(sorted(
+        f'"{idents[src]}" -> "{idents[dst]}"' + (f" [label={_quote(label)}];" if label else ";")
+        for src, dst, label in edges
+    ))
+    lines.append("}\n")
+    return lines
+
+
+def _node_statements(lines: list[str], model: WorkflowModel, view: str, idents: dict[str, str]) -> list[Edge]:
+    """Append the view's node statements, in clusters, to ``lines``, and
+    return its edges. The edge roles and the cluster assignment die on
+    return, before the edge statements are made."""
     roles = _edge_roles(model, view)
-    idents = idents or identifier_map(model)
     nodes, edges = _view(model, view, roles)
 
     def statement(node: Node) -> str:
         attrs = _NODE_ATTRS.get(node.kind, _DATA_ATTRS)
         return f'"{idents[node.id]}" [label={_quote(node.label)}, {attrs}];'
 
-    lines = ["digraph workflow {", "rankdir=TB;"]
     clusters: dict[int, list[Node]] = {}
     loose = nodes
     if len(model.components) > 1:
@@ -179,16 +203,7 @@ def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None =
         lines.extend(statement(node) for node in clusters[index])
         lines.append("}")
     lines.extend(statement(node) for node in loose)
-
-    # Sorting the statements sorts by endpoints: identifiers hold word
-    # characters only, which sort after '"', and no two edges of a view
-    # share both endpoints.
-    lines.extend(sorted(
-        f'"{idents[src]}" -> "{idents[dst]}"' + (f" [label={_quote(label)}];" if label else ";")
-        for src, dst, label in edges
-    ))
-    lines.append("}\n")
-    return "\n".join(lines)
+    return edges
 
 
 def emit_yw(
@@ -200,7 +215,7 @@ def emit_yw(
     and outputs; parameters appear only in the combined view. ``idents``
     is as for :func:`emit_dot`.
     """
-    roles = _edge_roles(model, view)
+    ins, params, outs = _ports(_edge_roles(model, view))
     idents = idents or identifier_map(model)
     node_order = {node.id: position for position, node in enumerate(model.nodes)}
 
@@ -211,12 +226,12 @@ def emit_yw(
     )
     for step in steps:
         lines.append(f"# @begin {idents[step.id]}")
-        for data_id in sorted(roles.ins.get(step.id, ()), key=node_order.get):
+        for data_id in sorted(ins.get(step.id, ()), key=node_order.get):
             lines.append(f"# @in {idents[data_id]}")
         if view == "combined":
-            for param_id in sorted(roles.params.get(step.id, ()), key=node_order.get):
+            for param_id in sorted(params.get(step.id, ()), key=node_order.get):
                 lines.append(f"# @param {idents[param_id]}")
-        for data_id in sorted(roles.outs.get(step.id, ()), key=node_order.get):
+        for data_id in sorted(outs.get(step.id, ()), key=node_order.get):
             lines.append(f"# @out {idents[data_id]}")
         lines.append(f"# @end {idents[step.id]}")
     lines.append(f"# @end {sanitize_identifier(name)}\n")

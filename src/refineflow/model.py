@@ -47,7 +47,7 @@ from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, infer_initial_schema, trace_effects
 from .errors import EffectError, ModelError
-from .recipe import EMPTY_MAPPING, FrozenRecord, RawOperation, Recipe, Step
+from .recipe import CATALOG, EMPTY_MAPPING, FrozenDict, FrozenRecord, Recipe, Step
 
 LINEAR = "linear"
 PARALLEL = "parallel"
@@ -78,7 +78,9 @@ DATA_KINDS = ("data_table", "data_column")
 
 
 class Node(NamedTuple):
-    """One model node; immutable, and cheap to build positionally."""
+    """One model node; immutable, and cheap to build positionally. A
+    builder's payloads are read-only dicts: the param nodes of one key share
+    one, and so do the steps of one op id that are not a split or a merge."""
 
     kind: str  # one of STEP_KINDS, DATA_KINDS or "param"
     id: str
@@ -226,16 +228,24 @@ def _group_order(
     return kept, list(components.values())
 
 
-def _short_label(op: RawOperation) -> str:
-    """The op id after its last "/", or the whole id when nothing follows."""
-    return op.op_id.rsplit("/", 1)[-1] or op.op_id
+# One payload per param key: a step renders only its catalog keys.
+_PARAM_PAYLOADS = {key: FrozenDict(key=key) for spec in CATALOG.values() for key in spec.params}
 
 
 def _param_nodes(step: Step, step_index: int) -> list[Node]:
     return [
-        Node("param", f"param_{step_index}_{key}", f"{key} = {text}", step_index, {"key": key})
+        Node("param", f"param_{step_index}_{key}", f"{key} = {text}", step_index, _PARAM_PAYLOADS[key])
         for key, text in step.params
     ]
+
+
+def _plain_step(op_id: str, shared: dict) -> tuple[str, Mapping[str, Any]]:
+    """A step's label, the op id after its last "/" (or the whole id when
+    nothing follows), and the payload of a step that is neither a split nor
+    a merge, the op id alone: one pair per op id, kept in ``shared``."""
+    if op_id not in shared:
+        shared[op_id] = (op_id.rsplit("/", 1)[-1] or op_id, FrozenDict(op_id=op_id))
+    return shared[op_id]
 
 
 def build_linear(recipe: Recipe) -> WorkflowModel:
@@ -251,13 +261,15 @@ def build_linear(recipe: Recipe) -> WorkflowModel:
 def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
     n = len(steps)
     nodes, edges = [Node("data_table", "table_0", "table_0")], []
+    shared: dict[str, tuple] = {}
     for pos, step in enumerate(steps):
         op = step.op
         if step.error is not None:
             raise EffectError(*step.error, step_index=op.index)
         step_id = f"step_{pos}"
         table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
-        nodes.append(Node("step", step_id, _short_label(op), pos, {"op_id": op.op_id}))
+        label, payload = _plain_step(op.op_id, shared)
+        nodes.append(Node("step", step_id, label, pos, payload))
         params = _param_nodes(step, pos)
         nodes.extend(params)
         nodes.append(Node("data_table", table_out, table_out))
@@ -314,7 +326,7 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
             node_id = f"{node_id}_c{cid}"
         used_ids.add(node_id)
         current[cid] = node_id
-        nodes.append(Node("data_column", node_id, label, None, {"column_id": cid, "version": at}))
+        nodes.append(Node("data_column", node_id, label, None, FrozenDict(column_id=cid, version=at)))
         return node_id
 
     if dataflow:
@@ -323,6 +335,7 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
 
     # Node id of each group, by the index of its first step.
     group_ids: dict[int, str] = {}
+    shared: dict[str, tuple] = {}
 
     start = 0
     while start < n:
@@ -332,17 +345,16 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
         if end > start:
             count = end - start + 1
             node_id = f"summary_{start}"
-            payload = {"op_id": op.op_id, "count": count, "first_index": start, "last_index": end}
+            payload = FrozenDict(op_id=op.op_id, count=count, first_index=start, last_index=end)
             nodes.append(Node("summary", node_id, f"{op.op_id} × {count}", start, payload))
         else:
             node_id = f"step_{start}"
-            payload = {"op_id": op.op_id}
+            label, payload = _plain_step(op.op_id, shared)
             if len(first.creates) >= 2:
-                payload["pattern"] = "split"
-                payload["branches"] = len(first.creates)
+                payload = FrozenDict(op_id=op.op_id, pattern="split", branches=len(first.creates))
             elif len(first.reads) >= 2 and len(first.writes | first.created_ids()) == 1:
-                payload["pattern"] = "merge"
-            nodes.append(Node("step", node_id, _short_label(op), start, payload))
+                payload = FrozenDict(op_id=op.op_id, pattern="merge")
+            nodes.append(Node("step", node_id, label, start, payload))
         group_ids[start] = node_id
 
         if dataflow:

@@ -11,9 +11,10 @@ labels the step reads, gives and frees, its rendered parameters, and what
 is wrong with it. The decoder is the only code that reads a parameter or a
 split hint; validation, inference, the trace and the models read steps.
 Recipes repeat expression texts step after step (one ``value.trim()`` per
-column), so a recipe analyzes each distinct text once. The base of the
-package's slotted records, which are all immutable, lives here too, at the
-bottom of the import graph.
+column), so a recipe analyzes each distinct text once, and words each
+unused-param finding once per op id and key list. The base of the package's
+slotted records, which are all immutable, lives here too, at the bottom of
+the import graph.
 """
 
 from __future__ import annotations
@@ -62,29 +63,27 @@ class FrozenRecord:
         return type(self), self._values()
 
 
-class _EmptyMapping(Mapping):
-    """The records' empty mapping default: read-only, so one instance is
-    shared, and it pickles and copies as that instance."""
+class FrozenDict(dict):
+    """A read-only dict: every mutator raises ``TypeError``, and reads stay
+    the C dict's. One instance may be shared by every holder of its value.
+    Pickling and copying give an equal instance; the empty one,
+    :data:`EMPTY_MAPPING`, prints, pickles and copies as that instance."""
 
     __slots__ = ()
 
-    def __getitem__(self, key):
-        raise KeyError(key)
+    def __setitem__(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
 
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
+    __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = __setitem__
 
     def __repr__(self) -> str:
-        return "EMPTY_MAPPING"
+        return dict.__repr__(self) if self else "EMPTY_MAPPING"
 
-    def __reduce__(self) -> str:
-        return "EMPTY_MAPPING"
+    def __reduce__(self):
+        return (type(self), (dict(self),)) if self else "EMPTY_MAPPING"
 
 
-EMPTY_MAPPING: Mapping[str, Any] = _EmptyMapping()
+EMPTY_MAPPING: Mapping[str, Any] = FrozenDict()
 
 
 class RawOperation(NamedTuple):
@@ -245,10 +244,11 @@ _TOO_DEEP = "input nests arrays or objects too deeply"
 
 
 def _decode(
-    op: RawOperation, analyses: dict[str, ExpressionAnalysis], split_arity: Mapping[str, int]
+    op: RawOperation, analyses: dict[str, ExpressionAnalysis], findings: dict, split_arity: Mapping[str, int]
 ) -> Step:
-    """The step of one operation; an expression text missing from the
-    recipe's ``analyses`` is analyzed and added. A split's part count is
+    """The step of one operation; what the recipe's ``analyses`` and
+    ``findings`` lack is added: an expression text's analysis, and an op id
+    and key list's unused-param message, if any. A split's part count is
     the one the operation pins, else ``split_arity``'s for its column,
     else :data:`DEFAULT_SPLIT_ARITY` with a warning."""
     spec = CATALOG.get(op.op_id)
@@ -260,11 +260,12 @@ def _decode(
         return Step(op, TABLE_SCOPED, diagnostics=(Diagnostic("warning", "unknown-op", message, op.index),))
     params = op.params
     diagnostics = []
-    unused = params.keys() - spec.params
-    unused.discard("description")
-    if unused:
-        message = f"{op.op_id} parameter(s) retained but not used by the model: {', '.join(sorted(unused))}"
-        diagnostics.append(Diagnostic("info", "unused-param", message, op.index))
+    shape = (op.op_id, tuple(params))
+    if shape not in findings:
+        unused = ", ".join(sorted(params.keys() - spec.params - {"description"}))
+        findings[shape] = unused and f"{op.op_id} parameter(s) retained but not used by the model: {unused}"
+    if findings[shape]:
+        diagnostics.append(Diagnostic("info", "unused-param", findings[shape], op.index))
     if spec.table_scoped:
         return Step(op, spec, diagnostics=tuple(diagnostics))
 
@@ -349,7 +350,8 @@ class Recipe(FrozenRecord):
         if any(type(parts) is not int or parts < 1 for parts in split_arity.values()):
             raise ValueError("a split arity must be an int >= 1")
         analyses: dict[str, ExpressionAnalysis] = {}
-        steps = tuple(_decode(op, analyses, split_arity) for op in operations)
+        findings: dict[tuple[str, tuple[str, ...]], str] = {}  # unused-param messages
+        steps = tuple(_decode(op, analyses, findings, split_arity) for op in operations)
         self._set(operations, split_arity, steps)
 
     def _values(self) -> tuple:

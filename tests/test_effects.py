@@ -19,6 +19,7 @@ from refineflow import (
     trace_effects,
     validate_recipe,
 )
+from refineflow.effects import EMPTY_SET
 from refineflow.recipe import MAX_SPLIT_PARTS
 from conftest import make_recipe
 from recipegen import acceptance_corpus, random_recipe
@@ -340,6 +341,18 @@ def test_output_ids_are_writes_creates_and_deletes(menus_recipe, mass_edit_recip
             assert effect.output_ids() == effect.writes | effect.created_ids() | effect.deletes
             shapes[bool(effect.creates or effect.deletes)] += 1
     assert shapes[True] and shapes[False]  # both kinds of effect are checked
+
+
+def test_every_empty_write_delete_and_label_set_is_the_shared_one(menus_recipe, mass_edit_recipe):
+    recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
+    empty = Counter()
+    for recipe in recipes:
+        for effect in trace_effects(recipe, infer_initial_schema(recipe))[0]:
+            for name in ("writes", "deletes", "labels"):
+                if not getattr(effect, name):
+                    assert getattr(effect, name) is EMPTY_SET, name
+                    empty[name] += 1
+    assert set(empty) == {"writes", "deletes", "labels"}
 
 
 def test_infer_single_transform():

@@ -372,6 +372,24 @@ def test_identifiers_are_word_characters_for_awkward_labels():
                         assert re.fullmatch(r"# @(begin|end) \w+", line), line
 
 
+def test_identifier_map_sanitizes_each_label_and_key_once(menus_recipe, mass_edit_recipe, monkeypatch):
+    texts: list[str] = []
+
+    def counting(text: str) -> str:
+        texts.append(text)
+        return sanitize_identifier(text)
+
+    monkeypatch.setattr("refineflow.emit.sanitize_identifier", counting)
+    for recipe in (menus_recipe, mass_edit_recipe):
+        for model in _models(recipe):
+            texts.clear()
+            identifier_map(model)
+            named = {n.label for n in model.nodes if n.kind in STEP_KINDS}
+            named |= {n.payload["key"] for n in model.nodes if n.kind == "param"}
+            data = [n.id for n in model.nodes if n.kind not in STEP_KINDS and n.kind != "param"]
+            assert sorted(texts) == sorted([*named, *data])
+
+
 def test_emitters_reject_unknown_view(menus_recipe):
     model = build_linear(menus_recipe)
     for emit in (emit_dot, emit_yw):

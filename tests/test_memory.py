@@ -95,6 +95,28 @@ def test_a_conversion_peaks_at_its_largest_stage(tmp_path, recipe_path, fmt):
     )
 
 
+# emit_dot's traced transient memory, per byte of the text it returns. The
+# text and its lines are alive together while they are joined, so the
+# floor is about two; the edge roles, the cluster assignment and the
+# identifiers are freed before that.
+EMIT_BOUND = 3.5
+
+
+@pytest.mark.parametrize("view", ["combined", "process"])
+def test_emit_dot_holds_little_beside_its_text(recipe_path, view):
+    # The process view is drawn from the step-only model, as the CLI builds it.
+    workflow = model.build_parallel(parse_recipe(_read(recipe_path)), dataflow=view != "process")
+    emit_dot(workflow, view)  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = emit_dot(workflow, view)
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert transient <= EMIT_BOUND * len(text), f"{transient / len(text):.2f} bytes per byte of text"
+
+
 @pytest.mark.parametrize("fmt", sorted(EMITTERS))
 def test_no_recipe_is_alive_while_the_output_is_emitted(tmp_path, recipe_path, fmt, monkeypatch):
     emit = cli._emit

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -325,6 +327,66 @@ def test_payload_get_works_on_every_node_kind(menus_recipe, mass_edit_recipe):
             assert node.payload.get("no-such-key") is None
             kinds.add(node.kind)
     assert kinds == {"step", "summary", "param", "data_table", "data_column"}
+
+
+def _every_model(menus_recipe, mass_edit_recipe) -> list[WorkflowModel]:
+    """Each builder's model of both fixtures, each summary's detail model,
+    and an upstream and a downstream query subgraph."""
+    models = []
+    for recipe in (menus_recipe, mass_edit_recipe):
+        for build in (build_linear, build_parallel, build_collapsed):
+            model = build(recipe)
+            models.append(model)
+            models.extend(detail_model(recipe, n) for n in model.nodes if n.kind == "summary")
+    parallel, collapsed = build_parallel(menus_recipe), build_collapsed(mass_edit_recipe)
+    models.append(upstream_lineage(parallel, _data_node_by_label(parallel, "repaired_date")))
+    summary = next(n for n in collapsed.nodes if n.kind == "summary")
+    models.append(downstream_impact(collapsed, summary.id))
+    return models
+
+
+def test_no_payload_of_a_built_model_can_be_written(menus_recipe, mass_edit_recipe):
+    kinds = set()
+    for model in _every_model(menus_recipe, mass_edit_recipe):
+        for node in model.nodes:
+            with pytest.raises(TypeError):
+                node.payload["last_index"] = 0
+            kinds.add(node.kind)
+    assert kinds == {"step", "summary", "param", "data_table", "data_column"}
+
+
+def test_a_summary_payload_write_cannot_change_its_detail_or_lineage(mass_edit_recipe):
+    model = build_collapsed(mass_edit_recipe)
+    summary = next(n for n in model.nodes if n.kind == "summary")
+    lineage = upstream_lineage(model, summary.id)
+    with pytest.raises(TypeError):
+        summary.payload["last_index"] = 0
+    assert summary.payload["count"] == 10
+    assert sum(n.kind == "step" for n in detail_model(mass_edit_recipe, summary).nodes) == 10
+    assert [n for n in lineage.nodes if n.id == summary.id] == [summary]
+
+
+def test_built_models_round_trip_through_pickle_and_copy(menus_recipe, mass_edit_recipe):
+    for model in _every_model(menus_recipe, mass_edit_recipe):
+        for copied in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+            assert copied == model
+            assert [type(n.payload) for n in copied.nodes] == [type(n.payload) for n in model.nodes]
+
+
+def test_param_and_plain_step_payloads_are_shared(menus_recipe, mass_edit_recipe):
+    recipes = [menus_recipe, mass_edit_recipe] + [recipe for recipe, _ in acceptance_corpus()]
+    for recipe in recipes:
+        for model in (build_linear(recipe), build_parallel(recipe), build_collapsed(recipe, 2)):
+            payloads: dict[tuple[str, str], set[int]] = {}
+            labels: dict[str, set[int]] = {}
+            for node in model.nodes:
+                if node.kind == "param":
+                    payloads.setdefault(("param", node.payload["key"]), set()).add(id(node.payload))
+                elif node.kind == "step" and "pattern" not in node.payload:
+                    payloads.setdefault(("step", node.payload["op_id"]), set()).add(id(node.payload))
+                    labels.setdefault(node.payload["op_id"], set()).add(id(node.label))
+            assert all(len(ids) == 1 for ids in payloads.values())
+            assert all(len(ids) == 1 for ids in labels.values())
 
 
 # --- linear model -------------------------------------------------------------

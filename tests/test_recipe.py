@@ -236,6 +236,24 @@ def test_validate_unused_params_info():
     assert "description" not in diags[0].message
 
 
+def test_each_unused_param_finding_is_worded_once_per_op_shape():
+    recipe = make_recipe([
+        {"op": "core/fill-down", "columnName": "a", "x": 1},
+        {"op": "core/fill-down", "columnName": "b", "x": 2},
+        {"op": "core/fill-down", "x": 3, "columnName": "c"},
+        {"op": "core/blank-down", "columnName": "a", "x": 1},
+        {"op": "core/fill-down", "columnName": "a", "description": "d"},
+    ])
+    messages = [[d.message for d in step.diagnostics] for step in recipe.steps]
+    assert messages[0] == ["core/fill-down parameter(s) retained but not used by the model: x"]
+    assert messages[1][0] is messages[0][0]
+    # Another key order is another shape, worded alike.
+    assert messages[2] == messages[0]
+    assert messages[3] == ["core/blank-down parameter(s) retained but not used by the model: x"]
+    assert messages[4] == []
+    assert [d.step_index for d in validate_recipe(recipe)] == [0, 1, 2, 3]
+
+
 def test_validate_missing_param_is_error():
     # An absent key is the step's error, which the trace raises at that
     # step; validation reports no error.

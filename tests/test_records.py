@@ -11,6 +11,7 @@ value, and no mutable default shared between instances.
 from __future__ import annotations
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -28,7 +29,7 @@ from refineflow import (
     parse_recipe,
 )
 from refineflow.cli import RunConfig
-from refineflow.recipe import CATALOG, EMPTY_MAPPING, OpSpec, Step
+from refineflow.recipe import CATALOG, EMPTY_MAPPING, FrozenDict, OpSpec, Step
 from oracle import Table
 
 # Two equal instances of every frozen record, built independently.
@@ -118,6 +119,34 @@ def test_raw_operation_default_params_are_not_a_shared_mutable_dict():
     assert first.params is second.params
     assert copy.deepcopy(first.params) is first.params
     assert pickle.loads(pickle.dumps(first.params)) is first.params
+
+
+MUTATORS = {
+    "setitem": lambda d: d.__setitem__("a", 0),
+    "delitem": lambda d: d.__delitem__("a"),
+    "ior": lambda d: operator.ior(d, {"a": 0}),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop("a", None),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("a", 0),
+    "update": lambda d: d.update(a=0),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS)
+def test_a_frozen_dict_refuses_every_mutator(mutate):
+    for frozen in (FrozenDict(a=1), EMPTY_MAPPING):
+        with pytest.raises(TypeError):
+            mutate(frozen)
+    assert FrozenDict(a=1) == {"a": 1} and EMPTY_MAPPING == {}
+
+
+def test_a_frozen_dict_pickles_and_copies_by_value():
+    frozen = FrozenDict(key=[1])
+    for copied in (pickle.loads(pickle.dumps(frozen)), copy.copy(frozen), copy.deepcopy(frozen)):
+        assert type(copied) is FrozenDict and copied == frozen and copied is not frozen
+    assert copy.deepcopy(frozen)["key"] is not frozen["key"]
+    assert repr(frozen) == "{'key': [1]}"
 
 
 def test_run_config_default_overrides_are_the_shared_read_only_mapping():
