@@ -35,7 +35,7 @@ from . import model
 from .emit import VIEWS, emit_dot, emit_yw, identifier_map
 from .errors import RefineflowError
 from .model import DATA_KINDS, WorkflowModel
-from .recipe import EMPTY_MAPPING, Diagnostic, Recipe, parse_recipe, validate_recipe
+from .recipe import EMPTY_MAPPING, Diagnostic, Recipe, check_split_arity, parse_recipe, validate_recipe
 
 FORMATS = ("dot", "yw")
 QUERY_DIRECTIONS = ("upstream", "downstream")
@@ -158,6 +158,8 @@ def _emit(workflow: WorkflowModel, config: RunConfig, name: str, idents=None) ->
 def run(config: RunConfig, stderr=None) -> int:
     """Execute one conversion; returns the process exit status.
 
+    A field outside its choices, or a threshold or part count that the
+    model or the recipe refuses, raises ``ValueError`` before any read.
     The cyclic garbage collector is paused for the conversion and the
     caller's state restored on every exit, an escaping exception included:
     a conversion makes no reference cycle, so a collection would walk its
@@ -170,6 +172,8 @@ def run(config: RunConfig, stderr=None) -> int:
     ):
         if value not in choices:
             raise ValueError(f"{field} must be one of {choices}, got {value!r}")
+    model.check_collapse_threshold(config.collapse_threshold)
+    check_split_arity(config.split_arity_overrides)
     with _COLLECTOR_PAUSE:
         return _convert(config, stderr if stderr is not None else sys.stderr)
 

@@ -6,10 +6,9 @@ The effect of a step records which column ids it reads and writes, which
 columns it creates or deletes (with their labels) and which it renames, and
 whether it touches the row structure of the whole table (``table_scoped``),
 in which case it reads and writes everything. The trace resolves labels
-through one running label index. Each model builder runs the trace on its
-recipe and keeps the effects and the initial schema only; the schema
-snapshots the trace returns serve callers that want the live columns at a
-step.
+through one running label index and keeps no per-step schema: it returns
+the effects with the schema before and after the recipe. Each model builder
+runs the trace on its recipe and keeps the effects only.
 
 Both passes here read the recipe's decoded steps (:class:`recipe.Step`),
 never the parameters: :func:`infer_initial_schema` collects their labels,
@@ -37,8 +36,8 @@ EMPTY_SET: frozenset = frozenset()
 
 class SchemaState(NamedTuple):
     """The live columns, as ``(id, label)`` pairs in left-to-right order,
-    at one point of a pipeline. :func:`trace_effects` checks that the
-    initial labels are distinct and allocates every new id."""
+    before or after a recipe. :func:`trace_effects` checks that the initial
+    labels and ids are distinct, and allocates every new id."""
 
     columns: tuple[tuple[ColumnId, str], ...]
 
@@ -127,44 +126,22 @@ def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEf
     )
 
 
-def _apply_effect(
-    effect: ColumnEffect, step: Step, columns: list[tuple[ColumnId, str]], index: dict[str, ColumnId]
-) -> None:
-    """Apply an effect that creates, deletes or renames to the running
-    ``columns`` and their label ``index``, in place.
+def trace_effects(
+    recipe: Recipe, initial: SchemaState
+) -> tuple[list[ColumnEffect], tuple[SchemaState, SchemaState]]:
+    """Effects in recipe order, and the schema before and after the recipe.
 
-    Only a step with one own column changes the columns, and the change is
-    one edit at that column: the own column is replaced by what is left of
-    it (itself, its new label, or nothing), followed by the columns it
-    creates. Its freed label leaves the index and the labels given enter
-    it. Raises ``label-collision`` at the step when a given label is live
-    on another column, naming the first label in column order that the new
-    columns hold twice.
-    """
-    own = (index[step.owns[0]], step.owns[0])
-    at = columns.index(own)
-    columns[at : at + 1] = (() if effect.deletes else effect.renames or (own,)) + effect.creates
-    if effect.renames or effect.deletes:
-        del index[own[1]]
-    entering = effect.renames + effect.creates
-    size = len(index) + len(entering)
-    index.update([(label, cid) for cid, label in entering])
-    if len(index) != size:
-        raise _collision([label for _, label in columns], step_index=step.op.index)
-
-
-def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffect], list[SchemaState]]:
-    """Effects and schema snapshots together, aligned with recipe order.
-
-    The trace keeps one running column list and one label → id index,
-    updated as each effect is applied, and resolves every label through the
-    index. It raises ``label-collision`` or ``id-collision`` when an initial
-    label or id repeats, and gives new columns ids above the highest one, so
-    no id is handed out twice. Every error a step causes is raised whole,
-    with the step's index, where it is found. n operations yield n effects
-    and n+1 states. A step that creates, deletes or renames nothing shares
-    its predecessor's state; any other step gets a snapshot of the running
-    list, whose labels the index has already checked to be distinct.
+    One running column list and one label → id index stand for the live
+    schema, and every label resolves through the index; no per-step schema
+    is kept. A repeated initial label or id raises ``label-collision`` or
+    ``id-collision``, and new columns get ids above the highest one. A step
+    that creates, deletes or renames edits the list once, at its one own
+    column: that column is replaced by what is left of it (itself, its new
+    label, or nothing), then the columns it creates. A given label live on
+    another column raises ``label-collision``, naming the first label in
+    column order that the columns hold twice. Every error is raised whole,
+    with the step's index, where it is found. The schema after step k is
+    the final one of tracing the recipe's first k operations.
     """
     columns = list(initial.columns)
     index = {label: cid for cid, label in columns}
@@ -173,18 +150,24 @@ def trace_effects(recipe: Recipe, initial: SchemaState) -> tuple[list[ColumnEffe
     if len({cid for cid, _ in columns}) != len(columns):
         raise _collision([cid for cid, _ in columns], "id")
     next_id = max((cid for cid, _ in columns), default=-1) + 1
-    states = [initial]
     effects: list[ColumnEffect] = []
     for step in recipe.steps:
         effect = _effect_of(step, index, next_id)
-        if effect.creates or effect.deletes or effect.renames:
-            _apply_effect(effect, step, columns, index)
-            next_id += len(effect.creates)
-            states.append(SchemaState(tuple(columns)))
-        else:
-            states.append(states[-1])
         effects.append(effect)
-    return effects, states
+        if not (effect.creates or effect.deletes or effect.renames):
+            continue
+        own = (index[step.owns[0]], step.owns[0])
+        at = columns.index(own)
+        columns[at : at + 1] = (() if effect.deletes else effect.renames or (own,)) + effect.creates
+        if effect.renames or effect.deletes:
+            del index[own[1]]
+        entering = effect.renames + effect.creates
+        size = len(index) + len(entering)
+        index.update([(label, cid) for cid, label in entering])
+        if len(index) != size:
+            raise _collision([label for _, label in columns], step_index=step.op.index)
+        next_id += len(effect.creates)
+    return effects, (initial, SchemaState(tuple(columns)))
 
 
 def infer_initial_schema(recipe: Recipe) -> SchemaState:

@@ -31,11 +31,11 @@ Each builder takes the recipe alone and runs the trace itself
 so every builder refuses what the trace refuses. The builders read the
 recipe's decoded steps (a param node shows a step's rendered ``params``),
 never a parameter. The column-level models keep the effects and the
-initial schema, dropping the schema snapshots at once, and follow each
-column's current label from the initial columns through the effects'
-renames and creates. A data node is made exactly when its column version
-is born (an initial column, a write or a create), and a read looks up its
-column's current node.
+initial schema, not the trace's final schema, and follow each column's
+current label from the initial columns through the effects' renames and
+creates. A data node is made exactly when its column version is born (an
+initial column, a write or a create), and a read looks up its column's
+current node.
 """
 
 from __future__ import annotations
@@ -392,6 +392,12 @@ def build_parallel(recipe: Recipe, dataflow: bool = True) -> WorkflowModel:
     return _build_column_model(recipe, None, dataflow)
 
 
+def check_collapse_threshold(threshold: int) -> None:
+    """Raises ``ValueError`` unless ``threshold`` is an int >= 2."""
+    if type(threshold) is not int or threshold < 2:
+        raise ValueError("a collapse threshold must be an int >= 2")
+
+
 def build_collapsed(
     recipe: Recipe, threshold: int = DEFAULT_COLLAPSE_THRESHOLD, dataflow: bool = True
 ) -> WorkflowModel:
@@ -402,8 +408,7 @@ def build_collapsed(
     a summary node into the linear model of its run. The trace and
     ``dataflow`` are as for :func:`build_parallel`.
     """
-    if type(threshold) is not int or threshold < 2:
-        raise ValueError("a collapse threshold must be an int >= 2")
+    check_collapse_threshold(threshold)
     return _build_column_model(recipe, threshold, dataflow)
 
 

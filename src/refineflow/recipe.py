@@ -66,10 +66,19 @@ class FrozenRecord:
 class FrozenDict(dict):
     """A read-only dict: every mutator raises ``TypeError``, and reads stay
     the C dict's. One instance may be shared by every holder of its value.
+    ``__new__`` fills it, so calling ``__init__`` again changes nothing; a
+    C-level write, ``dict.__setitem__(frozen, key, value)``, still gets in.
     Pickling and copying give an equal instance; the empty one,
     :data:`EMPTY_MAPPING`, prints, pickles and copies as that instance."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = dict.__new__(cls)
+        dict.update(self, *args, **kwargs)
+        return self
+
+    __init__ = object.__init__  # which ignores its arguments: the class defines __new__
 
     def __setitem__(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is read-only")
@@ -112,9 +121,9 @@ class Diagnostic(NamedTuple):
 
 DEFAULT_SPLIT_ARITY = 2
 
-# Upper bound on the columns one split may create. Every later schema
-# snapshot holds the parts, so without a bound one recipe entry could
-# make the trace allocate without limit.
+# Upper bound on the columns one split may create. No schema snapshot
+# holds the parts now, but the split's effect and the trace's columns do,
+# so without a bound one recipe entry could allocate without limit.
 MAX_SPLIT_PARTS = 1000
 
 
@@ -334,6 +343,12 @@ def _decode(
     return Step(op, spec, owns, references, opaque, gives, frees, error, tuple(diagnostics), tuple(rendered))
 
 
+def check_split_arity(split_arity: Mapping[str, int]) -> None:
+    """Raises ``ValueError`` unless every part count is an int >= 1."""
+    if any(type(parts) is not int or parts < 1 for parts in split_arity.values()):
+        raise ValueError("a split arity must be an int >= 1")
+
+
 class Recipe(FrozenRecord):
     """An ordered operation history, the split part counts given for its
     columns (``split_arity``, ints >= 1, which a split that pins no count
@@ -347,8 +362,7 @@ class Recipe(FrozenRecord):
     def __init__(
         self, operations: tuple[RawOperation, ...] = (), split_arity: Mapping[str, int] = EMPTY_MAPPING
     ):
-        if any(type(parts) is not int or parts < 1 for parts in split_arity.values()):
-            raise ValueError("a split arity must be an int >= 1")
+        check_split_arity(split_arity)
         analyses: dict[str, ExpressionAnalysis] = {}
         findings: dict[tuple[str, tuple[str, ...]], str] = {}  # unused-param messages
         steps = tuple(_decode(op, analyses, findings, split_arity) for op in operations)
@@ -424,19 +438,10 @@ def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> R
 
     operations = []
     for index, entry in enumerate(document):
-        if not isinstance(entry, dict):
-            raise RecipeError(
-                "missing-op-field",
-                f'entry {index} is not an operation object with a string "op" key',
-                step_index=index,
-            )
-        op_id = entry.get("op")
+        op_id = entry.get("op") if isinstance(entry, dict) else None
         if not isinstance(op_id, str) or not op_id:
-            raise RecipeError(
-                "missing-op-field",
-                f'entry {index} lacks a non-empty string "op" key',
-                step_index=index,
-            )
+            problem = "lacks a non-empty" if isinstance(entry, dict) else "is not an operation object with a"
+            raise RecipeError("missing-op-field", f'entry {index} {problem} string "op" key', step_index=index)
         # The decoded document is the parser's own: the entry, less its
         # "op", becomes the params, keys in file order.
         del entry["op"]

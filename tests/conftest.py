@@ -67,7 +67,8 @@ def menus_recipe(menus_text) -> Recipe:
 
 @pytest.fixture(scope="session")
 def menus_trace(menus_recipe):
-    """(effects, schemas) of the menus recipe over its inferred schema."""
+    """(effects, (initial, final)) of the menus recipe over its inferred
+    schema: the trace returns the schema before and after the recipe."""
     initial = infer_initial_schema(menus_recipe)
     return trace_effects(menus_recipe, initial)
 

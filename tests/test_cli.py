@@ -945,11 +945,17 @@ def test_run_config_defaults():
     "field, value",
     [
         ("model_kind", "linaer"), ("view", "bogus"), ("format", "svg"),
-        ("query", ("sideways", "step_1")),
+        ("query", ("sideways", "step_1")), ("collapse_threshold", 1),
+        ("split_arity_overrides", {"a": 0}),
     ],
 )
 def test_run_refuses_a_config_outside_the_choices_before_reading(tmp_path, field, value):
     # The input does not exist: a config read any further would exit 2.
+    # The threshold is refused for every model kind, as the CLI refuses it.
     config = RunConfig(str(tmp_path / "missing.json"), "-")._replace(**{field: value})
-    with pytest.raises(ValueError, match=f"^{field} must be one of "):
+    message = {
+        "collapse_threshold": "a collapse threshold must be an int >= 2",
+        "split_arity_overrides": "a split arity must be an int >= 1",
+    }.get(field, f"{field} must be one of ")
+    with pytest.raises(ValueError, match=f"^{message}"):
         run(config, stderr=io.StringIO())

@@ -12,6 +12,10 @@ read across columns. Pairs that the model orders although both tables
 replay them the same either way are printed as its loss of precision,
 not asserted.
 
+The open soundness probes are recipes the model orders wrongly today, one
+row each, marked as expected failures; the change that mends a row's
+ROADMAP item removes its mark.
+
 Independence must also hold where a pair occurs: every pair of steps of a
 corpus recipe that the model leaves unordered is swapped in the state the
 recipe reaches just before them (Mazurkiewicz traces are equivalent
@@ -22,7 +26,9 @@ from __future__ import annotations
 
 import time
 
-from refineflow import SchemaState, dependency_edges, trace_effects
+import pytest
+
+from refineflow import EffectError, SchemaState, dependency_edges, infer_initial_schema, trace_effects
 from conftest import make_recipe
 from oracle import OracleError, Table, execute, execute_order
 from recipegen import CORPUS_SIZE, acceptance_corpus
@@ -172,3 +178,65 @@ def test_every_unordered_pair_commutes_in_context():
         f"\n{swaps} unordered pairs of {CORPUS_SIZE} corpus recipes each replay the same "
         f"table swapped in place ({elapsed:.1f}s)"
     )
+
+
+def _trim(label: str) -> dict:
+    return {"op": "core/text-transform", "columnName": label, "expression": "value.trim()"}
+
+
+def _wide(label: str, other: str) -> dict:
+    """A transform of ``label`` whose expression the analyzer cannot read."""
+    expression = f'cells["{other}"].value.replace("p","q")'
+    return {"op": "core/text-transform", "columnName": label, "expression": expression}
+
+
+def _probe(item: int, name: str, entries: list[dict], expected) -> pytest.param:
+    return pytest.param(
+        entries, expected, id=f"item-{item}-{name}",
+        marks=pytest.mark.xfail(reason=f"unsound until ROADMAP item {item} lands"),
+    )
+
+
+LIST_FACET_ON_B = {
+    "mode": "row-based",
+    "facets": [{
+        "type": "list", "name": "B", "columnName": "B", "expression": "value",
+        "selection": [{"v": {"v": "x", "l": "x"}}], "invert": False,
+    }],
+}
+
+REORDER_AB = {"op": "core/column-reorder", "columnNames": ["a", "b"]}
+FACETED_UPPERCASE_A = {
+    "op": "core/text-transform", "columnName": "A", "expression": "value.toUppercase()",
+    "engineConfig": LIST_FACET_ON_B,
+}
+UNPINNED_SPLIT_A = {"op": "core/column-split", "columnName": "a", "separator": ","}
+REMOVE_X = {"op": "core/column-removal", "columnName": "x"}
+ADD_Y = {"op": "core/column-addition", "baseColumnName": "c", "newColumnName": "y", "expression": "value"}
+
+# (recipe, the ordering pairs it must get, or the (code, step) it must be
+# refused with). Each row reproduces today; its item says why it is unsound.
+SOUNDNESS_PROBES = [
+    # A reorder drops every column it does not list: the second trim of c
+    # cannot replay.
+    _probe(1, "reorder-drops", [_trim("c"), REORDER_AB, _trim("c")], ("unresolved-column", 2)),
+    # A facet's column is a read: the trim of B changes which rows the
+    # uppercase of A selects.
+    _probe(2, "facet-reads", [_trim("B"), FACETED_UPPERCASE_A], {(0, 1)}),
+    # A read of "a 3" says the unpinned split made at least three parts.
+    _probe(9, "split-evidence", [UNPINNED_SPLIT_A, _trim("a 3")], {(0, 1)}),
+    # A wide read reads the schema, which a removal or an addition writes.
+    _probe(18, "wide-after-removal", [REMOVE_X, _wide("a", "x")], {(0, 1)}),
+    _probe(18, "wide-before-addition", [_wide("a", "y"), ADD_Y], {(0, 1)}),
+]
+
+
+@pytest.mark.parametrize("entries, expected", SOUNDNESS_PROBES)
+def test_soundness_probe(entries, expected):
+    recipe = make_recipe(entries)
+    try:
+        effects, _ = trace_effects(recipe, infer_initial_schema(recipe))
+    except EffectError as exc:
+        assert (exc.code, exc.step_index) == expected
+        return
+    assert dependency_edges(effects) == expected

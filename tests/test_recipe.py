@@ -39,6 +39,7 @@ def test_parse_missing_op_field():
         parse_recipe('[{"description":"x"}]')
     assert info.value.code == "missing-op-field"
     assert info.value.step_index == 0
+    assert info.value.message == 'entry 0 lacks a non-empty string "op" key'
 
 
 def test_parse_missing_op_names_later_index():
@@ -58,6 +59,7 @@ def test_parse_non_object_entry_rejected():
         parse_recipe('[42]')
     assert info.value.code == "missing-op-field"
     assert info.value.step_index == 0
+    assert info.value.message == 'entry 0 is not an operation object with a string "op" key'
 
 
 def test_parse_malformed_json():

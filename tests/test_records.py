@@ -141,6 +141,19 @@ def test_a_frozen_dict_refuses_every_mutator(mutate):
     assert FrozenDict(a=1) == {"a": 1} and EMPTY_MAPPING == {}
 
 
+def test_a_frozen_dict_ignores_a_second_init():
+    # Payloads are shared, so a write through ``__init__`` would reach every
+    # node that holds the same one.
+    frozen = FrozenDict(a=1)
+    frozen.__init__(b=2)
+    frozen.__init__({"c": 3})
+    EMPTY_MAPPING.__init__(b=2)
+    assert frozen == {"a": 1} and EMPTY_MAPPING == {}
+    assert repr(EMPTY_MAPPING) == "EMPTY_MAPPING"
+    assert pickle.loads(pickle.dumps(EMPTY_MAPPING)) is EMPTY_MAPPING
+    assert copy.copy(EMPTY_MAPPING) is EMPTY_MAPPING and copy.deepcopy(EMPTY_MAPPING) is EMPTY_MAPPING
+
+
 def test_a_frozen_dict_pickles_and_copies_by_value():
     frozen = FrozenDict(key=[1])
     for copied in (pickle.loads(pickle.dumps(frozen)), copy.copy(frozen), copy.deepcopy(frozen)):
