@@ -11,7 +11,10 @@ A conversion is parse → validate → build → query → emit. The model
 builder runs the trace, so a step the trace refuses is reported from the
 build, with the same diagnostic whatever the model kind. The input text
 lives only until it is parsed, and the recipe only until the models are
-built, so a conversion's peak memory is that of its largest stage.
+built. Each output text is emitted only when its file is written, and
+written in slices, so one text and no encoded copy of it is alive at a
+time. So a conversion's peak memory is that of its largest stage; on a
+long recipe the build and the emission peak about alike.
 
 A collapsed model also gets one detail file per summary node it writes
 (after a query, the summaries the query kept): the linear model of the
@@ -111,6 +114,16 @@ def _resolve_query_node(workflow: WorkflowModel, node_id: str, idents: dict[str,
     raise RefineflowError("unknown-node", f"no node with id, label or identifier {node_id!r}")
 
 
+# Characters per write: no encoded copy of a whole text is ever made.
+_SLICE = 8192
+
+
+def _write_sliced(write, text: str) -> None:
+    """Pass ``text`` to ``write`` in slices of ``_SLICE`` characters."""
+    for start in range(0, len(text), _SLICE):
+        write(text[start : start + _SLICE])
+
+
 def _write_temp(path: str, text: str) -> str:
     """Write ``text`` to a new file beside ``path``; returns its name. The
     file's mode follows the umask, as with ``open``; a random name already
@@ -125,7 +138,7 @@ def _write_temp(path: str, text: str) -> str:
             continue
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(text)
+            _write_sliced(stream.write, text)
     except BaseException:
         os.unlink(temp_path)
         raise
@@ -137,10 +150,10 @@ def _write_stdout(text: str) -> None:
     standard output declares; a stream without a byte layer gets text."""
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
-        sys.stdout.write(text)
+        _write_sliced(sys.stdout.write, text)
         return
     sys.stdout.flush()
-    buffer.write(text.encode("utf-8"))
+    _write_sliced(lambda piece: buffer.write(piece.encode("utf-8")), text)
     buffer.flush()
 
 
@@ -233,10 +246,9 @@ def _convert(config: RunConfig, stderr) -> int:
         return 2 if exc.code == _UNREADABLE else 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
-    main_text = _emit(workflow, config, name, idents)
     if config.output_path == "-":
         try:
-            _write_stdout(main_text)
+            _write_stdout(_emit(workflow, config, name, idents))
         except OSError as exc:
             message = f"<stdout>: {exc.strerror or exc}"
             _write_diagnostics([Diagnostic("error", "unwritable-output", message)], stderr)
@@ -250,14 +262,18 @@ def _convert(config: RunConfig, stderr) -> int:
             _write_diagnostics([Diagnostic("warning", "details-skipped", message)], stderr)
         return 0
 
-    outputs = [(config.output_path, main_text)] + [
-        (_detail_path(config.output_path, summary_id), _emit(detail, config, summary_id))
+    outputs = [(config.output_path, workflow, name, idents)] + [
+        (_detail_path(config.output_path, summary_id), detail, summary_id, None)
         for summary_id, detail in details
     ]
     pending: list[tuple[str, str]] = []  # (temporary file, final path)
     try:
-        for path, text in outputs:
+        for path, output, output_name, output_idents in outputs:
+            # Each text is emitted as its file is written, and freed then:
+            # one output text is alive at a time.
+            text = _emit(output, config, output_name, output_idents)
             pending.append((_write_temp(path, text), path))
+            del text
         # Renamed in reverse, so the main file goes last: a failed run
         # leaves the previous main output in place.
         while pending:

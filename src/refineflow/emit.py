@@ -15,6 +15,8 @@ sorted lexicographically.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from typing import NamedTuple
 
 from .model import DATA_KINDS, STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
@@ -34,10 +36,12 @@ _DATA_ATTRS = f'shape=box, style="rounded,filled", fillcolor="{DATA_FILL}"'
 
 
 class _EdgeRoles(NamedTuple):
-    """Every model edge in exactly one role: ``process`` holds the
+    """The view's model edges, each in one role: ``process`` holds the
     step-to-step edges, and ``flow``, in model order, every other one, which
-    joins a step to one of its data or param nodes. ``steps`` and ``params``
-    are the ids of the step and summary nodes and of the param nodes."""
+    joins a step to one of its data or param nodes; only the combined view
+    draws a param node, so only its ``flow`` holds their edges. ``steps``
+    and ``params`` are the ids of the step and summary nodes and of the
+    param nodes."""
 
     flow: list[Edge]
     process: list[Edge]
@@ -50,9 +54,13 @@ def _edge_roles(model: WorkflowModel, view: str) -> _EdgeRoles:
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}; expected one of {', '.join(VIEWS)}")
     steps = {n.id for n in model.nodes if n.kind in STEP_KINDS}
-    roles = _EdgeRoles([], [], steps, {n.id for n in model.nodes if n.kind == "param"})
+    params = {n.id for n in model.nodes if n.kind == "param"}
+    roles = _EdgeRoles([], [], steps, params)
     for edge in model.edges:
-        (roles.process if edge.src in steps and edge.dst in steps else roles.flow).append(edge)
+        if edge.src in steps and edge.dst in steps:
+            roles.process.append(edge)
+        elif view == "combined" or edge.src not in params:
+            roles.flow.append(edge)
     return roles
 
 
@@ -79,9 +87,11 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
     identifier holds word characters only, so it needs no escaping inside
     DOT quotes.
     """
-    steps: list[tuple[Node, str]] = []
-    others: list[tuple[Node, str]] = []
-    # Labels and keys repeat from step to step: each is sanitized once.
+    # The nodes of each group, and the name each would take alone, in two
+    # lists rather than a pair per node. Labels and keys repeat from step to
+    # step: each is sanitized once.
+    steps: tuple[list[Node], list[str]] = ([], [])
+    others: tuple[list[Node], list[str]] = ([], [])
     sanitized: dict[str, str] = {}
     for node in model.nodes:
         if node.kind in STEP_KINDS:
@@ -89,17 +99,19 @@ def identifier_map(model: WorkflowModel) -> dict[str, str]:
         elif node.kind == "param":
             group, text = others, node.payload.get("key", node.label)
         else:
-            others.append((node, sanitize_identifier(node.id)))
+            others[0].append(node)
+            others[1].append(sanitize_identifier(node.id))
             continue
         name = sanitized.get(text)
         if name is None:
             name = sanitized[text] = sanitize_identifier(text)
-        group.append((node, name))
+        group[0].append(node)
+        group[1].append(name)
     result: dict[str, str] = {}
     used: set[str] = set()
-    for group in (steps, others):
-        counts = Counter(name for _, name in group)
-        for node, name in group:
+    for nodes, names in (steps, others):
+        counts = Counter(names)
+        for node, name in zip(nodes, names):
             if counts[name] > 1 and node.step_index is not None:
                 name = f"{name}_{node.step_index}"
             while name in used:
@@ -117,9 +129,10 @@ def _quote(text: str) -> str:
 
 
 def _component_of(model: WorkflowModel, roles: _EdgeRoles) -> dict[str, int | None]:
-    """Cluster assignment, the same for every view: steps by their group,
-    and every data and param node by the steps it touches; a node shared
-    between groups maps to None and stays unclustered."""
+    """Cluster assignment of the nodes a view draws, the same in every view:
+    steps by their group, and every data and param node by the steps it
+    touches; a node shared between groups maps to None and stays
+    unclustered."""
     assignment: dict[str, int | None] = {}
     for index, group in enumerate(model.components):
         for node_id in group:
@@ -158,26 +171,52 @@ def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None =
     (default: the model's own :func:`identifier_map`); the CLI passes the
     whole model's map to name a query's subgraph.
     """
-    return "\n".join(_dot_lines(model, view, idents or identifier_map(model)))
+    return "".join(_dot_chunks(model, view, idents or identifier_map(model)))
 
 
-def _dot_lines(model: WorkflowModel, view: str, idents: dict[str, str]) -> list[str]:
-    """The digraph's lines; the identifiers die before they are joined."""
-    lines = ["digraph workflow {", "rankdir=TB;"]
-    edges = _node_statements(lines, model, view, idents)
+# Lines per chunk: a chunk's string costs little more than its text, where
+# each line's string costs its text and about 50 bytes besides; and few
+# lines are alive at once beside a small model's text.
+_BATCH = 16
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, each ended by a newline, joined in batches of ``_BATCH``."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _BATCH)):
+        batch.append("")
+        yield "\n".join(batch)
+
+
+def _drained_chunks(descending: list[str]) -> Iterator[str]:
+    """The chunks of ``descending`` read from its end, so in ascending
+    order; each batch leaves the list before it is joined, so its strings
+    are freed once its chunk is made."""
+    while descending:
+        batch = descending[: -_BATCH - 1 : -1]
+        del descending[-_BATCH:]
+        batch.append("")
+        yield "\n".join(batch)
+
+
+def _dot_chunks(model: WorkflowModel, view: str, idents: dict[str, str]) -> list[str]:
+    """The digraph's text in chunks; the identifiers die before they are joined."""
+    chunks = ["digraph workflow {\nrankdir=TB;\n"]
+    edges = _node_chunks(chunks, model, view, idents)
     # Sorting the statements sorts by endpoints: identifiers hold word
     # characters only, which sort after '"', and no two edges of a view
     # share both endpoints.
-    lines.extend(sorted(
+    statements = sorted((
         f'"{idents[src]}" -> "{idents[dst]}"' + (f" [label={_quote(label)}];" if label else ";")
         for src, dst, label in edges
-    ))
-    lines.append("}\n")
-    return lines
+    ), reverse=True)
+    chunks.extend(_drained_chunks(statements))
+    chunks.append("}\n")
+    return chunks
 
 
-def _node_statements(lines: list[str], model: WorkflowModel, view: str, idents: dict[str, str]) -> list[Edge]:
-    """Append the view's node statements, in clusters, to ``lines``, and
+def _node_chunks(chunks: list[str], model: WorkflowModel, view: str, idents: dict[str, str]) -> list[Edge]:
+    """Append the view's node statements, in clusters, to ``chunks``, and
     return its edges. The edge roles and the cluster assignment die on
     return, before the edge statements are made."""
     roles = _edge_roles(model, view)
@@ -198,11 +237,15 @@ def _node_statements(lines: list[str], model: WorkflowModel, view: str, idents: 
                 loose.append(node)
             else:
                 clusters.setdefault(index, []).append(node)
-    for index in sorted(clusters):
-        lines.append(f"subgraph cluster_{index} {{")
-        lines.extend(statement(node) for node in clusters[index])
-        lines.append("}")
-    lines.extend(statement(node) for node in loose)
+
+    def lines() -> Iterator[str]:
+        for index in sorted(clusters):
+            yield f"subgraph cluster_{index} {{"
+            yield from map(statement, clusters[index])
+            yield "}"
+        yield from map(statement, loose)
+
+    chunks.extend(_chunks(lines()))
     return edges
 
 
@@ -215,24 +258,31 @@ def emit_yw(
     and outputs; parameters appear only in the combined view. ``idents``
     is as for :func:`emit_dot`.
     """
-    ins, params, outs = _ports(_edge_roles(model, view))
-    idents = idents or identifier_map(model)
-    node_order = {node.id: position for position, node in enumerate(model.nodes)}
+    return "".join(_yw_chunks(model, view, sanitize_identifier(name), idents or identifier_map(model)))
 
-    lines = [f"# @begin {sanitize_identifier(name)}"]
+
+def _yw_chunks(model: WorkflowModel, view: str, name: str, idents: dict[str, str]) -> list[str]:
+    """The annotations in chunks; the ports, the node positions and the
+    identifiers die before they are joined."""
+    ins, params, outs = _ports(_edge_roles(model, view))
+    # The position of each node a port names; steps are not ports.
+    node_order = {
+        node.id: position for position, node in enumerate(model.nodes)
+        if node.kind in DATA_KINDS or (node.kind == "param" and view == "combined")
+    }
     steps = sorted(
         (n for n in model.nodes if n.kind in STEP_KINDS),
         key=lambda n: (n.step_index if n.step_index is not None else 0),
     )
-    for step in steps:
-        lines.append(f"# @begin {idents[step.id]}")
-        for data_id in sorted(ins.get(step.id, ()), key=node_order.get):
-            lines.append(f"# @in {idents[data_id]}")
-        if view == "combined":
-            for param_id in sorted(params.get(step.id, ()), key=node_order.get):
-                lines.append(f"# @param {idents[param_id]}")
-        for data_id in sorted(outs.get(step.id, ()), key=node_order.get):
-            lines.append(f"# @out {idents[data_id]}")
-        lines.append(f"# @end {idents[step.id]}")
-    lines.append(f"# @end {sanitize_identifier(name)}\n")
-    return "\n".join(lines)
+
+    def lines() -> Iterator[str]:
+        yield f"# @begin {name}"
+        for step in steps:
+            yield f"# @begin {idents[step.id]}"
+            for tag, ports in (("in", ins), ("param", params), ("out", outs)):
+                for node_id in sorted(ports.get(step.id, ()), key=node_order.get):
+                    yield f"# @{tag} {idents[node_id]}"
+            yield f"# @end {idents[step.id]}"
+        yield f"# @end {name}"
+
+    return list(_chunks(lines()))

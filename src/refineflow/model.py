@@ -232,11 +232,14 @@ def _group_order(
 _PARAM_PAYLOADS = {key: FrozenDict(key=key) for spec in CATALOG.values() for key in spec.params}
 
 
-def _param_nodes(step: Step, step_index: int) -> list[Node]:
-    return [
-        Node("param", f"param_{step_index}_{key}", f"{key} = {text}", step_index, _PARAM_PAYLOADS[key])
-        for key, text in step.params
-    ]
+def _param_nodes(step: Step, step_index: int, labels: dict[str, str]) -> list[Node]:
+    """A step's param nodes. Equal labels are one string, kept in ``labels``."""
+    nodes = []
+    for key, text in step.params:
+        label = f"{key} = {text}"
+        label = labels.setdefault(label, label)
+        nodes.append(Node("param", f"param_{step_index}_{key}", label, step_index, _PARAM_PAYLOADS[key]))
+    return nodes
 
 
 def _plain_step(op_id: str, shared: dict) -> tuple[str, Mapping[str, Any]]:
@@ -262,6 +265,7 @@ def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
     n = len(steps)
     nodes, edges = [Node("data_table", "table_0", "table_0")], []
     shared: dict[str, tuple] = {}
+    param_labels: dict[str, str] = {}
     for pos, step in enumerate(steps):
         op = step.op
         if step.error is not None:
@@ -270,7 +274,7 @@ def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
         table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
         label, payload = _plain_step(op.op_id, shared)
         nodes.append(Node("step", step_id, label, pos, payload))
-        params = _param_nodes(step, pos)
+        params = _param_nodes(step, pos, param_labels)
         nodes.extend(params)
         nodes.append(Node("data_table", table_out, table_out))
         edges.append(Edge(table_in, step_id))
@@ -306,6 +310,10 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
     a column. Each output is a new data node, which becomes its column's
     current one. Without ``dataflow`` only the step layer is built: no data
     or param node, and no edge that touches one.
+
+    Each group's effects are dropped once its nodes and edges are made, and
+    the loop's tables before the process edges are: the model does not grow
+    beside every effect.
     """
     initial = infer_initial_schema(recipe)
     effects = trace_effects(recipe, initial)[0]
@@ -334,8 +342,9 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
             born(cid, 0, name)
 
     # Node id of each group, by the index of its first step.
-    group_ids: dict[int, str] = {}
+    group_ids: list[str | None] = [None] * n
     shared: dict[str, tuple] = {}
+    param_labels: dict[str, str] = {}
 
     start = 0
     while start < n:
@@ -362,7 +371,7 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
             reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
             edges.extend(Edge(current[cid], node_id) for cid in sorted(reads))
             if end == start:
-                params = _param_nodes(recipe.steps[start], start)
+                params = _param_nodes(recipe.steps[start], start, param_labels)
                 nodes.extend(params)
                 edges.extend(Edge(param.id, node_id) for param in params)
             for effect in group:
@@ -374,8 +383,10 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
                 edges.append(Edge(node_id, born(cid, version[cid], labels[cid])))
             for cid, name in first.creates:
                 edges.append(Edge(node_id, born(cid, 0, name)))
+        effects[start : end + 1] = [None] * (end + 1 - start)
         start = end + 1
 
+    del used_ids, current, labels, version
     edges.extend(Edge(group_ids[i], group_ids[j]) for i, j in kept)
     components = [[group_ids[i] for i in starts] for starts in component_starts]
     return WorkflowModel(nodes, edges, components)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,19 @@ def launch(*args: str, env=None, timeout: float = 60, **kwargs) -> subprocess.Co
         [sys.executable, "-X", "dev", "-W", "error", "-m", "refineflow.cli", *args],
         stderr=subprocess.PIPE, env={**environ, **(env or {})}, timeout=timeout, **kwargs,
     )
+
+
+def traced_peak(fn, *args) -> int:
+    """The ``tracemalloc`` peak, in bytes, while ``fn(*args)`` runs: what it
+    allocates, and what it frees before the peak too. Memory allocated
+    before the call is not traced; ``fn`` may call
+    ``tracemalloc.reset_peak()`` to measure only its last part."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

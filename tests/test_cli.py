@@ -9,8 +9,10 @@ import random
 import re
 import shutil
 import sys
+import weakref
 from collections.abc import Mapping
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -390,6 +392,102 @@ def test_params_nested_near_the_json_depth_limit_end_in_a_diagnostic(tmp_path):
                     for fmt in FORMATS:
                         codes.add(status(kind, view, fmt))
             assert len(codes) == 1, (depth, key)
+
+
+class _FailsOnSecondWrite:
+    """A sink that takes one write, then reports a full disk; ``writes``
+    counts the attempts."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stream.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.stream.write(data)
+
+    def flush(self):
+        self.stream.flush()
+
+
+def _long_recipe(tmp_path) -> str:
+    """A recipe whose combined DOT is several slices long."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(random_recipe_entries(random.Random(7), 200, ["a", "b", "c"])), encoding="utf-8")
+    return str(path)
+
+
+def test_write_failing_on_its_second_slice_keeps_previous_output(tmp_path, monkeypatch):
+    # The text goes to the file in slices: a write fails part way, and the
+    # temporary file goes, as after a failed single write.
+    out = tmp_path / "model.dot"
+    out.write_text("previous\n", encoding="utf-8")
+    recipe = _long_recipe(tmp_path)
+    sinks = []
+
+    def failing(*args, **kwargs):
+        sinks.append(_FailsOnSecondWrite(fdopen(*args, **kwargs)))
+        return sinks[-1]
+
+    fdopen = os.fdopen
+    monkeypatch.setattr(cli.os, "fdopen", failing)
+    stderr = io.StringIO()
+    assert run(RunConfig(recipe, str(out)), stderr=stderr) == 2
+    assert [sink.writes for sink in sinks] == [2]
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error")]
+    assert errors == [f"error unwritable-output - {out}: {os.strerror(errno.ENOSPC)}"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["long.json", "model.dot"]
+    assert out.read_text(encoding="utf-8") == "previous\n"
+
+
+def test_stdout_failing_on_its_second_slice_exits_2(tmp_path, monkeypatch):
+    sink = _FailsOnSecondWrite(io.BytesIO())
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=sink, flush=lambda: None))
+    stderr = io.StringIO()
+    assert run(RunConfig(_long_recipe(tmp_path), "-"), stderr=stderr) == 2
+    assert sink.writes == 2
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error")]
+    assert errors == [f"error unwritable-output - <stdout>: {os.strerror(errno.ENOSPC)}"]
+
+
+class _Text(str):
+    """An output text that a weak reference can follow."""
+
+
+def test_one_output_text_is_alive_at_a_time(tmp_path, monkeypatch):
+    # The main file and each detail file are emitted only as they are
+    # written, and each text is freed before the next is emitted.
+    emit = cli._emit
+    texts: list[weakref.ref] = []
+    alive: list[int] = []
+
+    def tracking(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in texts))
+        text = _Text(emit(*args, **kwargs))
+        texts.append(weakref.ref(text))
+        return text
+
+    monkeypatch.setattr(cli, "_emit", tracking)
+    recipe = tmp_path / "runs.json"
+    trims = [
+        {"op": "core/text-transform", "columnName": column, "expression": "value.trim()"}
+        for column in "aaabbb"
+    ]
+    recipe.write_text(json.dumps(trims), encoding="utf-8")
+    out = tmp_path / "model.dot"
+    assert run(RunConfig(str(recipe), str(out), model.COLLAPSED), stderr=io.StringIO()) == 0
+    assert alive == [0, 0, 0]
+    assert sorted(path.name for path in tmp_path.glob("model.*")) == [
+        "model.detail.summary_0.dot", "model.detail.summary_3.dot", "model.dot",
+    ]
 
 
 def test_failed_write_to_stdout_exits_2(monkeypatch):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import time
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from refineflow import (
 )
 from refineflow.effects import EMPTY_SET
 from refineflow.recipe import MAX_SPLIT_PARTS
-from conftest import make_recipe
+from conftest import make_recipe, traced_peak
 from recipegen import acceptance_corpus, random_recipe
 
 
@@ -571,13 +570,7 @@ def test_trace_memory_over_wide_schema(entry, bound_mb):
     # list after every rename took about 9 MiB.
     recipe = make_recipe([entry(k) for k in range(2000)])
     initial = _schema(*(f"c{k}" for k in range(500)))
-    tracemalloc.start()
-    try:
-        trace_effects(recipe, initial)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound_mb * 2**20
+    assert traced_peak(trace_effects, recipe, initial) < bound_mb * 2**20
 
 
 def test_catalog_reference_matches_committed_file():

@@ -1,11 +1,14 @@
 """A conversion's peak memory is its largest stage, not the sum of them.
 
 ``cli.run`` holds the input text only until it is parsed, and the recipe
-only until the models are built; the model builder frees its dependency
-pairs before it makes a node. So the ``tracemalloc`` peak of a whole
-conversion stays near the peak of its largest stage measured alone. Each
-measurement follows a warm-up conversion, so that caches and the
-interpreter's free lists are filled alike.
+only until the models are built. The model builder frees its dependency
+pairs before it makes a node, and each group's effects once it has made
+that group's nodes; the emitters free their tables before they join their
+chunks, and the CLI writes one output text at a time, in slices. So the
+``tracemalloc`` peak of a whole conversion stays near the peak of its
+largest stage measured alone; the build and the emission peak about
+alike. Each measurement follows a warm-up conversion, so that caches and
+the interpreter's free lists are filled alike.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pytest
 from refineflow import cli, emit_dot, emit_yw, model, parse_recipe
 from refineflow.cli import RunConfig
 from refineflow.recipe import Recipe
+from conftest import traced_peak
 from recipegen import random_recipe_entries
 
 STEPS = 2000
@@ -47,35 +51,23 @@ def _read(path: str) -> str:
         return stream.read()
 
 
-def _traced_peak(stage, *args) -> int:
-    """Peak traced bytes while ``stage(*args)`` runs, what is traced
-    already included; the stage's result is dropped at once."""
-    tracemalloc.reset_peak()
-    stage(*args)
-    return tracemalloc.get_traced_memory()[1]
-
-
-def _parse_peak(path: str) -> int:
+# Each stage's inputs are made under tracing, and the peak is reset before
+# the stage runs: its peak counts the inputs it holds, as in a conversion.
+def _parse_stage(path: str) -> None:
     # The text is read under tracing, so the stage counts it.
-    return _traced_peak(lambda: parse_recipe(_read(path)))
+    parse_recipe(_read(path))
 
 
-def _build_peak(path: str) -> int:
+def _build_stage(path: str) -> None:
     recipe = parse_recipe(_read(path))
-    return _traced_peak(model.build_parallel, recipe)
+    tracemalloc.reset_peak()
+    model.build_parallel(recipe)
 
 
-def _emit_peak(path: str, fmt: str) -> int:
+def _emit_stage(path: str, fmt: str) -> None:
     workflow = model.build_parallel(parse_recipe(_read(path)))
-    return _traced_peak(EMITTERS[fmt], workflow, "combined")
-
-
-def _traced(measure, *args) -> int:
-    tracemalloc.start()
-    try:
-        return measure(*args)
-    finally:
-        tracemalloc.stop()
+    tracemalloc.reset_peak()
+    EMITTERS[fmt](workflow, "combined")
 
 
 @pytest.mark.parametrize("fmt", sorted(EMITTERS))
@@ -83,11 +75,11 @@ def test_a_conversion_peaks_at_its_largest_stage(tmp_path, recipe_path, fmt):
     out = str(tmp_path / f"out.{fmt}")
     _convert(recipe_path, fmt, out)  # warm-up
     stages = {
-        "parse": _traced(_parse_peak, recipe_path),
-        "build": _traced(_build_peak, recipe_path),
-        "emit": _traced(_emit_peak, recipe_path, fmt),
+        "parse": traced_peak(_parse_stage, recipe_path),
+        "build": traced_peak(_build_stage, recipe_path),
+        "emit": traced_peak(_emit_stage, recipe_path, fmt),
     }
-    conversion = _traced(_traced_peak, _convert, recipe_path, fmt, out)
+    conversion = traced_peak(_convert, recipe_path, fmt, out)
     largest = max(stages.values())
     assert conversion <= SLACK * largest, (
         f"conversion peak {conversion / 1e6:.2f} MB; stage peaks "
@@ -95,26 +87,50 @@ def test_a_conversion_peaks_at_its_largest_stage(tmp_path, recipe_path, fmt):
     )
 
 
-# emit_dot's traced transient memory, per byte of the text it returns. The
-# text and its lines are alive together while they are joined, so the
-# floor is about two; the edge roles, the cluster assignment and the
-# identifiers are freed before that.
-EMIT_BOUND = 3.5
+# The build of the 2,000-step recipe's parallel model, in 10^6 bytes: it
+# peaked at 4.3 while every effect stayed alive beside the model, and
+# peaks at about 3.2 now that each group's effects die once it is built.
+BUILD_BOUND_MB = 3.8
+
+
+def test_the_build_frees_each_effect_once_used(recipe_path):
+    recipe = parse_recipe(_read(recipe_path))
+    model.build_parallel(recipe)  # warm-up
+    peak = traced_peak(model.build_parallel, recipe)
+    assert peak <= BUILD_BOUND_MB * 1e6, f"{peak / 1e6:.2f} MB"
+
+
+# An emitter's traced transient memory, per byte of the text it returns.
+# The chunks and the text are alive together while they are joined, so
+# the floor is about two: a chunk of 16 lines costs little more than its
+# text, and the tables are freed before the join. DOT's combined and
+# process views sit near that floor. Its data view first makes an edge
+# for each (input, output) pair of a step. YW's text holds identifiers
+# only, about 85 bytes per step in the process view, while the identifier
+# map, the ports and their positions cost about a hundred bytes per node.
+EMIT_BOUND = 2.5
+DOT_DATA_BOUND = 6.0
+YW_BOUND = 9.0
+
+
+def _transient_per_byte(recipe_path: str, emit, view: str) -> float:
+    # The DOT process view is drawn from the step-only model, as the CLI builds it.
+    dataflow = (emit, view) != (emit_dot, "process")
+    workflow = model.build_parallel(parse_recipe(_read(recipe_path)), dataflow=dataflow)
+    text = emit(workflow, view)  # warm-up
+    return traced_peak(emit, workflow, view) / len(text)
+
+
+@pytest.mark.parametrize("view", ["combined", "process", "data"])
+def test_emit_dot_holds_little_beside_its_text(recipe_path, view):
+    ratio = _transient_per_byte(recipe_path, emit_dot, view)
+    assert ratio <= (DOT_DATA_BOUND if view == "data" else EMIT_BOUND), f"{ratio:.2f} bytes per byte of text"
 
 
 @pytest.mark.parametrize("view", ["combined", "process"])
-def test_emit_dot_holds_little_beside_its_text(recipe_path, view):
-    # The process view is drawn from the step-only model, as the CLI builds it.
-    workflow = model.build_parallel(parse_recipe(_read(recipe_path)), dataflow=view != "process")
-    emit_dot(workflow, view)  # warm-up
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        text = emit_dot(workflow, view)
-        transient = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert transient <= EMIT_BOUND * len(text), f"{transient / len(text):.2f} bytes per byte of text"
+def test_emit_yw_holds_little_beside_its_text(recipe_path, view):
+    ratio = _transient_per_byte(recipe_path, emit_yw, view)
+    assert ratio <= YW_BOUND, f"{ratio:.2f} bytes per byte of text"
 
 
 @pytest.mark.parametrize("fmt", sorted(EMITTERS))

@@ -3,7 +3,6 @@ from __future__ import annotations
 import copy
 import pickle
 import random
-import tracemalloc
 
 import pytest
 
@@ -27,7 +26,7 @@ from refineflow import (
     upstream_lineage,
 )
 from refineflow.model import _transitive_reduction
-from conftest import make_recipe
+from conftest import make_recipe, traced_peak
 from recipegen import (
     CORPUS_SEED,
     acceptance_corpus,
@@ -250,14 +249,8 @@ def test_long_table_scoped_chain_builds_in_bounded_memory():
         for k in range(2999)
     ]
     recipe = make_recipe(entries)
-    tracemalloc.start()
-    try:
-        model = build_parallel(recipe)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 50 * 2**20
-    assert len(model.components) == 1
+    assert traced_peak(build_parallel, recipe) < 50 * 2**20
+    assert len(build_parallel(recipe).components) == 1
 
 
 def _trims(n: int, columns: int) -> list[dict]:
@@ -271,12 +264,7 @@ def _trims(n: int, columns: int) -> list[dict]:
 def _reduction_peak(entries: list[dict]) -> int:
     effects, _ = _models_for(make_recipe(entries))
     pairs = dependency_edges(effects)
-    tracemalloc.start()
-    try:
-        _transitive_reduction(len(effects), pairs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(_transitive_reduction, len(effects), pairs)
 
 
 @pytest.mark.parametrize("columns", [1, 50], ids=["one-column-chain", "independent-columns"])
@@ -378,13 +366,14 @@ def test_param_and_plain_step_payloads_are_shared(menus_recipe, mass_edit_recipe
     for recipe in recipes:
         for model in (build_linear(recipe), build_parallel(recipe), build_collapsed(recipe, 2)):
             payloads: dict[tuple[str, str], set[int]] = {}
-            labels: dict[str, set[int]] = {}
+            labels: dict[tuple[str, str], set[int]] = {}
             for node in model.nodes:
                 if node.kind == "param":
                     payloads.setdefault(("param", node.payload["key"]), set()).add(id(node.payload))
+                    labels.setdefault(("param", node.label), set()).add(id(node.label))
                 elif node.kind == "step" and "pattern" not in node.payload:
                     payloads.setdefault(("step", node.payload["op_id"]), set()).add(id(node.payload))
-                    labels.setdefault(node.payload["op_id"], set()).add(id(node.label))
+                    labels.setdefault(("step", node.payload["op_id"]), set()).add(id(node.label))
             assert all(len(ids) == 1 for ids in payloads.values())
             assert all(len(ids) == 1 for ids in labels.values())
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 import io
 import json
 import time
-import tracemalloc
 
 import pytest
 
 from refineflow import build_parallel, parse_recipe
 from refineflow.cli import RunConfig, run
+from conftest import traced_peak
 
 MAX_RATIO = 6
 
@@ -88,15 +88,13 @@ def _measure(entries: list[dict], view: str, tmp_path) -> tuple[dict[str, int], 
     text = json.dumps(entries)
     recipe_path, out = tmp_path / "recipe.json", tmp_path / "model.dot"
     recipe_path.write_text(text, encoding="utf-8")
+
+    def convert() -> None:
+        assert run(RunConfig(str(recipe_path), str(out), view=view), stderr=io.StringIO()) == 0
+
     start = time.perf_counter()
-    tracemalloc.start()
-    try:
-        status = run(RunConfig(str(recipe_path), str(out), view=view), stderr=io.StringIO())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(convert)
     elapsed = time.perf_counter() - start
-    assert status == 0
     model = build_parallel(parse_recipe(text))
     measures = {
         "tracemalloc peak": peak,
