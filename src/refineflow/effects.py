@@ -25,7 +25,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import EffectError
-from .recipe import RawOperation, Recipe, Step
+from .recipe import RawOperation, Recipe, Step, _record
 
 # Stable identity of a column: survives renames, never reused.
 ColumnId = int
@@ -107,7 +107,7 @@ def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEf
     op, spec = step.op, step.spec
     if spec.table_scoped:
         live = frozenset(index.values()) or EMPTY_SET
-        return ColumnEffect(reads=live, writes=live, table_scoped=True)
+        return _record(ColumnEffect, (live, live, (), EMPTY_SET, (), True, EMPTY_SET))
     if step.error is not None:
         raise EffectError(*step.error, step_index=op.index)
 
@@ -116,14 +116,15 @@ def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEf
     reads = frozenset(index.values()) if step.opaque else own  # opaque means no references
     if step.references:
         reads = own | frozenset(_resolve(name, index, op) for name in step.references)
-    return ColumnEffect(
-        reads=reads,
-        writes=own if spec.writes_own else EMPTY_SET,
-        creates=() if spec.rename else tuple(enumerate(step.gives, next_id)),
-        deletes=own if step.frees and not spec.rename else EMPTY_SET,
-        renames=((own_ids[0], step.gives[0]),) if spec.rename else (),
-        labels=frozenset(step.gives + step.frees) if step.gives or step.frees else EMPTY_SET,
-    )
+    return _record(ColumnEffect, (
+        reads,
+        own if spec.writes_own else EMPTY_SET,  # writes
+        () if spec.rename else tuple(enumerate(step.gives, next_id)),  # creates
+        own if step.frees and not spec.rename else EMPTY_SET,  # deletes
+        ((own_ids[0], step.gives[0]),) if spec.rename else (),  # renames
+        False,  # table_scoped
+        frozenset(step.gives + step.frees) if step.gives or step.frees else EMPTY_SET,  # labels
+    ))
 
 
 def trace_effects(

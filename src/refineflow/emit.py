@@ -20,6 +20,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .model import DATA_KINDS, STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
+from .recipe import _record
 
 VIEWS = ("combined", "process", "data")
 
@@ -154,7 +155,7 @@ def _view(model: WorkflowModel, view: str, roles: _EdgeRoles) -> tuple[list[Node
         return [n for n in model.nodes if n.kind in STEP_KINDS], roles.process
     ins, _, outs = _ports(roles)
     derived = [
-        Edge(src, dst, node.label)
+        _record(Edge, (src, dst, node.label))
         for node in model.nodes
         if node.kind in STEP_KINDS
         for src in ins.get(node.id, ())

@@ -47,7 +47,7 @@ from typing import Any, NamedTuple
 
 from .effects import ColumnEffect, ColumnId, infer_initial_schema, trace_effects
 from .errors import EffectError, ModelError
-from .recipe import CATALOG, EMPTY_MAPPING, FrozenDict, FrozenRecord, Recipe, Step
+from .recipe import CATALOG, EMPTY_MAPPING, FrozenDict, FrozenRecord, Recipe, Step, _record
 
 LINEAR = "linear"
 PARALLEL = "parallel"
@@ -78,9 +78,11 @@ DATA_KINDS = ("data_table", "data_column")
 
 
 class Node(NamedTuple):
-    """One model node; immutable, and cheap to build positionally. A
-    builder's payloads are read-only dicts: the param nodes of one key share
-    one, and so do the steps of one op id that are not a split or a merge."""
+    """One model node; immutable. The builders make each one through
+    ``recipe._record``, from all five fields in order, and fill each payload
+    they make with ``FrozenDict``'s two C calls. A builder's payloads are
+    read-only dicts: the param nodes of one key share one, and so do the
+    steps of one op id that are not a split or a merge."""
 
     kind: str  # one of STEP_KINDS, DATA_KINDS or "param"
     id: str
@@ -238,7 +240,8 @@ def _param_nodes(step: Step, step_index: int, labels: dict[str, str]) -> list[No
     for key, text in step.params:
         label = f"{key} = {text}"
         label = labels.setdefault(label, label)
-        nodes.append(Node("param", f"param_{step_index}_{key}", label, step_index, _PARAM_PAYLOADS[key]))
+        node_id = f"param_{step_index}_{key}"
+        nodes.append(_record(Node, ("param", node_id, label, step_index, _PARAM_PAYLOADS[key])))
     return nodes
 
 
@@ -263,7 +266,7 @@ def build_linear(recipe: Recipe) -> WorkflowModel:
 
 def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
     n = len(steps)
-    nodes, edges = [Node("data_table", "table_0", "table_0")], []
+    nodes, edges = [_record(Node, ("data_table", "table_0", "table_0", None, EMPTY_MAPPING))], []
     shared: dict[str, tuple] = {}
     param_labels: dict[str, str] = {}
     for pos, step in enumerate(steps):
@@ -273,15 +276,15 @@ def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
         step_id = f"step_{pos}"
         table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
         label, payload = _plain_step(op.op_id, shared)
-        nodes.append(Node("step", step_id, label, pos, payload))
+        nodes.append(_record(Node, ("step", step_id, label, pos, payload)))
         params = _param_nodes(step, pos, param_labels)
         nodes.extend(params)
-        nodes.append(Node("data_table", table_out, table_out))
-        edges.append(Edge(table_in, step_id))
-        edges.append(Edge(step_id, table_out))
-        edges.extend(Edge(p.id, step_id) for p in params)
+        nodes.append(_record(Node, ("data_table", table_out, table_out, None, EMPTY_MAPPING)))
+        edges.append(_record(Edge, (table_in, step_id, None)))
+        edges.append(_record(Edge, (step_id, table_out, None)))
+        edges.extend([_record(Edge, (p.id, step_id, None)) for p in params])
         if pos > 0:
-            edges.append(Edge(f"step_{pos - 1}", step_id))
+            edges.append(_record(Edge, (f"step_{pos - 1}", step_id, None)))
     components = [[f"step_{i}" for i in range(n)]] if n else []
     return WorkflowModel(nodes, edges, components)
 
@@ -334,7 +337,9 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
             node_id = f"{node_id}_c{cid}"
         used_ids.add(node_id)
         current[cid] = node_id
-        nodes.append(Node("data_column", node_id, label, None, FrozenDict(column_id=cid, version=at)))
+        payload = dict.__new__(FrozenDict)
+        dict.update(payload, column_id=cid, version=at)
+        nodes.append(_record(Node, ("data_column", node_id, label, None, payload)))
         return node_id
 
     if dataflow:
@@ -354,40 +359,43 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
         if end > start:
             count = end - start + 1
             node_id = f"summary_{start}"
-            payload = FrozenDict(op_id=op.op_id, count=count, first_index=start, last_index=end)
-            nodes.append(Node("summary", node_id, f"{op.op_id} × {count}", start, payload))
+            payload = dict.__new__(FrozenDict)
+            dict.update(payload, op_id=op.op_id, count=count, first_index=start, last_index=end)
+            nodes.append(_record(Node, ("summary", node_id, f"{op.op_id} × {count}", start, payload)))
         else:
             node_id = f"step_{start}"
             label, payload = _plain_step(op.op_id, shared)
             if len(first.creates) >= 2:
-                payload = FrozenDict(op_id=op.op_id, pattern="split", branches=len(first.creates))
+                payload = dict.__new__(FrozenDict)
+                dict.update(payload, op_id=op.op_id, pattern="split", branches=len(first.creates))
             elif len(first.reads) >= 2 and len(first.writes | first.created_ids()) == 1:
-                payload = FrozenDict(op_id=op.op_id, pattern="merge")
-            nodes.append(Node("step", node_id, label, start, payload))
+                payload = dict.__new__(FrozenDict)
+                dict.update(payload, op_id=op.op_id, pattern="merge")
+            nodes.append(_record(Node, ("step", node_id, label, start, payload)))
         group_ids[start] = node_id
 
         if dataflow:
             group = effects[start : end + 1]
             reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
-            edges.extend(Edge(current[cid], node_id) for cid in sorted(reads))
+            edges.extend([_record(Edge, (current[cid], node_id, None)) for cid in sorted(reads)])
             if end == start:
                 params = _param_nodes(recipe.steps[start], start, param_labels)
                 nodes.extend(params)
-                edges.extend(Edge(param.id, node_id) for param in params)
+                edges.extend([_record(Edge, (param.id, node_id, None)) for param in params])
             for effect in group:
                 for cid in effect.writes:
                     version[cid] = version.get(cid, 0) + 1
                 labels.update(effect.renames)
                 labels.update(effect.creates)
             for cid in sorted(first.writes):
-                edges.append(Edge(node_id, born(cid, version[cid], labels[cid])))
+                edges.append(_record(Edge, (node_id, born(cid, version[cid], labels[cid]), None)))
             for cid, name in first.creates:
-                edges.append(Edge(node_id, born(cid, 0, name)))
+                edges.append(_record(Edge, (node_id, born(cid, 0, name), None)))
         effects[start : end + 1] = [None] * (end + 1 - start)
         start = end + 1
 
     del used_ids, current, labels, version
-    edges.extend(Edge(group_ids[i], group_ids[j]) for i, j in kept)
+    edges.extend([_record(Edge, (group_ids[i], group_ids[j], None)) for i, j in kept])
     components = [[group_ids[i] for i in starts] for starts in component_starts]
     return WorkflowModel(nodes, edges, components)
 

@@ -14,7 +14,8 @@ Recipes repeat expression texts step after step (one ``value.trim()`` per
 column), so a recipe analyzes each distinct text once, and words each
 unused-param finding once per op id and key list. The base of the package's
 slotted records, which are all immutable, lives here too, at the bottom of
-the import graph.
+the import graph, with ``_record``, through which the conversion path
+builds the named-tuple records it makes per step, node or edge.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class FrozenDict(dict):
     the C dict's. One instance may be shared by every holder of its value.
     ``__new__`` fills it, so calling ``__init__`` again changes nothing; a
     C-level write, ``dict.__setitem__(frozen, key, value)``, still gets in.
+    The conversion path fills a payload with the two C calls ``__new__``
+    makes, ``dict.__new__(FrozenDict)`` then ``dict.update``, and so makes
+    the same object without this method's Python frame.
     Pickling and copying give an equal instance; the empty one,
     :data:`EMPTY_MAPPING`, prints, pickles and copies as that instance."""
 
@@ -93,6 +97,11 @@ class FrozenDict(dict):
 
 
 EMPTY_MAPPING: Mapping[str, Any] = FrozenDict()
+
+# ``_record(Cls, fields)`` makes the named tuple ``Cls(*fields)`` makes,
+# without its Python-level ``__new__``. It checks neither the count nor the
+# order of ``fields``, so each call passes every field in ``Cls._fields`` order.
+_record = tuple.__new__
 
 
 class RawOperation(NamedTuple):
@@ -229,7 +238,9 @@ class Step(NamedTuple):
     message)`` the trace and the linear model raise at this step, the one
     verdict on its parameters: ``missing-param`` for its first absent or
     malformed one, else ``split-arity-too-large``, else ``malformed-json``
-    for a value nested too deeply to render. ``diagnostics`` are its
+    for a value nested too deeply to render, or one JSON cannot write (a
+    library caller's self-containing list or dict, a ``set``, a tuple key
+    or an int too long to convert). ``diagnostics`` are its
     validation findings. ``params`` renders each present key of
     ``spec.params``, in that order: a string as it is, any other value as
     compact, key-sorted JSON.
@@ -266,7 +277,8 @@ def _decode(
             f"operation id {op.op_id!r} is not in the effect catalog; "
             "treated conservatively as touching the whole table"
         )
-        return Step(op, TABLE_SCOPED, diagnostics=(Diagnostic("warning", "unknown-op", message, op.index),))
+        diagnostic = _record(Diagnostic, ("warning", "unknown-op", message, op.index))
+        return _record(Step, (op, TABLE_SCOPED, (), (), False, (), (), None, (diagnostic,), ()))
     params = op.params
     diagnostics = []
     shape = (op.op_id, tuple(params))
@@ -274,15 +286,19 @@ def _decode(
         unused = ", ".join(sorted(params.keys() - spec.params - {"description"}))
         findings[shape] = unused and f"{op.op_id} parameter(s) retained but not used by the model: {unused}"
     if findings[shape]:
-        diagnostics.append(Diagnostic("info", "unused-param", findings[shape], op.index))
+        diagnostics.append(_record(Diagnostic, ("info", "unused-param", findings[shape], op.index)))
     if spec.table_scoped:
-        return Step(op, spec, diagnostics=tuple(diagnostics))
+        return _record(Step, (op, spec, (), (), False, (), (), None, tuple(diagnostics), ()))
 
     # The own labels that are strings, and what is wrong with the step's
     # first malformed parameter, if anything.
     own = params.get(spec.own)
-    listed = (own if isinstance(own, list) else ()) if spec.own_list else (own,)
-    owns = tuple(label for label in listed if isinstance(label, str))
+    if spec.own_list:
+        listed = own if isinstance(own, list) else ()
+        owns = tuple([label for label in listed if isinstance(label, str)])
+    else:
+        listed = (own,)
+        owns = listed if isinstance(own, str) else ()
     problem = None
     if own is None:
         problem = f" lacks required parameter {spec.own!r}"
@@ -323,7 +339,7 @@ def _decode(
                 f"split of column {own!r} has no static part count; "
                 f"defaulting to {DEFAULT_SPLIT_ARITY} (override with --split-arity)"
             )
-            diagnostics.append(Diagnostic("warning", "split-arity-defaulted", message, op.index))
+            diagnostics.append(_record(Diagnostic, ("warning", "split-arity-defaulted", message, op.index)))
         if error is None and parts > MAX_SPLIT_PARTS:
             message = f"splits into {parts} columns; at most {MAX_SPLIT_PARTS} are supported"
             error = ("split-arity-too-large", f"step {op.index} ({op.op_id}) {message}")
@@ -340,7 +356,11 @@ def _decode(
                 rendered.append((key, value if isinstance(value, str) else _encode_json(value)))
     except RecursionError:
         error = error or ("malformed-json", f"step {op.index} ({op.op_id}): {_TOO_DEEP}")
-    return Step(op, spec, owns, references, opaque, gives, frees, error, tuple(diagnostics), tuple(rendered))
+    except (ValueError, TypeError) as exc:  # a library caller's value: parsed JSON holds none
+        error = error or ("malformed-json", f"step {op.index} ({op.op_id}): a value is not JSON: {exc}")
+    return _record(
+        Step, (op, spec, owns, references, opaque, gives, frees, error, tuple(diagnostics), tuple(rendered))
+    )
 
 
 def check_split_arity(split_arity: Mapping[str, int]) -> None:
@@ -365,7 +385,7 @@ class Recipe(FrozenRecord):
         check_split_arity(split_arity)
         analyses: dict[str, ExpressionAnalysis] = {}
         findings: dict[tuple[str, tuple[str, ...]], str] = {}  # unused-param messages
-        steps = tuple(_decode(op, analyses, findings, split_arity) for op in operations)
+        steps = tuple([_decode(op, analyses, findings, split_arity) for op in operations])
         self._set(operations, split_arity, steps)
 
     def _values(self) -> tuple:
@@ -445,7 +465,7 @@ def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> R
         # The decoded document is the parser's own: the entry, less its
         # "op", becomes the params, keys in file order.
         del entry["op"]
-        operations.append(RawOperation(op_id=op_id, index=index, params=entry))
+        operations.append(_record(RawOperation, (op_id, index, entry)))
     return Recipe(tuple(operations), split_arity)
 
 

@@ -304,6 +304,57 @@ def test_a_param_nested_too_deeply_to_render_is_the_step_error():
     assert (info.value.code, info.value.step_index) == ("malformed-json", 0)
 
 
+
+def _self_containing_list() -> list:
+    edits: list = [{"from": ["x"], "to": "y"}]
+    edits.append(edits)
+    return edits
+
+
+def _self_containing_dict() -> dict:
+    edits: dict = {"from": ["x"]}
+    edits["to"] = edits
+    return edits
+
+
+# Param values a library caller may pass that JSON cannot write, with the
+# encoder's reason; parsed JSON holds none of them.
+UNWRITABLE = {
+    "self-containing list": (_self_containing_list, "Circular reference detected"),
+    "self-containing dict": (_self_containing_dict, "Circular reference detected"),
+    "set": (lambda: [{"from": {"x"}, "to": "y"}], "Object of type set is not JSON serializable"),
+    "tuple key": (lambda: {("x",): "y"}, "keys must be str, int, float, bool or None, not tuple"),
+    "int too long": (lambda: 10 ** len(LONG_INT), "Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        pytest.param(*case, id=name, marks=[needs_int_digit_limit] if name == "int too long" else [])
+        for name, case in UNWRITABLE.items()
+    ],
+)
+def test_a_param_json_cannot_write_is_the_step_error(make, reason):
+    params = {"columnName": "a", "expression": "value", "edits": make()}
+    recipe = Recipe(
+        (
+            RawOperation("core/mass-edit", 0, params),
+            RawOperation("core/mass-edit", 1, {**params, "columnName": None}),
+        )
+    )
+    code, message = recipe.steps[0].error
+    assert code == "malformed-json"
+    assert message.startswith("step 0 (core/mass-edit): a value is not JSON: ") and reason in message
+    # A malformed parameter is still the error that comes first within a step.
+    assert recipe.steps[1].error == (
+        "missing-param", "step 1 (core/mass-edit) lacks required parameter 'columnName'"
+    )
+    assert validate_recipe(recipe) == []
+    with pytest.raises(EffectError) as info:
+        trace_effects(recipe, infer_initial_schema(recipe))
+    assert (info.value.code, info.value.step_index) == ("malformed-json", 0)
+
 def test_validate_split_arity_warning_and_hint():
     entry = {
         "op": "core/column-split",

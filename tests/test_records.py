@@ -5,14 +5,21 @@ records that validate, hold lists or define ``__len__`` are slotted
 ``FrozenRecord`` classes. Either way:
 keyword construction, immutability (a record holding a list still
 refuses assignment, though the list itself can change), comparison by
-value, and no mutable default shared between instances.
+value, and no mutable default shared between instances. A conversion
+builds its records through ``tuple.__new__``, which checks no field:
+the last tests check that those records keep the contract, and that no
+record's Python-level constructor runs per step.
 """
 
 from __future__ import annotations
 
 import copy
+import io
+import json
 import operator
 import pickle
+import sys
+from collections.abc import Mapping
 
 import pytest
 
@@ -26,11 +33,21 @@ from refineflow import (
     Recipe,
     SchemaState,
     WorkflowModel,
+    build_collapsed,
+    build_linear,
+    build_parallel,
+    detail_model,
+    infer_initial_schema,
     parse_recipe,
+    trace_effects,
 )
-from refineflow.cli import RunConfig
+from refineflow.cli import RunConfig, run
+from refineflow.emit import _edge_roles, _view
+from refineflow.model import DATA_KINDS, STEP_KINDS
 from refineflow.recipe import CATALOG, EMPTY_MAPPING, FrozenDict, OpSpec, Step
+from conftest import FIXTURES
 from oracle import Table
+from recipegen import acceptance_corpus
 
 # Two equal instances of every frozen record, built independently.
 FROZEN = [
@@ -212,3 +229,125 @@ def test_recipe_decodes_its_operations_however_it_is_built(menus_text, text):
             assert copied.steps == recipe.steps
     assert repr(parsed) == f"Recipe(operations={parsed.operations!r}, split_arity=EMPTY_MAPPING)"
 
+
+# The conversion path builds records through ``tuple.__new__``, which checks
+# neither the count nor the order of the fields. Each field's type, by class:
+FIELD_TYPES = {
+    RawOperation: (str, int, Mapping),
+    Diagnostic: (str, str, str, (int, type(None))),
+    Step: (RawOperation, OpSpec, tuple, tuple, bool, tuple, tuple, (tuple, type(None)), tuple, tuple),
+    ColumnEffect: (frozenset, frozenset, tuple, frozenset, tuple, bool, frozenset),
+    Node: (str, str, str, (int, type(None)), Mapping),
+    Edge: (str, str, (str, type(None))),
+}
+NODE_KINDS = (*STEP_KINDS, *DATA_KINDS, "param")
+
+
+def _check_record(record, cls) -> None:
+    assert type(record) is cls and len(record) == len(cls._fields), record
+    assert all(isinstance(value, kind) for value, kind in zip(record, FIELD_TYPES[cls])), record
+    assert cls(*record) == record
+    assert pickle.loads(pickle.dumps(record)) == record and copy.copy(record) == record
+
+
+def _check_model(workflow: WorkflowModel) -> None:
+    node_ids = {node.id for node in workflow.nodes}
+    for node in workflow.nodes:
+        _check_record(node, Node)
+        assert node.kind in NODE_KINDS
+        payload = node.payload
+        assert type(payload) is FrozenDict
+        before = dict(payload)
+        with pytest.raises(TypeError):
+            payload["key"] = "value"
+        payload.__init__(key="value")
+        assert payload == before
+    for view in ("combined", "data"):
+        for edge in _view(workflow, view, _edge_roles(workflow, view))[1]:
+            _check_record(edge, Edge)
+            assert edge.src in node_ids and edge.dst in node_ids
+    assert {edge.label for edge in workflow.edges} <= {None}
+
+
+def _contract_recipes() -> list[Recipe]:
+    return [
+        parse_recipe((FIXTURES / "menus_recipe.json").read_text(encoding="utf-8")),
+        parse_recipe((FIXTURES / "mass_edit_run.json").read_text(encoding="utf-8")),
+        *(recipe for recipe, _ in acceptance_corpus()),
+    ]
+
+
+def test_records_built_without_their_constructor_keep_the_contract():
+    payload_kinds = set()
+    for recipe in _contract_recipes():
+        for op in recipe.operations:
+            _check_record(op, RawOperation)
+        for step, op in zip(recipe.steps, recipe.operations):
+            _check_record(step, Step)
+            assert step.op is op
+            for diagnostic in step.diagnostics:
+                _check_record(diagnostic, Diagnostic)
+                assert diagnostic.severity in ("warning", "info") and diagnostic.step_index == op.index
+        for effect in trace_effects(recipe, infer_initial_schema(recipe))[0]:
+            _check_record(effect, ColumnEffect)
+        models = [build_linear(recipe)]
+        for dataflow in (True, False):
+            models += [build_parallel(recipe, dataflow), build_collapsed(recipe, dataflow=dataflow)]
+        models += [detail_model(recipe, node) for node in models[2].nodes if node.kind == "summary"]
+        for workflow in models:
+            _check_model(workflow)
+            payload_kinds.update(node.kind for node in workflow.nodes if "column_id" in node.payload)
+            payload_kinds.update(node.payload.get("pattern", node.kind) for node in workflow.nodes)
+    # Every kind of payload a builder makes was checked.
+    assert {"data_column", "split", "merge", "summary", "param", "step"} <= payload_kinds
+
+
+def _gate_recipe(units: int) -> list[dict]:
+    """A run of three fill-downs to fold, then ``units`` times: a merging
+    addition with an unused key, a split that pins no part count, a
+    transform of one part and a rename of the other; then an unknown op."""
+    entries = [{"op": "core/fill-down", "columnName": "a"}] * 3
+    for k in range(units):
+        entries += [
+            {"op": "core/column-addition", "baseColumnName": "a", "newColumnName": f"n{k}",
+             "expression": 'value + cells["b"].value', "onError": "set-to-blank"},
+            {"op": "core/column-split", "columnName": f"n{k}", "separator": ","},
+            {"op": "core/text-transform", "columnName": f"n{k} 1", "expression": "value.trim()"},
+            {"op": "core/column-rename", "oldColumnName": f"n{k} 2", "newColumnName": f"r{k}"},
+        ]
+    return [*entries, {"op": "vendor/custom"}]
+
+
+# The Python-level ``__new__`` of each record a conversion makes per step,
+# node or edge.
+_PYTHON_NEW = {cls.__new__.__code__ for cls in FIELD_TYPES} | {FrozenDict.__new__.__code__}
+
+
+def _constructor_calls(config: RunConfig) -> int:
+    calls = 0
+
+    def profile(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call" and frame.f_code in _PYTHON_NEW:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        assert run(config, stderr=io.StringIO()) == 0
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, view", [("parallel", "combined"), ("parallel", "process"), ("collapsed", "combined")]
+)
+def test_a_conversion_calls_no_record_constructor_per_step(tmp_path, kind, view):
+    counts = []
+    for units in (10, 40):
+        path = tmp_path / f"recipe_{units}.json"
+        path.write_text(json.dumps(_gate_recipe(units)), encoding="utf-8")
+        config = RunConfig(str(path), str(tmp_path / f"out_{units}.dot"), model_kind=kind, view=view)
+        counts.append(_constructor_calls(config))
+    # Only the payloads shared per op id are left, as many at 4n as at n.
+    assert counts[0] == counts[1], counts
