@@ -9,7 +9,8 @@ The combined view carries steps, data, and parameters; the process view
 keeps steps and their ordering constraints; the data view keeps data nodes
 with edges labeled by the deriving step. Output is byte-deterministic:
 node statements follow model (step/version) order and edge statements are
-sorted lexicographically.
+sorted lexicographically. YW lists the steps in node order, and each
+step's ports in edge order.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _edge_roles(model: WorkflowModel, view: str) -> _EdgeRoles:
 
 
 def _ports(roles: _EdgeRoles) -> tuple[dict[str, list[str]], ...]:
-    """Each step's data inputs, param nodes and data outputs, in model order."""
+    """Each step's data inputs, param nodes and data outputs, in edge order."""
     ins, params, outs = {}, {}, {}
     for src, dst, _ in roles.flow:
         if dst not in roles.steps:
@@ -189,29 +190,19 @@ def _chunks(lines: Iterable[str]) -> Iterator[str]:
         yield "\n".join(batch)
 
 
-def _drained_chunks(descending: list[str]) -> Iterator[str]:
-    """The chunks of ``descending`` read from its end, so in ascending
-    order; each batch leaves the list before it is joined, so its strings
-    are freed once its chunk is made."""
-    while descending:
-        batch = descending[: -_BATCH - 1 : -1]
-        del descending[-_BATCH:]
-        batch.append("")
-        yield "\n".join(batch)
-
-
 def _dot_chunks(model: WorkflowModel, view: str, idents: dict[str, str]) -> list[str]:
     """The digraph's text in chunks; the identifiers die before they are joined."""
     chunks = ["digraph workflow {\nrankdir=TB;\n"]
     edges = _node_chunks(chunks, model, view, idents)
     # Sorting the statements sorts by endpoints: identifiers hold word
     # characters only, which sort after '"', and no two edges of a view
-    # share both endpoints.
+    # share both endpoints. They are popped from the end, in ascending
+    # order, so each batch's strings are freed once its chunk is made.
     statements = sorted((
         f'"{idents[src]}" -> "{idents[dst]}"' + (f" [label={_quote(label)}];" if label else ";")
         for src, dst, label in edges
     ), reverse=True)
-    chunks.extend(_drained_chunks(statements))
+    chunks.extend(_chunks(statements.pop() for _ in range(len(statements))))
     chunks.append("}\n")
     return chunks
 
@@ -263,25 +254,17 @@ def emit_yw(
 
 
 def _yw_chunks(model: WorkflowModel, view: str, name: str, idents: dict[str, str]) -> list[str]:
-    """The annotations in chunks; the ports, the node positions and the
-    identifiers die before they are joined."""
+    """The annotations in chunks; the ports and identifiers die before they are joined."""
     ins, params, outs = _ports(_edge_roles(model, view))
-    # The position of each node a port names; steps are not ports.
-    node_order = {
-        node.id: position for position, node in enumerate(model.nodes)
-        if node.kind in DATA_KINDS or (node.kind == "param" and view == "combined")
-    }
-    steps = sorted(
-        (n for n in model.nodes if n.kind in STEP_KINDS),
-        key=lambda n: (n.step_index if n.step_index is not None else 0),
-    )
 
     def lines() -> Iterator[str]:
         yield f"# @begin {name}"
-        for step in steps:
+        for step in model.nodes:
+            if step.kind not in STEP_KINDS:
+                continue
             yield f"# @begin {idents[step.id]}"
             for tag, ports in (("in", ins), ("param", params), ("out", outs)):
-                for node_id in sorted(ports.get(step.id, ()), key=node_order.get):
+                for node_id in ports.get(step.id, ()):
                     yield f"# @{tag} {idents[node_id]}"
             yield f"# @end {idents[step.id]}"
         yield f"# @end {name}"

@@ -35,7 +35,7 @@ initial schema, not the trace's final schema, and follow each column's
 current label from the initial columns through the effects' renames and
 creates. A data node is made exactly when its column version is born (an
 initial column, a write or a create), and a read looks up its column's
-current node.
+current node; a group's reads are added in the order their nodes were made.
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ class WorkflowModel(FrozenRecord):
     node) and step-to-step dependency edges; an edge's role follows from
     its endpoint kinds. ``components`` partitions the step and summary
     nodes into independent subworkflow groups. Each model owns its lists.
+    Step and summary nodes come in step order, and each step's input, param
+    and output edges in the order of their data and param nodes.
     """
 
     __slots__ = ("nodes", "edges", "components")
@@ -327,8 +329,8 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
     edges: list[Edge] = []
     labels = dict(initial.columns)
     version: dict[ColumnId, int] = {}
-    # Node id of each column's current version.
-    current: dict[ColumnId, str] = {}
+    # Position in ``nodes`` and node id of each column's current version.
+    current: dict[ColumnId, tuple[int, str]] = {}
     used_ids: set[str] = set()
 
     def born(cid: ColumnId, at: int, label: str) -> str:
@@ -336,7 +338,7 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
         if node_id in used_ids:
             node_id = f"{node_id}_c{cid}"
         used_ids.add(node_id)
-        current[cid] = node_id
+        current[cid] = (len(nodes), node_id)
         payload = dict.__new__(FrozenDict)
         dict.update(payload, column_id=cid, version=at)
         nodes.append(_record(Node, ("data_column", node_id, label, None, payload)))
@@ -377,7 +379,7 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
         if dataflow:
             group = effects[start : end + 1]
             reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
-            edges.extend([_record(Edge, (current[cid], node_id, None)) for cid in sorted(reads)])
+            edges.extend([_record(Edge, (src, node_id, None)) for _, src in sorted(map(current.get, reads))])
             if end == start:
                 params = _param_nodes(recipe.steps[start], start, param_labels)
                 nodes.extend(params)

@@ -374,7 +374,8 @@ class Recipe(FrozenRecord):
     columns (``split_arity``, ints >= 1, which a split that pins no count
     reads), and its decoded steps, one per operation. An empty history is
     valid. The steps follow from the other two fields, so a recipe compares,
-    prints and pickles by those.
+    prints and pickles by those. An operation whose ``params`` is not a
+    mapping raises ``TypeError`` before any is decoded.
     """
 
     __slots__ = ("operations", "split_arity", "steps")
@@ -383,6 +384,10 @@ class Recipe(FrozenRecord):
         self, operations: tuple[RawOperation, ...] = (), split_arity: Mapping[str, int] = EMPTY_MAPPING
     ):
         check_split_arity(split_arity)
+        for op in operations:  # parsed params are dicts: the type test is the fast path
+            if type(op.params) is not dict and not isinstance(op.params, Mapping):
+                kind = type(op.params).__name__
+                raise TypeError(f"operation {op.index} ({op.op_id}): params is a {kind}, not a mapping")
         analyses: dict[str, ExpressionAnalysis] = {}
         findings: dict[tuple[str, tuple[str, ...]], str] = {}  # unused-param messages
         steps = tuple([_decode(op, analyses, findings, split_arity) for op in operations])
@@ -419,6 +424,10 @@ def _holds_surrogate(document) -> bool:
     return False
 
 
+def _refuse_constant(name: str):
+    raise RecipeError("malformed-json", f"input holds {name}, which is not JSON")
+
+
 def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> Recipe:
     """Parse an exported operation history into a :class:`Recipe` with
     the given split part counts (each an int >= 1, else ``ValueError``).
@@ -427,8 +436,9 @@ def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> R
     is treated as a one-element history (tolerates hand-edited fixtures).
 
     Raises :class:`RecipeError` with code ``malformed-json`` (also for an
-    integer too long for Python to convert, and for a lone surrogate,
-    raw or escaped as ``"\\ud800"``, which cannot be written as UTF-8),
+    integer too long for Python to convert, for ``NaN``, ``Infinity`` or
+    ``-Infinity``, and for a lone surrogate, raw or escaped as
+    ``"\\ud800"``, which cannot be written as UTF-8),
     ``not-an-array`` or ``missing-op-field``.
     """
     if not text.isascii():
@@ -437,7 +447,7 @@ def parse_recipe(text: str, split_arity: Mapping[str, int] = EMPTY_MAPPING) -> R
         except UnicodeEncodeError:
             raise RecipeError("malformed-json", "input holds a lone surrogate, which is not UTF-8 text") from None
     try:
-        document = json.loads(text)
+        document = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise RecipeError("malformed-json", f"input is not valid JSON: {exc}") from exc
     except ValueError:

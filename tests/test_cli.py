@@ -185,6 +185,11 @@ ERROR_ORDER = {
         '"repeatCount": ' + LONG_INT + "}]",
         "error malformed-json - input holds an integer with too many digits to read\n",
     ),
+    # Python's decoder reads NaN, Infinity and -Infinity; JSON has none of them.
+    "non-json-constants": ErrorCase(
+        '[{"op":"core/mass-edit","columnName":"a","expression":"value","edits":[NaN,Infinity,-Infinity]}]',
+        "error malformed-json - input holds NaN, which is not JSON\n",
+    ),
     # No UTF-8 output can carry a lone surrogate.
     "lone-surrogate": ErrorCase(
         r'[{"op":"core/text-transform","columnName":"a\ud800","expression":"value.trim()"}]',

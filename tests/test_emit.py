@@ -22,7 +22,7 @@ from refineflow import (
 from refineflow.cli import RunConfig, run
 from refineflow.emit import STEP_FILL, VIEWS, _quote, identifier_map
 from refineflow.errors import RefineflowError
-from refineflow.model import STEP_KINDS, WorkflowModel, sanitize_identifier
+from refineflow.model import STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
 from conftest import GOLDEN, make_recipe
 from differential import generated_recipe
 from dotcheck import DotSyntaxError, parse_dot
@@ -284,6 +284,31 @@ def test_yw_menus_merge_step(menus_recipe):
     outs = re.findall(r"# @out (\S+)", block)
     assert [i.split("_v")[0] for i in ins] == ["day", "month", "year"]
     assert [o.split("_v")[0] for o in outs] == ["repaired_date"]
+
+
+def test_yw_lists_ports_in_edge_order():
+    # The builders add ports in node order; emit_yw keeps whatever order
+    # the edges give, and the steps' order in the nodes.
+    model = WorkflowModel(
+        [
+            Node("data_column", "a_v0", "a"),
+            Node("data_column", "b_v0", "b"),
+            Node("step", "step_1", "later", 1),
+            Node("step", "step_0", "earlier", 0),
+            Node("data_column", "c_v1", "c"),
+        ],
+        [
+            Edge("b_v0", "step_0"), Edge("a_v0", "step_0"), Edge("step_0", "c_v1"),
+            Edge("a_v0", "step_1"), Edge("step_0", "step_1"),
+        ],
+        [["step_0", "step_1"]],
+    )
+    assert emit_yw(model, "combined") == (
+        "# @begin workflow\n"
+        "# @begin later\n# @in a_v0\n# @end later\n"
+        "# @begin earlier\n# @in b_v0\n# @in a_v0\n# @out c_v1\n# @end earlier\n"
+        "# @end workflow\n"
+    )
 
 
 def test_yw_params_only_in_combined(menus_recipe):

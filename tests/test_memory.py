@@ -107,10 +107,12 @@ def test_the_build_frees_each_effect_once_used(recipe_path):
 # process views sit near that floor. Its data view first makes an edge
 # for each (input, output) pair of a step. YW's text holds identifiers
 # only, about 85 bytes per step in the process view, while the identifier
-# map, the ports and their positions cost about a hundred bytes per node.
+# map and the ports cost about a hundred bytes per node. The combined
+# view's text lists the param nodes too, so it holds less beside its
+# text: about 5.9 times it, against 7.8 for the process view.
 EMIT_BOUND = 2.5
 DOT_DATA_BOUND = 6.0
-YW_BOUND = 9.0
+YW_BOUNDS = {"combined": 6.5, "process": 9.0}
 
 
 def _transient_per_byte(recipe_path: str, emit, view: str) -> float:
@@ -127,10 +129,10 @@ def test_emit_dot_holds_little_beside_its_text(recipe_path, view):
     assert ratio <= (DOT_DATA_BOUND if view == "data" else EMIT_BOUND), f"{ratio:.2f} bytes per byte of text"
 
 
-@pytest.mark.parametrize("view", ["combined", "process"])
+@pytest.mark.parametrize("view", sorted(YW_BOUNDS))
 def test_emit_yw_holds_little_beside_its_text(recipe_path, view):
     ratio = _transient_per_byte(recipe_path, emit_yw, view)
-    assert ratio <= YW_BOUND, f"{ratio:.2f} bytes per byte of text"
+    assert ratio <= YW_BOUNDS[view], f"{ratio:.2f} bytes per byte of text"
 
 
 @pytest.mark.parametrize("fmt", sorted(EMITTERS))

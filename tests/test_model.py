@@ -25,7 +25,7 @@ from refineflow import (
     trace_effects,
     upstream_lineage,
 )
-from refineflow.model import _transitive_reduction
+from refineflow.model import STEP_KINDS, _transitive_reduction
 from conftest import make_recipe, traced_peak
 from recipegen import (
     CORPUS_SEED,
@@ -376,6 +376,47 @@ def test_param_and_plain_step_payloads_are_shared(menus_recipe, mass_edit_recipe
                     labels.setdefault(("step", node.payload["op_id"]), set()).add(id(node.label))
             assert all(len(ids) == 1 for ids in payloads.values())
             assert all(len(ids) == 1 for ids in labels.values())
+
+
+def _order_contract_models(recipe) -> list[WorkflowModel]:
+    """The linear, parallel and threshold-2 collapsed models, with and
+    without dataflow, and each summary's detail model."""
+    models = [build_linear(recipe)]
+    for dataflow in (True, False):
+        models.append(build_parallel(recipe, dataflow=dataflow))
+        collapsed = build_collapsed(recipe, 2, dataflow=dataflow)
+        models.append(collapsed)
+        models.extend(detail_model(recipe, n) for n in collapsed.nodes if n.kind == "summary")
+    return models
+
+
+def _assert_ports_in_node_order(model: WorkflowModel) -> None:
+    position = {node.id: index for index, node in enumerate(model.nodes)}
+    kinds = {node.id: node.kind for node in model.nodes}
+    steps = [node for node in model.nodes if node.kind in STEP_KINDS]
+    assert [n.step_index for n in steps] == sorted(n.step_index for n in steps)
+    # Per step, the positions of its input, param and output nodes, in edge order.
+    ports: dict[tuple[str, str], list[int]] = {}
+    for src, dst, _ in model.edges:
+        if kinds[dst] in STEP_KINDS and kinds[src] not in STEP_KINDS:
+            role = "param" if kinds[src] == "param" else "in"
+            ports.setdefault((dst, role), []).append(position[src])
+        elif kinds[src] in STEP_KINDS and kinds[dst] not in STEP_KINDS:
+            ports.setdefault((src, "out"), []).append(position[dst])
+    for key, positions in ports.items():
+        assert positions == sorted(positions), key
+
+
+def test_each_steps_ports_come_in_node_order(menus_recipe, mass_edit_recipe):
+    # The emitters read ports in edge order: the builders add each step's
+    # input, param and output edges in the order of their nodes.
+    recipes = [menus_recipe, mass_edit_recipe] + [recipe for recipe, _ in acceptance_corpus()]
+    for recipe in recipes:
+        for model in _order_contract_models(recipe):
+            _assert_ports_in_node_order(model)
+    parallel = build_parallel(menus_recipe)
+    _assert_ports_in_node_order(upstream_lineage(parallel, _data_node_by_label(parallel, "repaired_date")))
+    _assert_ports_in_node_order(downstream_impact(parallel, "date_v0"))
 
 
 # --- linear model -------------------------------------------------------------

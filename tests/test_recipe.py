@@ -68,6 +68,16 @@ def test_parse_malformed_json():
     assert info.value.code == "malformed-json"
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_parse_non_json_constant_is_malformed_json(constant):
+    # Python's decoder reads these by default; JSON has no such value.
+    text = '[{"op":"core/mass-edit","columnName":"a","expression":"value","edits":[1,%s]}]' % constant
+    with pytest.raises(RecipeError) as info:
+        parse_recipe(text)
+    assert info.value.code == "malformed-json"
+    assert info.value.message == f"input holds {constant}, which is not JSON"
+
+
 @needs_int_digit_limit
 def test_parse_integer_past_the_digit_limit_is_malformed_json():
     text = '[{"op":"core/text-transform","columnName":"a","repeatCount":' + LONG_INT + "}]"
@@ -354,6 +364,16 @@ def test_a_param_json_cannot_write_is_the_step_error(make, reason):
     with pytest.raises(EffectError) as info:
         trace_effects(recipe, infer_initial_schema(recipe))
     assert (info.value.code, info.value.step_index) == ("malformed-json", 0)
+
+@pytest.mark.parametrize("params", [None, ["columnName", "a"], "columnName"], ids=["None", "list", "str"])
+def test_an_operation_whose_params_is_not_a_mapping_is_refused(params):
+    # Refused before any step is decoded, by the operation's index and op id.
+    operations = (RawOperation("core/fill-down", 0, {"columnName": "a"}), RawOperation("core/mass-edit", 1, params))
+    with pytest.raises(TypeError) as info:
+        Recipe(operations)
+    kind = type(params).__name__
+    assert str(info.value) == f"operation 1 (core/mass-edit): params is a {kind}, not a mapping"
+
 
 def test_validate_split_arity_warning_and_hint():
     entry = {
