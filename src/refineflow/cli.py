@@ -137,7 +137,7 @@ def _write_temp(path: str, text: str) -> str:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+        with os.fdopen(handle, "w", encoding="utf-8", newline="") as stream:
             _write_sliced(stream.write, text)
     except BaseException:
         os.unlink(temp_path)
@@ -171,14 +171,18 @@ def _emit(workflow: WorkflowModel, config: RunConfig, name: str, idents=None) ->
 def run(config: RunConfig, stderr=None) -> int:
     """Execute one conversion; returns the process exit status.
 
-    A field outside its choices, or a threshold or part count that the
-    model or the recipe refuses, raises ``ValueError`` before any read.
+    A field outside its choices, a query that is not a (direction, str
+    node id) pair, or a threshold or part count that the model or the
+    recipe refuses, raises ``ValueError`` before any read.
     The cyclic garbage collector is paused for the conversion and the
     caller's state restored on every exit, an escaping exception included:
     a conversion makes no reference cycle, so a collection would walk its
     growing heap and free nothing. Threads may convert at once.
     """
-    direction = config.query and config.query[0]
+    query = config.query
+    if query is not None and not (isinstance(query, tuple) and len(query) == 2 and isinstance(query[1], str)):
+        raise ValueError(f"query must be None or a (direction, node id) pair, got {query!r}")
+    direction = query and query[0]
     for field, value, choices in (
         ("model_kind", config.model_kind, model.MODEL_KINDS), ("view", config.view, VIEWS),
         ("format", config.format, FORMATS), ("query", direction, (None, *QUERY_DIRECTIONS)),

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import NamedTuple
 
 from .model import DATA_KINDS, STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
+from .model import _flow_edges, _step_ids
 from .recipe import _record
 
 VIEWS = ("combined", "process", "data")
@@ -37,43 +37,25 @@ _NODE_ATTRS = {
 _DATA_ATTRS = f'shape=box, style="rounded,filled", fillcolor="{DATA_FILL}"'
 
 
-class _EdgeRoles(NamedTuple):
-    """The view's model edges, each in one role: ``process`` holds the
-    step-to-step edges, and ``flow``, in model order, every other one, which
-    joins a step to one of its data or param nodes; only the combined view
-    draws a param node, so only its ``flow`` holds their edges. ``steps``
-    and ``params`` are the ids of the step and summary nodes and of the
-    param nodes."""
-
-    flow: list[Edge]
-    process: list[Edge]
-    steps: set[str]
-    params: set[str]
-
-
-def _edge_roles(model: WorkflowModel, view: str) -> _EdgeRoles:
-    """One pass over the edges, by endpoint kind. Rejects a view not in VIEWS."""
+def _view_steps(model: WorkflowModel, view: str) -> set[str]:
+    """The model's step and summary ids. Rejects a view not in VIEWS."""
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}; expected one of {', '.join(VIEWS)}")
-    steps = {n.id for n in model.nodes if n.kind in STEP_KINDS}
-    params = {n.id for n in model.nodes if n.kind == "param"}
-    roles = _EdgeRoles([], [], steps, params)
-    for edge in model.edges:
-        if edge.src in steps and edge.dst in steps:
-            roles.process.append(edge)
-        elif view == "combined" or edge.src not in params:
-            roles.flow.append(edge)
-    return roles
+    return _step_ids(model)
 
 
-def _ports(roles: _EdgeRoles) -> tuple[dict[str, list[str]], ...]:
-    """Each step's data inputs, param nodes and data outputs, in edge order."""
+def _ports(model: WorkflowModel, steps: set[str], view: str) -> tuple[dict[str, list[str]], ...]:
+    """Each step's data inputs, param nodes (in the combined view only, the
+    one view that draws them) and data outputs, in edge order."""
+    param_ids = {n.id for n in model.nodes if n.kind == "param"}
     ins, params, outs = {}, {}, {}
-    for src, dst, _ in roles.flow:
-        if dst not in roles.steps:
+    for src, dst, _ in _flow_edges(model, steps):
+        if dst not in steps:
             outs.setdefault(src, []).append(dst)
-        else:
-            (params if src in roles.params else ins).setdefault(dst, []).append(src)
+        elif src not in param_ids:
+            ins.setdefault(dst, []).append(src)
+        elif view == "combined":
+            params.setdefault(dst, []).append(src)
     return ins, params, outs
 
 
@@ -130,8 +112,8 @@ def _quote(text: str) -> str:
     return f'"{text}"'
 
 
-def _component_of(model: WorkflowModel, roles: _EdgeRoles) -> dict[str, int | None]:
-    """Cluster assignment of the nodes a view draws, the same in every view:
+def _component_of(model: WorkflowModel, steps: set[str]) -> dict[str, int | None]:
+    """Cluster assignment of the model's nodes, the same in every view:
     steps by their group, and every data and param node by the steps it
     touches; a node shared between groups maps to None and stays
     unclustered."""
@@ -139,22 +121,28 @@ def _component_of(model: WorkflowModel, roles: _EdgeRoles) -> dict[str, int | No
     for index, group in enumerate(model.components):
         for node_id in group:
             assignment[node_id] = index
-    for src, dst, _ in roles.flow:
-        step_id, node_id = (dst, src) if dst in roles.steps else (src, dst)
+    for src, dst, _ in _flow_edges(model, steps):
+        step_id, node_id = (dst, src) if dst in steps else (src, dst)
         component = assignment.get(step_id)
         if component is not None and assignment.setdefault(node_id, component) != component:
             assignment[node_id] = None
     return assignment
 
 
-def _view(model: WorkflowModel, view: str, roles: _EdgeRoles) -> tuple[list[Node], list[Edge]]:
-    """Nodes and edges of one view. The data view has one edge per (input,
+def _view(model: WorkflowModel, view: str, steps: set[str]) -> tuple[list[Node], Iterable[Edge]]:
+    """Nodes and edges of one view: the combined view's are the flow edges,
+    the process view's the rest. The data view has one edge per (input,
     output) pair of every step, labeled with the deriving step."""
     if view == "combined":
-        return model.nodes, roles.flow
+        return model.nodes, _flow_edges(model, steps)
     if view == "process":
-        return [n for n in model.nodes if n.kind in STEP_KINDS], roles.process
-    ins, _, outs = _ports(roles)
+        nodes = [n for n in model.nodes if n.kind in STEP_KINDS]
+        # A model of steps alone, as the CLI builds for this view, has order
+        # edges alone: the step set need not outlive the node statements.
+        if len(nodes) == len(model.nodes):
+            return nodes, model.edges
+        return nodes, (edge for edge in model.edges if edge.src in steps and edge.dst in steps)
+    ins, _, outs = _ports(model, steps, view)
     derived = [
         _record(Edge, (src, dst, node.label))
         for node in model.nodes
@@ -207,12 +195,12 @@ def _dot_chunks(model: WorkflowModel, view: str, idents: dict[str, str]) -> list
     return chunks
 
 
-def _node_chunks(chunks: list[str], model: WorkflowModel, view: str, idents: dict[str, str]) -> list[Edge]:
+def _node_chunks(chunks: list[str], model: WorkflowModel, view: str, idents: dict) -> Iterable[Edge]:
     """Append the view's node statements, in clusters, to ``chunks``, and
-    return its edges. The edge roles and the cluster assignment die on
-    return, before the edge statements are made."""
-    roles = _edge_roles(model, view)
-    nodes, edges = _view(model, view, roles)
+    return its edges. The cluster assignment dies on return, before the
+    edge statements are made."""
+    steps = _view_steps(model, view)
+    nodes, edges = _view(model, view, steps)
 
     def statement(node: Node) -> str:
         attrs = _NODE_ATTRS.get(node.kind, _DATA_ATTRS)
@@ -221,7 +209,7 @@ def _node_chunks(chunks: list[str], model: WorkflowModel, view: str, idents: dic
     clusters: dict[int, list[Node]] = {}
     loose = nodes
     if len(model.components) > 1:
-        assignment = _component_of(model, roles)
+        assignment = _component_of(model, steps)
         loose = []
         for node in nodes:
             index = assignment.get(node.id)
@@ -255,7 +243,7 @@ def emit_yw(
 
 def _yw_chunks(model: WorkflowModel, view: str, name: str, idents: dict[str, str]) -> list[str]:
     """The annotations in chunks; the ports and identifiers die before they are joined."""
-    ins, params, outs = _ports(_edge_roles(model, view))
+    ins, params, outs = _ports(model, _view_steps(model, view), view)
 
     def lines() -> Iterator[str]:
         yield f"# @begin {name}"

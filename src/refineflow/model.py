@@ -41,7 +41,7 @@ current node; a group's reads are added in the order their nodes were made.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from itertools import groupby
 from typing import Any, NamedTuple
 
@@ -100,9 +100,9 @@ class Edge(NamedTuple):
 class WorkflowModel(FrozenRecord):
     """A DAG of step/data/param/summary nodes, built once.
 
-    ``edges`` holds both dataflow edges (those touching a data or param
-    node) and step-to-step dependency edges; an edge's role follows from
-    its endpoint kinds. ``components`` partitions the step and summary
+    ``edges`` holds both dataflow edges (:func:`_flow_edges`: those with a
+    data or param endpoint) and step-to-step edges, which only order two
+    steps. ``components`` partitions the step and summary
     nodes into independent subworkflow groups. Each model owns its lists.
     Step and summary nodes come in step order, and each step's input, param
     and output edges in the order of their data and param nodes.
@@ -112,6 +112,17 @@ class WorkflowModel(FrozenRecord):
 
     def __init__(self, nodes: list[Node], edges: list[Edge], components: list[list[str]]):
         self._set(nodes, edges, components)
+
+
+def _step_ids(model: WorkflowModel) -> set[str]:
+    """The ids of the model's step and summary nodes."""
+    return {node.id for node in model.nodes if node.kind in STEP_KINDS}
+
+
+def _flow_edges(model: WorkflowModel, steps: set[str]) -> Iterator[Edge]:
+    """The edges with a data or param endpoint, in model order; ``steps``
+    is the model's :func:`_step_ids`. Every other edge only orders two steps."""
+    return (edge for edge in model.edges if edge.src not in steps or edge.dst not in steps)
 
 
 def commutes(a: ColumnEffect, b: ColumnEffect) -> bool:
@@ -459,7 +470,7 @@ def _closure(model: WorkflowModel, node_id: str, reverse: bool) -> set[str]:
     if not any(node.id == node_id for node in model.nodes):
         raise ModelError("unknown-node", f"no node with id {node_id!r}")
     adjacency: dict[str, list[str]] = {}
-    for edge in model.edges:
+    for edge in _flow_edges(model, _step_ids(model)):
         src, dst = (edge.dst, edge.src) if reverse else (edge.src, edge.dst)
         adjacency.setdefault(src, []).append(dst)
     seen = {node_id}
@@ -474,10 +485,13 @@ def _closure(model: WorkflowModel, node_id: str, reverse: bool) -> set[str]:
 
 
 def upstream_lineage(model: WorkflowModel, node_id: str) -> WorkflowModel:
-    """Induced subgraph of a node and everything it was derived from."""
+    """Induced subgraph of a node and everything it was derived from, over
+    the flow edges; the order edges among the kept steps are drawn too. A
+    model built without ``dataflow`` has no flow edge: the node stays alone."""
     return _induced_subgraph(model, _closure(model, node_id, reverse=True))
 
 
 def downstream_impact(model: WorkflowModel, node_id: str) -> WorkflowModel:
-    """Induced subgraph of a node and everything derived from it."""
+    """Induced subgraph of a node and everything derived from it, over the
+    flow edges, as for :func:`upstream_lineage`."""
     return _induced_subgraph(model, _closure(model, node_id, reverse=False))

@@ -32,9 +32,10 @@ from .expressions import ExpressionAnalysis, analyze_expression
 class FrozenRecord:
     """Base of the slotted records. ``__slots__`` lists the fields in
     constructor order, and only ``__init__`` sets them: a record is
-    immutable, and it compares, hashes, prints and pickles by its fields
+    immutable, and it compares, prints and pickles by its fields
     (``_values``). A record whose last slots are derived from its fields
-    narrows ``_values`` to the fields."""
+    narrows ``_values`` to the fields. Each record holds a dict or a list,
+    so none hashes: with ``__eq__`` and no ``__hash__``, ``hash()`` raises."""
 
     __slots__ = ()
 
@@ -52,9 +53,6 @@ class FrozenRecord:
 
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
@@ -364,7 +362,10 @@ def _decode(
 
 
 def check_split_arity(split_arity: Mapping[str, int]) -> None:
-    """Raises ``ValueError`` unless every part count is an int >= 1."""
+    """Raises ``ValueError`` unless ``split_arity`` is a mapping of str
+    column labels to part counts, each an int >= 1."""
+    if not isinstance(split_arity, Mapping) or not all(isinstance(label, str) for label in split_arity):
+        raise ValueError("a split arity must be a mapping of str column labels to part counts")
     if any(type(parts) is not int or parts < 1 for parts in split_arity.values()):
         raise ValueError("a split arity must be an int >= 1")
 

@@ -138,6 +138,8 @@ def cases(text: str) -> list[tuple[str, dict]]:
             found.append((f"collapsed2-{view}-{fmt}-file", fields))
     first = json.loads(text)[0]
     label = first.get("columnName") or first.get("baseColumnName") or "step_0"
+    # A query names its node by text; a malformed (integer) label is queried as text.
+    label = str(label)
     for direction in ("upstream", "downstream"):
         for name, node in (("label", label), ("step", "step_0")):
             fields = {"model_kind": PARALLEL, "view": "combined", "format": "dot",

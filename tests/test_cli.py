@@ -713,7 +713,8 @@ def test_query_output_names_nodes_as_the_whole_model_does(tmp_path, query, names
 
 def test_query_label_resolves_to_the_column_that_holds_it_last(tmp_path):
     # "a" is removed, then a new column takes the label: a query by label
-    # names the new column, not the removed one.
+    # names the new column, not the removed one. The removed "a" is ordered
+    # before the addition by the label alone, so it is not in the lineage.
     recipe = tmp_path / "reused.json"
     recipe.write_text(
         json.dumps(
@@ -725,7 +726,7 @@ def test_query_label_resolves_to_the_column_that_holds_it_last(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "lineage.dot"
-    for direction, expected in (("upstream", {"a_v0", "b_v0", "a_v0_c2"}), ("downstream", {"a_v0_c2"})):
+    for direction, expected in (("upstream", {"b_v0", "a_v0_c2"}), ("downstream", {"a_v0_c2"})):
         status = run_cli(["-i", str(recipe), "-v", "data", "--query", f"{direction}:a", "-o", str(out)])
         assert status == 0
         assert set(parse_dot(out.read_text(encoding="utf-8")).nodes) == expected
@@ -951,6 +952,26 @@ def test_stdout_of_any_encoding_gets_the_file_bytes(tmp_path):
         assert result.stdout == out.read_bytes()
 
 
+def test_files_hold_the_bytes_standard_output_gets_where_lines_end_in_crlf(tmp_path, monkeypatch):
+    # A text stream opened with the default newline handling writes
+    # os.linesep for each "\n", "\r\n" on Windows. Each stream the CLI
+    # opens here is opened as Windows would open it.
+    fdopen = os.fdopen
+
+    def windows_fdopen(fd, mode="r", *args, **kwargs):
+        if "b" not in mode and kwargs.get("newline") is None:
+            kwargs["newline"] = "\r\n"
+        return fdopen(fd, mode, *args, **kwargs)
+
+    out = tmp_path / "model.dot"
+    sink = io.BytesIO()
+    monkeypatch.setattr(cli.os, "fdopen", windows_fdopen)
+    assert run_cli(["-i", MENUS, "-o", str(out)]) == 0
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=sink, flush=lambda: None))
+    assert run_cli(["-i", MENUS, "-o", "-"]) == 0
+    assert b"\r" not in sink.getvalue() and out.read_bytes() == sink.getvalue()
+
+
 @pytest.fixture(scope="module")
 def north_star_recipe(tmp_path_factory) -> Path:
     """A seeded 10,000-step recipe over 50 columns."""
@@ -1061,4 +1082,25 @@ def test_run_refuses_a_config_outside_the_choices_before_reading(tmp_path, field
         "split_arity_overrides": "a split arity must be an int >= 1",
     }.get(field, f"{field} must be one of ")
     with pytest.raises(ValueError, match=f"^{message}"):
+        run(config, stderr=io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("query", ("upstream",)), ("query", ("upstream", "date", "x")), ("query", ("upstream", 5)),
+        ("query", "upstream:date"), ("split_arity_overrides", [("date", 3)]),
+        ("split_arity_overrides", {3: 2}), ("split_arity_overrides", None),
+    ],
+)
+def test_run_refuses_a_query_or_split_arity_of_the_wrong_shape_before_reading(tmp_path, field, value):
+    # A one-item query used to read and build, then fail to unpack; a list
+    # of hints ended in an AttributeError, and a hint keyed by an int was
+    # never read.
+    config = RunConfig(str(tmp_path / "missing.json"), "-")._replace(**{field: value})
+    message = {
+        "query": "query must be None or a (direction, node id) pair",
+        "split_arity_overrides": "a split arity must be a mapping of str column labels",
+    }[field]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         run(config, stderr=io.StringIO())

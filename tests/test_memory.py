@@ -109,7 +109,7 @@ def test_the_build_frees_each_effect_once_used(recipe_path):
 # only, about 85 bytes per step in the process view, while the identifier
 # map and the ports cost about a hundred bytes per node. The combined
 # view's text lists the param nodes too, so it holds less beside its
-# text: about 5.9 times it, against 7.8 for the process view.
+# text: about 5.8 times it, against 7.7 for the process view.
 EMIT_BOUND = 2.5
 DOT_DATA_BOUND = 6.0
 YW_BOUNDS = {"combined": 6.5, "process": 9.0}

@@ -27,6 +27,7 @@ from refineflow import (
 )
 from refineflow.model import STEP_KINDS, _transitive_reduction
 from conftest import make_recipe, traced_peak
+from oracle import Table, execute
 from recipegen import (
     CORPUS_SEED,
     acceptance_corpus,
@@ -61,12 +62,15 @@ def _is_acyclic(model: WorkflowModel) -> bool:
 
 
 def _reachable(model: WorkflowModel, start: str, reverse: bool) -> set[str]:
-    """Brute-force BFS oracle, independent of the library's closure code."""
+    """Brute-force BFS oracle over the flow edges, those with a data or
+    param endpoint, independent of the library's closure code."""
+    steps = {node.id for node in model.nodes if node.kind in STEP_KINDS}
+    flow = [edge for edge in model.edges if not (edge.src in steps and edge.dst in steps)]
     result = {start}
     changed = True
     while changed:
         changed = False
-        for edge in model.edges:
+        for edge in flow:
             src, dst = (edge.dst, edge.src) if reverse else (edge.src, edge.dst)
             if src in result and dst not in result:
                 result.add(dst)
@@ -909,6 +913,41 @@ def test_lineage_matches_reverse_bfs_oracle():
         kept = {n.id for n in up.nodes}
         expected_edges = [e for e in model.edges if e.src in kept and e.dst in kept]
         assert up.edges == expected_edges
+
+
+def test_lineage_names_each_input_whose_perturbation_shows_and_no_other():
+    # Over the corpus: each initial column's cells get a per-row suffix, the
+    # recipe is replayed, and every final column that changes must hold that
+    # input in its upstream lineage. Each lineage must be reachable from its
+    # node over flow edges alone: no input is reached through an order edge.
+    checked = shown = 0
+    for recipe, table in acceptance_corpus():
+        model = build_parallel(recipe)
+        initial, final = trace_effects(recipe, infer_initial_schema(recipe))[1]
+        # Each column's first and last data nodes: nodes come as versions are born.
+        first, last = {}, {}
+        for node in model.nodes:
+            if node.kind == "data_column":
+                first.setdefault(node.payload["column_id"], node.id)
+                last[node.payload["column_id"]] = node.id
+        lineage = {}
+        for cid, label in final.columns:
+            subgraph = upstream_lineage(model, last[cid])
+            lineage[label] = {n.id for n in subgraph.nodes}
+            assert _reachable(subgraph, last[cid], reverse=True) == lineage[label]
+        expected = execute(recipe, table).by_label()
+        inputs = {label: first[cid] for cid, label in initial.columns}
+        for position, label in enumerate(table.labels):
+            rows = [list(row) for row in table.rows]
+            for r, row in enumerate(rows):
+                row[position] += f"~{r}"
+            perturbed = execute(recipe, Table(table.labels, rows)).by_label()
+            for final_label, kept in lineage.items():
+                checked += 1
+                if perturbed[final_label] != expected[final_label]:
+                    shown += 1
+                    assert inputs.get(label) in kept, (recipe.operations, label, final_label)
+    assert checked > 2500 and shown > 500
 
 
 def test_unknown_node_query(menus_recipe):

@@ -14,7 +14,7 @@ from refineflow import (
     trace_effects,
     validate_recipe,
 )
-from refineflow.recipe import CATALOG, TABLE_SCOPED, RawOperation
+from refineflow.recipe import CATALOG, TABLE_SCOPED, RawOperation, check_split_arity
 from conftest import LONG_INT, make_recipe, needs_int_digit_limit
 
 
@@ -405,6 +405,18 @@ def test_split_hint_must_be_a_positive_int(hint):
         parse_recipe(_UNPINNED_SPLIT, split_arity={"d": hint})
     with pytest.raises(ValueError, match="split arity"):
         Recipe((), {"unused": hint})
+
+
+@pytest.mark.parametrize("hints", [[("d", 3)], (("d", 3),), "d=3", None, {3: 2}, {("d",): 2}])
+def test_split_hints_must_map_str_labels(hints):
+    # A list of pairs ended in an AttributeError, and a hint keyed by an int
+    # was never read.
+    for make in (
+        lambda: check_split_arity(hints), lambda: Recipe((), hints),
+        lambda: parse_recipe(_UNPINNED_SPLIT, split_arity=hints),
+    ):
+        with pytest.raises(ValueError, match="^a split arity must be a mapping of str column labels"):
+            make()
 
 
 def test_split_hint_of_one_is_accepted():

@@ -42,7 +42,7 @@ from refineflow import (
     trace_effects,
 )
 from refineflow.cli import RunConfig, run
-from refineflow.emit import _edge_roles, _view
+from refineflow.emit import _view, _view_steps
 from refineflow.model import DATA_KINDS, STEP_KINDS
 from refineflow.recipe import CATALOG, EMPTY_MAPPING, FrozenDict, OpSpec, Step
 from conftest import FIXTURES
@@ -263,7 +263,7 @@ def _check_model(workflow: WorkflowModel) -> None:
         payload.__init__(key="value")
         assert payload == before
     for view in ("combined", "data"):
-        for edge in _view(workflow, view, _edge_roles(workflow, view))[1]:
+        for edge in _view(workflow, view, _view_steps(workflow, view))[1]:
             _check_record(edge, Edge)
             assert edge.src in node_ids and edge.dst in node_ids
     assert {edge.label for edge in workflow.edges} <= {None}
