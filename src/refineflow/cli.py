@@ -27,6 +27,7 @@ their count.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -147,7 +148,10 @@ def _write_temp(path: str, text: str) -> str:
 
 def _write_stdout(text: str) -> None:
     """Write the UTF-8 bytes an output file would hold, whatever encoding
-    standard output declares; a stream without a byte layer gets text."""
+    standard output declares; a stream without a byte layer gets text. A
+    closed standard output (``sys.stdout`` is None) is a bad descriptor."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
         _write_sliced(sys.stdout.write, text)
@@ -171,14 +175,20 @@ def _emit(workflow: WorkflowModel, config: RunConfig, name: str, idents=None) ->
 def run(config: RunConfig, stderr=None) -> int:
     """Execute one conversion; returns the process exit status.
 
-    A field outside its choices, a query that is not a (direction, str
-    node id) pair, or a threshold or part count that the model or the
-    recipe refuses, raises ``ValueError`` before any read.
+    A path whose ``os.fspath`` is not a non-empty ``str``, a field outside
+    its choices, a query that is not a (direction, str node id) pair, or a
+    threshold or part count that the model or the recipe refuses, raises
+    ``ValueError`` before any read.
     The cyclic garbage collector is paused for the conversion and the
     caller's state restored on every exit, an escaping exception included:
     a conversion makes no reference cycle, so a collection would walk its
     growing heap and free nothing. Threads may convert at once.
     """
+    for field in ("input_path", "output_path"):
+        value = getattr(config, field)
+        path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
+        if not isinstance(path, str) or not path:
+            raise ValueError(f"{field} must be a non-empty str or os.PathLike of one, got {value!r}")
     query = config.query
     if query is not None and not (isinstance(query, tuple) and len(query) == 2 and isinstance(query[1], str)):
         raise ValueError(f"query must be None or a (direction, node id) pair, got {query!r}")
@@ -250,22 +260,6 @@ def _convert(config: RunConfig, stderr) -> int:
         return 2 if exc.code == _UNREADABLE else 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
-    if config.output_path == "-":
-        try:
-            _write_stdout(_emit(workflow, config, name, idents))
-        except OSError as exc:
-            message = f"<stdout>: {exc.strerror or exc}"
-            _write_diagnostics([Diagnostic("error", "unwritable-output", message)], stderr)
-            return 2
-        summaries = sum(node.kind == "summary" for node in workflow.nodes)
-        if summaries:
-            message = (
-                f"{summaries} collapsed-run detail file(s) "
-                "require a file output path; none were written"
-            )
-            _write_diagnostics([Diagnostic("warning", "details-skipped", message)], stderr)
-        return 0
-
     outputs = [(config.output_path, workflow, name, idents)] + [
         (_detail_path(config.output_path, summary_id), detail, summary_id, None)
         for summary_id, detail in details
@@ -273,10 +267,13 @@ def _convert(config: RunConfig, stderr) -> int:
     pending: list[tuple[str, str]] = []  # (temporary file, final path)
     try:
         for path, output, output_name, output_idents in outputs:
-            # Each text is emitted as its file is written, and freed then:
-            # one output text is alive at a time.
+            # Each text is emitted as it is written, and freed then: one
+            # output text is alive at a time.
             text = _emit(output, config, output_name, output_idents)
-            pending.append((_write_temp(path, text), path))
+            if path == "-":
+                _write_stdout(text)
+            else:
+                pending.append((_write_temp(path, text), path))
             del text
         # Renamed in reverse, so the main file goes last: a failed run
         # leaves the previous main output in place.
@@ -285,12 +282,16 @@ def _convert(config: RunConfig, stderr) -> int:
             os.replace(temp_path, path)
             pending.pop()
     except OSError as exc:
-        message = f"{path}: {exc.strerror or exc}"
+        message = f"{'<stdout>' if path == '-' else path}: {exc.strerror or exc}"
         _write_diagnostics([Diagnostic("error", "unwritable-output", message)], stderr)
         return 2
     finally:
         for temp_path, _ in pending:
             os.unlink(temp_path)
+    summaries = config.output_path == "-" and sum(node.kind == "summary" for node in workflow.nodes)
+    if summaries:
+        message = f"{summaries} collapsed-run detail file(s) require a file output path; none were written"
+        _write_diagnostics([Diagnostic("warning", "details-skipped", message)], stderr)
     return 0
 
 
@@ -321,6 +322,12 @@ def _parse_query(value: str) -> tuple[str, str]:
     return direction, node_id
 
 
+def _path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("a path must not be empty")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refineflow",
@@ -329,9 +336,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "dataflow workflow model, emitted as Graphviz DOT or YesWorkflow annotations."
         ),
     )
-    parser.add_argument("--input", "-i", required=True, help="path of the recipe JSON file")
+    parser.add_argument("--input", "-i", required=True, type=_path, help="path of the recipe JSON file")
     parser.add_argument(
-        "--output", "-o", default="-", help="output path, or '-' for standard output"
+        "--output", "-o", default="-", type=_path, help="output path, or '-' for standard output"
     )
     parser.add_argument(
         "--model", "-t", choices=model.MODEL_KINDS, default=model.PARALLEL,

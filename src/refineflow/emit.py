@@ -11,6 +11,9 @@ with edges labeled by the deriving step. Output is byte-deterministic:
 node statements follow model (step/version) order and edge statements are
 sorted lexicographically. YW lists the steps in node order, and each
 step's ports in edge order.
+
+Each format is one line generator (``_dot_lines``, ``_yw_lines``), joined
+by one helper (``_joined``): its tables die as it is spent, before the join.
 """
 
 from __future__ import annotations
@@ -161,51 +164,32 @@ def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None =
     (default: the model's own :func:`identifier_map`); the CLI passes the
     whole model's map to name a query's subgraph.
     """
-    return "".join(_dot_chunks(model, view, idents or identifier_map(model)))
+    return _joined(_dot_lines(model, view, idents or identifier_map(model)))
 
 
-# Lines per chunk: a chunk's string costs little more than its text, where
+# Lines per batch: a batch's string costs little more than its text, where
 # each line's string costs its text and about 50 bytes besides; and few
 # lines are alive at once beside a small model's text.
 _BATCH = 16
 
 
-def _chunks(lines: Iterable[str]) -> Iterator[str]:
-    """``lines``, each ended by a newline, joined in batches of ``_BATCH``."""
-    lines = iter(lines)
+def _joined(lines: Iterator[str]) -> str:
+    """``lines``, each ended by a newline, as one text. They are joined in
+    batches of ``_BATCH``, and the batches once ``lines`` is spent, so the
+    generator's tables die before the one join."""
+    batches = []
     while batch := list(islice(lines, _BATCH)):
         batch.append("")
-        yield "\n".join(batch)
+        batches.append("\n".join(batch))
+    return "".join(batches)
 
 
-def _dot_chunks(model: WorkflowModel, view: str, idents: dict[str, str]) -> list[str]:
-    """The digraph's text in chunks; the identifiers die before they are joined."""
-    chunks = ["digraph workflow {\nrankdir=TB;\n"]
-    edges = _node_chunks(chunks, model, view, idents)
-    # Sorting the statements sorts by endpoints: identifiers hold word
-    # characters only, which sort after '"', and no two edges of a view
-    # share both endpoints. They are popped from the end, in ascending
-    # order, so each batch's strings are freed once its chunk is made.
-    statements = sorted((
-        f'"{idents[src]}" -> "{idents[dst]}"' + (f" [label={_quote(label)}];" if label else ";")
-        for src, dst, label in edges
-    ), reverse=True)
-    chunks.extend(_chunks(statements.pop() for _ in range(len(statements))))
-    chunks.append("}\n")
-    return chunks
-
-
-def _node_chunks(chunks: list[str], model: WorkflowModel, view: str, idents: dict) -> Iterable[Edge]:
-    """Append the view's node statements, in clusters, to ``chunks``, and
-    return its edges. The cluster assignment dies on return, before the
-    edge statements are made."""
+def _dot_lines(model: WorkflowModel, view: str, idents: dict[str, str]) -> Iterator[str]:
+    """The digraph's lines: the view's node statements, in clusters, then
+    its edge statements. Each table is deleted once read, before the edge
+    statements are made."""
     steps = _view_steps(model, view)
     nodes, edges = _view(model, view, steps)
-
-    def statement(node: Node) -> str:
-        attrs = _NODE_ATTRS.get(node.kind, _DATA_ATTRS)
-        return f'"{idents[node.id]}" [label={_quote(node.label)}, {attrs}];'
-
     clusters: dict[int, list[Node]] = {}
     loose = nodes
     if len(model.components) > 1:
@@ -217,16 +201,32 @@ def _node_chunks(chunks: list[str], model: WorkflowModel, view: str, idents: dic
                 loose.append(node)
             else:
                 clusters.setdefault(index, []).append(node)
+        del assignment
+    del steps, nodes
 
-    def lines() -> Iterator[str]:
-        for index in sorted(clusters):
-            yield f"subgraph cluster_{index} {{"
-            yield from map(statement, clusters[index])
-            yield "}"
-        yield from map(statement, loose)
+    def statement(node: Node) -> str:
+        attrs = _NODE_ATTRS.get(node.kind, _DATA_ATTRS)
+        return f'"{idents[node.id]}" [label={_quote(node.label)}, {attrs}];'
 
-    chunks.extend(_chunks(lines()))
-    return edges
+    yield "digraph workflow {"
+    yield "rankdir=TB;"
+    for index in sorted(clusters):
+        yield f"subgraph cluster_{index} {{"
+        yield from map(statement, clusters[index])
+        yield "}"
+    yield from map(statement, loose)
+    del clusters, loose
+    # Sorting the statements sorts by endpoints: identifiers hold word
+    # characters only, which sort after '"', and no two edges of a view
+    # share both endpoints. They are popped from the end, in ascending
+    # order, so each batch's strings are freed once it is joined.
+    statements = sorted((
+        f'"{idents[src]}" -> "{idents[dst]}"' + (f" [label={_quote(label)}];" if label else ";")
+        for src, dst, label in edges
+    ), reverse=True)
+    for _ in range(len(statements)):
+        yield statements.pop()
+    yield "}"
 
 
 def emit_yw(
@@ -238,23 +238,19 @@ def emit_yw(
     and outputs; parameters appear only in the combined view. ``idents``
     is as for :func:`emit_dot`.
     """
-    return "".join(_yw_chunks(model, view, sanitize_identifier(name), idents or identifier_map(model)))
+    return _joined(_yw_lines(model, view, sanitize_identifier(name), idents or identifier_map(model)))
 
 
-def _yw_chunks(model: WorkflowModel, view: str, name: str, idents: dict[str, str]) -> list[str]:
-    """The annotations in chunks; the ports and identifiers die before they are joined."""
+def _yw_lines(model: WorkflowModel, view: str, name: str, idents: dict[str, str]) -> Iterator[str]:
+    """The annotations' lines: one block per step, listing its ports."""
     ins, params, outs = _ports(model, _view_steps(model, view), view)
-
-    def lines() -> Iterator[str]:
-        yield f"# @begin {name}"
-        for step in model.nodes:
-            if step.kind not in STEP_KINDS:
-                continue
-            yield f"# @begin {idents[step.id]}"
-            for tag, ports in (("in", ins), ("param", params), ("out", outs)):
-                for node_id in ports.get(step.id, ()):
-                    yield f"# @{tag} {idents[node_id]}"
-            yield f"# @end {idents[step.id]}"
-        yield f"# @end {name}"
-
-    return list(_chunks(lines()))
+    yield f"# @begin {name}"
+    for step in model.nodes:
+        if step.kind not in STEP_KINDS:
+            continue
+        yield f"# @begin {idents[step.id]}"
+        for tag, ports in (("in", ins), ("param", params), ("out", outs)):
+            for node_id in ports.get(step.id, ()):
+                yield f"# @{tag} {idents[node_id]}"
+        yield f"# @end {idents[step.id]}"
+    yield f"# @end {name}"

@@ -500,12 +500,27 @@ def test_failed_write_to_stdout_exits_2(monkeypatch):
         def write(self, data):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(FullDevice(), encoding="utf-8"))
-    stderr = io.StringIO()
-    assert run(RunConfig(MASS_EDIT, "-"), stderr=stderr) == 2
-    lines = stderr.getvalue().splitlines()
+    # A full device, and a closed standard output, which Python gives as
+    # None; the collapsed model folds the recipe's run into a summary, and
+    # gets no details-skipped warning when its main text is not written.
+    for stdout, code in ((io.TextIOWrapper(FullDevice(), encoding="utf-8"), errno.ENOSPC), (None, errno.EBADF)):
+        for kind in (model.PARALLEL, model.COLLAPSED):
+            monkeypatch.setattr(sys, "stdout", stdout)
+            stderr = io.StringIO()
+            assert run(RunConfig(MASS_EDIT, "-", kind), stderr=stderr) == 2
+            lines = stderr.getvalue().splitlines()
+            assert [line for line in lines if not line.startswith("info unused-param ")] == [
+                f"error unwritable-output - <stdout>: {os.strerror(code)}"
+            ], (stdout, kind)
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # The child starts with descriptor 1 closed.
+    result = launch("-i", MENUS, "-o", "-", preexec_fn=lambda: os.close(1))
+    assert result.returncode == 2
+    lines = result.stderr.decode("utf-8").splitlines()
     assert [line for line in lines if not line.startswith("info unused-param ")] == [
-        f"error unwritable-output - <stdout>: {os.strerror(errno.ENOSPC)}"
+        f"error unwritable-output - <stdout>: {os.strerror(errno.EBADF)}"
     ]
 
 
@@ -568,6 +583,8 @@ def test_bad_split_arity_value_exits_2():
         (["--split-arity", "a=0"], "split arity must be >= 1"),
         (["--split-arity", "a3"], "--split-arity expects <column>=<parts>, got 'a3'"),
         (["--query", "sideways:x"], "--query expects upstream:<node> or downstream:<node>"),
+        (["-i", ""], "argument --input/-i: a path must not be empty"),
+        (["-o", ""], "argument --output/-o: a path must not be empty"),
     ],
 )
 def test_bad_option_value_exits_2_with_usage(capsys, argv, message):
@@ -1091,16 +1108,32 @@ def test_run_refuses_a_config_outside_the_choices_before_reading(tmp_path, field
         ("query", ("upstream",)), ("query", ("upstream", "date", "x")), ("query", ("upstream", 5)),
         ("query", "upstream:date"), ("split_arity_overrides", [("date", 3)]),
         ("split_arity_overrides", {3: 2}), ("split_arity_overrides", None),
+        ("input_path", None), ("input_path", -1), ("input_path", b"recipe.json"), ("input_path", ""),
+        ("output_path", None), ("output_path", -1), ("output_path", b"model.dot"), ("output_path", ""),
     ],
 )
 def test_run_refuses_a_query_or_split_arity_of_the_wrong_shape_before_reading(tmp_path, field, value):
     # A one-item query used to read and build, then fail to unpack; a list
     # of hints ended in an AttributeError, and a hint keyed by an int was
-    # never read.
+    # never read. An int input path is a file descriptor to ``open`` (-1
+    # fails without closing one), a bytes output path failed only after the
+    # build, and an empty one put a temporary file in the working
+    # directory's parent.
     config = RunConfig(str(tmp_path / "missing.json"), "-")._replace(**{field: value})
     message = {
         "query": "query must be None or a (direction, node id) pair",
         "split_arity_overrides": "a split arity must be a mapping of str column labels",
+        "input_path": "input_path must be a non-empty str or os.PathLike of one",
+        "output_path": "output_path must be a non-empty str or os.PathLike of one",
     }[field]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         run(config, stderr=io.StringIO())
+
+
+def test_run_converts_pathlib_paths(tmp_path):
+    # The path rule keeps every os.PathLike of a str, detail files included.
+    out = tmp_path / "model.dot"
+    assert run(RunConfig(FIXTURES / "menus_recipe.json", out), stderr=io.StringIO()) == 0
+    assert out.read_bytes() == (GOLDEN / "menus_parallel_combined.dot").read_bytes()
+    assert run(RunConfig(Path(MASS_EDIT), out, model.COLLAPSED), stderr=io.StringIO()) == 0
+    assert (tmp_path / "model.detail.summary_0.dot").exists()

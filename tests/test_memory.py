@@ -3,9 +3,10 @@
 ``cli.run`` holds the input text only until it is parsed, and the recipe
 only until the models are built. The model builder frees its dependency
 pairs before it makes a node, and each group's effects once it has made
-that group's nodes; the emitters free their tables before they join their
-chunks, and the CLI writes one output text at a time, in slices. So the
-``tracemalloc`` peak of a whole conversion stays near the peak of its
+that group's nodes; each emitter is one line generator joined by one
+helper, and the generator frees its tables as it is spent, before the
+final join of its batches of lines; the CLI writes one output text at a
+time, in slices. So the ``tracemalloc`` peak of a whole conversion stays near the peak of its
 largest stage measured alone; the build and the emission peak about
 alike. Each measurement follows a warm-up conversion, so that caches and
 the interpreter's free lists are filled alike.
@@ -101,15 +102,17 @@ def test_the_build_frees_each_effect_once_used(recipe_path):
 
 
 # An emitter's traced transient memory, per byte of the text it returns.
-# The chunks and the text are alive together while they are joined, so
-# the floor is about two: a chunk of 16 lines costs little more than its
-# text, and the tables are freed before the join. DOT's combined and
-# process views sit near that floor. Its data view first makes an edge
-# for each (input, output) pair of a step. YW's text holds identifiers
-# only, about 85 bytes per step in the process view, while the identifier
-# map and the ports cost about a hundred bytes per node. The combined
-# view's text lists the param nodes too, so it holds less beside its
-# text: about 5.8 times it, against 7.7 for the process view.
+# The helper joins a generator's lines in batches of 16, then the batches:
+# the batches and the text are alive together in that final join, so the
+# floor is about two, since a batch costs little more than its text, and
+# the generator's tables are freed once it is spent, before the join.
+# DOT's combined and process views sit near that floor. Its data view
+# first makes an edge for each (input, output) pair of a step. YW's text
+# holds identifiers only, about 85 bytes per step in the process view,
+# while the identifier map and the ports cost about a hundred bytes per
+# node. The combined view's text lists the param nodes too, so it holds
+# less beside its text: about 5.8 times it, against 7.7 for the process
+# view.
 EMIT_BOUND = 2.5
 DOT_DATA_BOUND = 6.0
 YW_BOUNDS = {"combined": 6.5, "process": 9.0}
