@@ -5,7 +5,11 @@ analysis stays well-defined across renames, splits, and derived columns.
 The effect of a step records which column ids it reads and writes, which
 columns it creates or deletes (with their labels) and which it renames, and
 whether it touches the row structure of the whole table (``table_scoped``),
-in which case it reads and writes everything. The trace resolves labels
+in which case it reads and changes everything. Its resources are what it
+``reads`` and what it ``changes``: the ids it writes, creates or deletes
+and the labels it gives or frees, which the trace puts in one set where it
+already knows each part. Two steps conflict when either one's ``changes``
+meets what the other reads or changes. The trace resolves labels
 through one running label index and keeps no per-step schema: it returns
 the effects with the schema before and after the recipe. Each model builder
 runs the trace on its recipe and keeps the effects only.
@@ -57,11 +61,13 @@ def _collision(values: list, kind: str = "label", step_index: int | None = None)
 class ColumnEffect(NamedTuple):
     """Read/write/create/delete sets of one step, over column ids.
 
-    ``creates`` keeps creation order.
-    ``labels`` holds the labels the step gives (those of the columns it
-    creates, a rename's new label) and frees (the current label of a column
-    it renames or deletes). A replay resolves columns by label, so two
-    steps that share one must keep their order.
+    ``creates`` keeps creation order. ``changes`` is the step's resource
+    set, the one that conflicts: its output ids (:meth:`output_ids`) and
+    the labels it gives (those of the columns it creates, a rename's new
+    label) and frees (the current label of a column it renames or deletes),
+    since a replay resolves columns by label. Labels are ``str`` and ids
+    ``int``, so the two never meet. The trace fills it; an effect built by
+    hand must list its output ids and labels there.
     """
 
     reads: frozenset[ColumnId] = EMPTY_SET
@@ -70,7 +76,7 @@ class ColumnEffect(NamedTuple):
     deletes: frozenset[ColumnId] = EMPTY_SET
     renames: tuple[tuple[ColumnId, str], ...] = ()
     table_scoped: bool = False
-    labels: frozenset[str] = EMPTY_SET
+    changes: frozenset[ColumnId | str] = EMPTY_SET
 
     def created_ids(self) -> frozenset[ColumnId]:
         return frozenset(cid for cid, _ in self.creates)
@@ -107,7 +113,7 @@ def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEf
     op, spec = step.op, step.spec
     if spec.table_scoped:
         live = frozenset(index.values()) or EMPTY_SET
-        return _record(ColumnEffect, (live, live, (), EMPTY_SET, (), True, EMPTY_SET))
+        return _record(ColumnEffect, (live, live, (), EMPTY_SET, (), True, live))
     if step.error is not None:
         raise EffectError(*step.error, step_index=op.index)
 
@@ -116,15 +122,14 @@ def _effect_of(step: Step, index: dict[str, ColumnId], next_id: int) -> ColumnEf
     reads = frozenset(index.values()) if step.opaque else own  # opaque means no references
     if step.references:
         reads = own | frozenset(_resolve(name, index, op) for name in step.references)
-    return _record(ColumnEffect, (
-        reads,
-        own if spec.writes_own else EMPTY_SET,  # writes
-        () if spec.rename else tuple(enumerate(step.gives, next_id)),  # creates
-        own if step.frees and not spec.rename else EMPTY_SET,  # deletes
-        ((own_ids[0], step.gives[0]),) if spec.rename else (),  # renames
-        False,  # table_scoped
-        frozenset(step.gives + step.frees) if step.gives or step.frees else EMPTY_SET,  # labels
-    ))
+    writes = own if spec.writes_own else EMPTY_SET
+    creates = () if spec.rename else tuple(enumerate(step.gives, next_id))
+    deletes = own if step.frees and not spec.rename else EMPTY_SET
+    changes = writes  # a step that gives and frees no label creates and deletes nothing
+    if step.gives or step.frees:
+        changes = writes.union(deletes, range(next_id, next_id + len(creates)), step.gives, step.frees)
+    renames = ((own_ids[0], step.gives[0]),) if spec.rename else ()
+    return _record(ColumnEffect, (reads, writes, creates, deletes, renames, False, changes))
 
 
 def trace_effects(

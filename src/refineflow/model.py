@@ -9,18 +9,21 @@ summary nodes. Each builder returns one :class:`WorkflowModel`: a summary
 node's payload names the steps it folds, and :func:`detail_model` expands
 it into their linear model.
 
-Any table-scoped effect (row operations, unknown ops) forces total
-serialization: the parallel step order degenerates to the recorded chain,
-which keeps every reordering conclusion sound. An opaque expression does
-not serialize the model: its step reads every live column, so it is
-ordered against every step that changes one, but it stays column-scoped
-and leaves the steps around it free to run in parallel with each other.
-Two steps that give or take away the same column label (a rename freeing
-"a" and an addition creating "a", or a removal of "d 1" and a split of
-"d") are ordered too, so every order the model allows replays by label
-as OpenRefine would replay it.
+The conflict rule has one shape, over resources: two steps conflict when
+either one's ``changes`` (the column ids it writes, creates or deletes,
+and the labels it gives or frees) meets the other's ``reads`` or
+``changes``. Any table-scoped effect (row operations, unknown ops) forces
+total serialization: the parallel step order degenerates to the recorded
+chain, which keeps every reordering conclusion sound. An opaque
+expression does not serialize the model: its step reads every live
+column, so it is ordered against every step that changes one, but it
+stays column-scoped and leaves the steps around it free to run in
+parallel with each other. Labels are resources too: a rename freeing "a"
+and an addition creating "a", or a removal of "d 1" and a split of "d",
+are ordered, so every order the model allows replays by label as
+OpenRefine would replay it.
 
-:func:`commutes` is the pairwise definition of a conflict.
+:func:`commutes` is the rule applied to one pair.
 :func:`dependency_edges` orders the steps: the chain above, or one sweep's
 generating set of conflicts, linear in the total effect size, whose
 transitive closure is the conflict relation. A DAG has exactly one
@@ -126,23 +129,12 @@ def _flow_edges(model: WorkflowModel, steps: set[str]) -> Iterator[Edge]:
 
 
 def commutes(a: ColumnEffect, b: ColumnEffect) -> bool:
-    """Whether two effects can swap without changing any result.
-
-    Holds when neither is table-scoped, neither one's output columns
-    (writes, creates, deletes) meet what the other reads or changes, and
-    the labels they give or take away are disjoint: a replay resolves
-    columns by label, so a label one step frees and the other takes (or
-    both take) fixes their order.
-    """
+    """Whether two effects can swap without changing any result: neither
+    is table-scoped, and neither one's ``changes`` (output ids, and the
+    labels it gives or frees) meets what the other reads or changes."""
     if a.table_scoped or b.table_scoped:
         return False
-    if a.labels and b.labels and not a.labels.isdisjoint(b.labels):
-        return False
-    if a.output_ids() & (b.reads | b.writes | b.deletes):
-        return False
-    if b.output_ids() & a.reads:
-        return False
-    return True
+    return a.changes.isdisjoint(b.reads | b.changes) and b.changes.isdisjoint(a.reads)
 
 
 def dependency_edges(effects: list[ColumnEffect]) -> set[tuple[int, int]]:
@@ -151,33 +143,27 @@ def dependency_edges(effects: list[ColumnEffect]) -> set[tuple[int, int]]:
     The recorded chain when any effect is table-scoped. Otherwise their
     transitive closure is the conflict relation, of which :func:`commutes`
     is the pairwise definition, but not every conflict is returned: one
-    forward sweep keeps, per column id, the last step that changed it and
-    the steps that read it since, and per label the last step that gave or
-    took it away. A read follows the last change; a change follows the last
-    change and every read since; a label follows its last holder.
+    forward sweep keeps, per resource (a column id or a label), the last
+    step that changed it and the steps that read it since. A read follows
+    the last change; a change follows the last change and every read since.
     """
     if any(effect.table_scoped for effect in effects):
         return {(i, i + 1) for i in range(len(effects) - 1)}
     pairs: set[tuple[int, int]] = set()
-    changer: dict[ColumnId, int] = {}
+    changer: dict[ColumnId | str, int] = {}
     readers: dict[ColumnId, list[int]] = {}
-    holder: dict[str, int] = {}
     for j, effect in enumerate(effects):
-        outputs = effect.output_ids()
+        changes = effect.changes
         for cid in effect.reads:
             if cid in changer:
                 pairs.add((changer[cid], j))
-            if cid not in outputs:
+            if cid not in changes:
                 readers.setdefault(cid, []).append(j)
-        for cid in outputs:
-            if cid in changer:
-                pairs.add((changer[cid], j))
-            pairs.update((i, j) for i in readers.pop(cid, ()))
-            changer[cid] = j
-        for label in effect.labels:
-            if label in holder:
-                pairs.add((holder[label], j))
-            holder[label] = j
+        for key in changes:
+            if key in changer:
+                pairs.add((changer[key], j))
+            pairs.update((i, j) for i in readers.pop(key, ()))
+            changer[key] = j
     return pairs
 
 

@@ -320,15 +320,21 @@ def test_output_ids_are_writes_creates_and_deletes(menus_recipe, mass_edit_recip
 
 
 def test_every_empty_write_delete_and_label_set_is_the_shared_one(menus_recipe, mass_edit_recipe):
+    # Every catalog op changes a column or a label, so only a table-scoped
+    # step over no column has nothing in ``changes``.
     recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
+    recipes.append(make_recipe([{"op": "vendor/unknown-op"}]))
     empty = Counter()
     for recipe in recipes:
         for effect in trace_effects(recipe, infer_initial_schema(recipe))[0]:
-            for name in ("writes", "deletes", "labels"):
+            for name in ("writes", "deletes", "changes"):
                 if not getattr(effect, name):
                     assert getattr(effect, name) is EMPTY_SET, name
                     empty[name] += 1
-    assert set(empty) == {"writes", "deletes", "labels"}
+            if not (effect.table_scoped or effect.creates or effect.deletes or effect.renames):
+                assert effect.changes is effect.writes  # no new set for a label-free step
+                empty["label-free"] += 1
+    assert set(empty) == {"writes", "deletes", "changes", "label-free"}
 
 
 def test_infer_single_transform():

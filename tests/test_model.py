@@ -150,31 +150,51 @@ def test_label_reuse_depends(entries):
     assert dependency_edges(effects) == {(0, 1)}
 
 
+def _step_labels(recipe) -> list[frozenset[str]]:
+    """The labels each step gives or frees, read from the decoded steps."""
+    return [frozenset(step.gives + step.frees) for step in recipe.steps]
+
+
+def _reference_conflict(a, a_labels, b, b_labels) -> bool:
+    """Whether two steps conflict, stated without ``changes``: either is
+    table-scoped, they give or free a common label, or one's writes,
+    creates and deletes meet what the other reads, writes, creates or
+    deletes. One trace never creates an id twice, but effects of two traces
+    can, as in the random pool below, and then they conflict on that id."""
+    if a.table_scoped or b.table_scoped or a_labels & b_labels:
+        return True
+    a_out = a.writes | {cid for cid, _ in a.creates} | a.deletes
+    b_out = b.writes | {cid for cid, _ in b.creates} | b.deletes
+    return bool(a_out & (b.reads | b_out) or b_out & a.reads)
+
+
 def test_commutes_symmetry_over_random_effects():
     rng = random.Random(51)
     pool = []
     for _ in range(12):
         recipe, _ = random_recipe(rng)
         effects, _ = _models_for(recipe)
-        pool.extend(effects)
-    (table_scoped,), _ = _models_for(make_recipe([{"op": "core/row-removal"}]))
-    pool.append(table_scoped)
+        pool.extend(zip(effects, _step_labels(recipe)))
+    recipe = make_recipe([{"op": "core/row-removal"}])
+    (table_scoped,), _ = _models_for(recipe)
+    pool.append((table_scoped, _step_labels(recipe)[0]))
     for _ in range(400):
-        a, b = rng.choice(pool), rng.choice(pool)
+        (a, a_labels), (b, b_labels) = rng.choice(pool), rng.choice(pool)
         assert commutes(a, b) == commutes(b, a)
-    assert not any(commutes(table_scoped, effect) for effect in pool)
+        assert commutes(a, b) != _reference_conflict(a, a_labels, b, b_labels)
+    assert not any(commutes(table_scoped, effect) for effect, _ in pool)
 
 
 # --- dependency sweep against the pairwise oracle -----------------------------
 
 
-def _brute_force_pairs(effects) -> set[tuple[int, int]]:
-    n = len(effects)
+def _brute_force_pairs(recipe, effects) -> set[tuple[int, int]]:
+    n, labels = len(effects), _step_labels(recipe)
     return {
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if not commutes(effects[i], effects[j])
+        if _reference_conflict(effects[i], labels[i], effects[j], labels[j])
     }
 
 
@@ -193,8 +213,8 @@ def _closure(n: int, pairs) -> list[int]:
 def _assert_sweep_matches_oracle(recipe, effects):
     n = len(effects)
     sweep = dependency_edges(effects)
-    brute = _brute_force_pairs(effects)
-    assert all(not commutes(effects[i], effects[j]) for i, j in sweep)
+    brute = _brute_force_pairs(recipe, effects)
+    assert sweep <= brute
     assert _closure(n, sweep) == _closure(n, brute)
     assert _transitive_reduction(n, sweep) == _transitive_reduction(n, brute)
 
@@ -231,6 +251,32 @@ def test_sweep_matches_oracle_on_fixtures(menus_recipe, mass_edit_recipe):
         _assert_sweep_matches_oracle(recipe, effects)
 
 
+def test_changes_are_the_output_ids_and_the_labels_given_or_freed(
+    menus_recipe, mass_edit_recipe
+):
+    rng = random.Random(CORPUS_SEED + 5)
+    recipes = [recipe for recipe, _ in acceptance_corpus()] + [menus_recipe, mass_edit_recipe]
+    recipes += [
+        make_recipe(_with_table_scoped_steps(
+            [{"op": op.op_id, **op.params} for op in recipe.operations], rng, 2
+        ))
+        for recipe in recipes[:10]
+    ]
+    checked = set()
+    for recipe in recipes:
+        initial = infer_initial_schema(recipe)
+        effects, _ = trace_effects(recipe, initial)
+        for k, (effect, labels) in enumerate(zip(effects, _step_labels(recipe))):
+            if effect.table_scoped:
+                prefix = Recipe(recipe.operations[:k], recipe.split_arity)
+                live = {cid for cid, _ in trace_effects(prefix, initial)[1][1].columns}
+                assert effect.changes == live, (k, recipe)
+            else:
+                assert effect.changes == effect.output_ids() | labels, (k, recipe)
+            checked.add(effect.table_scoped)
+    assert checked == {False, True}
+
+
 def test_dependency_edges_stay_linear_in_effect_size():
     # Brute force finds 18,686 conflicting pairs here, over the bound. No
     # step is table-scoped, since such a step makes the result the chain.
@@ -241,7 +287,7 @@ def test_dependency_edges_stay_linear_in_effect_size():
     effects, _ = _models_for(recipe)
     n = len(effects)
     assert n == 2000
-    size = sum(len(e.reads) + len(e.output_ids()) + len(e.labels) for e in effects)
+    size = sum(len(e.reads) + len(e.changes) for e in effects)
     assert len(dependency_edges(effects)) <= 2 * size + 2 * n
 
 
@@ -600,7 +646,7 @@ def test_parallel_models_are_dags_and_refine_linear_order():
         assert sorted(grouped) == sorted(step_ids)
 
 
-def _conflict_components(effects, merged=()) -> list[list[int]]:
+def _conflict_components(recipe, effects, merged=()) -> list[list[int]]:
     """Connected components of the undirected brute-force conflict graph
     (the recorded chain when a step is table-scoped), with each of the
     ``merged`` (first, last) step ranges joined; by first step, ascending."""
@@ -608,7 +654,7 @@ def _conflict_components(effects, merged=()) -> list[list[int]]:
     if any(effect.table_scoped for effect in effects):
         pairs = {(i, i + 1) for i in range(n - 1)}
     else:
-        pairs = _brute_force_pairs(effects)
+        pairs = _brute_force_pairs(recipe, effects)
     pairs |= {(i, i + 1) for first, last in merged for i in range(first, last)}
     neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
     for i, j in pairs:
@@ -666,7 +712,7 @@ def test_parallel_components_are_the_conflict_graphs_branches(menus_recipe, mass
         effects, _ = _models_for(recipe)
         model = build_parallel(recipe, dataflow=False)
         # Components by first step, members ascending.
-        assert _component_steps(model) == _conflict_components(effects)
+        assert _component_steps(model) == _conflict_components(recipe, effects)
 
 
 def test_collapsed_components_are_unions_of_their_runs_and_steps(menus_recipe, mass_edit_recipe):
@@ -680,7 +726,7 @@ def test_collapsed_components_are_unions_of_their_runs_and_steps(menus_recipe, m
         ]
         # A component lists its groups ascending, so its steps come out
         # ascending, and the components come by their first groups.
-        assert _component_steps(model) == _conflict_components(effects, runs)
+        assert _component_steps(model) == _conflict_components(recipe, effects, runs)
 
 
 def test_parallel_version_chains_are_consistent(menus_recipe):

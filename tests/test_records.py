@@ -73,7 +73,7 @@ FROZEN = [
     lambda: ExpressionAnalysis(("a",), False),
     lambda: OpSpec(params=("columnName",), own="columnName", writes_own=True),
     lambda: SchemaState(columns=((0, "a"), (1, "b"))),
-    lambda: ColumnEffect(reads=frozenset({0}), writes=frozenset({0}), labels=frozenset({"a"})),
+    lambda: ColumnEffect(reads=frozenset({0}), writes=frozenset({0}), changes=frozenset({0, "a"})),
     lambda: Edge(src="step_0", dst="step_1", label="a"),
     lambda: WorkflowModel(
         [Node("step", "step_0", "fill-down", 0)], [Edge("a_v0", "step_0")], [["step_0"]]
