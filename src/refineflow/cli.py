@@ -18,10 +18,10 @@ long recipe the build and the emission peak about alike.
 
 A collapsed model also gets one detail file per summary node it writes
 (after a query, the summaries the query kept): the linear model of the
-folded run, named ``<stem>.detail.<summary id><ext>``. Standard output
-carries the main text only, as the same UTF-8 bytes a file would hold;
-detail models are then not built, and a ``details-skipped`` warning gives
-their count.
+folded run, named ``<stem>.detail.summary_<first step index><ext>``.
+Standard output carries the main text only, as the same UTF-8 bytes a file
+would hold; detail models are then not built, and a ``details-skipped``
+warning gives their count.
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ import os
 import sys
 import threading
 from collections.abc import Mapping
+from itertools import chain
 from typing import NamedTuple
 
 from . import model
-from .emit import VIEWS, emit_dot, emit_yw, identifier_map
+from .emit import VIEWS, emit_dot, emit_yw
 from .errors import RefineflowError
-from .model import DATA_KINDS, WorkflowModel
+from .model import DATA_KINDS, Node, WorkflowModel
 from .recipe import EMPTY_MAPPING, Diagnostic, Recipe, check_split_arity, parse_recipe, validate_recipe
 
 FORMATS = ("dot", "yw")
@@ -96,23 +97,32 @@ class _CollectorPause:
 _COLLECTOR_PAUSE = _CollectorPause()
 
 
-def _resolve_query_node(workflow: WorkflowModel, node_id: str, idents: dict[str, str]) -> str:
-    """Exact node id, else the last-born data node with that label, else
-    the node the output names by that identifier (``idents``, keyed by
-    every node id).
+def _former_id(node: Node) -> str:
+    """The id a node had before node ids were emission identifiers:
+    ``step_N``, ``summary_N`` or ``param_N_key`` by step index, and a data
+    node's id without the "_"s it takes on a clash with a step's."""
+    if node.kind in DATA_KINDS:
+        return node.id.rstrip("_")
+    key = f"_{node.payload['key']}" if node.kind == "param" else ""
+    return f"{node.kind}_{node.step_index}{key}"
+
+
+def _resolve_query_node(workflow: WorkflowModel, name: str) -> str:
+    """The node with that former id (:func:`_former_id`), else the
+    last-born data node with that label, else the node with that id, the
+    identifier the output shows.
 
     Data nodes are appended as their versions are born, so when a label was
     freed and taken again, the last match is the column that holds it last.
     """
-    if node_id in idents:
-        return node_id
-    for node in reversed(workflow.nodes):
-        if node.kind in DATA_KINDS and node.label == node_id:
-            return node.id
-    for found, identifier in idents.items():
-        if identifier == node_id:
-            return found
-    raise RefineflowError("unknown-node", f"no node with id, label or identifier {node_id!r}")
+    nodes = workflow.nodes
+    for node in chain(
+        (node for node in nodes if _former_id(node) == name),
+        (node for node in reversed(nodes) if node.kind in DATA_KINDS and node.label == name),
+        (node for node in nodes if node.id == name),
+    ):
+        return node.id
+    raise RefineflowError("unknown-node", f"no node with id, label or identifier {name!r}")
 
 
 # Characters per write: no encoded copy of a whole text is ever made.
@@ -161,15 +171,10 @@ def _write_stdout(text: str) -> None:
     buffer.flush()
 
 
-def _detail_path(output_path: str, summary_id: str) -> str:
-    stem, ext = os.path.splitext(output_path)
-    return f"{stem}.detail.{summary_id}{ext}"
-
-
-def _emit(workflow: WorkflowModel, config: RunConfig, name: str, idents=None) -> str:
+def _emit(workflow: WorkflowModel, config: RunConfig, name: str) -> str:
     if config.format == "dot":
-        return emit_dot(workflow, config.view, idents=idents)
-    return emit_yw(workflow, config.view, name=name, idents=idents)
+        return emit_dot(workflow, config.view)
+    return emit_yw(workflow, config.view, name=name)
 
 
 def run(config: RunConfig, stderr=None) -> int:
@@ -219,10 +224,10 @@ def _read_recipe(config: RunConfig) -> Recipe:
     return parse_recipe(text, config.split_arity_overrides)
 
 
-def _models(config: RunConfig, stderr) -> tuple[WorkflowModel, dict[str, str] | None, list]:
-    """Parse, validate, build and query: the main model, the identifiers
-    that name it, and the (summary id, detail model) pairs to write. The
-    recipe lives only until they are built."""
+def _models(config: RunConfig, stderr) -> tuple[WorkflowModel, list]:
+    """Parse, validate, build and query: the main model, and the (path,
+    detail model, name) of each detail file to write. The recipe lives only
+    until they are built."""
     recipe = _read_recipe(config)
     _write_diagnostics(validate_recipe(recipe), stderr)
     # The DOT process view draws steps only. YW's process view prints
@@ -235,41 +240,38 @@ def _models(config: RunConfig, stderr) -> tuple[WorkflowModel, dict[str, str] | 
     else:
         workflow = model.build_collapsed(recipe, config.collapse_threshold, dataflow)
 
-    idents = None
     if config.query is not None:
-        # The subgraph keeps the identifiers of the whole model.
-        idents = identifier_map(workflow)
         direction, raw_node = config.query
-        node_id = _resolve_query_node(workflow, raw_node, idents)
+        node_id = _resolve_query_node(workflow, raw_node)
         if direction == "upstream":
             workflow = model.upstream_lineage(workflow, node_id)
         else:
             workflow = model.downstream_impact(workflow, node_id)
-    details = [] if config.output_path == "-" else [
-        (node.id, model.detail_model(recipe, node))
-        for node in workflow.nodes if node.kind == "summary"
-    ]
-    return workflow, idents, details
+    details = []
+    if config.output_path != "-":
+        stem, ext = os.path.splitext(config.output_path)
+        for node in workflow.nodes:
+            if node.kind == "summary":
+                name = f"summary_{node.step_index}"
+                details.append((f"{stem}.detail.{name}{ext}", model.detail_model(recipe, node), name))
+    return workflow, details
 
 
 def _convert(config: RunConfig, stderr) -> int:
     try:
-        workflow, idents, details = _models(config, stderr)
+        workflow, details = _models(config, stderr)
     except RefineflowError as exc:
         _write_diagnostics([Diagnostic("error", exc.code, exc.message, exc.step_index)], stderr)
         return 2 if exc.code == _UNREADABLE else 1
 
     name = os.path.splitext(os.path.basename(config.input_path))[0]
-    outputs = [(config.output_path, workflow, name, idents)] + [
-        (_detail_path(config.output_path, summary_id), detail, summary_id, None)
-        for summary_id, detail in details
-    ]
+    outputs = [(config.output_path, workflow, name), *details]
     pending: list[tuple[str, str]] = []  # (temporary file, final path)
     try:
-        for path, output, output_name, output_idents in outputs:
+        for path, output, output_name in outputs:
             # Each text is emitted as it is written, and freed then: one
             # output text is alive at a time.
-            text = _emit(output, config, output_name, output_idents)
+            text = _emit(output, config, output_name)
             if path == "-":
                 _write_stdout(text)
             else:

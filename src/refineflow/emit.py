@@ -10,7 +10,8 @@ keeps steps and their ordering constraints; the data view keeps data nodes
 with edges labeled by the deriving step. Output is byte-deterministic:
 node statements follow model (step/version) order and edge statements are
 sorted lexicographically. YW lists the steps in node order, and each
-step's ports in edge order.
+step's ports in edge order. Each node is named by its id, which the
+builders make a unique identifier of word characters: no escaping needed.
 
 Each format is one line generator (``_dot_lines``, ``_yw_lines``), joined
 by one helper (``_joined``): its tables die as it is spent, before the join.
@@ -18,7 +19,6 @@ by one helper (``_joined``): its tables die as it is spent, before the join.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
@@ -60,52 +60,6 @@ def _ports(model: WorkflowModel, steps: set[str], view: str) -> tuple[dict[str, 
         elif view == "combined":
             params.setdefault(dst, []).append(src)
     return ins, params, outs
-
-
-def identifier_map(model: WorkflowModel) -> dict[str, str]:
-    """Stable emission identifier per node id.
-
-    Step and summary identifiers come from sanitized labels, and are named
-    first, among themselves: a step has the same identifier in every view,
-    whether or not the model holds data and param nodes. Param identifiers
-    come from sanitized keys; data node ids are already unique, readable
-    identifiers. Within each of the two groups, colliding identifiers get
-    the step index appended; a name already taken gets "_" appended. Every
-    identifier holds word characters only, so it needs no escaping inside
-    DOT quotes.
-    """
-    # The nodes of each group, and the name each would take alone, in two
-    # lists rather than a pair per node. Labels and keys repeat from step to
-    # step: each is sanitized once.
-    steps: tuple[list[Node], list[str]] = ([], [])
-    others: tuple[list[Node], list[str]] = ([], [])
-    sanitized: dict[str, str] = {}
-    for node in model.nodes:
-        if node.kind in STEP_KINDS:
-            group, text = steps, node.label
-        elif node.kind == "param":
-            group, text = others, node.payload.get("key", node.label)
-        else:
-            others[0].append(node)
-            others[1].append(sanitize_identifier(node.id))
-            continue
-        name = sanitized.get(text)
-        if name is None:
-            name = sanitized[text] = sanitize_identifier(text)
-        group[0].append(node)
-        group[1].append(name)
-    result: dict[str, str] = {}
-    used: set[str] = set()
-    for nodes, names in (steps, others):
-        counts = Counter(names)
-        for node, name in zip(nodes, names):
-            if counts[name] > 1 and node.step_index is not None:
-                name = f"{name}_{node.step_index}"
-            while name in used:
-                name += "_"
-            used.add(name)
-            result[node.id] = name
-    return result
 
 
 def _quote(text: str) -> str:
@@ -156,15 +110,13 @@ def _view(model: WorkflowModel, view: str, steps: set[str]) -> tuple[list[Node],
     return [n for n in model.nodes if n.kind in DATA_KINDS], derived
 
 
-def emit_dot(model: WorkflowModel, view: str, *, idents: dict[str, str] | None = None) -> str:
+def emit_dot(model: WorkflowModel, view: str) -> str:
     """Serialize one view of a model as a Graphviz DOT digraph.
 
     Independent subworkflow groups are wrapped in ``cluster`` subgraphs so
-    the layout keeps them visually separate. ``idents`` names the nodes
-    (default: the model's own :func:`identifier_map`); the CLI passes the
-    whole model's map to name a query's subgraph.
+    the layout keeps them visually separate.
     """
-    return _joined(_dot_lines(model, view, idents or identifier_map(model)))
+    return _joined(_dot_lines(model, view))
 
 
 # Lines per batch: a batch's string costs little more than its text, where
@@ -184,7 +136,7 @@ def _joined(lines: Iterator[str]) -> str:
     return "".join(batches)
 
 
-def _dot_lines(model: WorkflowModel, view: str, idents: dict[str, str]) -> Iterator[str]:
+def _dot_lines(model: WorkflowModel, view: str) -> Iterator[str]:
     """The digraph's lines: the view's node statements, in clusters, then
     its edge statements. Each table is deleted once read, before the edge
     statements are made."""
@@ -206,7 +158,7 @@ def _dot_lines(model: WorkflowModel, view: str, idents: dict[str, str]) -> Itera
 
     def statement(node: Node) -> str:
         attrs = _NODE_ATTRS.get(node.kind, _DATA_ATTRS)
-        return f'"{idents[node.id]}" [label={_quote(node.label)}, {attrs}];'
+        return f'"{node.id}" [label={_quote(node.label)}, {attrs}];'
 
     yield "digraph workflow {"
     yield "rankdir=TB;"
@@ -221,7 +173,7 @@ def _dot_lines(model: WorkflowModel, view: str, idents: dict[str, str]) -> Itera
     # share both endpoints. They are popped from the end, in ascending
     # order, so each batch's strings are freed once it is joined.
     statements = sorted((
-        f'"{idents[src]}" -> "{idents[dst]}"' + (f" [label={_quote(label)}];" if label else ";")
+        f'"{src}" -> "{dst}"' + (f" [label={_quote(label)}];" if label else ";")
         for src, dst, label in edges
     ), reverse=True)
     for _ in range(len(statements)):
@@ -229,28 +181,25 @@ def _dot_lines(model: WorkflowModel, view: str, idents: dict[str, str]) -> Itera
     yield "}"
 
 
-def emit_yw(
-    model: WorkflowModel, view: str, name: str = "workflow", *, idents: dict[str, str] | None = None
-) -> str:
+def emit_yw(model: WorkflowModel, view: str, name: str = "workflow") -> str:
     """Serialize one view of a model as YesWorkflow comment annotations.
 
     Each step becomes a ``@begin``/``@end`` block listing its data inputs
-    and outputs; parameters appear only in the combined view. ``idents``
-    is as for :func:`emit_dot`.
+    and outputs; parameters appear only in the combined view.
     """
-    return _joined(_yw_lines(model, view, sanitize_identifier(name), idents or identifier_map(model)))
+    return _joined(_yw_lines(model, view, sanitize_identifier(name)))
 
 
-def _yw_lines(model: WorkflowModel, view: str, name: str, idents: dict[str, str]) -> Iterator[str]:
+def _yw_lines(model: WorkflowModel, view: str, name: str) -> Iterator[str]:
     """The annotations' lines: one block per step, listing its ports."""
     ins, params, outs = _ports(model, _view_steps(model, view), view)
     yield f"# @begin {name}"
     for step in model.nodes:
         if step.kind not in STEP_KINDS:
             continue
-        yield f"# @begin {idents[step.id]}"
+        yield f"# @begin {step.id}"
         for tag, ports in (("in", ins), ("param", params), ("out", outs)):
             for node_id in ports.get(step.id, ()):
-                yield f"# @{tag} {idents[node_id]}"
-        yield f"# @end {idents[step.id]}"
+                yield f"# @{tag} {node_id}"
+        yield f"# @end {step.id}"
     yield f"# @end {name}"

@@ -39,12 +39,17 @@ current label from the initial columns through the effects' renames and
 creates. A data node is made exactly when its column version is born (an
 initial column, a write or a create), and a read looks up its column's
 current node; a group's reads are added in the order their nodes were made.
+Each node's id is the name the emitters print, by one rule (:class:`_Names`):
+a step is named by its label, a param by its key, and a data node
+``<label>_v<version>``, each made unique.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
+from functools import cache
 from itertools import groupby
 from typing import Any, NamedTuple
 
@@ -229,17 +234,48 @@ def _group_order(
     return kept, list(components.values())
 
 
+class _Names:
+    """One build's naming rule, which makes a node's id its emission
+    identifier. Steps and summaries are named first, among themselves: the
+    sanitized label, with the step index appended where several share it,
+    then "_" while the name is taken. A param takes its sanitized key, with
+    the step index where the key repeats, and a data node its own name; both
+    take "_" while a step has the name. Only the step names are kept: no
+    catalog key is "table" or holds a digit or "_", and data names are
+    unique and end in digits after ``_v``, ``_c`` or ``table_``, so no param
+    or data name can meet another. Each label and key is sanitized once."""
+
+    def __init__(self, n: int, labels: Iterable[tuple[int, str]], keys: Iterable[str]):
+        self.sanitize = cache(sanitize_identifier)
+        labels = [(index, self.sanitize(label)) for index, label in labels]
+        counts = Counter(name for _, name in labels)
+        self.steps: list[str | None] = [None] * n  # each name at its step index
+        self._taken: dict[str, None] = {}  # a dict grows in smaller steps than a set
+        for index, name in labels:
+            self.steps[index] = name = self.free(f"{name}_{index}" if counts[name] > 1 else name)
+            self._taken[name] = None
+        counts = Counter(map(self.sanitize, keys))
+        self.repeated_keys = {key for key, count in counts.items() if count > 1}
+
+    def free(self, name: str) -> str:
+        """``name``, with "_" appended while a step has it."""
+        while name in self._taken:
+            name += "_"
+        return name
+
+
 # One payload per param key: a step renders only its catalog keys.
 _PARAM_PAYLOADS = {key: FrozenDict(key=key) for spec in CATALOG.values() for key in spec.params}
 
 
-def _param_nodes(step: Step, step_index: int, labels: dict[str, str]) -> list[Node]:
+def _param_nodes(step: Step, step_index: int, labels: dict[str, str], names: _Names) -> list[Node]:
     """A step's param nodes. Equal labels are one string, kept in ``labels``."""
     nodes = []
     for key, text in step.params:
         label = f"{key} = {text}"
         label = labels.setdefault(label, label)
-        node_id = f"param_{step_index}_{key}"
+        name = names.sanitize(key)
+        node_id = names.free(f"{name}_{step_index}" if name in names.repeated_keys else name)
         nodes.append(_record(Node, ("param", node_id, label, step_index, _PARAM_PAYLOADS[key])))
     return nodes
 
@@ -264,27 +300,31 @@ def build_linear(recipe: Recipe) -> WorkflowModel:
 
 
 def _linear(steps: tuple[Step, ...]) -> WorkflowModel:
-    n = len(steps)
-    nodes, edges = [_record(Node, ("data_table", "table_0", "table_0", None, EMPTY_MAPPING))], []
     shared: dict[str, tuple] = {}
+    labels = ((pos, _plain_step(step.op.op_id, shared)[0]) for pos, step in enumerate(steps))
+    names = _Names(len(steps), labels, (key for step in steps for key, _ in step.params))
+    table_in = names.free("table_0")
+    nodes, edges = [_record(Node, ("data_table", table_in, "table_0", None, EMPTY_MAPPING))], []
     param_labels: dict[str, str] = {}
     for pos, step in enumerate(steps):
         op = step.op
         if step.error is not None:
             raise EffectError(*step.error, step_index=op.index)
-        step_id = f"step_{pos}"
-        table_in, table_out = f"table_{pos}", f"table_{pos + 1}"
+        step_id = names.steps[pos]
         label, payload = _plain_step(op.op_id, shared)
         nodes.append(_record(Node, ("step", step_id, label, pos, payload)))
-        params = _param_nodes(step, pos, param_labels)
+        params = _param_nodes(step, pos, param_labels, names)
         nodes.extend(params)
-        nodes.append(_record(Node, ("data_table", table_out, table_out, None, EMPTY_MAPPING)))
+        table_label = f"table_{pos + 1}"
+        table_out = names.free(table_label)
+        nodes.append(_record(Node, ("data_table", table_out, table_label, None, EMPTY_MAPPING)))
         edges.append(_record(Edge, (table_in, step_id, None)))
         edges.append(_record(Edge, (step_id, table_out, None)))
         edges.extend([_record(Edge, (p.id, step_id, None)) for p in params])
         if pos > 0:
-            edges.append(_record(Edge, (f"step_{pos - 1}", step_id, None)))
-    components = [[f"step_{i}" for i in range(n)]] if n else []
+            edges.append(_record(Edge, (names.steps[pos - 1], step_id, None)))
+        table_in = table_out
+    components = [names.steps] if steps else []
     return WorkflowModel(nodes, edges, components)
 
 
@@ -298,6 +338,15 @@ def _collapse_runs(recipe: Recipe, effects: list[ColumnEffect], threshold: int) 
         if len(steps) >= threshold:
             runs[steps[0]] = steps[-1]
     return runs
+
+
+def _groups(n: int, runs: dict[int, int]) -> Iterator[tuple[int, int]]:
+    """The first and last step of each group, in order: a folded run, or one step."""
+    start = 0
+    while start < n:
+        end = runs.get(start, start)
+        yield start, end
+        start = end + 1
 
 
 def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -> WorkflowModel:
@@ -329,12 +378,21 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
     # Position in ``nodes`` and node id of each column's current version.
     current: dict[ColumnId, tuple[int, str]] = {}
     used_ids: set[str] = set()
+    shared: dict[str, tuple] = {}
+
+    def step_label(start: int, end: int) -> str:
+        op_id = recipe.operations[start].op_id
+        return _plain_step(op_id, shared)[0] if end == start else f"{op_id} × {end - start + 1}"
+
+    keys = (key for start, end in _groups(n, runs) if end == start for key, _ in recipe.steps[start].params)
+    names = _Names(n, ((start, step_label(start, end)) for start, end in _groups(n, runs)), keys if dataflow else ())
 
     def born(cid: ColumnId, at: int, label: str) -> str:
-        node_id = f"{sanitize_identifier(label)}_v{at}"
+        node_id = f"{names.sanitize(label)}_v{at}"
         if node_id in used_ids:
             node_id = f"{node_id}_c{cid}"
         used_ids.add(node_id)
+        node_id = names.free(node_id)
         current[cid] = (len(nodes), node_id)
         payload = dict.__new__(FrozenDict)
         dict.update(payload, column_id=cid, version=at)
@@ -345,40 +403,30 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
         for cid, name in initial.columns:
             born(cid, 0, name)
 
-    # Node id of each group, by the index of its first step.
-    group_ids: list[str | None] = [None] * n
-    shared: dict[str, tuple] = {}
     param_labels: dict[str, str] = {}
-
-    start = 0
-    while start < n:
-        end = runs.get(start, start)
+    for start, end in _groups(n, runs):
         op = recipe.operations[start]
         first = effects[start]
+        node_id = names.steps[start]
+        payload = _plain_step(op.op_id, shared)[1]
         if end > start:
-            count = end - start + 1
-            node_id = f"summary_{start}"
             payload = dict.__new__(FrozenDict)
-            dict.update(payload, op_id=op.op_id, count=count, first_index=start, last_index=end)
-            nodes.append(_record(Node, ("summary", node_id, f"{op.op_id} × {count}", start, payload)))
-        else:
-            node_id = f"step_{start}"
-            label, payload = _plain_step(op.op_id, shared)
-            if len(first.creates) >= 2:
-                payload = dict.__new__(FrozenDict)
-                dict.update(payload, op_id=op.op_id, pattern="split", branches=len(first.creates))
-            elif len(first.reads) >= 2 and len(first.writes | first.created_ids()) == 1:
-                payload = dict.__new__(FrozenDict)
-                dict.update(payload, op_id=op.op_id, pattern="merge")
-            nodes.append(_record(Node, ("step", node_id, label, start, payload)))
-        group_ids[start] = node_id
+            dict.update(payload, op_id=op.op_id, count=end - start + 1, first_index=start, last_index=end)
+        elif len(first.creates) >= 2:
+            payload = dict.__new__(FrozenDict)
+            dict.update(payload, op_id=op.op_id, pattern="split", branches=len(first.creates))
+        elif len(first.reads) >= 2 and len(first.writes | first.created_ids()) == 1:
+            payload = dict.__new__(FrozenDict)
+            dict.update(payload, op_id=op.op_id, pattern="merge")
+        kind = "step" if end == start else "summary"
+        nodes.append(_record(Node, (kind, node_id, step_label(start, end), start, payload)))
 
         if dataflow:
             group = effects[start : end + 1]
             reads = first.reads if end == start else frozenset().union(*(e.reads for e in group))
             edges.extend([_record(Edge, (src, node_id, None)) for _, src in sorted(map(current.get, reads))])
             if end == start:
-                params = _param_nodes(recipe.steps[start], start, param_labels)
+                params = _param_nodes(recipe.steps[start], start, param_labels, names)
                 nodes.extend(params)
                 edges.extend([_record(Edge, (param.id, node_id, None)) for param in params])
             for effect in group:
@@ -391,9 +439,9 @@ def _build_column_model(recipe: Recipe, threshold: int | None, dataflow: bool) -
             for cid, name in first.creates:
                 edges.append(_record(Edge, (node_id, born(cid, 0, name), None)))
         effects[start : end + 1] = [None] * (end + 1 - start)
-        start = end + 1
 
-    del used_ids, current, labels, version
+    group_ids = names.steps  # each group's node id, at its first step's index
+    del used_ids, current, labels, version, names
     edges.extend([_record(Edge, (group_ids[i], group_ids[j], None)) for i, j in kept])
     components = [[group_ids[i] for i in starts] for starts in component_starts]
     return WorkflowModel(nodes, edges, components)

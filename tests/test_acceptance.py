@@ -46,11 +46,8 @@ def corpus():
 
 
 def _step_pairs(model) -> set[tuple[int, int]]:
-    return {
-        (int(e.src.split("_")[1]), int(e.dst.split("_")[1]))
-        for e in model.edges
-        if e.src.startswith("step_") and e.dst.startswith("step_")
-    }
+    index = {n.id: n.step_index for n in model.nodes if n.kind == "step"}
+    return {(index[e.src], index[e.dst]) for e in model.edges if e.src in index and e.dst in index}
 
 
 def test_criterion_1_linear_model_shape(menus_recipe):
@@ -58,16 +55,17 @@ def test_criterion_1_linear_model_shape(menus_recipe):
     assert len(menus_recipe) == 8
     model = build_linear(menus_recipe)
     tables = [n.id for n in model.nodes if n.kind == "data_table"]
-    steps = [n.id for n in model.nodes if n.kind == "step"]
+    steps = {n.step_index: n.id for n in model.nodes if n.kind == "step"}
     assert len(tables) == 9
     assert len(steps) == 8
-    flow = {(e.src, e.dst) for e in model.edges if not e.src.startswith("step_") or not e.dst.startswith("step_")}
+    step_ids = set(steps.values())
+    flow = {(e.src, e.dst) for e in model.edges if e.src not in step_ids or e.dst not in step_ids}
     # Single alternating path: table_i -> step_i -> table_{i+1}, nothing else
     # between tables and steps except the parameter feeds.
     for i in range(8):
-        assert (f"table_{i}", f"step_{i}") in flow
-        assert (f"step_{i}", f"table_{i + 1}") in flow
-    table_step = [e for e in model.edges if e.src.startswith("table_") or e.dst.startswith("table_")]
+        assert (f"table_{i}", steps[i]) in flow
+        assert (steps[i], f"table_{i + 1}") in flow
+    table_step = [e for e in model.edges if e.src in tables or e.dst in tables]
     assert len(table_step) == 16
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

@@ -21,7 +21,8 @@ import refineflow
 from refineflow import cli, model
 from refineflow.cli import FORMATS, RunConfig, main, run
 from refineflow.emit import VIEWS
-from refineflow.recipe import EMPTY_MAPPING, MAX_SPLIT_PARTS
+from refineflow.errors import RefineflowError
+from refineflow.recipe import EMPTY_MAPPING, MAX_SPLIT_PARTS, parse_recipe
 from conftest import FIXTURES, GOLDEN, LONG_INT, launch, needs_int_digit_limit
 from dotcheck import parse_dot
 from recipegen import random_recipe_entries
@@ -697,6 +698,53 @@ def test_query_by_the_identifier_the_output_shows(tmp_path):
         assert run_cli(["-i", MENUS, "--query", f"downstream:{node}", "-o", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# Three fill-downs fold into summary_0; steps 3 to 5 are text transforms,
+# named text_transform_3 to text_transform_5, and step 3 transforms a
+# column labelled text_transform_5.
+QUERY_RECIPES = {
+    "collapsed": [{"op": "core/fill-down", "columnName": "a"}] * 3 + [
+        {"op": "core/text-transform", "columnName": label, "expression": "value.trim()"}
+        for label in ("text_transform_5", "b", "b")
+    ],
+    # The step takes the name of c0's first version, whose id gains a "_".
+    "clash": [{"op": "core/fill-down", "columnName": "c0"}, {"op": "x/c0_v0"}],
+}
+
+
+@pytest.mark.parametrize(
+    ("recipe", "name", "kind", "step_index", "label", "version"),
+    [
+        ("collapsed", "step_4", "step", 4, "text-transform", None),
+        ("collapsed", "summary_0", "summary", 0, "core/fill-down × 3", None),
+        ("collapsed", "param_4_expression", "param", 4, "expression = value.trim()", None),
+        ("collapsed", "a_v0", "data_column", None, "a", 0),
+        ("collapsed", "b", "data_column", None, "b", 2),
+        ("collapsed", "text_transform_4", "step", 4, "text-transform", None),
+        # A label wins over a step's identifier.
+        ("collapsed", "text_transform_5", "data_column", None, "text_transform_5", 1),
+        ("clash", "c0_v0", "data_column", None, "c0", 0),
+        ("clash", "c0_v0_", "data_column", None, "c0", 0),
+        ("clash", "step_1", "step", 1, "c0_v0", None),
+    ],
+)
+def test_query_names_resolve_by_former_id_then_label_then_id(recipe, name, kind, step_index, label, version):
+    workflow = model.build_collapsed(parse_recipe(json.dumps(QUERY_RECIPES[recipe])), threshold=3)
+    nodes = {node.id: node for node in workflow.nodes}
+    node = nodes[cli._resolve_query_node(workflow, name)]
+    assert (node.kind, node.step_index, node.label, node.payload.get("version")) == (
+        kind, step_index, label, version,
+    )
+
+
+def test_a_query_name_no_node_has_is_refused():
+    workflow = model.build_collapsed(parse_recipe(json.dumps(QUERY_RECIPES["collapsed"])), threshold=3)
+    with pytest.raises(RefineflowError) as info:
+        cli._resolve_query_node(workflow, "step_6")
+    assert (info.value.code, info.value.message) == (
+        "unknown-node", "no node with id, label or identifier 'step_6'",
+    )
 
 
 @pytest.mark.parametrize(

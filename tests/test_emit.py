@@ -20,7 +20,7 @@ from refineflow import (
     parse_recipe,
 )
 from refineflow.cli import RunConfig, run
-from refineflow.emit import STEP_FILL, VIEWS, _quote, identifier_map
+from refineflow.emit import STEP_FILL, VIEWS, _quote
 from refineflow.errors import RefineflowError
 from refineflow.model import STEP_KINDS, Edge, Node, WorkflowModel, sanitize_identifier
 from conftest import GOLDEN, make_recipe
@@ -175,8 +175,7 @@ def test_process_clusters_are_the_step_members_of_combined_clusters(menus_recipe
         for model in _models(recipe)[1:3]:
             if len(model.components) < 2:
                 continue
-            idents = identifier_map(model)
-            steps = {idents[n.id] for n in model.nodes if n.kind in ("step", "summary")}
+            steps = {n.id for n in model.nodes if n.kind in STEP_KINDS}
             process = parse_dot(emit_dot(model, "process")).clusters
             combined = parse_dot(emit_dot(model, "combined")).clusters
             assert process == {
@@ -293,15 +292,15 @@ def test_yw_lists_ports_in_edge_order():
         [
             Node("data_column", "a_v0", "a"),
             Node("data_column", "b_v0", "b"),
-            Node("step", "step_1", "later", 1),
-            Node("step", "step_0", "earlier", 0),
+            Node("step", "later", "later", 1),
+            Node("step", "earlier", "earlier", 0),
             Node("data_column", "c_v1", "c"),
         ],
         [
-            Edge("b_v0", "step_0"), Edge("a_v0", "step_0"), Edge("step_0", "c_v1"),
-            Edge("a_v0", "step_1"), Edge("step_0", "step_1"),
+            Edge("b_v0", "earlier"), Edge("a_v0", "earlier"), Edge("earlier", "c_v1"),
+            Edge("a_v0", "later"), Edge("earlier", "later"),
         ],
-        [["step_0", "step_1"]],
+        [["earlier", "later"]],
     )
     assert emit_yw(model, "combined") == (
         "# @begin workflow\n"
@@ -380,14 +379,15 @@ def test_identifiers_are_word_characters_for_awkward_labels():
     for op_id in (None, "core/", "/"):
         extra = [] if op_id is None else [{"op": op_id, "columnName": labels[0]}]
         for model in _models(make_recipe(entries + extra)):
-            idents = identifier_map(model)
-            assert all(re.fullmatch(r"\w+", ident) for ident in idents.values()), idents
+            ids = [n.id for n in model.nodes]
+            assert all(re.fullmatch(r"\w+", node_id) for node_id in ids), ids
+            assert len(set(ids)) == len(ids), ids
             for view, kinds in view_kinds.items():
                 graph = parse_dot(emit_dot(model, view))
                 # dotcheck reads an escaped character as itself, so DOT's "\n"
                 # line break reads back as "n".
                 expected = {
-                    idents[n.id]: n.label.replace("\n", "n")
+                    n.id: n.label.replace("\n", "n")
                     for n in model.nodes
                     if kinds is None or n.kind in kinds
                 }
@@ -397,22 +397,26 @@ def test_identifiers_are_word_characters_for_awkward_labels():
                         assert re.fullmatch(r"# @(begin|end) \w+", line), line
 
 
-def test_identifier_map_sanitizes_each_label_and_key_once(menus_recipe, mass_edit_recipe, monkeypatch):
+def test_builders_sanitize_each_label_and_key_once(menus_recipe, mass_edit_recipe, monkeypatch):
     texts: list[str] = []
 
     def counting(text: str) -> str:
         texts.append(text)
         return sanitize_identifier(text)
 
-    monkeypatch.setattr("refineflow.emit.sanitize_identifier", counting)
+    monkeypatch.setattr("refineflow.model.sanitize_identifier", counting)
     for recipe in (menus_recipe, mass_edit_recipe):
-        for model in _models(recipe):
+        collapsed = build_collapsed(recipe, threshold=3)
+        builds = [
+            partial(build_linear, recipe), partial(build_parallel, recipe),
+            partial(build_parallel, recipe, dataflow=False), partial(build_collapsed, recipe, 3),
+        ] + [partial(detail_model, recipe, n) for n in collapsed.nodes if n.kind == "summary"]
+        for build in builds:
             texts.clear()
-            identifier_map(model)
-            named = {n.label for n in model.nodes if n.kind in STEP_KINDS}
+            model = build()
+            named = {n.label for n in model.nodes if n.kind in STEP_KINDS or n.kind == "data_column"}
             named |= {n.payload["key"] for n in model.nodes if n.kind == "param"}
-            data = [n.id for n in model.nodes if n.kind not in STEP_KINDS and n.kind != "param"]
-            assert sorted(texts) == sorted([*named, *data])
+            assert sorted(texts) == sorted(named)
 
 
 def test_emitters_reject_unknown_view(menus_recipe):
@@ -443,16 +447,13 @@ def test_views_agree_on_every_edge(menus_recipe, mass_edit_recipe):
     recipes = [menus_recipe, mass_edit_recipe] + [recipe for recipe, _ in acceptance_corpus()]
     for recipe in recipes:
         for model in _models(recipe):
-            idents = identifier_map(model)
             graph = parse_dot(emit_dot(model, "combined"))
             combined = [(src, dst) for src, dst, _ in graph.edges]
             process = [(src, dst) for src, dst, _ in parse_dot(emit_dot(model, "process")).edges]
             assert not set(combined) & set(process)
-            assert sorted(combined + process) == sorted(
-                (idents[edge.src], idents[edge.dst]) for edge in model.edges
-            )
+            assert sorted(combined + process) == sorted((edge.src, edge.dst) for edge in model.edges)
             ports = _yw_ports(emit_yw(model, "combined"))
-            steps = {idents[n.id] for n in model.nodes if n.kind in ("step", "summary")}
+            steps = {n.id for n in model.nodes if n.kind in STEP_KINDS}
             assert set(ports) == steps | {"workflow"}
             for step in steps:
                 into = {src for src, dst in combined if dst == step}
@@ -516,6 +517,7 @@ def test_step_only_process_view_equals_the_full_one(menus_recipe, mass_edit_reci
         for full, steps in pairs:
             assert emit_dot(steps, "process") == emit_dot(full, "process")
             assert all(node.kind in STEP_KINDS for node in steps.nodes)
+            assert steps.nodes == [node for node in full.nodes if node.kind in STEP_KINDS]
             assert steps.components == full.components
         checked += 1
     assert checked > 150
@@ -549,3 +551,93 @@ def test_step_identifiers_agree_across_views(tmp_path, unknown, step, other):
     assert list(process) == step_names == ["text_transform", step]
     assert check_yw_nesting(texts["combined", "yw"]) == ["probe"] + step_names
     assert other in combined.nodes
+
+
+# Models whose names clash, and their combined YW text, which shows every
+# step, param and data name: the text emitted before the builders named the
+# nodes, kept byte for byte.
+NAMING_CORNER_CASES = {
+    # The unknown op's name is the transform's param key.
+    "vendor_expression": (build_parallel, [
+        {"op": "core/text-transform", "columnName": "a", "expression": "value.trim()"},
+        {"op": "vendor/expression"},
+    ], """\
+# @begin text_transform
+# @in a_v0
+# @param columnName
+# @param expression_
+# @out a_v1
+# @end text_transform
+# @begin expression
+# @in a_v1
+# @out a_v2
+# @end expression
+"""),
+    # Two "table" steps take the names of the linear model's tables.
+    "x_table_twice": (build_linear, [{"op": "x/table"}, {"op": "x/table"}], """\
+# @begin table_0
+# @in table_0_
+# @out table_1_
+# @end table_0
+# @begin table_1
+# @in table_1_
+# @out table_2
+# @end table_1
+"""),
+    # A step takes the name of the column's first version.
+    "op_named_like_a_data_node": (build_parallel, [
+        {"op": "core/fill-down", "columnName": "c0"}, {"op": "x/c0_v0"},
+    ], """\
+# @begin fill_down
+# @in c0_v0_
+# @param columnName
+# @out c0_v1
+# @end fill_down
+# @begin c0_v0
+# @in c0_v1
+# @out c0_v2
+# @end c0_v0
+"""),
+    # The addition's "a" is born at the version of the renamed column's "a".
+    "freed_label_taken_again": (build_parallel, [
+        {"op": "core/column-rename", "oldColumnName": "a", "newColumnName": "b"},
+        {"op": "core/column-addition", "baseColumnName": "b", "newColumnName": "a", "expression": "value"},
+    ], """\
+# @begin column_rename
+# @in a_v0
+# @param oldColumnName
+# @param newColumnName_0
+# @out b_v1
+# @end column_rename
+# @begin column_addition
+# @in b_v1
+# @param baseColumnName
+# @param newColumnName_1
+# @param expression
+# @out a_v0_c1
+# @end column_addition
+"""),
+    # Two labels that sanitize alike.
+    "labels_sanitized_alike": (build_parallel, [
+        {"op": "core/fill-down", "columnName": "a b"}, {"op": "core/fill-down", "columnName": "a-b"},
+    ], """\
+# @begin fill_down_0
+# @in a_b_v0
+# @param columnName_0
+# @out a_b_v1
+# @end fill_down_0
+# @begin fill_down_1
+# @in a_b_v0_c1
+# @param columnName_1
+# @out a_b_v1_c1
+# @end fill_down_1
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMING_CORNER_CASES))
+def test_naming_corner_cases_emit_as_before(case):
+    build, entries, blocks = NAMING_CORNER_CASES[case]
+    model = build(make_recipe(entries))
+    assert emit_yw(model, "combined", name=case) == f"# @begin {case}\n{blocks}# @end {case}\n"
+    assert set(parse_dot(emit_dot(model, "combined")).nodes) == {n.id for n in model.nodes}

@@ -107,15 +107,15 @@ def test_the_build_frees_each_effect_once_used(recipe_path):
 # floor is about two, since a batch costs little more than its text, and
 # the generator's tables are freed once it is spent, before the join.
 # DOT's combined and process views sit near that floor. Its data view
-# first makes an edge for each (input, output) pair of a step. YW's text
-# holds identifiers only, about 85 bytes per step in the process view,
-# while the identifier map and the ports cost about a hundred bytes per
-# node. The combined view's text lists the param nodes too, so it holds
-# less beside its text: about 5.8 times it, against 7.7 for the process
-# view.
+# first makes an edge for each (input, output) pair of a step: about 2.7
+# times its text. The emitters print node ids and make no names of their
+# own. YW's text holds names only, about 85 bytes per step in the process
+# view, beside its port lists and param set. The combined view's text
+# lists the param nodes too, so it holds less beside its text: about 3.6
+# times it, against 4.1 for the process view.
 EMIT_BOUND = 2.5
-DOT_DATA_BOUND = 6.0
-YW_BOUNDS = {"combined": 6.5, "process": 9.0}
+DOT_DATA_BOUND = 3.5
+YW_BOUNDS = {"combined": 4.5, "process": 5.0}
 
 
 def _transient_per_byte(recipe_path: str, emit, view: str) -> float:

@@ -26,6 +26,7 @@ from refineflow import (
     upstream_lineage,
 )
 from refineflow.model import STEP_KINDS, _transitive_reduction
+from refineflow.recipe import CATALOG
 from conftest import make_recipe, traced_peak
 from oracle import Table, execute
 from recipegen import (
@@ -41,6 +42,17 @@ def _models_for(recipe):
     initial = infer_initial_schema(recipe)
     effects, schemas = trace_effects(recipe, initial)
     return effects, schemas
+
+
+def _step_ids(model: WorkflowModel) -> dict[int, str]:
+    """The id of each step and summary node, by its step index."""
+    return {n.step_index: n.id for n in model.nodes if n.kind in STEP_KINDS}
+
+
+def _order_pairs(model: WorkflowModel) -> list[tuple[int, int]]:
+    """The step indices of the model's step-to-step edges, in edge order."""
+    index = {node_id: i for i, node_id in _step_ids(model).items()}
+    return [(index[e.src], index[e.dst]) for e in model.edges if e.src in index and e.dst in index]
 
 
 def _is_acyclic(model: WorkflowModel) -> bool:
@@ -411,6 +423,14 @@ def test_built_models_round_trip_through_pickle_and_copy(menus_recipe, mass_edit
             assert [type(n.payload) for n in copied.nodes] == [type(n.payload) for n in model.nodes]
 
 
+def test_no_param_name_can_meet_a_data_name():
+    # The builders name param and data nodes against the step names alone:
+    # a data name ends in digits after "_v", "_c" or "table_", which no
+    # catalog key, nor a key with a step index appended, can.
+    keys = {key for spec in CATALOG.values() for key in spec.params}
+    assert all(key.isalpha() and key != "table" for key in keys), keys
+
+
 def test_param_and_plain_step_payloads_are_shared(menus_recipe, mass_edit_recipe):
     recipes = [menus_recipe, mass_edit_recipe] + [recipe for recipe, _ in acceptance_corpus()]
     for recipe in recipes:
@@ -479,14 +499,14 @@ def test_linear_menus_shape(menus_recipe):
     assert len(tables) == 9
     assert len(steps) == 8
     flow = {(e.src, e.dst) for e in model.edges}
+    step = _step_ids(model)
     for i in range(8):
-        assert (f"table_{i}", f"step_{i}") in flow
-        assert (f"step_{i}", f"table_{i + 1}") in flow
-    table_step_edges = [
-        e for e in model.edges if e.src.startswith("table_") or e.dst.startswith("table_")
-    ]
+        assert (f"table_{i}", step[i]) in flow
+        assert (step[i], f"table_{i + 1}") in flow
+    table_ids = {n.id for n in tables}
+    table_step_edges = [e for e in model.edges if e.src in table_ids or e.dst in table_ids]
     assert len(table_step_edges) == 16
-    assert model.components == [[f"step_{i}" for i in range(8)]]
+    assert model.components == [[step[i] for i in range(8)]]
 
 
 def test_linear_empty_recipe():
@@ -546,8 +566,9 @@ def test_linear_single_rename_params():
     assert len(params) == 2
     assert {p.payload["key"] for p in params} == {"oldColumnName", "newColumnName"}
     flow = {(e.src, e.dst) for e in model.edges}
-    assert ("table_0", "step_0") in flow and ("step_0", "table_1") in flow
-    assert all((p.id, "step_0") in flow for p in params)
+    step = _step_ids(model)[0]
+    assert ("table_0", step) in flow and (step, "table_1") in flow
+    assert all((p.id, step) in flow for p in params)
 
 
 # --- parallel model -----------------------------------------------------------
@@ -573,7 +594,7 @@ def test_parallel_menus_split_and_merge(menus_recipe):
     assert split_steps[0].payload["branches"] == 3
     assert len(merge_steps) == 1
     merge_outputs = [
-        e.dst for e in model.edges if e.src == merge_steps[0].id and not e.dst.startswith("step_")
+        e.dst for e in model.edges if e.src == merge_steps[0].id and e.dst not in date_group
     ]
     labels = {n.id: n.label for n in model.nodes}
     assert [labels[out] for out in merge_outputs] == ["repaired_date"]
@@ -589,12 +610,7 @@ def test_parallel_unknown_op_serializes_everything():
     )
     model = build_parallel(recipe)
     assert len(model.components) == 1
-    step_pairs = {
-        (e.src, e.dst)
-        for e in model.edges
-        if e.src.startswith("step_") and e.dst.startswith("step_")
-    }
-    assert step_pairs == {("step_0", "step_1"), ("step_1", "step_2")}
+    assert set(_order_pairs(model)) == {(0, 1), (1, 2)}
 
 
 def test_opaque_expression_stays_column_scoped():
@@ -622,12 +638,7 @@ def test_parallel_all_table_scoped_degenerates_to_chain():
     )
     model = build_parallel(recipe)
     assert len(model.components) == 1
-    pairs = {
-        (int(e.src.split("_")[1]), int(e.dst.split("_")[1]))
-        for e in model.edges
-        if e.src.startswith("step_") and e.dst.startswith("step_")
-    }
-    assert has_unique_topological_order(3, pairs)
+    assert has_unique_topological_order(3, set(_order_pairs(model)))
 
 
 def test_parallel_models_are_dags_and_refine_linear_order():
@@ -830,19 +841,18 @@ def test_collapse_folds_a_rename_run():
         ends = [(e.src, e.dst) if into else (e.dst, e.src) for e in model.edges]
         return [other for other, end in ends if end == node_id and kinds[other] == "data_column"]
 
-    assert columns("summary_0", into=True) == ["x0_v0"]
-    assert columns("summary_0", into=False) == ["x5_v5"]
-    assert columns("step_5", into=True) == ["x5_v5"]
-    assert columns("step_5", into=False) == ["x5_v6"]
+    step = _step_ids(model)
+    assert columns(step[0], into=True) == ["x0_v0"]
+    assert columns(step[0], into=False) == ["x5_v5"]
+    assert columns(step[5], into=True) == ["x5_v5"]
+    assert columns(step[5], into=False) == ["x5_v6"]
     (summary,) = [n for n in model.nodes if n.kind == "summary"]
-    assert summary.id == "summary_0"
+    assert (summary.id, summary.step_index) == (step[0], 0)
+    assert summary.id == "core_column_rename___5"
     inner = detail_model(recipe, summary)
     assert inner == build_linear(Recipe(recipe.operations[:5]))
     assert [n.label for n in inner.nodes if n.kind == "step"] == ["column-rename"] * 5
-    chain = [
-        (e.src, e.dst) for e in inner.edges if e.src.startswith("step_") and e.dst.startswith("step_")
-    ]
-    assert chain == [(f"step_{k}", f"step_{k + 1}") for k in range(4)]
+    assert _order_pairs(inner) == [(k, k + 1) for k in range(4)]
 
 
 def test_collapse_below_threshold_keeps_steps():
